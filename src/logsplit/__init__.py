@@ -26,6 +26,7 @@ from .eigen import (
 )
 from .errors import (
     DimensionMismatch,
+    FloatRangeError,
     InputFormatError,
     InternalInconsistency,
     LogSplitError,
@@ -75,6 +76,7 @@ __all__ = [
     "EIGENVALUE_UNCERTAIN",
     "EigenData",
     "EigenPair",
+    "FloatRangeError",
     "InputDocument",
     "InputFormatError",
     "InternalInconsistency",

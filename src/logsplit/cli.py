@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ohtsuki_c1
-from .documents import parse_input_document, report_to_output
+from .documents import parse_input_document, positive_tolerance, report_to_output
 from .errors import LogSplitError, NonIntegralChernClass, UnsupportedCase
 from .representation import build
 from .selftest import run_selftest
@@ -49,7 +49,13 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
+def _checked_flag(value: float | None, flag: str) -> float | None:
+    return None if value is None else positive_tolerance(value, flag)
+
+
 def _resolved_tols(args, doc) -> tuple[float, float]:
+    _checked_flag(args.tol, "--tol")
+    _checked_flag(args.integrality_tol, "--integrality-tol")
     tol = args.tol if args.tol is not None else (
         doc.tol if doc.tol is not None else CLI_DEFAULT_TOL
     )
@@ -102,7 +108,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(tol=args.tol if args.tol is not None else CLI_DEFAULT_TOL)
+    tol = _checked_flag(args.tol, "--tol")
+    results = run_selftest(tol=tol if tol is not None else CLI_DEFAULT_TOL)
     failed = False
     for res in results:
         if res.passed:

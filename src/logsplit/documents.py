@@ -80,9 +80,11 @@ def parse_input_document(text: str) -> InputDocument:
         if unknown:
             raise InputFormatError(f"tolerances: unknown fields {sorted(unknown)}")
         if "tol" in tolerances:
-            tol = _expect_number(tolerances, "tol", context="tolerances")
+            tol = positive_tolerance(tolerances["tol"], "tolerances.tol")
         if "integrality_tol" in tolerances:
-            integrality_tol = _expect_number(tolerances, "integrality_tol", context="tolerances")
+            integrality_tol = positive_tolerance(
+                tolerances["integrality_tol"], "tolerances.integrality_tol"
+            )
 
     return InputDocument(punctures, dim, generators, tol, integrality_tol)
 
@@ -99,12 +101,12 @@ def _parse_matrix(raw, dim: int, path: str) -> Matrix:
 
 
 def _parse_entry(raw, path: str) -> Scalar:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not math.isfinite(raw):
-            raise InputFormatError(f"{path}: entries must be finite")
-        return Scalar.exact(raw)
     if isinstance(raw, bool):
         raise InputFormatError(f"{path}: booleans are not matrix entries")
+    if isinstance(raw, (int, float)):
+        if not _is_number(raw):
+            raise InputFormatError(f"{path}: entries must be finite floating-point numbers")
+        return Scalar.exact(raw)
     if not isinstance(raw, dict):
         raise InputFormatError(f"{path}: entry must be a number or an object")
     keys = set(raw)
@@ -113,6 +115,8 @@ def _parse_entry(raw, path: str) -> Scalar:
         im = raw.get("im", 0)
         if not _is_number(re) or not _is_number(im):
             raise InputFormatError(f"{path}: re/im must be numbers")
+        if not math.isfinite(math.hypot(re, im)):
+            raise InputFormatError(f"{path}: modulus beyond the floating-point range")
         return Scalar.exact(re, im)
     if "q" in keys and keys <= {"r", "q"}:
         r = raw.get("r", 1)
@@ -139,9 +143,14 @@ def _parse_entry(raw, path: str) -> Scalar:
 
 
 def _is_number(v) -> bool:
+    """A JSON number that converts to a finite float (integers of any
+    length arrive as Python ints, which may not)."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
-    return math.isfinite(v)
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _expect_int(raw: dict, key: str) -> int:
@@ -151,12 +160,12 @@ def _expect_int(raw: dict, key: str) -> int:
     return v
 
 
-def _expect_number(raw: dict, key: str, context: str = "") -> float:
-    v = raw.get(key)
-    if not _is_number(v):
-        where = f"{context}.{key}" if context else key
-        raise InputFormatError(f"{where}: expected a number")
-    return float(v)
+def positive_tolerance(value, where: str) -> float:
+    """``value`` as a float when it is a finite number above zero, else
+    InputFormatError naming ``where`` (a document field or a flag)."""
+    if not _is_number(value) or value <= 0:
+        raise InputFormatError(f"{where}: expected a finite number above zero, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .errors import RootFindingDivergence, ZeroArgument, ZeroEigenvalue
+from .errors import FloatRangeError, RootFindingDivergence, ZeroArgument, ZeroEigenvalue
 from .matrix import Matrix
 from .scalar import Scalar
 
@@ -119,8 +119,24 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         exact = _exact_quadratic(coeffs[1], coeffs[2])
         if exact is not None:
             return _from_clusters(exact, tol)
-    roots = _aberth_roots([c.z for c in coeffs])
-    return _from_float_roots(coeffs, roots, tol)
+    try:
+        roots = _aberth_roots([c.z for c in coeffs])
+        return _from_float_roots(coeffs, roots, tol)
+    except OverflowError as exc:  # abs() of a complex beyond the float range
+        raise RootFindingDivergence("polynomial values overflow the floating-point range") from exc
+
+
+def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
+    """Eigenvalue data of the inverse matrix: each value λ becomes 1/λ with
+    its multiplicity, so q -> (-q) mod 1 and ln r -> -ln r.
+
+    Exact values stay exact, branch warnings are re-derived for the
+    reciprocals, and an EigenvalueUncertain warning carries over.
+    """
+    inverse = _from_clusters([(p.value.reciprocal(), p.multiplicity) for p in data.pairs], tol)
+    if EIGENVALUE_UNCERTAIN in data.warnings:
+        inverse = _with_warning(inverse, EIGENVALUE_UNCERTAIN)
+    return inverse
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +159,10 @@ def _from_clusters(clusters: list[tuple[Scalar, int]], tol: float) -> EigenData:
     pairs = []
     warnings: list[str] = []
     for value, mult in clusters:
+        if not cmath.isfinite(value.z):
+            # A product of huge generators can overflow; NaN would pass
+            # every later comparison.
+            raise FloatRangeError(f"eigenvalue {value.z!r} outside the floating-point range")
         if value.is_exact:
             if value.is_exact_zero:
                 raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
@@ -178,9 +198,12 @@ def _from_float_roots(coeffs, roots: list[complex], tol: float) -> EigenData:
         scalars.append((Scalar.inexact(centroid), len(members)))
     data = _from_clusters(scalars, tol)
     if uncertain:
-        warnings = tuple(dict.fromkeys(data.warnings + (EIGENVALUE_UNCERTAIN,)))
-        data = EigenData(data.pairs, warnings)
+        data = _with_warning(data, EIGENVALUE_UNCERTAIN)
     return data
+
+
+def _with_warning(data: EigenData, warning: str) -> EigenData:
+    return EigenData(data.pairs, tuple(dict.fromkeys(data.warnings + (warning,))))
 
 
 def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:
@@ -308,7 +331,11 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
     """All roots of a monic polynomial by simultaneous Aberth iteration.
 
     Deterministic: initial points on the Cauchy-bound circle with a fixed
-    angular offset, and a seeded jitter on stagnation.
+    angular offset, and a seeded jitter on stagnation.  Raises
+    RootFindingDivergence when the budget runs out above the noise floor
+    or when a root is not finite (huge coefficients overflow Horner's
+    scheme, and NaN passes every comparison).  A root counts as converged
+    only while its roundoff bound is finite.
     """
     n = len(coeffs) - 1
     if n == 1:
@@ -325,7 +352,8 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
         for i in range(n):
             p, dp, noise = _poly_eval(coeffs, z[i])
             resid += abs(p)
-            if abs(p) <= noise:
+            # An overflowed bound (noise = inf) certifies nothing.
+            if abs(p) <= noise < math.inf:
                 done[i] = True
                 continue
             done[i] = False
@@ -353,7 +381,7 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
             z[i] -= w
             moved = max(moved, abs(w) / (1.0 + abs(z[i])))
         if all(done) or moved < 64.0 * _EPS:
-            return z
+            return _finite_roots(z)
         if resid < 0.5 * best_resid:
             best_resid = resid
             stall = 0
@@ -372,4 +400,10 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
             raise RootFindingDivergence(
                 f"root iteration exhausted {budget} iterations with residual {abs(p):.3e}"
             )
-    return z
+    return _finite_roots(z)
+
+
+def _finite_roots(roots: list[complex]) -> list[complex]:
+    if not all(cmath.isfinite(r) for r in roots):
+        raise RootFindingDivergence("root iteration left the floating-point range")
+    return roots

@@ -26,6 +26,10 @@ class RootFindingDivergence(LogSplitError):
     """Simultaneous root iteration failed to converge within its budget."""
 
 
+class FloatRangeError(LogSplitError):
+    """A value left the floating-point range (overflow to inf, or NaN)."""
+
+
 class ZeroEigenvalue(LogSplitError):
     """An eigenvalue is numerically zero; monodromies must be invertible."""
 

@@ -4,11 +4,14 @@ Dimensions are capped at 8: local monodromies at desk scale.  All methods
 are pure; a Matrix is immutable after construction.  Because the entries
 are Scalars, exact polar data survives any operation that only needs
 products, reciprocals and colinear sums (diagonal and triangular work in
-particular), and degrades to floats elsewhere.
+particular), and degrades to floats elsewhere.  The determinant and the
+characteristic polynomial of matrices of dimension 3 and up are computed
+on plain ``complex`` values: their only consumer is the float root finder.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -18,6 +21,20 @@ MAX_DIM = 8
 
 #: Pivot magnitudes below ``tol * scale`` count as singular.
 SINGULARITY_TOL = 1e-12
+
+
+def below_singularity_threshold(
+    det_abs: float, max_abs: float, n: int, tol: float = SINGULARITY_TOL
+) -> bool:
+    """Whether ``det_abs <= tol * (1 + max_abs) ** n``.
+
+    Where the power overflows a float the same comparison is made between
+    logarithms, so huge entries give a decision instead of OverflowError.
+    """
+    try:
+        return det_abs <= tol * (1.0 + max_abs) ** n
+    except OverflowError:
+        return det_abs == 0.0 or math.log(det_abs) <= math.log(tol) + n * math.log1p(max_abs)
 
 
 class Matrix:
@@ -122,51 +139,33 @@ class Matrix:
             return r[0][0]
         if n == 2:
             return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return self._det_by_elimination()
+        return Scalar.inexact(_det_by_elimination(self._complex_rows()))
 
-    def _det_by_elimination(self) -> Scalar:
-        n = self.n
-        work = [list(row) for row in self._rows]
-        det = ONE
-        for col in range(n):
-            pivot_row = max(range(col, n), key=lambda i: abs(work[i][col]))
-            if abs(work[pivot_row][col]) == 0.0:
-                return ZERO
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
-            pivot = work[col][col]
-            det = det * pivot
-            for i in range(col + 1, n):
-                factor = work[i][col] / pivot
-                if factor.is_exact_zero:
-                    continue
-                for j in range(col, n):
-                    work[i][j] = work[i][j] - factor * work[col][j]
-        return det
+    def _complex_rows(self) -> list[list[complex]]:
+        return [[e.z for e in row] for row in self._rows]
 
     def inverse(self, tol: float = SINGULARITY_TOL) -> "Matrix":
         """Matrix inverse; raises SingularMatrix when |det| is below
         ``tol * (1 + max entry)**n``."""
         n = self.n
-        scale = (1.0 + self.max_abs()) ** n
+        max_abs = self.max_abs()
         if n == 1:
             d = self._rows[0][0]
-            if abs(d) <= tol * scale:
+            if below_singularity_threshold(abs(d), max_abs, n, tol):
                 raise SingularMatrix("1x1 matrix with entry too close to zero")
             return Matrix([[d.reciprocal()]])
         if n == 2:
             # Adjugate form: keeps exact entries exact (a single division).
             (a, b), (c, d) = self._rows
             det = a * d - b * c
-            if abs(det) <= tol * scale:
+            if below_singularity_threshold(abs(det), max_abs, n, tol):
                 raise SingularMatrix(f"2x2 determinant {abs(det):.3e} below tolerance")
             return Matrix([[d / det, -b / det], [-c / det, a / det]])
-        if abs(self.det()) <= tol * scale:
+        if below_singularity_threshold(abs(self.det()), max_abs, n, tol):
             raise SingularMatrix(f"{n}x{n} determinant below tolerance")
-        return self._inverse_gauss_jordan(tol, scale)
+        return self._inverse_gauss_jordan(tol)
 
-    def _inverse_gauss_jordan(self, tol: float, scale: float) -> "Matrix":
+    def _inverse_gauss_jordan(self, tol: float) -> "Matrix":
         n = self.n
         work = [list(self._rows[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         for col in range(n):
@@ -194,7 +193,8 @@ class Matrix:
         Dimensions 1 and 2 are written out directly (trace and
         determinant, which keeps exact entries exact).  Larger matrices
         are reduced to Hessenberg form by a stabilized Gaussian
-        similarity and the determinant is expanded along the last column.
+        similarity and the determinant is expanded along the last column,
+        in complex floating point.
         Intermediates stay at the size of the coefficients themselves;
         trace-of-powers schemes carry errors of order eps * ||A||^n,
         which poisons the low coefficients whenever the spectrum is
@@ -206,33 +206,8 @@ class Matrix:
         if n == 2:
             (a, b), (c, d) = self._rows
             return (ONE, -(a + d), a * d - b * c)
-        return _hessenberg_char_poly(self._hessenberg())
-
-    def _hessenberg(self) -> list[list[Scalar]]:
-        """Similarity reduction to upper Hessenberg form by pivoted
-        Gaussian elimination; entries below the subdiagonal are dead
-        after elimination and never read again."""
-        n = self.n
-        w = [list(row) for row in self._rows]
-        for col in range(n - 2):
-            pivot_row = max(range(col + 1, n), key=lambda i: abs(w[i][col]))
-            if abs(w[pivot_row][col]) == 0.0:
-                continue
-            p = col + 1
-            if pivot_row != p:
-                w[p], w[pivot_row] = w[pivot_row], w[p]
-                for i in range(n):
-                    w[i][p], w[i][pivot_row] = w[i][pivot_row], w[i][p]
-            pivot = w[p][col]
-            for i in range(col + 2, n):
-                factor = w[i][col] / pivot
-                if factor.is_exact_zero:
-                    continue
-                for j in range(col, n):
-                    w[i][j] = w[i][j] - factor * w[p][j]
-                for k in range(n):
-                    w[k][p] = w[k][p] + factor * w[k][i]
-        return w
+        h = _hessenberg(self._complex_rows())
+        return tuple(Scalar.inexact(c) for c in _hessenberg_char_poly(h))
 
     # -- structure probes -------------------------------------------------
 
@@ -279,7 +254,65 @@ class Matrix:
         return None
 
 
-def _hessenberg_char_poly(h: list[list[Scalar]]) -> tuple[Scalar, ...]:
+# Kernels on plain complex values, for dimension 3 and up.  Division is a
+# multiplication by ``1.0 / pivot``, as in Scalar, so a matrix of floating
+# Scalars gets the same coefficients bit for bit.
+
+
+def _det_by_elimination(w: list[list[complex]]) -> complex:
+    """Determinant by partial-pivot elimination; ``w`` is overwritten."""
+    n = len(w)
+    det = 1 + 0j
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda i: abs(w[i][col]))
+        pivot = w[pivot_row][col]
+        if pivot == 0:
+            return 0j
+        if pivot_row != col:
+            w[col], w[pivot_row] = w[pivot_row], w[col]
+            det = -det
+        det = det * pivot
+        inv_pivot = 1.0 / pivot
+        row_c = w[col]
+        for i in range(col + 1, n):
+            row_i = w[i]
+            factor = row_i[col] * inv_pivot
+            if factor == 0:
+                continue
+            for j in range(col, n):
+                row_i[j] = row_i[j] - factor * row_c[j]
+    return det
+
+
+def _hessenberg(w: list[list[complex]]) -> list[list[complex]]:
+    """Similarity reduction of ``w``, in place, to upper Hessenberg form by
+    pivoted Gaussian elimination; entries below the subdiagonal are dead
+    after elimination and never read again."""
+    n = len(w)
+    for col in range(n - 2):
+        p = col + 1
+        pivot_row = max(range(p, n), key=lambda i: abs(w[i][col]))
+        if w[pivot_row][col] == 0:
+            continue
+        if pivot_row != p:
+            w[p], w[pivot_row] = w[pivot_row], w[p]
+            for row in w:
+                row[p], row[pivot_row] = row[pivot_row], row[p]
+        inv_pivot = 1.0 / w[p][col]
+        row_p = w[p]
+        for i in range(col + 2, n):
+            row_i = w[i]
+            factor = row_i[col] * inv_pivot
+            if factor == 0:
+                continue
+            for j in range(col, n):
+                row_i[j] = row_i[j] - factor * row_p[j]
+            for row in w:
+                row[p] = row[p] + factor * row[i]
+    return w
+
+
+def _hessenberg_char_poly(h: list[list[complex]]) -> list[complex]:
     """det(xI - H) for upper Hessenberg H, expanded along the last column.
 
     With p_k the characteristic polynomial of the leading k-block and
@@ -288,31 +321,30 @@ def _hessenberg_char_poly(h: list[list[Scalar]]) -> tuple[Scalar, ...]:
         p_k = (x - h[k][k]) p_(k-1) - sum_i h[i][k] (prod_j s_j) p_(i-1)
 
     the product running over the subdiagonal between i and k.  Zero
-    subdiagonal entries cut the sums off, so triangular input reproduces
-    prod (x - h[i][i]) exactly.
+    subdiagonal entries cut the sums off.
     """
     n = len(h)
-    polys: list[list[Scalar]] = [[ONE]]
+    polys: list[list[complex]] = [[1 + 0j]]
     for k in range(1, n + 1):
         prev = polys[k - 1]
         hkk = h[k - 1][k - 1]
-        cur = list(prev) + [ZERO]
-        for idx, c in enumerate(prev):
-            cur[idx + 1] = cur[idx + 1] - hkk * c
-        subdiag_product = ONE
+        cur = [prev[0]]
+        cur.extend(prev[idx] - hkk * prev[idx - 1] for idx in range(1, len(prev)))
+        cur.append(-(hkk * prev[-1]))
+        subdiag_product = 1 + 0j
         for i in range(k - 1, 0, -1):
             subdiag_product = subdiag_product * h[i][i - 1]
-            if subdiag_product.is_exact_zero:
+            if subdiag_product == 0:
                 break
             term = h[i - 1][k - 1] * subdiag_product
-            if term.is_exact_zero:
+            if term == 0:
                 continue
             pi = polys[i - 1]
             offset = len(cur) - len(pi)
             for idx, c in enumerate(pi):
                 cur[offset + idx] = cur[offset + idx] - term * c
         polys.append(cur)
-    return tuple(polys[n])
+    return polys[n]
 
 
 def _entry(e) -> Scalar:

@@ -1,21 +1,24 @@
 """Monodromy representations of the 2- and 3-punctured projective line.
 
 A representation is stored through the images of the free-group generators;
-the loop around infinity carries the inverse of their ordered product, so
-the local monodromies at all punctures multiply to the identity.  Building
-a representation extracts the eigenvalue data at every puncture and checks
-that closure.
+the loop around infinity carries the inverse of their ordered product P, so
+the local monodromies at all punctures multiply to the identity by
+construction.  Building a representation extracts the eigenvalue data at
+every puncture: at infinity these are the reciprocals of P's eigenvalues,
+so P is never inverted.  The infinity monodromy itself is computed only
+when it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues
+from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, reciprocal_eigenvalues
 from .errors import DimensionMismatch, ProductNotIdentity, SingularMatrix
-from .matrix import SINGULARITY_TOL, Matrix
+from .matrix import Matrix, below_singularity_threshold
 
-#: Entrywise closure tolerance for the product of all local monodromies.
+#: Relative tolerance of the closure of the determinant moduli: the sum of
+#: ln|lambda| over all punctures must vanish.
 CLOSURE_TOL = 1e-8
 
 SUPPORTED_PUNCTURES = (2, 3)
@@ -44,7 +47,7 @@ class Representation:
         if any(g.n != dim for g in gens):
             raise DimensionMismatch("all generators must share one dimension")
         for idx, g in enumerate(gens):
-            if abs(g.det()) <= SINGULARITY_TOL * (1.0 + g.max_abs()) ** dim:
+            if below_singularity_threshold(abs(g.det()), g.max_abs(), dim):
                 raise SingularMatrix(f"generator {idx} is singular")
 
     @property
@@ -57,11 +60,20 @@ class PuncturedRepresentation:
     """A representation together with its puncture-by-puncture residue data.
 
     ``local_eigen`` is ordered like the punctures: 0, [1,] infinity.
+    ``stated_infinity`` is None when the infinity monodromy is to be
+    derived from the generators, as :func:`build` leaves it; hand-assembled
+    data may state the matrix instead.
     """
 
     rep: Representation
-    infinity_monodromy: Matrix
+    stated_infinity: Matrix | None
     local_eigen: tuple[EigenData, ...]
+
+    @property
+    def infinity_monodromy(self) -> Matrix:
+        if self.stated_infinity is not None:
+            return self.stated_infinity
+        return monodromy_at_infinity(self.rep.generators)
 
     @property
     def punctures(self) -> int:
@@ -92,19 +104,17 @@ def monodromy_at_infinity(generators: tuple[Matrix, ...] | list[Matrix]) -> Matr
 
 
 def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRepresentation:
-    """Complete a representation with its infinity monodromy and local
-    eigenvalue data, asserting that the local monodromies close up.
+    """Complete a representation with the eigenvalue data of its local
+    monodromies, and check that their determinant moduli close up.
+
+    The eigenvalues at infinity are the reciprocals of those of the
+    generator product: at two punctures the product is the generator
+    itself, whose data is reused; at three it is ``m0 @ m1``.
     """
-    m_inf = monodromy_at_infinity(rep.generators)
-    locals_ = rep.generators + (m_inf,)
-
-    product = locals_[0]
-    for m in locals_[1:]:
-        product = product @ m
-    if not product.close_to(Matrix.identity(rep.dim), CLOSURE_TOL):
-        raise ProductNotIdentity("local monodromies do not multiply to the identity")
-
-    eigen = tuple(eigenvalues(m, tol) for m in locals_)
+    gens = rep.generators
+    gen_eigen = tuple(eigenvalues(g, tol) for g in gens)
+    product_eigen = gen_eigen[0] if len(gens) == 1 else eigenvalues(gens[0] @ gens[1], tol)
+    eigen = gen_eigen + (reciprocal_eigenvalues(product_eigen, tol),)
 
     ln_sum = sum(e.ln_r_sum() for e in eigen)
     ln_scale = 1.0 + sum(abs(p.ln_r) * p.multiplicity for e in eigen for p in e.pairs)
@@ -112,7 +122,7 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
         raise ProductNotIdentity(
             f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
         )
-    return PuncturedRepresentation(rep, m_inf, eigen)
+    return PuncturedRepresentation(rep, None, eigen)
 
 
 def conjugate(rep: Representation, s: Matrix) -> Representation:

@@ -199,3 +199,65 @@ class TestSelftest:
         failed = {r.name for r in results if not r.passed}
         assert "local-branch-data" in failed
         assert "chern-class" in failed
+
+
+class TestNumericRobustness:
+    """Inputs that used to end in a traceback exit with a documented code."""
+
+    @staticmethod
+    def _run(tmp_path, text, *flags):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        return main(["classify", str(path), *flags])
+
+    def test_huge_float_generator_diverges_cleanly(self, tmp_path, capsys):
+        # Char-poly coefficients near 1e56 overflow Horner's scheme from
+        # the Cauchy-bound start circle; NaN roots must not reach c1.
+        import random
+
+        rng = random.Random(0)
+        gen = [
+            [{"re": rng.uniform(-1e7, 1e7), "im": rng.uniform(-1e7, 1e7)} for _ in range(8)]
+            for _ in range(8)
+        ]
+        doc = json.dumps({"punctures": 2, "dim": 8, "generators": [gen]})
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        assert "error[RootFindingDivergence]" in capsys.readouterr().err
+
+    def test_extreme_diagonal_is_singular(self, tmp_path, capsys):
+        doc = '{"punctures": 2, "dim": 2, "generators": [[[1e-200, 0], [0, 1e200]]]}'
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        assert "error[SingularMatrix]" in capsys.readouterr().err
+
+    def test_overflowing_generator_product(self, tmp_path, capsys):
+        # The product at three punctures overflows to inf + inf*i; its
+        # reciprocal would be NaN.
+        doc = (
+            '{"punctures": 3, "dim": 1, '
+            '"generators": [[[1e200]], [[{"re": 1e200, "im": 1e200}]]]}'
+        )
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        assert "error[FloatRangeError]" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        doc = '{"punctures": 2, "dim": 1, "generators": [[[%s]]]}' % ("1" + "0" * 399)
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        assert "error[InputFormatError]" in capsys.readouterr().err
+
+    def test_nonpositive_document_tolerance(self, tmp_path, capsys):
+        doc = '{"punctures": 2, "dim": 1, "generators": [[[2]]], "tolerances": {"tol": -1}}'
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        assert "tolerances.tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--integrality-tol"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_nonpositive_flag_tolerance(self, tmp_path, capsys, flag, value):
+        doc = '{"punctures": 2, "dim": 1, "generators": [[[2]]]}'
+        assert self._run(tmp_path, doc, f"{flag}={value}") == EXIT_ERROR
+        assert flag in capsys.readouterr().err
+        path = tmp_path / "doc.json"
+        assert main(["c1", str(path), f"{flag}={value}"]) == EXIT_ERROR
+
+    def test_nonpositive_selftest_tolerance(self, capsys):
+        assert main(["selftest", "--tol=-1"]) == EXIT_ERROR
+        assert "--tol" in capsys.readouterr().err

@@ -156,3 +156,37 @@ class TestOutputDocument:
         a = report_to_output(classify(doc.representation())).to_json()
         b = report_to_output(classify(doc.representation())).to_json()
         assert a == b
+
+
+class TestRangeValidation:
+    def test_integer_beyond_float_range_is_a_format_error(self):
+        huge = "1" + "0" * 399
+        for entry in (huge, f'{{"re": {huge}}}', f'{{"r": {huge}, "q": "1/3"}}'):
+            with pytest.raises(InputFormatError, match=r"generators\[0\]\[0\]\[0\]"):
+                parse_input_document(
+                    f'{{"punctures": 2, "dim": 1, "generators": [[[{entry}]]]}}'
+                )
+
+    def test_modulus_beyond_float_range_is_a_format_error(self):
+        with pytest.raises(InputFormatError, match="modulus"):
+            parse_input_document(
+                '{"punctures": 2, "dim": 1, '
+                '"generators": [[[{"re": 1.7e308, "im": 1.7e308}]]]}'
+            )
+
+    @pytest.mark.parametrize("field", ["tol", "integrality_tol"])
+    @pytest.mark.parametrize("value", ["-1", "0", "-0.0", pytest.param("1" + "0" * 400, id="huge")])
+    def test_tolerances_must_be_finite_and_positive(self, field, value):
+        text = (
+            '{"punctures": 2, "dim": 1, "generators": [[[2]]], '
+            f'"tolerances": {{"{field}": {value}}}}}'
+        )
+        with pytest.raises(InputFormatError, match=f"tolerances.{field}"):
+            parse_input_document(text)
+
+    def test_positive_tolerances_are_kept(self):
+        doc = parse_input_document(
+            '{"punctures": 2, "dim": 1, "generators": [[[2]]], '
+            '"tolerances": {"tol": 1e-8, "integrality_tol": 3}}'
+        )
+        assert (doc.tol, doc.integrality_tol) == (1e-8, 3.0)

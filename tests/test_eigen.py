@@ -237,3 +237,27 @@ class TestClusteringKnob:
         assert [p.multiplicity for p in tight.pairs] == [1, 1]
         loose = eigenvalues(near, 1e-5)
         assert [p.multiplicity for p in loose.pairs] == [2]
+
+
+class TestAberthRange:
+    def test_overflowing_start_circle_raises_instead_of_nan(self):
+        # Cauchy radius ~1e56: the eighth power overflows Horner's scheme.
+        from logsplit import RootFindingDivergence
+
+        coeffs = [1 + 0j] + [complex(10.0 ** (7 * k), 0.0) for k in range(1, 9)]
+        with pytest.raises(RootFindingDivergence):
+            _aberth_roots(coeffs)
+
+    def test_overflowed_roundoff_bound_is_not_convergence(self):
+        # At z ~ 1e51 the residual and its bound are both inf; inf <= inf
+        # must not stop the iteration on a point that is no root.
+        from logsplit import RootFindingDivergence
+
+        coeffs = [1 + 0j, 1e8 + 0j, 1e16 + 0j, 1e24 + 0j, 1e32 + 0j, 1e39 + 0j, 1e45 + 0j, 1e51 + 0j]
+        try:
+            roots = _aberth_roots(coeffs)
+        except RootFindingDivergence:
+            return
+        for r in roots:
+            p, _, noise = _poly_eval(coeffs, r)
+            assert math.isfinite(noise) and abs(p) <= 1e3 * noise
