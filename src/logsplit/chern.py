@@ -16,7 +16,11 @@ from fractions import Fraction
 
 from .eigen import EigenData
 from .errors import NonIntegralChernClass, ProductNotIdentity
-from .representation import CLOSURE_TOL, PuncturedRepresentation
+from .representation import PuncturedRepresentation
+
+#: Relative tolerance of the closure of the determinant moduli: the sum of
+#: ln|lambda| over all punctures must vanish.
+CLOSURE_TOL = 1e-8
 
 #: How far the raw q-sum may sit from an integer before the input is
 #: declared inconsistent.
@@ -45,7 +49,17 @@ def ohtsuki_c1(
 
     The total is an integer in exact arithmetic; the distance to the
     nearest integer measures input noise and must stay below ``tol``.
+    The ln-modulus closure is checked first (ProductNotIdentity).
     """
+    ln_sum = sum(e.ln_r_sum() for e in prep.local_eigen)
+    ln_scale = 1.0 + sum(
+        abs(p.ln_r) * p.multiplicity for e in prep.local_eigen for p in e.pairs
+    )
+    if abs(ln_sum) > CLOSURE_TOL * ln_scale:
+        raise ProductNotIdentity(
+            f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
+        )
+
     raw: Fraction | float = Fraction(0)
     for e in prep.local_eigen:
         raw = raw + residue_q_trace(e)
@@ -55,15 +69,6 @@ def ohtsuki_c1(
         raise NonIntegralChernClass(
             f"residue q-sum {float(raw)!r} is {float(defect):.3e} from an integer "
             f"(tolerance {tol:.3e})"
-        )
-
-    ln_sum = sum(e.ln_r_sum() for e in prep.local_eigen)
-    ln_scale = 1.0 + sum(
-        abs(p.ln_r) * p.multiplicity for e in prep.local_eigen for p in e.pairs
-    )
-    if abs(ln_sum) > CLOSURE_TOL * ln_scale:
-        raise ProductNotIdentity(
-            f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
         )
     return ChernResult(
         c1=-int(nearest),

@@ -166,6 +166,8 @@ def _from_clusters(clusters: list[tuple[Scalar, int]], tol: float) -> EigenData:
         if value.is_exact:
             if value.is_exact_zero:
                 raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
+            if abs(value) == 0.0:
+                raise FloatRangeError("exact eigenvalue modulus below the floating-point range")
             q: Fraction | float = value.q
         else:
             if abs(value) < tol:
@@ -232,14 +234,12 @@ def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:
 
 def _real_fraction(s: Scalar) -> Fraction | None:
     """Exact rational value of a Scalar lying on the real axis, else None."""
-    if not s.is_exact:
-        return None
     if s.is_exact_zero:
         return Fraction(0)
     if s.q == 0:
-        return Fraction(abs(s))
+        return s.r
     if s.q == _HALF:
-        return -Fraction(abs(s))
+        return -s.r
     return None
 
 
@@ -255,7 +255,8 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar, int]] | Non
     """Roots of x^2 + b x + c for exact real-rational b, c.
 
     Real roots always carry an exact argument (0 or 1/2: the sign is
-    decided by rational comparisons, never by the float square root).
+    decided by rational comparisons, never by the float square root);
+    an irrational modulus is rounded.
     Complex pairs get an exact q only for the rational-cosine angles
     (Niven: cos(2*pi*q) rational forces cos in {0, +-1/2, +-1}); other
     angles are irrational and fall back to floats.
@@ -268,16 +269,27 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar, int]] | Non
         raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
     disc = b * b - 4 * c
     if disc == 0:
-        return [(_rational_scalar(-b / 2), 2)]
+        return [(Scalar.exact(-b / 2), 2)]
     if disc > 0:
         root = _fraction_sqrt(disc)
         if root is not None:
-            return [(_rational_scalar((-b + root) / 2), 1), (_rational_scalar((-b - root) / 2), 1)]
-        # Irrational real pair: exact signs, float magnitudes.
-        s_f = math.sqrt(float(disc))
-        t = (-float(b) - s_f) / 2 if b >= 0 else (-float(b) + s_f) / 2
-        other = float(c) / t
+            return [(Scalar.exact((-b + root) / 2), 1), (Scalar.exact((-b - root) / 2), 1)]
+    # The remaining roots are computed in floats.  Coefficients whose floats
+    # overflow or underflow take the float route, as inexact data does.
+    try:
+        b_f, c_f, disc_f = float(b), float(c), float(disc)
+    except OverflowError:
+        return None
+    if c_f == 0.0:
+        return None
+    if disc > 0:
+        # Irrational real pair: exact signs, rounded moduli.
+        s_f = math.sqrt(disc_f)
+        t = (-b_f - s_f) / 2 if b >= 0 else (-b_f + s_f) / 2
+        other = c_f / t
         hi, lo = max(t, other), min(t, other)
+        if not all(0.0 < abs(v) < math.inf for v in (hi, lo)):
+            return None
         sign_hi = 1 if (b <= 0 or c < 0) else -1  # sign of (-b + sqrt(disc))/2
         sign_lo = 1 if (b < 0 and c > 0) else -1
         return [
@@ -286,28 +298,21 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar, int]] | Non
         ]
     # Conjugate pair x +- iy with x rational, y > 0, and |root|^2 = c.
     x = -b / 2
-    y = math.sqrt(float(-disc)) / 2
-    if x == 0:
-        r = math.sqrt(float(c))
-        return [(Scalar.polar(r, Fraction(1, 4)), 1), (Scalar.polar(r, Fraction(3, 4)), 1)]
+    y = math.sqrt(-disc_f) / 2
     r_frac = _fraction_sqrt(c)
+    if x == 0:
+        r = r_frac if r_frac is not None else math.sqrt(c_f)
+        return [(Scalar.polar(r, Fraction(1, 4)), 1), (Scalar.polar(r, Fraction(3, 4)), 1)]
     if r_frac is not None:
         ratio = x / r_frac
         table = {Fraction(1, 2): Fraction(1, 6), Fraction(-1, 2): Fraction(1, 3)}
         if ratio in table:
             q = table[ratio]
-            r = float(r_frac)
-            return [(Scalar.polar(r, q), 1), (Scalar.polar(r, 1 - q), 1)]
+            return [(Scalar.polar(r_frac, q), 1), (Scalar.polar(r_frac, 1 - q), 1)]
     return [
-        (Scalar.inexact(complex(float(x), y)), 1),
-        (Scalar.inexact(complex(float(x), -y)), 1),
+        (Scalar.inexact(complex(-b_f / 2, y)), 1),
+        (Scalar.inexact(complex(-b_f / 2, -y)), 1),
     ]
-
-
-def _rational_scalar(v: Fraction) -> Scalar:
-    if v == 0:
-        raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-    return Scalar.polar(abs(float(v)), 0 if v > 0 else _HALF)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ def below_singularity_threshold(
 
     Where the power overflows a float the same comparison is made between
     logarithms, so huge entries give a decision instead of OverflowError.
+    A determinant beyond the float range is never below the threshold.
     """
+    if det_abs == math.inf:
+        return False
     try:
         return det_abs <= tol * (1.0 + max_abs) ** n
     except OverflowError:

@@ -14,12 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, reciprocal_eigenvalues
-from .errors import DimensionMismatch, ProductNotIdentity, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 from .matrix import Matrix, below_singularity_threshold
-
-#: Relative tolerance of the closure of the determinant moduli: the sum of
-#: ln|lambda| over all punctures must vanish.
-CLOSURE_TOL = 1e-8
 
 SUPPORTED_PUNCTURES = (2, 3)
 
@@ -105,7 +101,7 @@ def monodromy_at_infinity(generators: tuple[Matrix, ...] | list[Matrix]) -> Matr
 
 def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRepresentation:
     """Complete a representation with the eigenvalue data of its local
-    monodromies, and check that their determinant moduli close up.
+    monodromies.
 
     The eigenvalues at infinity are the reciprocals of those of the
     generator product: at two punctures the product is the generator
@@ -116,12 +112,6 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
     product_eigen = gen_eigen[0] if len(gens) == 1 else eigenvalues(gens[0] @ gens[1], tol)
     eigen = gen_eigen + (reciprocal_eigenvalues(product_eigen, tol),)
 
-    ln_sum = sum(e.ln_r_sum() for e in eigen)
-    ln_scale = 1.0 + sum(abs(p.ln_r) * p.multiplicity for e in eigen for p in e.pairs)
-    if abs(ln_sum) > CLOSURE_TOL * ln_scale:
-        raise ProductNotIdentity(
-            f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
-        )
     return PuncturedRepresentation(rep, None, eigen)
 
 

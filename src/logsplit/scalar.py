@@ -1,14 +1,18 @@
-"""Complex scalars that remember an exact branch argument when they can.
+"""Complex scalars that remember an exact value when they can.
 
 The classification downstream is discontinuous in the normalized argument
 q of an eigenvalue (q = 0 versus q != 0 picks a different twisting sheaf),
 so floating noise on the positive real axis is fatal.  A :class:`Scalar`
 therefore carries, whenever its provenance allows, the exact value
-``r * exp(2*pi*i*q)`` with ``q`` a :class:`~fractions.Fraction` in [0, 1)
-and ``r > 0`` a float modulus.  Arithmetic keeps the exact form alive
-through the operations that preserve it (products, reciprocals, negation,
-conjugation, addition of colinear values) and degrades to a plain complex
-float otherwise.
+``r * exp(2*pi*i*q)``: a rational modulus ``r > 0`` times e(q), with
+``q`` a :class:`~fractions.Fraction` in [0, 1) (a float input is read as
+its exact dyadic value).  Arithmetic keeps the exact form alive through
+the operations that preserve it (products, reciprocals, negation,
+conjugation, addition of colinear values), so exact zero tests decide on
+exact data, and degrades to a plain complex float otherwise.  The complex
+value of an exact scalar is derived when it is first read.  One exact
+modulus is rounded: the irrational modulus of a root of a rational
+quadratic (eigen._exact_quadratic), whose q is exact.
 
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
@@ -20,40 +24,59 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import FloatRangeError, OutOfBranch
+
 _TWO_PI = 2.0 * math.pi
+_Q_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 _THREE_QUARTERS = Fraction(3, 4)
 
 
-def _polar_to_complex(r: float, q: Fraction) -> complex:
+def _to_float(x: Fraction | int | float) -> float:
+    """``float(x)``, with values beyond the float range becoming +-inf: how
+    an exact modulus becomes a float for ``abs`` and ``z``."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _to_fraction(x: Fraction | int | float) -> Fraction:
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError) as exc:  # inf or nan
+        raise FloatRangeError(f"{x!r} is not a finite number") from exc
+
+
+def _polar_to_complex(r: Fraction, q: Fraction) -> complex:
     # Quarter turns hit the axes exactly; sin/cos of their float angles do not.
+    r_f = _to_float(r)
     if q == 0:
-        return complex(r, 0.0)
+        return complex(r_f, 0.0)
     if q == _HALF:
-        return complex(-r, 0.0)
+        return complex(-r_f, 0.0)
     if q == _QUARTER:
-        return complex(0.0, r)
+        return complex(0.0, r_f)
     if q == _THREE_QUARTERS:
-        return complex(0.0, -r)
+        return complex(0.0, -r_f)
     a = _TWO_PI * float(q)
-    return complex(r * math.cos(a), r * math.sin(a))
+    return complex(r_f * math.cos(a), r_f * math.sin(a))
 
 
 class Scalar:
-    """Immutable complex scalar, exact-polar or floating.
+    """Immutable complex scalar, exact or floating.
 
     States:
-      * exact zero      -- ``_q is None`` and ``_r == 0.0``
-      * exact polar     -- ``_q`` a Fraction in [0, 1), ``_r > 0``
-      * inexact (float) -- ``_q is None`` and ``_r is None``
-
-    ``_z`` always holds the best complex approximation of the value.
+      * exact zero      -- the ``ZERO`` singleton, tested by identity
+      * exact polar     -- ``_r`` a Fraction > 0, ``_q`` a Fraction in [0, 1);
+                           ``_z`` is None until the complex value is read
+      * inexact (float) -- ``_r`` and ``_q`` None, ``_z`` the complex value
     """
 
     __slots__ = ("_z", "_r", "_q")
 
-    def __init__(self, z: complex, r: float | None, q: Fraction | None):
+    def __init__(self, z: complex | None, r: Fraction | None, q: Fraction | None):
         self._z = z
         self._r = r
         self._q = q
@@ -65,35 +88,29 @@ class Scalar:
         """Exactly specified cartesian value.
 
         Real and purely imaginary inputs land on a known axis, so their
-        branch argument is exact (0, 1/4, 1/2 or 3/4); anything else has
-        no representable exact argument and is stored as a float.
+        branch argument is exact (0, 1/4, 1/2 or 3/4) and their modulus is
+        the exact rational value of the input; anything else has no
+        representable exact argument and is stored as a float.
         """
-        re_f = float(re)
-        im_f = float(im)
-        if im_f == 0.0:
-            if re_f == 0.0:
+        if im == 0:
+            if re == 0:
                 return _ZERO
-            if re_f > 0.0:
-                return cls(complex(re_f, 0.0), re_f, Fraction(0))
-            return cls(complex(re_f, 0.0), -re_f, _HALF)
-        if re_f == 0.0:
-            if im_f > 0.0:
-                return cls(complex(0.0, im_f), im_f, _QUARTER)
-            return cls(complex(0.0, im_f), -im_f, _THREE_QUARTERS)
-        return cls(complex(re_f, im_f), None, None)
+            r = _to_fraction(re)
+            return cls(None, r, _Q_ZERO) if r > 0 else cls(None, -r, _HALF)
+        if re == 0:
+            r = _to_fraction(im)
+            return cls(None, r, _QUARTER) if r > 0 else cls(None, -r, _THREE_QUARTERS)
+        return cls(complex(_to_float(re), _to_float(im)), None, None)
 
     @classmethod
     def polar(cls, r: float | int | Fraction, q: Fraction | int | str) -> "Scalar":
         """Exact polar value ``r * exp(2*pi*i*q)`` with q rational in [0, 1)."""
-        from .errors import OutOfBranch
-
         q_frac = Fraction(q)
-        r_f = float(r)
         if not 0 <= q_frac < 1:
             raise OutOfBranch(f"polar argument q must lie in [0, 1), got {q_frac}")
-        if r_f <= 0.0 or not math.isfinite(r_f):
-            raise ValueError(f"polar modulus must be a finite positive real, got {r_f}")
-        return cls(_polar_to_complex(r_f, q_frac), r_f, q_frac)
+        if isinstance(r, float) and not math.isfinite(r) or not r > 0:
+            raise ValueError(f"polar modulus must be a finite positive real, got {r}")
+        return cls(None, _to_fraction(r), q_frac)
 
     @classmethod
     def inexact(cls, z: complex) -> "Scalar":
@@ -108,12 +125,12 @@ class Scalar:
 
     @property
     def is_exact_zero(self) -> bool:
-        return self._r == 0.0
+        return self is _ZERO
 
     @property
     def is_zero(self) -> bool:
         """Literal zero (exact or a float that is exactly 0.0)."""
-        return self._z == 0
+        return self._q is None and self._z == 0
 
     @property
     def q(self) -> Fraction | None:
@@ -121,14 +138,22 @@ class Scalar:
         return self._q
 
     @property
+    def r(self) -> Fraction | None:
+        """Exact modulus, when known (0 for the exact zero)."""
+        return self._r
+
+    @property
     def z(self) -> complex:
-        return self._z
+        z = self._z
+        if z is None:
+            z = self._z = _polar_to_complex(self._r, self._q)
+        return z
 
     def __complex__(self) -> complex:
-        return self._z
+        return self.z
 
     def __abs__(self) -> float:
-        return self._r if self._r is not None else abs(self._z)
+        return _to_float(self._r) if self._r is not None else abs(self._z)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -146,32 +171,29 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._r == 0.0:
+        if self is _ZERO:
             return o
-        if o._r == 0.0:
+        if o is _ZERO:
             return self
         if self._q is not None and o._q is not None:
             if self._q == o._q:
-                return _polar_or_degrade(self._r + o._r, self._q)
+                return Scalar(None, self._r + o._r, self._q)
             if (o._q - self._q) % 1 == _HALF:
-                # Opposite directions: the float difference of the moduli has
-                # the exact sign of the true difference, and is 0 only on
-                # exact cancellation.
                 d = self._r - o._r
-                if d > 0.0:
-                    return _polar_or_degrade(d, self._q)
-                if d < 0.0:
-                    return _polar_or_degrade(-d, o._q)
+                if d > 0:
+                    return Scalar(None, d, self._q)
+                if d < 0:
+                    return Scalar(None, -d, o._q)
                 return _ZERO
-        return Scalar.inexact(self._z + o._z)
+        return Scalar.inexact(self.z + o.z)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        if self._r == 0.0:
+        if self is _ZERO:
             return self
         if self._q is not None:
-            return Scalar(-self._z, self._r, (self._q + _HALF) % 1)
+            return Scalar(None, self._r, (self._q + _HALF) % 1)
         return Scalar.inexact(-self._z)
 
     def __sub__(self, other) -> "Scalar":
@@ -190,19 +212,19 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._r == 0.0 or o._r == 0.0:
+        if self is _ZERO or o is _ZERO:
             return _ZERO
         if self._q is not None and o._q is not None:
-            return _polar_or_degrade(self._r * o._r, (self._q + o._q) % 1)
-        return Scalar.inexact(self._z * o._z)
+            return Scalar(None, self._r * o._r, (self._q + o._q) % 1)
+        return Scalar.inexact(self.z * o.z)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Scalar":
-        if self._r == 0.0:
+        if self is _ZERO:
             raise ZeroDivisionError("reciprocal of exact zero")
         if self._q is not None:
-            return _polar_or_degrade(1.0 / self._r, (-self._q) % 1)
+            return Scalar(None, 1 / self._r, (-self._q) % 1)
         return Scalar.inexact(1.0 / self._z)
 
     def __truediv__(self, other) -> "Scalar":
@@ -218,10 +240,10 @@ class Scalar:
         return o * self.reciprocal()
 
     def conjugate(self) -> "Scalar":
-        if self._r == 0.0:
+        if self is _ZERO:
             return self
         if self._q is not None:
-            return Scalar(self._z.conjugate(), self._r, (-self._q) % 1)
+            return Scalar(None, self._r, (-self._q) % 1)
         return Scalar.inexact(self._z.conjugate())
 
     # -- comparison -----------------------------------------------------
@@ -232,10 +254,10 @@ class Scalar:
             return NotImplemented
         if self.is_exact and o.is_exact:
             return self._r == o._r and self._q == o._q
-        return self._z == o._z
+        return self.z == o.z
 
     def __hash__(self) -> int:
-        return hash(self._z)
+        return hash(self.z)
 
     def same_value(self, other: "Scalar", tol: float) -> bool:
         """Equality test honoring exactness: exact pairs compare exactly,
@@ -244,25 +266,17 @@ class Scalar:
         if self.is_exact and other.is_exact:
             return self == other
         scale = 1.0 + max(abs(self), abs(other))
-        return abs(self._z - other._z) < tol * scale
+        return abs(self.z - other.z) < tol * scale
 
     def __repr__(self) -> str:
-        if self._r == 0.0:
+        if self is _ZERO:
             return "Scalar(0)"
         if self._q is not None:
-            return f"Scalar({self._r!r}*e2pi({self._q}))"
+            return f"Scalar({self._r}*e2pi({self._q}))"
         return f"Scalar({self._z!r})"
 
 
-def _polar_or_degrade(r: float, q: Fraction) -> Scalar:
-    # Guards float under/overflow of the modulus, which would break the
-    # r > 0 invariant of the exact form.
-    if r > 0.0 and math.isfinite(r):
-        return Scalar(_polar_to_complex(r, q), r, q)
-    return Scalar.inexact(_polar_to_complex(r, q))
-
-
-_ZERO = Scalar(0j, 0.0, None)
+_ZERO = Scalar(0j, Fraction(0), None)
 
 ZERO = _ZERO
 ONE = Scalar.exact(1)

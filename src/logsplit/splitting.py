@@ -27,7 +27,7 @@ from .errors import (
 )
 from .matrix import Matrix
 from .representation import PuncturedRepresentation, Representation, build
-from .scalar import Scalar
+from .scalar import ONE, ZERO, Scalar
 
 
 @unique
@@ -120,82 +120,87 @@ def character_root(q0: Fraction | float | int, q1: Fraction | float | int) -> in
 
 
 def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> InvariantLineReport:
-    """Common eigendirections of an invertible 2x2 pair.
+    """Common eigendirections of an invertible 2x2 pair: none when it is
+    irreducible, two when it decomposes into characters.
 
-    An empty line list means the pair is irreducible; two independent
-    lines mean it decomposes into characters.  Each line reports the pair
-    of eigenvalues acting on it and the complementary (quotient) pair.
-    Exact inputs are decided exactly; float inputs use a scale-invariant
-    cross-product test.
+    The pair shares an eigenvector iff C = m0 m1 - m1 m0 has det C = 0
+    (Shemesh, Lin. Alg. Appl. 62, 1984); exact C and det C decide, and
+    C != 0 gives the line ker C.  A commuting pair, or floating data
+    (where a bound on det C is relative to C, not to the pair), keeps the
+    eigendirections v of a non-scalar member that the other maps to a w
+    with |v x w| < tol |v| |w|.  Each line carries the eigenvalues of m0
+    and m1 on it, read at the exact-1 slot of v, and the quotient det/lambda.
     """
     if m0.n != 2 or m1.n != 2:
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
-    s0 = m0.scalar_value(tol)
-    s1 = m1.scalar_value(tol)
-    det0, det1 = m0.det(), m1.det()
+    (a, b), (c, d) = m0.rows
+    (e, f), (g, h) = m1.rows
+    a_d, e_h = a - d, e - h
+    c00 = b * g - f * c
+    c01 = f * a_d - b * e_h
+    c10 = c * e_h - g * a_d
+    det_c = c00 * c00 + c01 * c10  # det C = -det_c; C has trace 0.
+    exact = all(x.is_exact for x in (c00, c01, c10, det_c))
+    if exact and not det_c.is_exact_zero:
+        return InvariantLineReport((), False)
+    if exact and not (c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero):
+        v = _kernel_direction((c01, -c00), (c00, c10))
+        return InvariantLineReport((_line(m0, m1, v),), False)
 
-    if s0 is not None and s1 is not None:
-        e1 = (Scalar.exact(1), Scalar.exact(0))
-        e2 = (Scalar.exact(0), Scalar.exact(1))
-        lines = tuple(
-            InvariantLine(direction, (s0, s1), (s0, s1)) for direction in (e1, e2)
-        )
-        return InvariantLineReport(lines, True)
-
-    if s0 is not None:
-        # Every direction is m0-invariant; the candidates are m1's.
-        lines = []
-        for lam1, v in _eigendirections(m1, tol):
-            lines.append(InvariantLine(v, (s0, lam1), (s0, det1 / lam1)))
-        return InvariantLineReport(tuple(lines), len(lines) >= 2)
-
-    lines = []
-    for lam0, v in _eigendirections(m0, tol):
-        w = m1.apply(v)
-        if not _parallel(v, w, tol):
-            continue
-        lam1 = _action_ratio(v, w)
-        lines.append(InvariantLine(v, (lam0, lam1), (det0 / lam0, det1 / lam1)))
-    return InvariantLineReport(tuple(lines), len(lines) >= 2)
+    if m0.scalar_value(tol) is None:
+        source, other = m0, m1
+    elif m1.scalar_value(tol) is None:
+        source, other = m1, m0
+    else:
+        axes = ((ONE, ZERO), (ZERO, ONE))
+        return InvariantLineReport(tuple(_line(m0, m1, v) for v in axes), True)
+    directions = _eigendirections(source, tol)
+    lines = tuple(_line(m0, m1, v) for v in directions if exact or _preserved(other, v, tol))
+    return InvariantLineReport(lines, len(lines) >= 2)
 
 
-def _eigendirections(m: Matrix, tol: float) -> list[tuple[Scalar, tuple[Scalar, Scalar]]]:
-    """Distinct eigenvalues of a non-scalar 2x2 with one direction each."""
-    (a, b), (c, d) = m.rows
-    out = []
-    for pair in eigenvalues(m, tol).pairs:
-        lam = pair.value
-        # Kernel of (m - lam I): orthogonal complements of its two rows.
-        u1 = (b, lam - a)
-        u2 = (lam - d, c)
-        v = u1 if max(abs(u1[0]), abs(u1[1])) >= max(abs(u2[0]), abs(u2[1])) else u2
-        if max(abs(v[0]), abs(v[1])) == 0.0:
-            continue  # scalar matrix; handled by the caller
-        out.append((lam, _normalize_direction(v)))
-    return out
-
-
-def _normalize_direction(v: tuple[Scalar, Scalar]) -> tuple[Scalar, Scalar]:
-    # Directions are projective: the leading slot becomes a literal exact 1
-    # (not v_i / v_i, which would inherit the scale factor's inexactness).
-    one = Scalar.exact(1)
-    if abs(v[0]) >= abs(v[1]):
-        return (one, v[1] / v[0])
-    return (v[0] / v[1], one)
-
-
-def _parallel(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar], tol: float) -> bool:
+def _preserved(m: Matrix, v: tuple[Scalar, Scalar], tol: float) -> bool:
+    w = m.apply(v)
     cross = v[0] * w[1] - v[1] * w[0]
     if cross.is_exact:
         return cross.is_exact_zero
-    norm_v = math.hypot(abs(v[0]), abs(v[1]))
-    norm_w = math.hypot(abs(w[0]), abs(w[1]))
-    return abs(cross.z) < tol * norm_v * norm_w
+    return abs(cross) < tol * math.hypot(abs(v[0]), abs(v[1])) * math.hypot(abs(w[0]), abs(w[1]))
 
 
-def _action_ratio(v: tuple[Scalar, Scalar], w: tuple[Scalar, Scalar]) -> Scalar:
-    i = 0 if abs(v[0]) >= abs(v[1]) else 1
-    return w[i] / v[i]
+def _line(m0: Matrix, m1: Matrix, v: tuple[Scalar, Scalar]) -> InvariantLine:
+    """The invariant line along the normalized direction v."""
+    i = 0 if v[0] is ONE else 1
+    lam0, lam1 = (row[0] * v[0] + row[1] * v[1] for row in (m0.rows[i], m1.rows[i]))
+    return InvariantLine(v, (lam0, lam1), (m0.det() / lam0, m1.det() / lam1))
+
+
+def _eigendirections(m: Matrix, tol: float) -> list[tuple[Scalar, Scalar]]:
+    """One direction per distinct eigenvalue of a non-scalar 2x2."""
+    (a, b), (c, d) = m.rows
+    # Kernel of (m - lam I): orthogonal complements of its two rows.
+    lams = (p.value for p in eigenvalues(m, tol).pairs)
+    kernels = (_kernel_direction((b, lam - a), (lam - d, c)) for lam in lams)
+    return [v for v in kernels if v is not None]
+
+
+def _kernel_direction(
+    u1: tuple[Scalar, Scalar], u2: tuple[Scalar, Scalar]
+) -> tuple[Scalar, Scalar] | None:
+    """The larger of two candidate kernel vectors, normalized; None when
+    both vanish."""
+    v = u1 if max(abs(u1[0]), abs(u1[1])) >= max(abs(u2[0]), abs(u2[1])) else u2
+    if max(abs(v[0]), abs(v[1])) == 0.0:
+        return None
+    return _normalize_direction(v)
+
+
+def _normalize_direction(v: tuple[Scalar, Scalar]) -> tuple[Scalar, Scalar]:
+    # Directions are projective: the leading slot becomes the literal exact
+    # ONE (not v_i / v_i, which would inherit the scale factor's
+    # inexactness), which is how _line finds it.
+    if abs(v[0]) >= abs(v[1]):
+        return (ONE, v[1] / v[0])
+    return (v[0] / v[1], ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +219,6 @@ def split_two_punctures(
     chern = ohtsuki_c1(prep, integrality_tol)
     gen_eigen = prep.local_eigen[0]
     k = sum(p.multiplicity for p in gen_eigen.pairs if p.q != 0)
-    if k != -chern.c1:
-        raise InternalInconsistency(
-            f"eigenvalue count with q != 0 is {k} but -c1 = {-chern.c1}"
-        )
     n = prep.dim
     roots = SplittingType((0,) * (n - k) + (-1,) * k)
     kind = (
@@ -236,80 +237,52 @@ def classify_dim2(
         raise DimensionMismatch("classify_dim2 requires 3 punctures and dimension 2")
     chern = ohtsuki_c1(prep, integrality_tol)
     zeta = chern.c1
-    warnings = prep.warnings()
     m0, m1 = prep.rep.generators
     report = invariant_lines(m0, m1, tol)
 
     if not report.lines:
-        if zeta % 2 == 0:
-            roots = SplittingType((zeta // 2, zeta // 2))
-        else:
-            roots = SplittingType(((zeta + 1) // 2, (zeta - 1) // 2))
-        return ClassificationReport(
-            ClassificationKind.THREE_DIM2_IRREDUCIBLE, zeta, (roots,), warnings, chern
-        )
-
-    if report.decomposable:
-        summand_roots = []
-        for line in report.lines[:2]:
-            q0 = normalized_arg(line.sub_eigen_pair[0], tol)
-            q1 = normalized_arg(line.sub_eigen_pair[1], tol)
-            summand_roots.append(character_root(q0, q1))
-        roots = SplittingType(tuple(sorted(summand_roots, reverse=True)))
-        _check_degree(roots, zeta)
-        return ClassificationReport(
-            ClassificationKind.THREE_DIM2_DECOMPOSABLE, zeta, (roots,), warnings, chern
-        )
-
-    line = report.lines[0]
-    xi_sub = character_root(
-        normalized_arg(line.sub_eigen_pair[0], tol),
-        normalized_arg(line.sub_eigen_pair[1], tol),
-    )
-    xi_quot = character_root(
-        normalized_arg(line.quotient_eigen_pair[0], tol),
-        normalized_arg(line.quotient_eigen_pair[1], tol),
-    )
-    if (xi_sub, xi_quot) == (-2, 0):
-        if zeta != -2:
-            raise InternalInconsistency(
-                f"flag pair (-2, 0) forces c1 = -2, computed {zeta}"
-            )
+        # Irreducible: the roots balance around c1 / 2.
+        kind, roots = ClassificationKind.THREE_DIM2_IRREDUCIBLE, [(zeta + 1) // 2, zeta // 2]
+    elif report.decomposable:
+        kind = ClassificationKind.THREE_DIM2_DECOMPOSABLE
+        roots = _summand_roots([line.sub_eigen_pair for line in report.lines], zeta, tol)
+    else:
+        kind = ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
+        line = report.lines[0]
+        roots = _summand_roots([line.sub_eigen_pair, line.quotient_eigen_pair], zeta, tol)
+        if roots == [-2, 0]:
+            kind = ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
+    if kind is ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS:
         candidates = (SplittingType((-1, -1)), SplittingType((0, -2)))
-        return ClassificationReport(
-            ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS,
-            zeta,
-            candidates,
-            warnings,
-            chern,
-        )
-    roots = SplittingType(tuple(sorted((xi_sub, xi_quot), reverse=True)))
-    _check_degree(roots, zeta)
-    return ClassificationReport(
-        ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT, zeta, (roots,), warnings, chern
-    )
+    else:
+        candidates = (SplittingType(tuple(sorted(roots, reverse=True))),)
+    return ClassificationReport(kind, zeta, candidates, prep.warnings(), chern)
 
 
-def _classify_three_character(
-    prep: PuncturedRepresentation,
-    tol: float,
-    integrality_tol: float,
-) -> ClassificationReport:
-    chern = ohtsuki_c1(prep, integrality_tol)
-    q0 = prep.local_eigen[0].pairs[0].q
-    q1 = prep.local_eigen[1].pairs[0].q
-    root = character_root(q0, q1)
-    if root != chern.c1:
-        raise InternalInconsistency(
-            f"character root {root} disagrees with c1 = {chern.c1}"
-        )
-    return ClassificationReport(
-        ClassificationKind.THREE_CHARACTER,
-        chern.c1,
-        (SplittingType((root,)),),
-        prep.warnings(),
-        chern,
-    )
+def _summand_roots(
+    summands: list[tuple[Scalar, Scalar]], zeta: int, tol: float
+) -> list[int]:
+    """Character roots of the summands (eigenvalue pairs at punctures 0, 1).
+
+    A floating summand within the BranchBoundary band of the diagonal,
+    |q0 + q1 - 1| <= 10 tol, cannot tell -1 from -2 by itself.  Its root
+    is one of the two, and all roots sum to c1, which fixes the multiset.
+    """
+    roots = []
+    uncertain = []
+    for idx, pair in enumerate(summands):
+        q0, q1 = (normalized_arg(lam, tol) for lam in pair)
+        exact = isinstance(q0, Fraction) and isinstance(q1, Fraction)
+        if not exact and abs(q0 + q1 - 1) <= 10.0 * tol:
+            uncertain.append(idx)
+            roots.append(-1)
+        else:
+            roots.append(character_root(q0, q1))
+    deficit = sum(roots) - zeta  # uncertain roots that are -2, not -1
+    if 0 <= deficit <= len(uncertain):
+        for idx in uncertain[:deficit]:
+            roots[idx] = -2
+    return roots
 
 
 def classify(
@@ -323,7 +296,10 @@ def classify(
     if prep.punctures == 2:
         return split_two_punctures(prep, tol, integrality_tol)
     if prep.dim == 1:
-        return _classify_three_character(prep, tol, integrality_tol)
+        chern = ohtsuki_c1(prep, integrality_tol)
+        roots = SplittingType((character_root(*(e.pairs[0].q for e in prep.local_eigen[:2])),))
+        kind = ClassificationKind.THREE_CHARACTER
+        return ClassificationReport(kind, chern.c1, (roots,), prep.warnings(), chern)
     if prep.dim == 2:
         return classify_dim2(prep, tol, integrality_tol)
     raise UnsupportedCase(
@@ -331,9 +307,3 @@ def classify(
         "implemented classification"
     )
 
-
-def _check_degree(roots: SplittingType, zeta: int) -> None:
-    if roots.degree != zeta:
-        raise InternalInconsistency(
-            f"splitting {roots.roots} sums to {roots.degree}, expected c1 = {zeta}"
-        )

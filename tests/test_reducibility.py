@@ -1,0 +1,218 @@
+"""Reducibility of 2x2 pairs: exact input gives exact decisions that do not
+change under conjugation, and floating input near the diagonal
+q0 + q1 = 1 gives the answer with a warning."""
+
+import cmath
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from logsplit import (
+    BRANCH_BOUNDARY,
+    ClassificationKind,
+    LogSplitError,
+    Matrix,
+    Representation,
+    classify,
+    conjugate,
+    invariant_lines,
+    parse_input_document,
+)
+from logsplit.cli import CLI_DEFAULT_TOL
+
+try:
+    import sympy
+except ImportError:  # the oracle part of the property test is skipped
+    sympy = None
+
+F = Fraction
+
+#: The exact conjugator of the exactness repro.
+S = Matrix([[1, F(1, 3)], [F(2, 7), F(5, 3)]])
+
+
+def _answer(rep: Representation):
+    try:
+        report = classify(rep)
+    except LogSplitError as exc:
+        return type(exc).__name__
+    return report.kind, report.c1, tuple(c.roots for c in report.candidates)
+
+
+def _random_ratio(rng: random.Random) -> Fraction:
+    return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+ratios = st.builds(
+    lambda sign, a, b: F(sign * a, b),
+    st.sampled_from((-1, 1)),
+    st.integers(1, 9),
+    st.integers(1, 9),
+)
+entries = st.one_of(st.just(F(0)), ratios)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Upper-triangular pairs (always reducible) or generic pairs."""
+    if draw(st.booleans()):
+        gens = [[[draw(ratios), draw(entries)], [F(0), draw(ratios)]] for _ in range(2)]
+    else:
+        gens = [[[draw(entries) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+        assume(all(g[0][0] * g[1][1] != g[0][1] * g[1][0] for g in gens))
+    return gens
+
+
+@st.composite
+def conjugators(draw):
+    s = [[draw(entries) for _ in range(2)] for _ in range(2)]
+    assume(s[0][0] * s[1][1] != s[0][1] * s[1][0])
+    return Matrix(s)
+
+
+def _sympy_reducible(gens) -> bool:
+    """Independent oracle: an exact eigenvector of m0 that m1 preserves."""
+    m0, m1 = (sympy.Matrix(g) for g in gens)
+    if m0.is_diagonal() and m0[0, 0] == m0[1, 1]:
+        return True  # every line is m0-invariant; m1 has an eigenvector
+    for _, _, vectors in m0.eigenvects():
+        for v in vectors:
+            w = m1 * v
+            if sympy.simplify(v[0] * w[1] - v[1] * w[0]) == 0:
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_pairs(), conjugators())
+def test_exact_classification_is_conjugation_invariant(gens, s):
+    rep = Representation(3, tuple(Matrix(g) for g in gens))
+    answer = _answer(rep)
+    assert _answer(conjugate(rep, s)) == answer
+    if sympy is not None and isinstance(answer, tuple):
+        irreducible = answer[0] is ClassificationKind.THREE_DIM2_IRREDUCIBLE
+        assert _sympy_reducible(gens) == (not irreducible)
+
+
+def test_conjugated_reducible_rational_pairs_keep_their_answer():
+    # With rounded moduli, conjugation by S turns most of these reducible
+    # pairs irreducible without a warning.
+    rng = random.Random(7)
+    s_inv = S.inverse()
+    changed = 0
+    for _ in range(2000):
+        gens = tuple(
+            Matrix([[_random_ratio(rng), _random_ratio(rng)], [0, _random_ratio(rng)]])
+            for _ in range(2)
+        )
+        conjugated = tuple(S @ g @ s_inv for g in gens)
+        changed += _answer(Representation(3, gens)) != _answer(Representation(3, conjugated))
+    assert changed == 0
+
+
+@pytest.mark.parametrize(
+    ("alpha", "beta", "roots"),
+    [(2, 3, (0, 0)), (-5, 1, (-1, -1)), (1, -2, (0, -1)), (0, -1, (-1, -1))],
+)
+def test_commuting_pairs_with_irrational_eigenvalues(alpha, beta, roots):
+    # A has eigenvalues (3 +- sqrt 5)/2; B = alpha I + beta A commutes with it.
+    a = Matrix([[1, 1], [1, 2]])
+    b = Matrix([[alpha + beta, beta], [beta, alpha + 2 * beta]])
+    rep = Representation(3, (a, b))
+    expected = (ClassificationKind.THREE_DIM2_DECOMPOSABLE, sum(roots), (roots,))
+    assert _answer(rep) == expected
+    for s in (S, Matrix([[2, -1], [F(1, 5), 3]])):
+        assert _answer(conjugate(rep, s)) == expected
+
+
+def test_badly_scaled_float_pair_stays_irreducible():
+    # Its commutator determinant is about 5e24 in exact arithmetic; a
+    # commutator threshold scaled by (|m0| |m1|)^2 would call it zero.
+    doc = parse_input_document(
+        '{"punctures": 3, "dim": 2, "generators": ['
+        '[[0.5, 0], [-1, {"re": -2.5e6, "im": 2.5e8}]], '
+        '[[{"re": 6.3e8, "im": 2.5e6}, 3.3e7], [0.5, -1]]]}'
+    )
+    m0, m1 = doc.generators
+    assert invariant_lines(m0, m1, CLI_DEFAULT_TOL).lines == ()
+    report = classify(doc.representation(), CLI_DEFAULT_TOL)
+    assert report.kind is ClassificationKind.THREE_DIM2_IRREDUCIBLE
+
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-20, 1e-12])
+def test_noisy_triangular_float_pair_is_reducible(eta):
+    # The lower-left noise is far below tol, so the line (1, 0) is shared.
+    # det C is then about |c01| |c10|, tiny but large against any bound
+    # built from C itself; only a test relative to the pair sees the line.
+    noise = {"re": eta, "im": eta}
+    text = json.dumps({
+        "punctures": 3,
+        "dim": 2,
+        "generators": [[[2, 1], [noise, 3]], [[5, {"re": 1, "im": 1}], [noise, 7]]],
+    })
+    report = classify(parse_input_document(text).representation(), CLI_DEFAULT_TOL)
+    assert report.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
+    assert (report.c1, report.candidates[0].roots) == (0, (0, 0))
+
+
+def test_near_scalar_member_does_not_supply_foreign_lines():
+    # m0 is within 4.2e-9 of commuting with m1 but is not scalar at tol;
+    # its only eigendirection (1, 0) is not m1-invariant.
+    m0 = Matrix([[1, 3e-9 * (1 + 1j)], [0, 1]])
+    m1 = Matrix([[2, 1], [1, 3]])
+    assert invariant_lines(m0, m1, 1e-9).lines == ()
+
+
+def _near_diagonal_document(rng: random.Random):
+    """A float pair whose invariant line carries the character
+    (e(q), e(1 - q)), on the diagonal q0 + q1 = 1, conjugated by a random
+    complex matrix; returns the document and its expected roots."""
+
+    def e(q, r=1.0):
+        return r * cmath.exp(2j * math.pi * q)
+
+    def cx():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+    q = rng.uniform(0.05, 0.95)
+    while True:
+        quot = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+        if abs(sum(quot) - 1) > 0.05:
+            break
+    s = [[1 + 0.5 * cx(), 0.5 * cx()], [0.5 * cx(), 1 + 0.5 * cx()]]
+    det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+    s_inv = [[s[1][1] / det, -s[0][1] / det], [-s[1][0] / det, s[0][0] / det]]
+    triangular = (
+        [[e(q), cx()], [0j, e(quot[0], rng.uniform(0.5, 2))]],
+        [[e(1 - q), cx()], [0j, e(quot[1], rng.uniform(0.5, 2))]],
+    )
+    gens = [mul(mul(s, t), s_inv) for t in triangular]
+    text = json.dumps({
+        "punctures": 3,
+        "dim": 2,
+        "generators": [[[{"re": z.real, "im": z.imag} for z in row] for row in g] for g in gens],
+    })
+    return text, (-1, -1 if sum(quot) <= 1 else -2)
+
+
+def test_float_sub_character_on_the_diagonal():
+    # The sub character sums to 1 up to rounding, so its root (-1) cannot
+    # be read from q0 + q1; c1 fixes it, and the eigenvalue 1 at infinity
+    # carries the BranchBoundary warning.
+    rng = random.Random(5)
+    for _ in range(200):
+        text, roots = _near_diagonal_document(rng)
+        report = classify(parse_input_document(text).representation(), CLI_DEFAULT_TOL)
+        assert report.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
+        assert report.c1 == sum(roots)
+        assert report.candidates[0].roots == roots
+        assert BRANCH_BOUNDARY in report.warnings
