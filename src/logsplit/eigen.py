@@ -5,8 +5,12 @@ a full Jordan form; the eigenvalue multiset with multiplicities and the
 normalized argument q in [0, 1) of each value is the whole story.  Exactly
 specified inputs travel an exact route (triangular read-off, and for 2x2 a
 rational quadratic solve with recognition of the rational-cosine angles
-0, 1/6, 1/4, 1/3, 1/2, ...); everything else goes through simultaneous
-Aberth-Ehrlich root iteration on the characteristic polynomial.
+0, 1/6, 1/4, 1/3, 1/2, ...).  Everything else is a floating root solve of
+the characteristic polynomial: a cancellation-free closed form for
+quadratics, and simultaneous Aberth-Ehrlich iteration started on the
+circle of the roots' geometric-mean modulus from degree 3 on.  Whether a
+floating root is EigenvalueUncertain is decided by the polynomial's
+roundoff at the root, not by where the iteration stopped.
 """
 
 from __future__ import annotations
@@ -131,7 +135,9 @@ def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) ->
     its multiplicity, so q -> (-q) mod 1 and ln r -> -ln r.
 
     Exact values stay exact, branch warnings are re-derived for the
-    reciprocals, and an EigenvalueUncertain warning carries over.
+    reciprocals, and an EigenvalueUncertain warning carries over.  The
+    values already passed the zero test where they were solved for, so a
+    large λ gives a small 1/λ, not a ZeroEigenvalue.
     """
     inverse = _from_clusters([(p.value.reciprocal(), p.multiplicity) for p in data.pairs], tol)
     if EIGENVALUE_UNCERTAIN in data.warnings:
@@ -143,9 +149,19 @@ def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) ->
 # assembling EigenData
 
 
+def _check_nonzero(value: Scalar, tol: float) -> None:
+    """The zero test on a solved eigenvalue: exact zero, or a floating
+    modulus below ``tol``."""
+    if value.is_exact_zero:
+        raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
+    if not value.is_exact and abs(value) < tol:
+        raise ZeroEigenvalue(f"eigenvalue of modulus {abs(value):.3e} below tolerance {tol:.3e}")
+
+
 def _from_values(values: list[Scalar], tol: float) -> EigenData:
     clusters: list[list[Scalar]] = []
     for v in values:
+        _check_nonzero(v, tol)
         for group in clusters:
             if v.same_value(group[0], tol):
                 group.append(v)
@@ -163,17 +179,12 @@ def _from_clusters(clusters: list[tuple[Scalar, int]], tol: float) -> EigenData:
             # A product of huge generators can overflow; NaN would pass
             # every later comparison.
             raise FloatRangeError(f"eigenvalue {value.z!r} outside the floating-point range")
+        if abs(value) == 0.0:
+            # A nonzero exact value, or the reciprocal of a huge one.
+            raise FloatRangeError("eigenvalue modulus below the floating-point range")
         if value.is_exact:
-            if value.is_exact_zero:
-                raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-            if abs(value) == 0.0:
-                raise FloatRangeError("exact eigenvalue modulus below the floating-point range")
             q: Fraction | float = value.q
         else:
-            if abs(value) < tol:
-                raise ZeroEigenvalue(
-                    f"eigenvalue of modulus {abs(value):.3e} below tolerance {tol:.3e}"
-                )
             q, boundary = _float_arg(value.z, tol)
             if boundary:
                 warnings.append(BRANCH_BOUNDARY)
@@ -191,13 +202,17 @@ def _from_float_roots(coeffs, roots: list[complex], tol: float) -> EigenData:
     uncertain = False
     for members in clusters:
         centroid = sum(members, 0j) / len(members)
-        # Newton-residual inclusion radius: honest uncertainty for smeared
-        # (nearly multiple) roots that the fixed tolerance cannot merge.
-        p, dp, _ = _poly_eval(coeffs_c, centroid)
-        radius = len(coeffs_c) * abs(p) / max(abs(dp), 1e-300)
+        # Newton inclusion radius: honest uncertainty for smeared (nearly
+        # multiple) roots that the fixed tolerance cannot merge.  The
+        # residual counts at least at its roundoff bound, so the verdict
+        # depends on the polynomial, not on where the iteration stopped.
+        p, dp, noise = _poly_eval(coeffs_c, centroid)
+        radius = len(coeffs_c) * max(abs(p), noise) / max(abs(dp), 1e-300)
         if radius > 10.0 * thresh:
             uncertain = True
-        scalars.append((Scalar.inexact(centroid), len(members)))
+        value = Scalar.inexact(centroid)
+        _check_nonzero(value, tol)
+        scalars.append((value, len(members)))
     data = _from_clusters(scalars, tol)
     if uncertain:
         data = _with_warning(data, EIGENVALUE_UNCERTAIN)
@@ -333,35 +348,46 @@ def _poly_eval(coeffs: list[complex], x: complex) -> tuple[complex, complex, flo
 
 
 def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
-    """All roots of a monic polynomial by simultaneous Aberth iteration.
+    """All roots of a monic polynomial.
 
-    Deterministic: initial points on the Cauchy-bound circle with a fixed
-    angular offset, and a seeded jitter on stagnation.  Raises
-    RootFindingDivergence when the budget runs out above the noise floor
-    or when a root is not finite (huge coefficients overflow Horner's
-    scheme, and NaN passes every comparison).  A root counts as converged
-    only while its roundoff bound is finite.
+    A zero constant term is deflated as the root 0, and degree 2 takes
+    the closed form of :func:`_quadratic_roots`.  From degree 3 on the
+    roots come from simultaneous Aberth iteration (Aberth, Math. Comp. 27,
+    1973), started on the circle of radius |c_n|^(1/n), the geometric mean
+    of the root moduli, with a fixed angular offset; a root is frozen once
+    its residual reaches its roundoff bound, and a seeded jitter moves the
+    others on stagnation.  Deterministic.  Raises RootFindingDivergence
+    when the budget runs out above the noise floor or when a root is not
+    finite (a coefficient beyond the float range, or Horner's scheme
+    overflowing, and NaN passes every comparison).  A root counts as
+    converged only while its roundoff bound is finite.
     """
     n = len(coeffs) - 1
     if n == 1:
         return [-coeffs[1]]
-    radius = 1.0 + max(abs(c) for c in coeffs[1:])
+    if coeffs[-1] == 0:
+        return _aberth_roots(coeffs[:-1], budget) + [0j]
+    if n == 2:
+        return _finite_roots(_quadratic_roots(coeffs[1], coeffs[2]))
+    radius = math.exp(math.log(abs(coeffs[-1])) / n)
     z = [radius * cmath.exp(1j * (_TWO_PI * k / n + 0.4)) for k in range(n)]
     done = [False] * n
-    rng = random.Random(0x5EEDED)
+    resids = [0.0] * n
+    rng = None
     best_resid = math.inf
     stall = 0
     for _ in range(budget):
         moved = 0.0
-        resid = 0.0
         for i in range(n):
+            if done[i]:
+                # Never moved again, so its residual stands.
+                continue
             p, dp, noise = _poly_eval(coeffs, z[i])
-            resid += abs(p)
+            resids[i] = abs(p)
             # An overflowed bound (noise = inf) certifies nothing.
-            if abs(p) <= noise < math.inf:
+            if resids[i] <= noise < math.inf:
                 done[i] = True
                 continue
-            done[i] = False
             if dp == 0:
                 z[i] += (1.0 + abs(z[i])) * 1e-6 * (1 + 1j)
                 moved = math.inf
@@ -387,12 +413,14 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
             moved = max(moved, abs(w) / (1.0 + abs(z[i])))
         if all(done) or moved < 64.0 * _EPS:
             return _finite_roots(z)
+        resid = sum(resids)
         if resid < 0.5 * best_resid:
             best_resid = resid
             stall = 0
         else:
             stall += 1
             if stall >= 30:
+                rng = rng or random.Random(0x5EEDED)
                 for i in range(n):
                     if not done[i]:
                         angle = rng.random() * _TWO_PI
@@ -406,6 +434,17 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
                 f"root iteration exhausted {budget} iterations with residual {abs(p):.3e}"
             )
     return _finite_roots(z)
+
+
+def _quadratic_roots(b: complex, c: complex) -> list[complex]:
+    """Both roots of x^2 + b x + c, c != 0, without cancellation: the
+    larger t = (-b -+ sqrt(b^2 - 4c)) / 2, with the sign that adds the
+    square root to b, and the other root c / t."""
+    s = cmath.sqrt(b * b - 4.0 * c)
+    if abs(b - s) > abs(b + s):
+        s = -s
+    t = -0.5 * (b + s)
+    return [t, c / t]
 
 
 def _finite_roots(roots: list[complex]) -> list[complex]:

@@ -210,9 +210,9 @@ class TestNumericRobustness:
         path.write_text(text)
         return main(["classify", str(path), *flags])
 
-    def test_huge_float_generator_diverges_cleanly(self, tmp_path, capsys):
-        # Char-poly coefficients near 1e56 overflow Horner's scheme from
-        # the Cauchy-bound start circle; NaN roots must not reach c1.
+    def test_huge_float_generator_is_answered(self, tmp_path, capsys):
+        # Char-poly coefficients reach about 1e56, and the eigenvalues have
+        # moduli of 8.6e6 to 3.1e7, none on the positive real axis.
         import random
 
         rng = random.Random(0)
@@ -221,8 +221,19 @@ class TestNumericRobustness:
             for _ in range(8)
         ]
         doc = json.dumps({"punctures": 2, "dim": 8, "generators": [gen]})
-        assert self._run(tmp_path, doc) == EXIT_ERROR
-        assert "error[RootFindingDivergence]" in capsys.readouterr().err
+        assert self._run(tmp_path, doc) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["c1"], out["candidates"]) == (
+            "TwoPunctureGeneral", -8, [[-1] * 8],
+        )
+
+    def test_huge_eigenvalue_has_a_small_reciprocal_at_infinity(self, tmp_path, capsys):
+        # The zero test applies to the generator's eigenvalue, not to its
+        # reciprocal 1/(1e10 + 1e10 i) of modulus 7.1e-11 at infinity.
+        doc = '{"punctures": 2, "dim": 1, "generators": [[[{"re": 1e10, "im": 1e10}]]]}'
+        assert self._run(tmp_path, doc) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["c1"], out["candidates"]) == ("Character", -1, [[-1]])
 
     def test_extreme_diagonal_is_singular(self, tmp_path, capsys):
         doc = '{"punctures": 2, "dim": 2, "generators": [[[1e-200, 0], [0, 1e200]]]}'

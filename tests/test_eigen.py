@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsplit import (
@@ -16,7 +16,7 @@ from logsplit import (
     eigenvalues,
     normalized_arg,
 )
-from logsplit.eigen import _aberth_roots, _cluster_roots, _poly_eval
+from logsplit.eigen import _EPS, _aberth_roots, _cluster_roots, _poly_eval
 from conftest import rand_invertible, rand_well_conditioned
 
 F = Fraction
@@ -240,13 +240,30 @@ class TestClusteringKnob:
 
 
 class TestAberthRange:
-    def test_overflowing_start_circle_raises_instead_of_nan(self):
-        # Cauchy radius ~1e56: the eighth power overflows Horner's scheme.
+    def test_huge_roots_are_found_from_their_own_circle(self):
+        # sum_k (1e7)^k x^(8-k) has the roots 1e7 e(k/9), k = 1..8; the
+        # start circle |c_8|^(1/8) = 1e7 keeps Horner's scheme in range.
+        coeffs = [1 + 0j] + [complex(10.0 ** (7 * k), 0.0) for k in range(1, 9)]
+        roots = _aberth_roots(coeffs)
+        for k in range(1, 9):
+            expected = 1e7 * cmath.exp(2j * math.pi * k / 9)
+            assert min(abs(r - expected) for r in roots) < 1e-14 * 1e7
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_coefficient_beyond_float_range_raises(self, bad, slot):
+        # NaN passes every comparison; it must not come back as a root.
         from logsplit import RootFindingDivergence
 
-        coeffs = [1 + 0j] + [complex(10.0 ** (7 * k), 0.0) for k in range(1, 9)]
+        coeffs = [complex(1), complex(0.3, -1), complex(-2, 0.1), complex(0, 1.7)]
+        coeffs[slot] = complex(bad, 0.0)
         with pytest.raises(RootFindingDivergence):
             _aberth_roots(coeffs)
+
+    def test_zero_constant_term_is_a_zero_eigenvalue(self):
+        # det = 0 exactly: the root 0 is deflated, not taken a log of.
+        with pytest.raises(ZeroEigenvalue):
+            eigenvalues(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
 
     def test_overflowed_roundoff_bound_is_not_convergence(self):
         # At z ~ 1e51 the residual and its bound are both inf; inf <= inf
@@ -261,3 +278,76 @@ class TestAberthRange:
         for r in roots:
             p, _, noise = _poly_eval(coeffs, r)
             assert math.isfinite(noise) and abs(p) <= 1e3 * noise
+
+
+def _expand(roots):
+    """Monic coefficients of prod (x - r), highest degree first."""
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0j], [0j] + coeffs)]
+    return coeffs
+
+
+@st.composite
+def spectra(draw):
+    """2 to 8 roots with moduli spread over 1e-6..1e6, some of them
+    near-multiple copies of another root."""
+    n = draw(st.integers(2, 8))
+    roots = []
+    for _ in range(n):
+        if roots and draw(st.booleans()) and draw(st.booleans()):
+            base = draw(st.sampled_from(roots))
+            offset = 10.0 ** draw(st.floats(-9, -4))
+            roots.append(base * (1 + offset * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))))
+        else:
+            modulus = 10.0 ** draw(st.floats(-6, 6))
+            roots.append(modulus * cmath.exp(1j * draw(st.floats(0, 2 * math.pi))))
+    return roots
+
+
+class TestFloatRootsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(spectra())
+    def test_roots_match_mpmath_to_their_conditioning(self, roots):
+        # The oracle solves the same float coefficients in 60 digits, as
+        # the eigenvalues of their companion matrix.  A root found to
+        # backward error e = 8 n eps sum|c_k||z|^(n-k) lies within
+        # min_k (k! e / |p^(k)|)^(1/k) of the true root, up to the factor
+        # allowed here (k = 1 for a simple root, 2 for a near-double one).
+        mpmath = pytest.importorskip("mpmath")
+        coeffs = _expand(roots)
+        found = _aberth_roots(coeffs)
+        n = len(coeffs) - 1
+        with mpmath.workdps(60):
+            mp_coeffs = [mpmath.mpc(c.real, c.imag) for c in coeffs]
+            companion = mpmath.matrix(n, n)
+            for k in range(n):
+                companion[0, k] = -mp_coeffs[k + 1]
+                if k:
+                    companion[k, k - 1] = 1
+            oracle = mpmath.eig(companion, left=False, right=False)
+            bounds = []
+            for w in oracle:
+                e = 8 * n * _EPS * sum(abs(c) * abs(w) ** (n - k) for k, c in enumerate(mp_coeffs))
+                bound = mpmath.inf
+                derivative = mp_coeffs
+                for k in range(1, n + 1):
+                    degree = len(derivative) - 1
+                    derivative = [j * c for j, c in zip(range(degree, 0, -1), derivative)]
+                    slope = abs(mpmath.polyval(derivative, w))
+                    if slope:
+                        bound = min(bound, (mpmath.factorial(k) * e / slope) ** (mpmath.mpf(1) / k))
+                bounds.append(float(bound))
+            oracle = [complex(w) for w in oracle]
+        unused = list(found)
+        for w, bound in zip(oracle, bounds):
+            best = min(unused, key=lambda z: abs(z - w))
+            assert abs(best - w) <= 16 * bound
+            unused.remove(best)
+
+    def test_quadratic_roots_of_very_different_size_keep_full_accuracy(self):
+        # x^2 - (1e8 + 1e-8) x + 1: the textbook formula loses every digit
+        # of the small root to cancellation.
+        roots = sorted(_aberth_roots([1 + 0j, complex(-(1e8 + 1e-8)), 1 + 0j]), key=abs)
+        assert abs(roots[0] - 1e-8) <= 1e-15 * 1e-8
+        assert abs(roots[1] - 1e8) <= 1e-15 * 1e8
