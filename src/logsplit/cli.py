@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ohtsuki_c1
 from .documents import parse_input_document, positive_tolerance, report_to_output
-from .errors import LogSplitError, NonIntegralChernClass, UnsupportedCase
+from .errors import InputFormatError, LogSplitError, NonIntegralChernClass, UnsupportedCase
 from .representation import build
 from .selftest import run_selftest
 from .splitting import character_root, classify
@@ -43,10 +43,13 @@ def _exit_code(exc: LogSplitError) -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def _checked_flag(value: float | None, flag: str) -> float | None:

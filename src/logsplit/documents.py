@@ -6,12 +6,34 @@ for a real entry) and exact polar ``{"r": x, "q": "p/s"}`` with a rational
 branch argument.  The polar form is the lifeline for branch-critical
 cases: classification near q = 0 or q0 + q1 = 1 is discontinuous, and
 only exact rational q's make it decidable.
+
+Decode rules.  Each entry is decoded once, by one dispatch on its JSON
+type (object, number, anything else), and each check runs once:
+
+* a number, or a cartesian object whose ``re`` or ``im`` is 0, lies on an
+  axis and is exact: its q is 0, 1/4, 1/2 or 3/4 and its modulus is the
+  exact rational value of the JSON number (``0.1`` is its dyadic value);
+* any other cartesian object is a floating complex value;
+* a polar object is exact: ``r`` is a positive number and ``q`` an
+  integer or a rational string (``"2/3"``, ``"0.6"``, ``"1e-3"``) in
+  [0, 1).  Float q's are refused, since they would be read as dyadic
+  approximations.
+
+Error contract.  Every malformed document raises InputFormatError, or
+OutOfBranch for a polar q outside [0, 1), and the command line exits 1
+with one ``error[...]`` line.  The message names the offending field
+(``generators[g][i][j]`` for an entry), or the line and column of invalid
+JSON.  That covers nesting too deep for the JSON decoder, integer
+literals beyond the interpreter's digit limit, booleans, non-finite
+numbers, moduli beyond the float range and q strings that would build
+integers of more than MAX_Q_DIGITS digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +42,13 @@ from .matrix import Matrix
 from .representation import Representation
 from .scalar import Scalar
 from .splitting import ClassificationReport
+
+#: Python's default bound on the digits of an integer literal.  A polar q
+#: string whose exponent would build a longer integer is rejected before
+#: ``Fraction`` parses it (``"1e-10000000"`` would take seconds).
+MAX_Q_DIGITS = 4300
+
+_NUMBER_TYPES = (int, float)
 
 
 @dataclass(frozen=True)
@@ -44,6 +73,12 @@ def parse_input_document(text: str) -> InputDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # only the interpreter's limit on integer digits raises this
+        raise InputFormatError(
+            f"invalid JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise InputFormatError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(raw, dict):
         raise InputFormatError("top level must be a JSON object")
 
@@ -90,67 +125,110 @@ def parse_input_document(text: str) -> InputDocument:
 
 
 def _parse_matrix(raw, dim: int, path: str) -> Matrix:
-    if not isinstance(raw, list) or len(raw) != dim:
+    if type(raw) is not list or len(raw) != dim:
         raise InputFormatError(f"{path}: expected {dim} rows")
     rows = []
     for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
+        if type(row) is not list or len(row) != dim:
             raise InputFormatError(f"{path}[{i}]: expected {dim} entries")
-        rows.append([_parse_entry(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
+        entries = []
+        try:
+            for j, entry in enumerate(row):
+                entries.append(_parse_entry(entry))
+        except (InputFormatError, OutOfBranch) as exc:
+            raise type(exc)(f"{path}[{i}][{j}]: {exc}") from exc.__cause__
+        rows.append(entries)
     return Matrix(rows)
 
 
-def _parse_entry(raw, path: str) -> Scalar:
-    if isinstance(raw, bool):
-        raise InputFormatError(f"{path}: booleans are not matrix entries")
-    if isinstance(raw, (int, float)):
-        if not _is_number(raw):
-            raise InputFormatError(f"{path}: entries must be finite floating-point numbers")
-        return Scalar.exact(raw)
-    if not isinstance(raw, dict):
-        raise InputFormatError(f"{path}: entry must be a number or an object")
-    keys = set(raw)
-    if keys <= {"re", "im"} and keys:
-        re = raw.get("re", 0)
-        im = raw.get("im", 0)
-        if not _is_number(re) or not _is_number(im):
-            raise InputFormatError(f"{path}: re/im must be numbers")
-        if not math.isfinite(math.hypot(re, im)):
-            raise InputFormatError(f"{path}: modulus beyond the floating-point range")
-        return Scalar.exact(re, im)
-    if "q" in keys and keys <= {"r", "q"}:
-        r = raw.get("r", 1)
-        if not _is_number(r):
-            raise InputFormatError(f"{path}: r must be a number")
-        if r <= 0:
-            raise InputFormatError(f"{path}: polar modulus r must be positive")
-        q_raw = raw["q"]
-        if isinstance(q_raw, bool) or not isinstance(q_raw, (str, int)):
+def _parse_entry(raw) -> Scalar:
+    """Decode one matrix entry by a single dispatch on its JSON type.
+
+    Errors carry no path; ``_parse_matrix`` prefixes it.
+    """
+    kind = type(raw)
+    if kind is dict:
+        size = len(raw)  # the key sets are tested by counting known keys
+        if size and size == ("re" in raw) + ("im" in raw):
+            re = raw.get("re", 0)
+            im = raw.get("im", 0)
+            if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES:
+                try:
+                    modulus = math.hypot(re, im)
+                except OverflowError:  # an integer beyond the float range
+                    modulus = math.nan
+                if modulus < math.inf:
+                    return Scalar.exact(re, im)
+                if modulus == math.inf and math.isfinite(re) and math.isfinite(im):
+                    raise InputFormatError("modulus beyond the floating-point range")
+            raise InputFormatError("re/im must be numbers")
+        if "q" in raw and size == 1 + ("r" in raw):
+            return _parse_polar(raw)
+        raise InputFormatError(
+            f"entry object must use fields {{re, im}} or {{r, q}}, got {sorted(raw)}"
+        )
+    if kind is float or kind is int:
+        if _is_number(raw):
+            return Scalar.exact(raw)
+        raise InputFormatError("entries must be finite floating-point numbers")
+    if kind is bool:
+        raise InputFormatError("booleans are not matrix entries")
+    raise InputFormatError("entry must be a number or an object")
+
+
+def _parse_polar(raw: dict) -> Scalar:
+    r = raw.get("r", 1)
+    if not _is_number(r):
+        raise InputFormatError("r must be a number")
+    if r <= 0:
+        raise InputFormatError("polar modulus r must be positive")
+    q_raw = raw["q"]
+    if type(q_raw) is str:
+        if _q_digit_bound(q_raw) > MAX_Q_DIGITS:
             raise InputFormatError(
-                f"{path}: q must be a rational string such as \"2/3\" (floats would "
-                "be read as dyadic approximations)"
+                f"cannot parse q = {q_raw!r} as a rational of at most {MAX_Q_DIGITS} digits"
             )
-        try:
-            q = Fraction(q_raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"{path}: cannot parse q = {q_raw!r} as a rational") from exc
-        if not 0 <= q < 1:
-            raise OutOfBranch(f"{path}: polar q = {q} outside [0, 1)")
-        return Scalar.polar(r, q)
-    raise InputFormatError(
-        f"{path}: entry object must use fields {{re, im}} or {{r, q}}, got {sorted(keys)}"
-    )
+    elif type(q_raw) is not int:
+        raise InputFormatError(
+            "q must be a rational string such as \"2/3\" (floats would "
+            "be read as dyadic approximations)"
+        )
+    try:
+        q = Fraction(q_raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"cannot parse q = {q_raw!r} as a rational") from exc
+    if not 0 <= q < 1:
+        raise OutOfBranch(f"polar q = {q} outside [0, 1)")
+    return Scalar(None, Fraction(r), q)
+
+
+def _q_digit_bound(text: str) -> int:
+    """The most digits of an integer that ``Fraction(text)`` builds from a
+    decimal exponent: ``10**shift`` times the mantissa's digits, or a
+    denominator ``10**-shift``.  Strings without a valid exponent build
+    only integers of their own digit runs, which ``int`` bounds itself."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        shift = int(exponent)
+    except ValueError:  # no exponent, or one that Fraction rejects
+        return 0
+    digits = sum(c.isdigit() for c in mantissa)
+    shift -= sum(c.isdigit() for c in mantissa.partition(".")[2])
+    return digits + shift if shift >= 0 else 1 - shift
 
 
 def _is_number(v) -> bool:
     """A JSON number that converts to a finite float (integers of any
     length arrive as Python ints, which may not)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
+    kind = type(v)
+    if kind is float:
         return math.isfinite(v)
-    except OverflowError:
-        return False
+    if kind is int:
+        try:
+            return math.isfinite(v)
+        except OverflowError:
+            return False
+    return False
 
 
 def _expect_int(raw: dict, key: str) -> int:

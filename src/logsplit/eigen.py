@@ -8,7 +8,9 @@ rational quadratic solve with recognition of the rational-cosine angles
 0, 1/6, 1/4, 1/3, 1/2, ...).  Everything else is a floating root solve of
 the characteristic polynomial: a cancellation-free closed form for
 quadratics, and simultaneous Aberth-Ehrlich iteration started on the
-circle of the roots' geometric-mean modulus from degree 3 on.  Whether a
+circle of the roots' geometric-mean modulus from degree 3 on, restarted
+from the Newton polygon's circles when the roots miss Vieta's formulas
+for the sums of the roots and of their reciprocals.  Whether a
 floating root is EigenvalueUncertain is decided by the polynomial's
 roundoff at the root, not by where the iteration stopped.
 """
@@ -354,13 +356,14 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
     the closed form of :func:`_quadratic_roots`.  From degree 3 on the
     roots come from simultaneous Aberth iteration (Aberth, Math. Comp. 27,
     1973), started on the circle of radius |c_n|^(1/n), the geometric mean
-    of the root moduli, with a fixed angular offset; a root is frozen once
-    its residual reaches its roundoff bound, and a seeded jitter moves the
-    others on stagnation.  Deterministic.  Raises RootFindingDivergence
-    when the budget runs out above the noise floor or when a root is not
-    finite (a coefficient beyond the float range, or Horner's scheme
-    overflowing, and NaN passes every comparison).  A root counts as
-    converged only while its roundoff bound is finite.
+    of the root moduli.  Unless the roots then match Vieta's formulas
+    (:func:`_vieta_verdict`), a root may have been lost next to a
+    cluster, and the iteration restarts once from the circles of the
+    Newton polygon (Bini, Numer. Algorithms 13, 1996).  Deterministic.
+    Raises RootFindingDivergence when the restart misses Vieta's formulas
+    too, when the budget runs out above the noise floor or when a root is
+    not finite (a coefficient beyond the float range, or Horner's scheme
+    overflowing, and NaN passes every comparison).
     """
     n = len(coeffs) - 1
     if n == 1:
@@ -370,9 +373,31 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
     if n == 2:
         return _finite_roots(_quadratic_roots(coeffs[1], coeffs[2]))
     radius = math.exp(math.log(abs(coeffs[-1])) / n)
-    z = [radius * cmath.exp(1j * (_TWO_PI * k / n + 0.4)) for k in range(n)]
+    z, radii = _aberth_iterate(
+        coeffs, [radius * cmath.exp(1j * (_TWO_PI * k / n + 0.4)) for k in range(n)], budget
+    )
+    if _vieta_verdict(coeffs, z, radii):
+        return z
+    z, radii = _aberth_iterate(coeffs, _newton_polygon_starts(coeffs), budget)
+    if _vieta_verdict(coeffs, z, radii) is False:
+        raise RootFindingDivergence("root iteration lost a root from both of its starts")
+    return z
+
+
+def _aberth_iterate(
+    coeffs: list[complex], z: list[complex], budget: int
+) -> tuple[list[complex], list[float]]:
+    """Aberth iteration from the starting points ``z``: the roots and a
+    Newton inclusion radius ``n * max(|p|, noise) / |p'|`` for each.
+
+    A root is frozen once its residual reaches its roundoff bound, and a
+    seeded jitter moves the others on stagnation.  A root counts as
+    converged only while its roundoff bound is finite.
+    """
+    n = len(z)
     done = [False] * n
     resids = [0.0] * n
+    radii = [math.inf] * n
     rng = None
     best_resid = math.inf
     stall = 0
@@ -380,13 +405,15 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
         moved = 0.0
         for i in range(n):
             if done[i]:
-                # Never moved again, so its residual stands.
+                # Never moved again, so its residual and radius stand.
                 continue
             p, dp, noise = _poly_eval(coeffs, z[i])
             resids[i] = abs(p)
             # An overflowed bound (noise = inf) certifies nothing.
             if resids[i] <= noise < math.inf:
                 done[i] = True
+                if dp:
+                    radii[i] = n * noise / abs(dp)
                 continue
             if dp == 0:
                 z[i] += (1.0 + abs(z[i])) * 1e-6 * (1 + 1j)
@@ -412,7 +439,7 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
             z[i] -= w
             moved = max(moved, abs(w) / (1.0 + abs(z[i])))
         if all(done) or moved < 64.0 * _EPS:
-            return _finite_roots(z)
+            break
         resid = sum(resids)
         if resid < 0.5 * best_resid:
             best_resid = resid
@@ -427,13 +454,78 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
                         z[i] += 0.05 * (1.0 + abs(z[i])) * cmath.exp(1j * angle)
                 stall = 0
                 best_resid = math.inf
+    else:
+        for i in range(n):
+            p, _, noise = _poly_eval(coeffs, z[i])
+            if abs(p) > 1e3 * noise:
+                raise RootFindingDivergence(
+                    f"root iteration exhausted {budget} iterations with residual {abs(p):.3e}"
+                )
+    _finite_roots(z)
     for i in range(n):
-        p, _, noise = _poly_eval(coeffs, z[i])
-        if abs(p) > 1e3 * noise:
-            raise RootFindingDivergence(
-                f"root iteration exhausted {budget} iterations with residual {abs(p):.3e}"
-            )
-    return _finite_roots(z)
+        if not done[i]:
+            p, dp, noise = _poly_eval(coeffs, z[i])
+            if dp:
+                radii[i] = n * max(abs(p), noise) / abs(dp)
+    return z, radii
+
+
+def _vieta_verdict(coeffs: list[complex], z: list[complex], radii: list[float]) -> bool | None:
+    """Whether the roots ``z`` of the monic ``coeffs`` match Vieta's
+    formulas for the sum of the roots and for the sum of their
+    reciprocals, within the inclusion radii and the roundoff of the sums.
+
+    A root lost to a cluster leaves a duplicate there: the sum misses it
+    when it is large, the sum of reciprocals when it is small.  None when
+    the sum agrees but a radius reaches its root's modulus, so that the
+    reciprocals certify nothing.
+    """
+    total = recip_total = 0j
+    size = bound = recip_size = recip_bound = 0.0
+    certified = True
+    for x, rho in zip(z, radii):
+        a = abs(x)
+        total += x
+        size += a
+        bound += rho
+        if rho < a:
+            recip_total += 1.0 / x
+            recip_size += 1.0 / a
+            recip_bound += rho / (a * (a - rho))
+        else:
+            certified = False
+    roundoff = len(z) * _EPS
+    if not abs(total + coeffs[1]) <= bound + roundoff * (size + abs(coeffs[1])):
+        return False
+    if not certified:
+        return None
+    recip_coeff = coeffs[-2] / coeffs[-1]
+    return abs(recip_total + recip_coeff) <= recip_bound + roundoff * (
+        recip_size + abs(recip_coeff)
+    )
+
+
+def _newton_polygon_starts(coeffs: list[complex]) -> list[complex]:
+    """Starting points on the circles of the Newton polygon: each edge of
+    the upper convex hull of (k, log|a_k|), for p = sum a_k x^k, from k0 to
+    k1 puts k1 - k0 points on the circle of radius (|a_k0|/|a_k1|)^(1/(k1-k0))."""
+    n = len(coeffs) - 1
+    points = [(k, math.log(abs(coeffs[n - k]))) for k in range(n + 1) if coeffs[n - k] != 0]
+    hull: list[tuple[int, float]] = []
+    for pt in points:
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            if (k1 - k0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - k0) < 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    starts = []
+    for (k0, y0), (k1, y1) in zip(hull, hull[1:]):
+        width = k1 - k0
+        radius = math.exp((y0 - y1) / width)
+        for j in range(width):
+            starts.append(radius * cmath.exp(1j * (_TWO_PI * j / width + _TWO_PI * k0 / n + 0.7)))
+    return starts
 
 
 def _quadratic_roots(b: complex, c: complex) -> list[complex]:

@@ -100,7 +100,10 @@ class Scalar:
         if re == 0:
             r = _to_fraction(im)
             return cls(None, r, _QUARTER) if r > 0 else cls(None, -r, _THREE_QUARTERS)
-        return cls(complex(_to_float(re), _to_float(im)), None, None)
+        try:
+            return cls(complex(re, im), None, None)
+        except OverflowError:
+            return cls(complex(_to_float(re), _to_float(im)), None, None)
 
     @classmethod
     def polar(cls, r: float | int | Fraction, q: Fraction | int | str) -> "Scalar":
@@ -153,7 +156,14 @@ class Scalar:
         return self.z
 
     def __abs__(self) -> float:
-        return _to_float(self._r) if self._r is not None else abs(self._z)
+        """The float modulus; inf beyond the float range, as for an exact
+        modulus."""
+        if self._r is not None:
+            return _to_float(self._r)
+        try:
+            return abs(self._z)
+        except OverflowError:  # finite parts, modulus beyond the float range
+            return math.inf
 
     # -- arithmetic ----------------------------------------------------
 

@@ -255,6 +255,40 @@ class TestNumericRobustness:
         assert self._run(tmp_path, doc) == EXIT_ERROR
         assert "error[InputFormatError]" in capsys.readouterr().err
 
+    def test_determinant_modulus_beyond_the_float_range(self, tmp_path, capsys):
+        # det = 1.3e308 (1 + i): finite parts, but a modulus that abs()
+        # cannot return as a float.
+        doc = (
+            '{"punctures": 2, "dim": 2, '
+            '"generators": [[[{"re": 1.3e154, "im": 1.3e154}, 0], [0, 1e154]]]}'
+        )
+        assert self._run(tmp_path, doc) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["c1"], out["candidates"]) == ("TwoPunctureGeneral", -1, [[0, -1]])
+
+    def test_integer_literal_beyond_the_digit_limit(self, tmp_path, capsys):
+        # json.loads refuses integer literals of more than 4300 digits
+        # with a ValueError that is not a JSONDecodeError.
+        doc = '{"punctures": 2, "dim": 1, "generators": [[[%s]]]}' % ("1" * 5000)
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[InputFormatError]: invalid JSON: an integer literal")
+        assert err.count("\n") == 1
+
+    def test_nesting_beyond_the_recursion_limit(self, tmp_path, capsys):
+        doc = "[" * 100000 + "]" * 100000
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error[InputFormatError]: invalid JSON: arrays or objects nested too deeply\n"
+
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"punctures": 2, "dim": 1, "generators": [[[\xff]]]}')
+        assert main(["classify", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[InputFormatError]: input is not valid UTF-8")
+        assert err.count("\n") == 1
+
     def test_nonpositive_document_tolerance(self, tmp_path, capsys):
         doc = '{"punctures": 2, "dim": 1, "generators": [[[2]]], "tolerances": {"tol": -1}}'
         assert self._run(tmp_path, doc) == EXIT_ERROR

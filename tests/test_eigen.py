@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsplit import (
@@ -16,7 +16,13 @@ from logsplit import (
     eigenvalues,
     normalized_arg,
 )
-from logsplit.eigen import _EPS, _aberth_roots, _cluster_roots, _poly_eval
+from logsplit.eigen import (
+    _EPS,
+    _aberth_roots,
+    _cluster_roots,
+    _newton_polygon_starts,
+    _poly_eval,
+)
 from conftest import rand_invertible, rand_well_conditioned
 
 F = Fraction
@@ -308,6 +314,9 @@ def spectra(draw):
 class TestFloatRootsOracle:
     @settings(max_examples=60, deadline=None)
     @given(spectra())
+    # An isolated root next to a seven-fold one, which the circle start
+    # lost to the cluster.
+    @example(roots=[17782.794100389227 + 0j] + [1 + 0j] * 7)
     def test_roots_match_mpmath_to_their_conditioning(self, roots):
         # The oracle solves the same float coefficients in 60 digits, as
         # the eigenvalues of their companion matrix.  A root found to
@@ -351,3 +360,40 @@ class TestFloatRootsOracle:
         roots = sorted(_aberth_roots([1 + 0j, complex(-(1e8 + 1e-8)), 1 + 0j]), key=abs)
         assert abs(roots[0] - 1e-8) <= 1e-15 * 1e-8
         assert abs(roots[1] - 1e8) <= 1e-15 * 1e8
+
+
+class TestLostRoots:
+    """Aberth iterates that settle in a cluster can leave an isolated root
+    unfound while every residual sits at its noise floor; the Vieta check
+    catches that and the Newton polygon restart finds the root."""
+
+    def test_isolated_roots_next_to_a_tight_cluster_are_found(self):
+        rng = random.Random(4)
+        missed = []
+        for rho in (1e-4, 1e-3, 1e-2, 1e-1):
+            for _ in range(100):
+                m = rng.randint(3, 6)
+                centre = rho * cmath.exp(2j * math.pi * rng.random())
+                cluster = [
+                    centre * (1 + 1e-8 * rng.random() * cmath.exp(2j * math.pi * rng.random()))
+                    for _ in range(m)
+                ]
+                isolated = [1, 100, -3, 0.5j][: 8 - m]
+                found = _aberth_roots(_expand(cluster + isolated))
+                for w in isolated:
+                    if min(abs(z - w) for z in found) > 1e-9 * abs(w):
+                        missed.append((rho, w))
+        assert missed == []
+
+    def test_small_root_next_to_a_large_cluster_is_found(self):
+        roots = [1e-5 + 2e-5j] + [2e5 - 9e5j] * 6 + [-2e5 + 3e5j]
+        found = _aberth_roots(_expand(roots))
+        assert min(abs(z - roots[0]) for z in found) < 1e-9 * abs(roots[0])
+
+    def test_newton_polygon_separates_the_root_moduli(self):
+        # (x - 1e4)(x - 1)^3: one start near 1e4 and three within a factor
+        # of 3 of the triple root.
+        radii = sorted(abs(z) for z in _newton_polygon_starts(_expand([1e4, 1, 1, 1])))
+        assert len(radii) == 4
+        assert all(1 / 3.01 < r < 3.01 for r in radii[:3])
+        assert radii[3] == pytest.approx(10003)
