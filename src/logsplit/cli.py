@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ohtsuki_c1
 from .documents import parse_input_document, positive_tolerance, report_to_output
@@ -43,11 +44,11 @@ def _exit_code(exc: LogSplitError) -> int:
 
 
 def _read_input(path: str) -> str:
+    # Decoded here, not by sys.stdin: under a C locale that would hand
+    # undecodable bytes on to the JSON decoder as lone surrogates.
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"input is not valid UTF-8: {exc}") from exc
 

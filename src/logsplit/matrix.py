@@ -5,13 +5,16 @@ are pure; a Matrix is immutable after construction.  Because the entries
 are Scalars, exact polar data survives any operation that only needs
 products, reciprocals and colinear sums (diagonal and triangular work in
 particular), and degrades to floats elsewhere.  The determinant and the
-characteristic polynomial of matrices of dimension 3 and up are computed
-on plain ``complex`` values: their only consumer is the float root finder.
+characteristic polynomial at dimension 3 and up run on plain ``complex``
+values, read only by the float root finder and singularity tests.  The
+product ``@`` and the inverse run on the Scalars in every dimension, so
+exact conjugation and the monodromy at infinity keep exact entries exact.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -102,38 +105,16 @@ class Matrix:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
-        n = self.n
-        a, b = self._rows, other._rows
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = a[i][0] * b[0][j]
-                for k in range(1, n):
-                    acc = acc + a[i][k] * b[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+        cols = tuple(zip(*other._rows))
+        return Matrix([[sum(map(mul, row, col), ZERO) for col in cols] for row in self._rows])
 
     def apply(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(v) != self.n:
             raise DimensionMismatch("vector length does not match matrix dimension")
-        return tuple(
-            self._sum(row[k] * v[k] for k in range(self.n)) for row in self._rows
-        )
-
-    @staticmethod
-    def _sum(terms) -> Scalar:
-        acc = None
-        for t in terms:
-            acc = t if acc is None else acc + t
-        return acc if acc is not None else ZERO
+        return tuple(sum(map(mul, row, v), ZERO) for row in self._rows)
 
     def trace(self) -> Scalar:
-        acc = self._rows[0][0]
-        for i in range(1, self.n):
-            acc = acc + self._rows[i][i]
-        return acc
+        return sum(self.diagonal(), ZERO)
 
     def det(self) -> Scalar:
         n = self.n
@@ -148,46 +129,15 @@ class Matrix:
         return [[e.z for e in row] for row in self._rows]
 
     def inverse(self, tol: float = SINGULARITY_TOL) -> "Matrix":
-        """Matrix inverse; raises SingularMatrix when |det| is below
-        ``tol * (1 + max entry)**n``."""
+        """Inverse by Gauss-Jordan elimination of ``[A | I]`` on the Scalars,
+        which keeps exact entries exact where complex values would not.
+        Raises SingularMatrix when |det| is below ``tol * (1 + max entry)**n``."""
         n = self.n
-        max_abs = self.max_abs()
-        if n == 1:
-            d = self._rows[0][0]
-            if below_singularity_threshold(abs(d), max_abs, n, tol):
-                raise SingularMatrix("1x1 matrix with entry too close to zero")
-            return Matrix([[d.reciprocal()]])
-        if n == 2:
-            # Adjugate form: keeps exact entries exact (a single division).
-            (a, b), (c, d) = self._rows
-            det = a * d - b * c
-            if below_singularity_threshold(abs(det), max_abs, n, tol):
-                raise SingularMatrix(f"2x2 determinant {abs(det):.3e} below tolerance")
-            return Matrix([[d / det, -b / det], [-c / det, a / det]])
-        if below_singularity_threshold(abs(self.det()), max_abs, n, tol):
-            raise SingularMatrix(f"{n}x{n} determinant below tolerance")
-        return self._inverse_gauss_jordan(tol)
-
-    def _inverse_gauss_jordan(self, tol: float) -> "Matrix":
-        n = self.n
-        work = [list(self._rows[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot_row = max(range(col, n), key=lambda i: abs(work[i][col]))
-            if abs(work[pivot_row][col]) <= tol * (1.0 + self.max_abs()):
-                raise SingularMatrix(f"pivot in column {col} below tolerance")
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            inv_pivot = pivot.reciprocal()
-            work[col] = [e * inv_pivot for e in work[col]]
-            for i in range(n):
-                if i == col:
-                    continue
-                factor = work[i][col]
-                if factor.is_exact_zero:
-                    continue
-                work[i] = [work[i][j] - factor * work[col][j] for j in range(2 * n)]
-        return Matrix([row[n:] for row in work])
+        w = [list(row) + list(unit) for row, unit in zip(self._rows, Matrix.identity(n)._rows)]
+        det_abs = abs(_det_by_elimination(w))
+        if below_singularity_threshold(det_abs, self.max_abs(), n, tol):
+            raise SingularMatrix(f"{n}x{n} determinant {det_abs:.3e} below tolerance")
+        return Matrix(row[n:] for row in w)
 
     def char_poly(self) -> tuple[Scalar, ...]:
         """Monic characteristic polynomial det(xI - A), coefficients from
@@ -257,14 +207,19 @@ class Matrix:
         return None
 
 
-# Kernels on plain complex values, for dimension 3 and up.  Division is a
-# multiplication by ``1.0 / pivot``, as in Scalar, so a matrix of floating
-# Scalars gets the same coefficients bit for bit.
+# Kernels on plain complex values, for dimension 3 and up; the elimination
+# also takes Scalar rows, for the inverse.  Division is a multiplication by
+# ``1.0 / pivot``, as in Scalar, so a matrix of floating Scalars gets the
+# same coefficients bit for bit.
 
 
-def _det_by_elimination(w: list[list[complex]]) -> complex:
-    """Determinant by partial-pivot elimination; ``w`` is overwritten."""
-    n = len(w)
+def _det_by_elimination(w: list[list]) -> complex | Scalar:
+    """Determinant by partial-pivot elimination of ``complex`` or Scalar
+    rows; ``w`` is overwritten.  When ``w`` is wider than square, [A | B],
+    each pivot row is also scaled to 1 and cleared from the rows above it
+    (Gauss-Jordan), which leaves A^-1 B in the right block."""
+    n, width = len(w), len(w[0])
+    jordan = width > n
     det = 1 + 0j
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda i: abs(w[i][col]))
@@ -277,12 +232,15 @@ def _det_by_elimination(w: list[list[complex]]) -> complex:
         det = det * pivot
         inv_pivot = 1.0 / pivot
         row_c = w[col]
-        for i in range(col + 1, n):
-            row_i = w[i]
-            factor = row_i[col] * inv_pivot
+        if jordan:
+            row_c = w[col] = [e * inv_pivot for e in row_c]
+        for row_i in w[0 if jordan else col + 1:]:
+            if row_i is row_c:
+                continue
+            factor = row_i[col] if jordan else row_i[col] * inv_pivot
             if factor == 0:
                 continue
-            for j in range(col, n):
+            for j in range(col, width):
                 row_i[j] = row_i[j] - factor * row_c[j]
     return det
 

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -14,6 +15,10 @@ from logsplit.cli import (
 from logsplit.selftest import run_selftest
 
 GOLDEN = '{"punctures": 3, "dim": 2, "generators": [[[1, 0], [0, -1]], [[-0.5, 1], [0.75, 0.5]]]}'
+
+
+def _stdin(data: bytes, errors: str = "strict") -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
 
 
 @pytest.fixture
@@ -34,11 +39,24 @@ class TestClassify:
         assert out["diagnostics"]["integrality_defect"] == 0.0
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN))
+        monkeypatch.setattr("sys.stdin", _stdin(GOLDEN.encode("utf-8")))
         assert main(["classify"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["c1"] == -2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"punctures": 2, "dim": 1, "generators": [[[\xff]]]}',
+            b'{"punctures": 2, "dim": 1, "generators": [[[2]]], "note": "\xff"}',
+        ],
+    )
+    def test_stdin_that_is_not_utf8(self, capsys, monkeypatch, data):
+        # A C locale reads stdin as UTF-8 with surrogateescape: the bytes
+        # must be decoded before that text layer sees them.
+        monkeypatch.setattr("sys.stdin", _stdin(data, errors="surrogateescape"))
+        assert main(["classify", "-"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[InputFormatError]: input is not valid UTF-8")
 
     def test_trivial_character(self, tmp_path, capsys):
         path = tmp_path / "one.json"

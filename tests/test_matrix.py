@@ -12,9 +12,28 @@ from logsplit import (
     mat_inverse,
     mat_mul,
 )
+from logsplit.scalar import ZERO
 from conftest import rand_invertible
 
 F = Fraction
+
+
+def _rand_polar(rng: random.Random) -> Scalar:
+    return Scalar.polar(F(rng.randint(1, 9), rng.randint(1, 9)), F(rng.randrange(12), 12))
+
+
+def _rational_plu(rng: random.Random, n: int) -> Matrix:
+    """P L U with unit lower L and a nonzero diagonal in U: exactly
+    invertible, with small rational entries and a row order that makes the
+    elimination pivot."""
+    def small() -> Fraction:
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    lower = [[F(1) if i == j else small() if j < i else F(0) for j in range(n)] for i in range(n)]
+    upper = [[rng.choice((F(1, 2), F(-1), F(2))) if i == j else small() if j > i else F(0)
+              for j in range(n)] for i in range(n)]
+    lu = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return Matrix(rng.sample(lu, n))
 
 
 class TestProduct:
@@ -54,12 +73,46 @@ class TestInverse:
         assert mat_inverse(Matrix.identity(4)) == Matrix.identity(4)
 
     def test_singular_matrix_raises(self):
-        with pytest.raises(SingularMatrix):
-            mat_inverse(Matrix([[1, 2], [2, 4]]))
-        with pytest.raises(SingularMatrix):
-            mat_inverse(Matrix([[0]]))
-        with pytest.raises(SingularMatrix):
-            mat_inverse(Matrix([[1, 1, 0], [2, 2, 0], [0, 1, 1]]))
+        a, b, c = (Scalar.polar(F(2, 3), F(1, 5)), Scalar.polar(3, F(2, 7)), Scalar.polar(1, F(1, 3)))
+        singular = (
+            Matrix([[1, 2], [2, 4]]),
+            Matrix([[0]]),
+            Matrix([[1, 1, 0], [2, 2, 0], [0, 1, 1]]),
+            # Exact polar rows, one a multiple of another.
+            Matrix([[a, b], [a * c, b * c]]),
+            Matrix([[a, b, c], [c, a, b], [a * c, b * c, c * c]]),
+        )
+        for m in singular:
+            with pytest.raises(SingularMatrix):
+                mat_inverse(m)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_rational_inverse_is_exact(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(5):
+            m = _rational_plu(rng, n)
+            inv = m.inverse()
+            assert all(e.is_exact for row in inv.rows for e in row)
+            assert m @ inv == Matrix.identity(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_monomial_polar_inverse_is_exact(self, n):
+        rng = random.Random(60 + n)
+        for _ in range(5):
+            perm = rng.sample(range(n), n)
+            m = Matrix([[_rand_polar(rng) if j == perm[i] else ZERO for j in range(n)] for i in range(n)])
+            inv = m.inverse()
+            assert all(e.is_exact for row in inv.rows for e in row)
+            assert m @ inv == Matrix.identity(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_upper_triangular_polar_inverse(self, n):
+        rng = random.Random(80 + n)
+        m = Matrix([[_rand_polar(rng) if j >= i else ZERO for j in range(n)] for i in range(n)])
+        inv = m.inverse()
+        for i in range(n):
+            assert inv[i, i].is_exact and inv[i, i] == m[i, i].reciprocal()
+            assert all(inv[i, j].is_exact_zero for j in range(i))
 
     def test_gauss_jordan_matches_adjugate_scale(self):
         rng = random.Random(23)

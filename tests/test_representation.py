@@ -10,9 +10,14 @@ from logsplit import (
     Scalar,
     SingularMatrix,
     build,
+    classify,
     conjugate,
+    eigenvalues,
     monodromy_at_infinity,
+    ohtsuki_c1,
+    report_to_output,
 )
+from logsplit.scalar import ZERO
 from conftest import rand_invertible, rand_well_conditioned
 
 F = Fraction
@@ -95,6 +100,53 @@ class TestConjugate:
     def test_dimension_check(self, golden_rep):
         with pytest.raises(DimensionMismatch):
             conjugate(golden_rep, Matrix.identity(3))
+
+
+class TestExactnessInEveryDimension:
+    """Exact data stays exact through the Scalar inverse and product at
+    n >= 3, so exact answers do not change under exact conjugation."""
+
+    # Moduli 2 and 1/2 and otherwise 1: their logarithms cancel exactly.
+    VALUES = (
+        Scalar.polar(2, F(1, 3)),
+        Scalar.exact(1),
+        Scalar.polar(F(1, 2), F(1, 2)),
+        Scalar.polar(1, F(1, 4)),
+        Scalar.polar(1, F(5, 6)),
+        Scalar.exact(-1),
+        Scalar.polar(1, F(2, 7)),
+        Scalar.polar(1, F(3, 4)),
+    )
+
+    @staticmethod
+    def _triangular_pair(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
+        def polar() -> Scalar:
+            return Scalar.polar(F(rng.randint(1, 5), rng.randint(1, 5)), F(rng.randrange(10), 10))
+
+        return tuple(
+            Matrix([[polar() if j >= i else ZERO for j in range(n)] for i in range(n)])
+            for _ in range(2)
+        )
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cyclic_conjugation_keeps_the_report(self, n):
+        diag = Matrix([[self.VALUES[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        cycle = Matrix([[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+        rep = Representation(2, (diag,))
+        plain = report_to_output(classify(rep, 1e-9)).to_json()
+        assert report_to_output(classify(conjugate(rep, cycle), 1e-9)).to_json() == plain
+        assert '"warnings": []' in plain and '"ln_r_closure_defect": 0.0' in plain
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_infinity_of_a_triangular_pair_has_exact_eigenvalues(self, n):
+        rng = random.Random(90 + n)
+        for _ in range(3):
+            gens = self._triangular_pair(rng, n)
+            assert eigenvalues(monodromy_at_infinity(gens)).is_exact
+
+    def test_c1_of_a_triangular_dim3_pair_is_exact(self):
+        m0, m1 = self._triangular_pair(random.Random(5), 3)
+        assert ohtsuki_c1(build(Representation(3, (m0, m1)))).exact
 
 
 class TestValidation:
