@@ -21,7 +21,7 @@ from .documents import parse_input_document, positive_tolerance, report_to_outpu
 from .errors import InputFormatError, LogSplitError, NonIntegralChernClass, UnsupportedCase
 from .representation import build
 from .selftest import run_selftest
-from .splitting import character_root, classify
+from .splitting import classify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,16 +98,17 @@ def _cmd_sweep(args) -> int:
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         print(f"error: --steps must lie in 1..{MAX_SWEEP_STEPS}", file=sys.stderr)
         return EXIT_ERROR
-    lattice = [Fraction(i, steps) for i in range(steps)]
-    labels = [str(q) for q in lattice]
+    # character_root on the lattice point (i/steps, j/steps), in integers:
+    # 0 at the origin, -1 while i + j <= steps, -2 beyond.  So row i is a
+    # prefix of the -1 cells and a suffix of the -2 cells.
+    labels = [str(Fraction(i, steps)) for i in range(steps)]
+    below = [f",{label},-1\n" for label in labels]
+    above = [f",{label},-2\n" for label in labels]
     out = sys.stdout
-    for i, q0 in enumerate(lattice):
-        prefix = labels[i]
-        rows = (
-            f"{prefix},{labels[j]},{character_root(q0, lattice[j])}\n"
-            for j in range(steps)
-        )
-        out.write("".join(rows))
+    for i, label in enumerate(labels):
+        cut = steps + 1 - i
+        cells = below[:cut] + above[cut:] if i else [",0,0\n", *below[1:]]
+        out.write(label + label.join(cells))
     return EXIT_OK
 
 

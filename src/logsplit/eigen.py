@@ -12,7 +12,9 @@ circle of the roots' geometric-mean modulus from degree 3 on, restarted
 from the Newton polygon's circles when the roots miss Vieta's formulas
 for the sums of the roots and of their reciprocals.  Whether a
 floating root is EigenvalueUncertain is decided by the polynomial's
-roundoff at the root, not by where the iteration stopped.
+roundoff at the root, not by where the iteration stopped.  When a
+coefficient overflows, the roots are solved for the matrix scaled by a
+power of two and scaled back.
 """
 
 from __future__ import annotations
@@ -25,8 +27,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .errors import FloatRangeError, RootFindingDivergence, ZeroArgument, ZeroEigenvalue
-from .matrix import Matrix
+from .errors import (
+    FloatRangeError,
+    RootFindingDivergence,
+    SingularMatrix,
+    ZeroArgument,
+    ZeroEigenvalue,
+)
+from .matrix import Matrix, below_singularity_threshold
 from .scalar import Scalar
 
 #: Default multiplicity-clustering tolerance (mixed absolute-relative).
@@ -125,9 +133,23 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         exact = _exact_quadratic(coeffs[1], coeffs[2])
         if exact is not None:
             return _from_clusters(exact, tol)
+    coeffs_c = [c.z for c in coeffs]
+    exp = 0
+    if not all(map(cmath.isfinite, coeffs_c)):
+        # Solve for the roots of a * 2**-exp, whose entries are below 1 in
+        # modulus: scaling by a power of two is exact, and brings the
+        # coefficients back into range when the eigenvalues themselves are.
+        exp = math.frexp(a.max_abs())[1]
+        scaled = Matrix([[Scalar.inexact(_ldexp(e.z, -exp)) for e in row] for row in a.rows])
+        coeffs_c = [c.z for c in scaled.char_poly()]
+        # The singularity test of Representation, whose determinant
+        # overflowed, made at this scale: below it the smallest eigenvalues
+        # are not determined by the floating entries.
+        if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
+            raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
     try:
-        roots = _aberth_roots([c.z for c in coeffs])
-        return _from_float_roots(coeffs, roots, tol)
+        roots = _aberth_roots(coeffs_c)
+        return _from_float_roots(coeffs_c, roots, tol, exp)
     except OverflowError as exc:  # abs() of a complex beyond the float range
         raise RootFindingDivergence("polynomial values overflow the floating-point range") from exc
 
@@ -195,11 +217,16 @@ def _from_clusters(clusters: list[tuple[Scalar, int]], tol: float) -> EigenData:
     return EigenData(tuple(pairs), tuple(dict.fromkeys(warnings)))
 
 
-def _from_float_roots(coeffs, roots: list[complex], tol: float) -> EigenData:
+def _from_float_roots(
+    coeffs_c: list[complex], roots: list[complex], tol: float, exp: int
+) -> EigenData:
+    """EigenData of the matrix whose scaling by 2**-exp has characteristic
+    polynomial ``coeffs_c`` with roots ``roots``."""
+    if exp:
+        roots = [_ldexp(r, exp) for r in roots]
     max_abs = max(abs(r) for r in roots)
     thresh = tol * (1.0 + max_abs)
     clusters = _cluster_roots(roots, thresh)
-    coeffs_c = [c.z for c in coeffs]
     scalars: list[tuple[Scalar, int]] = []
     uncertain = False
     for members in clusters:
@@ -208,8 +235,8 @@ def _from_float_roots(coeffs, roots: list[complex], tol: float) -> EigenData:
         # multiple) roots that the fixed tolerance cannot merge.  The
         # residual counts at least at its roundoff bound, so the verdict
         # depends on the polynomial, not on where the iteration stopped.
-        p, dp, noise = _poly_eval(coeffs_c, centroid)
-        radius = len(coeffs_c) * max(abs(p), noise) / max(abs(dp), 1e-300)
+        p, dp, noise = _poly_eval(coeffs_c, _ldexp(centroid, -exp) if exp else centroid)
+        radius = math.ldexp(len(coeffs_c) * max(abs(p), noise) / max(abs(dp), 1e-300), exp)
         if radius > 10.0 * thresh:
             uncertain = True
         value = Scalar.inexact(centroid)
@@ -219,6 +246,12 @@ def _from_float_roots(coeffs, roots: list[complex], tol: float) -> EigenData:
     if uncertain:
         data = _with_warning(data, EIGENVALUE_UNCERTAIN)
     return data
+
+
+def _ldexp(z: complex, exp: int) -> complex:
+    """``z * 2**exp``, exact unless a part falls below the normal float
+    range; OverflowError above it."""
+    return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
 
 
 def _with_warning(data: EigenData, warning: str) -> EigenData:
@@ -477,8 +510,9 @@ def _vieta_verdict(coeffs: list[complex], z: list[complex], radii: list[float]) 
 
     A root lost to a cluster leaves a duplicate there: the sum misses it
     when it is large, the sum of reciprocals when it is small.  None when
-    the sum agrees but a radius reaches its root's modulus, so that the
-    reciprocals certify nothing.
+    the sum agrees but a radius reaches its root's modulus, or a root is
+    too small for the bound on its reciprocal, so that the reciprocals
+    certify nothing.
     """
     total = recip_total = 0j
     size = bound = recip_size = recip_bound = 0.0
@@ -488,10 +522,13 @@ def _vieta_verdict(coeffs: list[complex], z: list[complex], radii: list[float]) 
         total += x
         size += a
         bound += rho
-        if rho < a:
+        # Positive iff rho < a, unless it underflows: a root near the
+        # bottom of the float range certifies nothing either.
+        spread = a * (a - rho)
+        if spread > 0:
             recip_total += 1.0 / x
             recip_size += 1.0 / a
-            recip_bound += rho / (a * (a - rho))
+            recip_bound += rho / spread
         else:
             certified = False
     roundoff = len(z) * _EPS

@@ -244,7 +244,10 @@ class Scalar:
         return self * o.reciprocal()
 
     def __rtruediv__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        # A real 1 would coerce to a value equal to ONE in every field, its
+        # complex value 1+0j included; ONE saves building a Fraction.
+        real_one = isinstance(other, (int, float, Fraction)) and other == 1
+        o = ONE if real_one else self._coerce(other)
         if o is None:
             return NotImplemented
         return o * self.reciprocal()

@@ -1,9 +1,17 @@
+import cmath
+import contextlib
 import io
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from logsplit import cli
+from conftest import rand_well_conditioned
+from logsplit import Matrix, cli
 from logsplit.cli import (
     EXIT_ERROR,
     EXIT_NONINTEGRAL,
@@ -13,6 +21,7 @@ from logsplit.cli import (
     main,
 )
 from logsplit.selftest import run_selftest
+from logsplit.splitting import character_root
 
 GOLDEN = '{"punctures": 3, "dim": 2, "generators": [[[1, 0], [0, -1]], [[-0.5, 1], [0.75, 0.5]]]}'
 
@@ -171,6 +180,25 @@ class TestTolerancePrecedence:
         assert main(["c1", str(path), "--integrality-tol", "1e-6"]) == EXIT_OK
 
 
+class _StopSweep(Exception):
+    pass
+
+
+class _RowSink:
+    """Stdout that keeps lattice row ``i`` (the sweep writes each row in
+    one call) and stops the sweep there."""
+
+    def __init__(self, i: int):
+        self.i = i
+        self.rows_seen = 0
+
+    def write(self, text: str) -> None:
+        if self.rows_seen == self.i:
+            self.text = text
+            raise _StopSweep
+        self.rows_seen += 1
+
+
 class TestSweep:
     def test_steps_two_rows(self, capsys):
         assert main(["sweep", "--steps", "2"]) == EXIT_OK
@@ -189,6 +217,42 @@ class TestSweep:
     def test_bounds(self, capsys):
         assert main(["sweep", "--steps", "0"]) == EXIT_ERROR
         assert main(["sweep", "--steps", "10001"]) == EXIT_ERROR
+
+    @staticmethod
+    def _expected_row(i: int, j: int, steps: int) -> str:
+        q0, q1 = Fraction(i, steps), Fraction(j, steps)
+        return f"{q0},{q1},{character_root(q0, q1)}"
+
+    def test_rows_match_character_root(self, capsys):
+        for steps in range(1, 65):
+            assert main(["sweep", "--steps", str(steps)]) == EXIT_OK
+            rows = capsys.readouterr().out.split("\n")
+            assert rows.pop() == ""
+            assert rows == [
+                self._expected_row(i, j, steps) for i in range(steps) for j in range(steps)
+            ]
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(1, cli.MAX_SWEEP_STEPS).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n - 1))
+        )
+    )
+    @example((10000, 0))
+    @example((10000, 1))
+    @example((997, 996))
+    def test_rows_around_the_cut(self, case):
+        steps, i = case
+        sink = _RowSink(i)
+        with pytest.raises(_StopSweep):
+            with contextlib.redirect_stdout(sink):
+                main(["sweep", "--steps", str(steps)])
+        rows = sink.text.split("\n")
+        assert rows.pop() == "" and len(rows) == steps
+        # i + j <= steps holds up to the cut column j = steps - i.
+        for j in {0, steps - i - 1, steps - i, steps - i + 1, steps - 1}:
+            if 0 <= j < steps:
+                assert rows[j] == self._expected_row(i, j, steps)
 
 
 class TestSelftest:
@@ -244,6 +308,51 @@ class TestNumericRobustness:
         assert (out["kind"], out["c1"], out["candidates"]) == (
             "TwoPunctureGeneral", -8, [[-1] * 8],
         )
+
+    def test_char_poly_beyond_the_float_range(self, tmp_path, capsys):
+        # The constant term of det(xI - A) is about 6e360; the eigenvalues,
+        # near 1e120, 2e120 and 3e120, are representable.
+        doc = (
+            '{"punctures": 2, "dim": 3, '
+            '"generators": [[[1e120, 1, 0], [0, 2e120, 1], [1, 0, 3e120]]]}'
+        )
+        assert self._run(tmp_path, doc) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["c1"], out["candidates"]) == ("TwoPunctureGeneral", 0, [[0, 0, 0]])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_spectrum_scaled_by_a_power_of_two(self, tmp_path, capsys, n):
+        # S D S^-1 and the same matrix times 2**400 (exact), whose
+        # char-poly constant term, about 2**(400 n), overflows.
+        spectrum = [2.0, 0.5j, -1.5, 3 * cmath.exp(1.1j * math.pi), 1.25, -0.75j, 0.8, -2.0]
+        s = rand_well_conditioned(random.Random(n), n)
+        d = Matrix([[spectrum[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        m = s @ d @ s.inverse()
+
+        def answer(exp: int) -> tuple:
+            gen = [
+                [{"re": math.ldexp(e.z.real, exp), "im": math.ldexp(e.z.imag, exp)} for e in row]
+                for row in m.rows
+            ]
+            doc = json.dumps({"punctures": 2, "dim": n, "generators": [gen]})
+            assert self._run(tmp_path, doc) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            return out["kind"], out["c1"], out["candidates"]
+
+        positive = sum(1 for z in spectrum[:n] if z == abs(z))
+        assert answer(0) == ("TwoPunctureGeneral", positive - n, [[0] * positive + [-1] * (n - positive)])
+        assert answer(400) == answer(0)
+
+    def test_spectrum_wider_than_the_float_range_is_singular(self, tmp_path, capsys):
+        # Eigenvalues 1.6, -0.6 and +-2.4e288: scaled to entries below 1,
+        # the determinant underflows, as it would for the same matrix
+        # given at that scale.
+        doc = (
+            '{"punctures": 2, "dim": 4, "generators": [[[0, 0, 0, 1], [0, 0, 1e300, 0], '
+            '[0, 5.935696573799322e276, 0, 0], [1, 0, 0, 1]]]}'
+        )
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[SingularMatrix]")
 
     def test_huge_eigenvalue_has_a_small_reciprocal_at_infinity(self, tmp_path, capsys):
         # The zero test applies to the generator's eigenvalue, not to its

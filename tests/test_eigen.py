@@ -266,6 +266,15 @@ class TestAberthRange:
         with pytest.raises(RootFindingDivergence):
             _aberth_roots(coeffs)
 
+    @pytest.mark.parametrize("tiny", [1e-150, 1e-163, 1e-170])
+    def test_root_near_the_bottom_of_the_float_range(self, tiny):
+        # (x - tiny)(x - 1)(x - 2): |x| (|x| - radius) underflows in the
+        # bound on the reciprocal of the tiny root.
+        coeffs = [1 + 0j, -(3 + tiny) + 0j, (2 + 3 * tiny) + 0j, -(2 * tiny) + 0j]
+        roots = sorted(_aberth_roots(coeffs), key=abs)
+        assert abs(roots[0] - tiny) < 1e-14 * tiny
+        assert abs(roots[1] - 1) < 1e-14 and abs(roots[2] - 2) < 1e-14
+
     def test_zero_constant_term_is_a_zero_eigenvalue(self):
         # det = 0 exactly: the root 0 is deflated, not taken a log of.
         with pytest.raises(ZeroEigenvalue):

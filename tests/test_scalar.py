@@ -112,6 +112,16 @@ class TestArithmetic:
         assert (1 / a).q == F(1, 2)
         assert abs(1 / a) == 0.5
 
+    def test_real_one_divides_like_its_coercion(self):
+        values = (Scalar.polar(2, F(1, 3)), Scalar.inexact(-0.0 + 3j), Scalar.inexact(1e-300 - 2j))
+        for s in values:
+            for one in (1, 1.0, F(1)):
+                got, want = one / s, Scalar.exact(one) * s.reciprocal()
+                assert (got.r, got.q) == (want.r, want.q)
+                assert (got.z.real.hex(), got.z.imag.hex()) == (want.z.real.hex(), want.z.imag.hex())
+        # A complex 1 is floating, and so is what it divides.
+        assert not ((1 + 0j) / Scalar.exact(2)).is_exact
+
     def test_mixed_exact_inexact_degrades(self):
         a = Scalar.polar(1, F(1, 4))
         b = Scalar.inexact(2 + 0j)
