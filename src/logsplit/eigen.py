@@ -13,15 +13,15 @@ from the Newton polygon's circles when the roots miss Vieta's formulas
 for the sums of the roots and of their reciprocals.  Whether a
 floating root is EigenvalueUncertain is decided by the polynomial's
 roundoff at the root, not by where the iteration stopped.  When a
-coefficient overflows, the roots are solved for the matrix scaled by a
-power of two and scaled back.
+coefficient is not finite, or the solve overflows or diverges, the roots
+are solved once more for the matrix scaled by a power of two and scaled
+back.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,11 +121,9 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
 
     Raises ZeroEigenvalue when a root is (numerically) zero and
     RootFindingDivergence when the iteration exhausts its budget without
-    reaching the residual noise floor.
+    reaching the residual noise floor, also for the scaled matrix.
     """
     n = a.n
-    if n == 1:
-        return _from_values([a[0, 0]], tol)
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_values(list(a.diagonal()), tol)
     coeffs = a.char_poly()
@@ -134,22 +132,24 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         if exact is not None:
             return _from_clusters(exact, tol)
     coeffs_c = [c.z for c in coeffs]
-    exp = 0
-    if not all(map(cmath.isfinite, coeffs_c)):
-        # Solve for the roots of a * 2**-exp, whose entries are below 1 in
-        # modulus: scaling by a power of two is exact, and brings the
-        # coefficients back into range when the eigenvalues themselves are.
-        exp = math.frexp(a.max_abs())[1]
-        scaled = Matrix([[Scalar.inexact(_ldexp(e.z, -exp)) for e in row] for row in a.rows])
-        coeffs_c = [c.z for c in scaled.char_poly()]
-        # The singularity test of Representation, whose determinant
-        # overflowed, made at this scale: below it the smallest eigenvalues
-        # are not determined by the floating entries.
-        if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
-            raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
+    if all(map(cmath.isfinite, coeffs_c)):
+        try:
+            return _from_float_roots(coeffs_c, _aberth_roots(coeffs_c), tol, 0)
+        except (OverflowError, RootFindingDivergence):
+            pass  # Horner's scheme may overflow where the scaled one does not
+    # Solve for the roots of a * 2**-exp, whose entries are below 1 in
+    # modulus: scaling by a power of two is exact, and brings the
+    # coefficients and their evaluation back into range when the
+    # eigenvalues themselves are.
+    exp = math.frexp(a.max_abs())[1]
+    scaled = Matrix([[Scalar.inexact(_ldexp(e.z, -exp)) for e in row] for row in a.rows])
+    coeffs_c = [c.z for c in scaled.char_poly()]
+    # The singularity test of Representation, made at this scale: below it
+    # the smallest eigenvalues are not determined by the floating entries.
+    if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
+        raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
     try:
-        roots = _aberth_roots(coeffs_c)
-        return _from_float_roots(coeffs_c, roots, tol, exp)
+        return _from_float_roots(coeffs_c, _aberth_roots(coeffs_c), tol, exp)
     except OverflowError as exc:  # abs() of a complex beyond the float range
         raise RootFindingDivergence("polynomial values overflow the floating-point range") from exc
 
@@ -423,27 +423,25 @@ def _aberth_iterate(
     """Aberth iteration from the starting points ``z``: the roots and a
     Newton inclusion radius ``n * max(|p|, noise) / |p'|`` for each.
 
-    A root is frozen once its residual reaches its roundoff bound, and a
-    seeded jitter moves the others on stagnation.  A root counts as
-    converged only while its roundoff bound is finite.
+    A root is frozen once its residual reaches its roundoff bound, and
+    counts as converged only while that bound is finite.  The iteration
+    stops when every root is frozen or no root moves; a root the budget
+    leaves above 1e3 times its bound raises RootFindingDivergence.  A
+    root the iteration loses to a cluster is the Vieta check's to catch.
     """
     n = len(z)
     done = [False] * n
-    resids = [0.0] * n
     radii = [math.inf] * n
-    rng = None
-    best_resid = math.inf
-    stall = 0
+    exhausted = True
     for _ in range(budget):
         moved = 0.0
         for i in range(n):
             if done[i]:
-                # Never moved again, so its residual and radius stand.
+                # Never moved again, so its radius stands.
                 continue
             p, dp, noise = _poly_eval(coeffs, z[i])
-            resids[i] = abs(p)
             # An overflowed bound (noise = inf) certifies nothing.
-            if resids[i] <= noise < math.inf:
+            if abs(p) <= noise < math.inf:
                 done[i] = True
                 if dp:
                     radii[i] = n * noise / abs(dp)
@@ -472,32 +470,18 @@ def _aberth_iterate(
             z[i] -= w
             moved = max(moved, abs(w) / (1.0 + abs(z[i])))
         if all(done) or moved < 64.0 * _EPS:
+            exhausted = False
             break
-        resid = sum(resids)
-        if resid < 0.5 * best_resid:
-            best_resid = resid
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 30:
-                rng = rng or random.Random(0x5EEDED)
-                for i in range(n):
-                    if not done[i]:
-                        angle = rng.random() * _TWO_PI
-                        z[i] += 0.05 * (1.0 + abs(z[i])) * cmath.exp(1j * angle)
-                stall = 0
-                best_resid = math.inf
-    else:
-        for i in range(n):
-            p, _, noise = _poly_eval(coeffs, z[i])
-            if abs(p) > 1e3 * noise:
-                raise RootFindingDivergence(
-                    f"root iteration exhausted {budget} iterations with residual {abs(p):.3e}"
-                )
     _finite_roots(z)
     for i in range(n):
         if not done[i]:
+            # A frozen root had |p| <= noise, so only these can miss the
+            # budget's bound.
             p, dp, noise = _poly_eval(coeffs, z[i])
+            if exhausted and abs(p) > 1e3 * noise:
+                raise RootFindingDivergence(
+                    f"root iteration exhausted {budget} iterations with residual {abs(p):.3e}"
+                )
             if dp:
                 radii[i] = n * max(abs(p), noise) / abs(dp)
     return z, radii

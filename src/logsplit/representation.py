@@ -56,19 +56,13 @@ class PuncturedRepresentation:
     """A representation together with its puncture-by-puncture residue data.
 
     ``local_eigen`` is ordered like the punctures: 0, [1,] infinity.
-    ``stated_infinity`` is None when the infinity monodromy is to be
-    derived from the generators, as :func:`build` leaves it; hand-assembled
-    data may state the matrix instead.
     """
 
     rep: Representation
-    stated_infinity: Matrix | None
     local_eigen: tuple[EigenData, ...]
 
     @property
     def infinity_monodromy(self) -> Matrix:
-        if self.stated_infinity is not None:
-            return self.stated_infinity
         return monodromy_at_infinity(self.rep.generators)
 
     @property
@@ -112,7 +106,7 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
     product_eigen = gen_eigen[0] if len(gens) == 1 else eigenvalues(gens[0] @ gens[1], tol)
     eigen = gen_eigen + (reciprocal_eigenvalues(product_eigen, tol),)
 
-    return PuncturedRepresentation(rep, None, eigen)
+    return PuncturedRepresentation(rep, eigen)
 
 
 def conjugate(rep: Representation, s: Matrix) -> Representation:

@@ -181,7 +181,6 @@ def test_criterion_8_closure_invariants():
         rep = Representation(2, (Matrix([[Scalar.polar(1, F(1, 4))]]),))
         broken_q = PuncturedRepresentation(
             rep,
-            Matrix([[1]]),
             (eigenvalues(Matrix([[Scalar.polar(1, F(1, 4))]])), eigenvalues(Matrix([[1]]))),
         )
         with pytest.raises(NonIntegralChernClass):
@@ -190,7 +189,6 @@ def test_criterion_8_closure_invariants():
         rep2 = Representation(2, (Matrix([[2]]),))
         broken_ln = PuncturedRepresentation(
             rep2,
-            Matrix([[1]]),
             (eigenvalues(Matrix([[2]])), eigenvalues(Matrix([[1]]))),
         )
         with pytest.raises(ProductNotIdentity):

@@ -103,7 +103,6 @@ class TestFailureModes:
         rep = Representation(2, (Matrix([[Scalar.polar(1, F(1, 4))]]),))
         broken = PuncturedRepresentation(
             rep,
-            Matrix([[1]]),
             (eigenvalues(Matrix([[Scalar.polar(1, F(1, 4))]])), eigenvalues(Matrix([[1]]))),
         )
         with pytest.raises(NonIntegralChernClass):
@@ -113,7 +112,6 @@ class TestFailureModes:
         rep = Representation(2, (Matrix([[2]]),))
         broken = PuncturedRepresentation(
             rep,
-            Matrix([[1]]),
             (eigenvalues(Matrix([[2]])), eigenvalues(Matrix([[1]]))),
         )
         with pytest.raises(ProductNotIdentity):

@@ -320,6 +320,35 @@ class TestNumericRobustness:
         out = json.loads(capsys.readouterr().out)
         assert (out["kind"], out["c1"], out["candidates"]) == ("TwoPunctureGeneral", 0, [[0, 0, 0]])
 
+    @pytest.mark.parametrize("index, n", [(827, 7), (881, 3)])
+    def test_horner_overflow_is_solved_at_a_smaller_scale(self, tmp_path, capsys, index, n):
+        # Documents of a seeded corpus with entries gauss * 10^U(0, 300):
+        # scale 4.3e43 at dim 7 and 2.1e102 at dim 3.  The coefficients are
+        # finite but Horner's scheme overflows on them.  mpmath's 80-digit
+        # eigenvalues put none on the positive real axis, so c1 = -n.
+        from logsplit import RootFindingDivergence
+        from logsplit.documents import parse_input_document
+        from logsplit.eigen import _aberth_roots
+
+        rng = random.Random(5)
+        for _ in range(index + 1):
+            dim = rng.randint(3, 8)
+            scale = 10 ** rng.uniform(0, 300)
+            gen = [
+                [{"re": rng.gauss(0, 1) * scale, "im": rng.gauss(0, 1) * scale} for _ in range(dim)]
+                for _ in range(dim)
+            ]
+        doc = json.dumps({"punctures": 2, "dim": dim, "generators": [gen]})
+        assert dim == n
+        coeffs = parse_input_document(doc).representation().generators[0].char_poly()
+        with pytest.raises(RootFindingDivergence):
+            _aberth_roots([c.z for c in coeffs])
+        assert self._run(tmp_path, doc) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["c1"], out["candidates"], out["warnings"]) == (
+            "TwoPunctureGeneral", -n, [[-1] * n], [],
+        )
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_spectrum_scaled_by_a_power_of_two(self, tmp_path, capsys, n):
         # S D S^-1 and the same matrix times 2**400 (exact), whose

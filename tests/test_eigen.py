@@ -190,12 +190,7 @@ class TestEigenvaluesFloat:
 
 class TestAberth:
     def test_known_integer_roots(self):
-        # (x-1)(x-2)...(x-6) expanded.
-        coeffs = [1.0]
-        for r in range(1, 7):
-            coeffs = [a - r * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
-        coeffs = [complex(c) for c in coeffs]
-        roots = sorted(_aberth_roots(coeffs), key=lambda z: z.real)
+        roots = sorted(_aberth_roots(_integer_roots_1_to_6()), key=lambda z: z.real)
         for found, expected in zip(roots, range(1, 7)):
             assert abs(found - expected) < 1e-8
 
@@ -303,6 +298,14 @@ def _expand(roots):
     return coeffs
 
 
+def _integer_roots_1_to_6():
+    """(x-1)(x-2)...(x-6) expanded in real floats."""
+    coeffs = [1.0]
+    for r in range(1, 7):
+        coeffs = [a - r * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
+    return [complex(c) for c in coeffs]
+
+
 @st.composite
 def spectra(draw):
     """2 to 8 roots with moduli spread over 1e-6..1e6, some of them
@@ -399,6 +402,25 @@ class TestLostRoots:
         found = _aberth_roots(_expand(roots))
         assert min(abs(z - roots[0]) for z in found) < 1e-9 * abs(roots[0])
 
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [-2.75513e-07 + 2.1165e-08j, 8423040 + 4312730j, -11513 + 1593.24j,
+             -3.7855e-07 + 1.06372e-07j, 2.97426e-08 + 3.3342e-09j, -3021570 + 4452380j,
+             -1835520 - 1147270j],
+            [60101700 - 20884000j, -7.95896e-07 + 1.97304e-06j, 1081040 + 4066730j,
+             -0.0125377 - 0.0848107j, -1.7226e-07 - 4.44492e-08j, -1.14997e-08 + 2.46475e-08j,
+             -62089.6 - 362445j],
+        ],
+    )
+    def test_roots_spread_over_fourteen_decades_are_found(self, roots):
+        # Moduli from 3e-8 to 6e7: the sum of the residuals stops halving
+        # for 30 steps before every root freezes, at step 31 and 34.
+        found = _aberth_roots(_expand(roots))
+        assert len(found) == len(roots)
+        for w in roots:
+            assert min(abs(z - w) for z in found) <= 1e-12 * abs(w)
+
     def test_newton_polygon_separates_the_root_moduli(self):
         # (x - 1e4)(x - 1)^3: one start near 1e4 and three within a factor
         # of 3 of the triple root.
@@ -406,3 +428,79 @@ class TestLostRoots:
         assert len(radii) == 4
         assert all(1 / 3.01 < r < 3.01 for r in radii[:3])
         assert radii[3] == pytest.approx(10003)
+
+
+
+def _from_hex(pairs):
+    return [complex(float.fromhex(re), float.fromhex(im)) for re, im in pairs]
+
+
+# Characteristic polynomial of the first float-2p-dim8 benchmark document
+# (seed 1): eight eigenvalues of modulus 0.6 to 1.8 conjugated by a
+# random S = I + 0.1 E.
+_DIM8_COEFFS = [
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.282c91df0adc0p-1", "-0x1.c470496089080p-7"),
+    ("0x1.2eaadc25134fap-3", "0x1.57fa9300d14bbp+0"),
+    ("-0x1.124c5f0a76f0cp-1", "-0x1.265e645fd8e82p+1"),
+    ("-0x1.64a4320728816p+2", "-0x1.25983a41e96cbp+0"),
+    ("-0x1.31e4a31c06748p-1", "-0x1.d510c33396aefp+2"),
+    ("0x1.8378b9dc21a7bp+0", "-0x1.2b87a9f073776p+2"),
+    ("0x1.d68f2f6f1b05ap+1", "0x1.9482fbf647410p+2"),
+    ("-0x1.1413f99fff739p+2", "-0x1.855c120fabdcfp+0"),
+]
+
+
+class TestRootBits:
+    """The roots' bits, in the order the solver returns them.  Documents
+    round the low bits away, so these pins are what show that a change to
+    the solver leaves its output alone."""
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            pytest.param(
+                _integer_roots_1_to_6(),
+                [
+                    ("0x1.7fffffffffef6p+1", "0x1.0932850000000p-46"),
+                    ("0x1.000000000001dp+2", "-0x1.3800000000000p-83"),
+                    ("0x1.0000000000002p+0", "-0x1.36e4000000000p-65"),
+                    ("0x1.7ffffffffffa2p+2", "0x1.3400000000000p-86"),
+                    ("0x1.4000000000067p+2", "-0x1.4400000000000p-65"),
+                    ("0x1.000000000000ep+1", "-0x1.f3a4000000000p-60"),
+                ],
+                id="integer-1-to-6",
+            ),
+            pytest.param(
+                # Takes the Newton polygon restart.
+                _expand([1e-5 + 2e-5j] + [2e5 - 9e5j] * 6 + [-2e5 + 3e5j]),
+                [
+                    ("0x1.4f8b588e368f2p-17", "0x1.4f8b588e368f1p-16"),
+                    ("0x1.819de0cc8f3f0p+17", "-0x1.b80adba666658p+19"),
+                    ("-0x1.86a0000000002p+17", "0x1.24f8000000000p+18"),
+                    ("0x1.8915eda00421cp+17", "-0x1.b62e259fbc2eap+19"),
+                    ("0x1.839dfef5dadc0p+17", "-0x1.b69784fffe6d5p+19"),
+                    ("0x1.8530908f1e1a2p+17", "-0x1.b86933b3e2d1ep+19"),
+                    ("0x1.8a056d5712e08p+17", "-0x1.b78d853fcbe44p+19"),
+                    ("0x1.8d1a5a3247c7ep+17", "-0x1.b764cdd50e216p+19"),
+                ],
+                id="small-root-next-to-a-cluster",
+            ),
+            pytest.param(
+                _from_hex(_DIM8_COEFFS),
+                [
+                    ("0x1.9c404010554b0p+0", "0x1.4fdfbb3fa75b5p-2"),
+                    ("0x1.338592ec08a32p-1", "0x1.c949fbe773fa3p-3"),
+                    ("-0x1.a178f3c96af05p-3", "0x1.a20b8592a30f8p+0"),
+                    ("-0x1.3030e72e50fbcp+0", "0x1.76250e8aab9c1p-2"),
+                    ("-0x1.9e00946e97965p+0", "0x1.5b3d1c7326d21p-1"),
+                    ("-0x1.36330a1e68b25p-2", "-0x1.20cc3d3e5d6e6p+0"),
+                    ("0x1.959c0a4e8caefp-3", "-0x1.76cc447142500p+0"),
+                    ("0x1.4c822377fdf0ap-2", "-0x1.3e6646f2b1ca4p-1"),
+                ],
+                id="conjugated-dim8",
+            ),
+        ],
+    )
+    def test_roots_are_bit_for_bit(self, coeffs, expected):
+        assert [(z.real.hex(), z.imag.hex()) for z in _aberth_roots(coeffs)] == expected

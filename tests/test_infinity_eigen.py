@@ -120,7 +120,6 @@ class TestDerivedMatchesDirect:
 
     def test_infinity_monodromy_is_read_lazily(self, golden_pair):
         prep = build(Representation(3, golden_pair))
-        assert prep.stated_infinity is None
         assert prep.infinity_monodromy == monodromy_at_infinity(golden_pair)
 
 
