@@ -58,15 +58,23 @@ def _checked_flag(value: float | None, flag: str) -> float | None:
 
 
 def _resolved_tols(args, doc) -> tuple[float, float]:
-    _checked_flag(args.tol, "--tol")
-    _checked_flag(args.integrality_tol, "--integrality-tol")
-    tol = args.tol if args.tol is not None else (
-        doc.tol if doc.tol is not None else CLI_DEFAULT_TOL
-    )
-    itol = args.integrality_tol if args.integrality_tol is not None else (
-        doc.integrality_tol if doc.integrality_tol is not None else DEFAULT_INTEGRALITY_TOL
-    )
-    return tol, itol
+    """Each tolerance from its flag, else the document, else the default.
+    tol must stay below 0.05, so that the 10 tol BranchBoundary band is
+    under half a turn, and integrality_tol below 1/2, the largest defect."""
+    resolved = []
+    for field, flag, default, bound in (
+        ("tol", "--tol", CLI_DEFAULT_TOL, 0.05),
+        ("integrality_tol", "--integrality-tol", DEFAULT_INTEGRALITY_TOL, 0.5),
+    ):
+        value, where = _checked_flag(getattr(args, field), flag), flag
+        if value is None:
+            value, where = getattr(doc, field), f"tolerances.{field}"
+        if value is None:
+            value = default
+        elif value >= bound:
+            raise InputFormatError(f"{where}: expected a number below {bound}, got {value!r}")
+        resolved.append(value)
+    return resolved[0], resolved[1]
 
 
 def _cmd_classify(args) -> int:

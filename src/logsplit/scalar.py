@@ -178,24 +178,26 @@ class Scalar:
         return None
 
     def __add__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if other.__class__ is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         if self is _ZERO:
             return o
         if o is _ZERO:
             return self
-        if self._q is not None and o._q is not None:
-            if self._q == o._q:
-                return Scalar(None, self._r + o._r, self._q)
-            if (o._q - self._q) % 1 == _HALF:
-                d = self._r - o._r
-                if d > 0:
-                    return Scalar(None, d, self._q)
-                if d < 0:
-                    return Scalar(None, -d, o._q)
-                return _ZERO
-        return Scalar.inexact(self.z + o.z)
+        if self._q is None or o._q is None:
+            z, oz = self._z, o._z
+            return Scalar((self.z if z is None else z) + (o.z if oz is None else oz), None, None)
+        if self._q == o._q:
+            return Scalar(None, self._r + o._r, self._q)
+        if (o._q - self._q) % 1 == _HALF:
+            d = self._r - o._r
+            if d > 0:
+                return Scalar(None, d, self._q)
+            if d < 0:
+                return Scalar(None, -d, o._q)
+            return _ZERO
+        return Scalar(self.z + o.z, None, None)
 
     __radd__ = __add__
 
@@ -204,10 +206,10 @@ class Scalar:
             return self
         if self._q is not None:
             return Scalar(None, self._r, (self._q + _HALF) % 1)
-        return Scalar.inexact(-self._z)
+        return Scalar(-self._z, None, None)
 
     def __sub__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if other.__class__ is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -219,14 +221,15 @@ class Scalar:
         return o + (-self)
 
     def __mul__(self, other) -> "Scalar":
-        o = self._coerce(other)
+        o = other if other.__class__ is Scalar else self._coerce(other)
         if o is None:
             return NotImplemented
         if self is _ZERO or o is _ZERO:
             return _ZERO
         if self._q is not None and o._q is not None:
             return Scalar(None, self._r * o._r, (self._q + o._q) % 1)
-        return Scalar.inexact(self.z * o.z)
+        z, oz = self._z, o._z
+        return Scalar((self.z if z is None else z) * (o.z if oz is None else oz), None, None)
 
     __rmul__ = __mul__
 

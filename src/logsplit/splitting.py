@@ -18,7 +18,7 @@ from enum import Enum, unique
 from fractions import Fraction
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ChernResult, ohtsuki_c1
-from .eigen import DEFAULT_CLUSTER_TOL, eigenvalues, normalized_arg
+from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, normalized_arg
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -128,9 +128,20 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     C != 0 gives the line ker C.  A commuting pair, or floating data
     (where a bound on det C is relative to C, not to the pair), keeps the
     eigendirections v of a non-scalar member that the other maps to a w
-    with |v x w| < tol |v| |w|.  Each line carries the eigenvalues of m0
-    and m1 on it, read at the exact-1 slot of v, and the quotient det/lambda.
+    with |v x w| < tol |v| |w|.  v comes from the member with the larger
+    relative eigenvalue gap |lam1 - lam2| / max|entry|, whose eigenvectors
+    are the better conditioned (Stewart & Sun, Matrix Perturbation Theory,
+    ch. V): m0 on a tie, the other member when that one is scalar at
+    ``tol``.  Eigenvalues are solved only when this branch is reached.
+    Each line carries the eigenvalues of m0 and m1 on it, read at the
+    exact-1 slot of v, and the quotient det/lambda.
     """
+    return _invariant_lines(m0, m1, tol, None)
+
+
+def _invariant_lines(
+    m0: Matrix, m1: Matrix, tol: float, eigen: tuple[EigenData, EigenData] | None
+) -> InvariantLineReport:
     if m0.n != 2 or m1.n != 2:
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
     (a, b), (c, d) = m0.rows
@@ -147,14 +158,19 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
         v = _kernel_direction((c01, -c00), (c00, c10))
         return InvariantLineReport((_line(m0, m1, v),), False)
 
-    if m0.scalar_value(tol) is None:
-        source, other = m0, m1
-    elif m1.scalar_value(tol) is None:
-        source, other = m1, m0
+    if eigen is None:
+        eigen = (eigenvalues(m0, tol), eigenvalues(m1, tol))
+    # Relative eigenvalue gaps, 0 for a single cluster.
+    gap0, gap1 = (abs(data.pairs[0].value.z - data.pairs[-1].value.z) / m.max_abs()
+                  for m, data in zip((m0, m1), eigen))
+    members = ((m0, eigen[0], m1), (m1, eigen[1], m0))
+    for source, source_eigen, other in members[::-1] if gap1 > gap0 else members:
+        if source.scalar_value(tol) is None:
+            break
     else:
         axes = ((ONE, ZERO), (ZERO, ONE))
         return InvariantLineReport(tuple(_line(m0, m1, v) for v in axes), True)
-    directions = _eigendirections(source, tol)
+    directions = _eigendirections(source, source_eigen)
     lines = tuple(_line(m0, m1, v) for v in directions if exact or _preserved(other, v, tol))
     return InvariantLineReport(lines, len(lines) >= 2)
 
@@ -174,11 +190,11 @@ def _line(m0: Matrix, m1: Matrix, v: tuple[Scalar, Scalar]) -> InvariantLine:
     return InvariantLine(v, (lam0, lam1), (m0.det() / lam0, m1.det() / lam1))
 
 
-def _eigendirections(m: Matrix, tol: float) -> list[tuple[Scalar, Scalar]]:
+def _eigendirections(m: Matrix, eigen: EigenData) -> list[tuple[Scalar, Scalar]]:
     """One direction per distinct eigenvalue of a non-scalar 2x2."""
     (a, b), (c, d) = m.rows
     # Kernel of (m - lam I): orthogonal complements of its two rows.
-    lams = (p.value for p in eigenvalues(m, tol).pairs)
+    lams = (p.value for p in eigen.pairs)
     kernels = (_kernel_direction((b, lam - a), (lam - d, c)) for lam in lams)
     return [v for v in kernels if v is not None]
 
@@ -232,13 +248,15 @@ def classify_dim2(
     tol: float = DEFAULT_CLUSTER_TOL,
     integrality_tol: float = DEFAULT_INTEGRALITY_TOL,
 ) -> ClassificationReport:
-    """Three punctures, dimension 2: the full reducibility case split."""
+    """Three punctures, dimension 2: the full reducibility case split.
+    Like ``ohtsuki_c1``, it reads m0's and m1's eigenvalues from
+    ``prep.local_eigen``, solved at the build's tolerance."""
     if prep.punctures != 3 or prep.dim != 2:
         raise DimensionMismatch("classify_dim2 requires 3 punctures and dimension 2")
     chern = ohtsuki_c1(prep, integrality_tol)
     zeta = chern.c1
     m0, m1 = prep.rep.generators
-    report = invariant_lines(m0, m1, tol)
+    report = _invariant_lines(m0, m1, tol, prep.local_eigen[:2])
 
     if not report.lines:
         # Irreducible: the roots balance around c1 / 2.

@@ -180,6 +180,67 @@ class TestTolerancePrecedence:
         assert main(["c1", str(path), "--integrality-tol", "1e-6"]) == EXIT_OK
 
 
+class TestToleranceBounds:
+    """A resolved tol must stay below 0.05 (the 10 tol BranchBoundary band
+    under half a turn) and integrality_tol below 1/2 (the largest defect)."""
+
+    PAIR = {
+        "punctures": 3,
+        "dim": 2,
+        "generators": [
+            [[{"re": -0.563, "im": -0.993}, {"re": 0.845, "im": -0.974}],
+             [{"re": 0.753, "im": -0.768}, {"re": 0.62, "im": 0.566}]],
+            [[{"re": 0.756, "im": 0.101}, {"re": 0.757, "im": -0.597}],
+             [{"re": 0.343, "im": -0.339}, {"re": 0.784, "im": 0.547}]],
+        ],
+    }
+
+    @staticmethod
+    def _write(tmp_path, tolerances=None):
+        doc = dict(TestToleranceBounds.PAIR)
+        if tolerances is not None:
+            doc["tolerances"] = tolerances
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["classify", "c1"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "0.05"), ("--tol", "0.6"), ("--integrality-tol", "0.5"),
+                        ("--integrality-tol", "3")],
+    )
+    def test_flag_at_or_above_the_bound(self, tmp_path, capsys, command, flag, value):
+        path = self._write(tmp_path)
+        assert main([command, path, flag, value]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[InputFormatError]: {flag}: expected a number below")
+
+    @pytest.mark.parametrize("command", ["classify", "c1"])
+    @pytest.mark.parametrize(
+        "field, value", [("tol", 0.05), ("tol", 0.6), ("integrality_tol", 0.5),
+                         ("integrality_tol", 3)],
+    )
+    def test_document_at_or_above_the_bound(self, tmp_path, capsys, command, field, value):
+        path = self._write(tmp_path, {field: value})
+        assert main([command, path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[InputFormatError]: tolerances.{field}: expected a number below")
+
+    @pytest.mark.parametrize("command", ["classify", "c1"])
+    def test_just_below_the_bounds(self, tmp_path, capsys, command):
+        path = self._write(tmp_path, {"tol": 0.0499, "integrality_tol": 0.4999})
+        assert main([command, path]) == EXIT_OK
+        assert main([command, path, "--tol", "0.0499", "--integrality-tol", "0.4999"]) == EXIT_OK
+
+    def test_flag_overrides_a_document_out_of_bounds(self, tmp_path, capsys):
+        assert main(["c1", self._write(tmp_path)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        path = self._write(tmp_path, {"tol": 0.6, "integrality_tol": 0.5})
+        assert main(["c1", path, "--tol", "1e-9", "--integrality-tol", "1e-6"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
+
 class _StopSweep(Exception):
     pass
 

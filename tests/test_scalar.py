@@ -1,11 +1,13 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsplit import OutOfBranch, Scalar
+from logsplit.scalar import ZERO
 
 F = Fraction
 
@@ -158,3 +160,112 @@ def test_product_matches_complex_arithmetic(re1, im1, re2, im2):
 def test_conjugation_is_involutive(re, im):
     s = Scalar.exact(re, im)
     assert s.conjugate().conjugate() == s
+
+
+# -- arithmetic against a plain model ----------------------------------------
+#
+# Each operand is read as the value arithmetic sees: a Scalar as itself, a
+# complex as a floating Scalar, an int, float or Fraction as an exact one.
+# A floating result must be the complex operation on the operands' complex
+# values, bit for bit; an exact result must carry the model's r and q.
+
+any_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300]
+)
+floating = st.builds(lambda re, im: Scalar.inexact(complex(re, im)), any_float, any_float)
+polar = st.builds(
+    Scalar.polar,
+    st.fractions(min_value=F(1, 10**9), max_value=10**9),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda q: q < 1),
+)
+scalars = floating | polar | st.just(ZERO) | st.fractions().map(Scalar.exact)
+plain = (
+    st.integers()
+    | any_float
+    | st.fractions()
+    | st.builds(complex, any_float, any_float)
+)
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _value(x) -> Scalar:
+    if isinstance(x, Scalar):
+        return x
+    return Scalar.inexact(x) if isinstance(x, complex) else Scalar.exact(x)
+
+
+def _model_neg(x: Scalar) -> Scalar:
+    if x is ZERO:
+        return ZERO
+    if x.is_exact:
+        return Scalar.polar(x.r, (x.q + F(1, 2)) % 1)
+    return Scalar.inexact(-x.z)
+
+
+def _model_sum(x: Scalar, y: Scalar) -> Scalar:
+    if x is ZERO:
+        return y
+    if y is ZERO:
+        return x
+    if x.is_exact and y.is_exact:
+        if x.q == y.q:
+            return Scalar.polar(x.r + y.r, x.q)
+        if (y.q - x.q) % 1 == F(1, 2):
+            d = x.r - y.r
+            return ZERO if d == 0 else Scalar.polar(abs(d), x.q if d > 0 else y.q)
+    return Scalar.inexact(x.z + y.z)
+
+
+def _model_product(x: Scalar, y: Scalar) -> Scalar:
+    if x is ZERO or y is ZERO:
+        return ZERO
+    if x.is_exact and y.is_exact:
+        return Scalar.polar(x.r * y.r, (x.q + y.q) % 1)
+    return Scalar.inexact(x.z * y.z)
+
+
+def _model_reciprocal(y: Scalar) -> Scalar:
+    if y is ZERO:
+        raise ZeroDivisionError
+    if y.is_exact:
+        return Scalar.polar(1 / y.r, -y.q % 1)
+    return Scalar.inexact(1.0 / y.z)
+
+
+def _model(op: str, x: Scalar, y: Scalar) -> Scalar:
+    if op == "+":
+        return _model_sum(x, y)
+    if op == "-":
+        return _model_sum(x, _model_neg(y))
+    if op == "*":
+        return _model_product(x, y)
+    return _model_product(x, _model_reciprocal(y))
+
+
+def _assert_same(got: Scalar, want: Scalar) -> None:
+    assert isinstance(got, Scalar)
+    if want is ZERO:
+        assert got is ZERO
+    elif want.is_exact:
+        assert (got.r, got.q) == (want.r, want.q)
+    else:
+        assert (got.r, got.q) == (None, None)
+        assert (got.z.real.hex(), got.z.imag.hex()) == (want.z.real.hex(), want.z.imag.hex())
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(OPS)), scalars, scalars | plain, st.booleans())
+def test_arithmetic_matches_the_model(op, s, other, scalar_left):
+    x, y = (s, other) if scalar_left else (other, s)
+    try:
+        want = _model(op, _value(x), _value(y))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            OPS[op](x, y)
+        return
+    _assert_same(OPS[op](x, y), want)
+
+
+@given(scalars)
+def test_negation_matches_the_model(s):
+    _assert_same(-s, _model_neg(s))

@@ -387,6 +387,57 @@ class TestClassifyDispatch:
             )
 
 
+class TestOneSolvePerMonodromy:
+    """classify solves each eigenproblem once: the invariant-line analysis
+    reads m0's and m1's eigenvalues from the build, not from a new solve."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        from logsplit import eigen, representation, splitting
+
+        calls = []
+
+        def counting(a, tol=eigen.DEFAULT_CLUSTER_TOL):
+            calls.append(a)
+            return eigen.eigenvalues(a, tol)
+
+        monkeypatch.setattr(representation, "eigenvalues", counting)
+        monkeypatch.setattr(splitting, "eigenvalues", counting)
+        return calls
+
+    @staticmethod
+    def _float_pair():
+        rng = random.Random(71)
+        s = rand_well_conditioned(rng, 2)
+        s_inv = s.inverse()
+        m0 = s @ Matrix([[2, 1], [0, 3]]) @ s_inv
+        m1 = s @ Matrix([[-1, 4], [0, 7]]) @ s_inv
+        assert not any(e.is_exact for m in (m0, m1) for row in m.rows for e in row)
+        return m0, m1
+
+    def test_three_puncture_pair_solves_three_times(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        m0, m1 = self._float_pair()
+        report = classify(Representation(3, (m0, m1)), 1e-9)
+        assert report.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
+        assert len(calls) == 3  # m0, m1 and m0 m1
+
+    def test_two_puncture_input_solves_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        m0, _ = self._float_pair()
+        classify(Representation(2, (m0,)), 1e-9)
+        assert len(calls) == 1
+
+    def test_public_invariant_lines_solves_on_demand(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        report = invariant_lines(Matrix([[2, 0], [0, 1]]), Matrix([[3, 1], [0, 1]]))
+        assert len(report.lines) == 1
+        assert calls == []  # decided by the exact commutator
+        m0, m1 = self._float_pair()
+        assert len(invariant_lines(m0, m1, 1e-9).lines) == 1
+        assert len(calls) == 2
+
+
 class TestSplittingType:
     def test_rejects_unsorted_roots(self):
         with pytest.raises(InternalInconsistency):
