@@ -4,8 +4,8 @@ Commands: ``classify`` (full pipeline), ``c1`` (Chern class only),
 ``sweep`` (character region table as CSV), ``selftest`` (embedded golden
 checks).  Structured results go to stdout; human diagnostics to stderr.
 
-Exit codes: 0 ok, 1 validation or numeric error, 2 unsupported case,
-3 non-integral Chern class, 4 self-test failure.
+Exit codes: 0 ok, 1 usage, validation or numeric error, 2 unsupported
+case, 3 non-integral Chern class, 4 self-test failure.
 """
 
 from __future__ import annotations
@@ -180,7 +180,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2, here an unsupported case, on a usage error.
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except LogSplitError as exc:

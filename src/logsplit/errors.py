@@ -51,7 +51,7 @@ class NonIntegralChernClass(LogSplitError):
 
 
 class InternalInconsistency(LogSplitError):
-    """Two independent routes to the same invariant disagree."""
+    """Computed invariants contradict each other: a c1 the summands cannot split."""
 
 
 class UnsupportedCase(LogSplitError):

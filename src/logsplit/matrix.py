@@ -26,10 +26,8 @@ MAX_DIM = 8
 SINGULARITY_TOL = 1e-12
 
 
-def below_singularity_threshold(
-    det_abs: float, max_abs: float, n: int, tol: float = SINGULARITY_TOL
-) -> bool:
-    """Whether ``det_abs <= tol * (1 + max_abs) ** n``.
+def below_singularity_threshold(det_abs: float, max_abs: float, n: int) -> bool:
+    """Whether ``det_abs <= SINGULARITY_TOL * (1 + max_abs) ** n``.
 
     Where the power overflows a float the same comparison is made between
     logarithms, so huge entries give a decision instead of OverflowError.
@@ -38,9 +36,10 @@ def below_singularity_threshold(
     if det_abs == math.inf:
         return False
     try:
-        return det_abs <= tol * (1.0 + max_abs) ** n
+        return det_abs <= SINGULARITY_TOL * (1.0 + max_abs) ** n
     except OverflowError:
-        return det_abs == 0.0 or math.log(det_abs) <= math.log(tol) + n * math.log1p(max_abs)
+        log_tol = math.log(SINGULARITY_TOL)
+        return det_abs == 0.0 or math.log(det_abs) <= log_tol + n * math.log1p(max_abs)
 
 
 class Matrix:
@@ -128,14 +127,14 @@ class Matrix:
     def _complex_rows(self) -> list[list[complex]]:
         return [[e.z for e in row] for row in self._rows]
 
-    def inverse(self, tol: float = SINGULARITY_TOL) -> "Matrix":
+    def inverse(self) -> "Matrix":
         """Inverse by Gauss-Jordan elimination of ``[A | I]`` on the Scalars,
         which keeps exact entries exact where complex values would not.
-        Raises SingularMatrix when |det| is below ``tol * (1 + max entry)**n``."""
+        Raises SingularMatrix when |det| is below_singularity_threshold."""
         n = self.n
         w = [list(row) + list(unit) for row, unit in zip(self._rows, Matrix.identity(n)._rows)]
         det_abs = abs(_det_by_elimination(w))
-        if below_singularity_threshold(det_abs, self.max_abs(), n, tol):
+        if below_singularity_threshold(det_abs, self.max_abs(), n):
             raise SingularMatrix(f"{n}x{n} determinant {det_abs:.3e} below tolerance")
         return Matrix(row[n:] for row in w)
 
@@ -322,9 +321,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return a @ b
 
 
-def mat_inverse(a: Matrix, tol: float = SINGULARITY_TOL) -> Matrix:
+def mat_inverse(a: Matrix) -> Matrix:
     """Inverse of a matrix with |det| above the singularity tolerance."""
-    return a.inverse(tol)
+    return a.inverse()
 
 
 def char_poly(a: Matrix) -> tuple[Scalar, ...]:

@@ -1,13 +1,15 @@
 """Splitting type of the extended bundle: the classification theorems.
 
-Two punctures: the bundle splits as O(-1) once per eigenvalue of the
-generator with nonzero branch argument, O(0) for the rest, in any
-dimension.  Three punctures: characters split by the region of
-(q0, q1); two-dimensional representations split by reducibility — an
-irreducible pair balances around c1/2, a decomposable pair is the direct
-sum of its character summands, and a uniquely-reducible pair splits as
-its sub/quotient line bundles except in the documented (-2, 0) case,
-which is reported with both possible answers rather than resolved.
+A line summand's root is its degree, and degrees add, so the roots are c1
+split over the summands.  Two punctures, any dimension: O(-1)^(-c1) plus
+O(0) for the rest.  Three punctures: a character's root is c1; an
+irreducible 2x2 pair balances around c1/2; a decomposable pair has two
+character summands and a uniquely reducible pair a sub and a quotient
+line.  The only test per summand is the origin test (q0 = q1 = 0, root
+0); the others share c1 at -1 or -2 each, so c1's integer rounding alone
+decides the diagonal q0 + q1 = 1.  Sub at -2 over a quotient at the
+origin is the documented (-2, 0) case, reported with both possible
+answers.  A c1 that does not split this way is InternalInconsistency.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ class InvariantLineReport:
 @dataclass(frozen=True)
 class ClassificationReport:
     kind: ClassificationKind
-    c1: int
     candidates: tuple[SplittingType, ...]
     warnings: tuple[str, ...]
     chern: ChernResult
@@ -88,11 +89,10 @@ class ClassificationReport:
             raise InternalInconsistency(
                 "exactly two candidates are allowed iff the report is ambiguous"
             )
-        for cand in self.candidates:
-            if cand.degree != self.c1:
-                raise InternalInconsistency(
-                    f"candidate {cand.roots} sums to {cand.degree}, expected c1 = {self.c1}"
-                )
+
+    @property
+    def c1(self) -> int:
+        return self.chern.c1
 
     @property
     def ambiguous(self) -> bool:
@@ -229,18 +229,19 @@ def split_two_punctures(
     integrality_tol: float = DEFAULT_INTEGRALITY_TOL,
 ) -> ClassificationReport:
     """Splitting on two punctures, any dimension: one O(-1) per
-    eigenvalue of the generator off the positive real axis."""
+    eigenvalue of the generator off the positive real axis, which c1
+    counts."""
     if prep.punctures != 2:
         raise DimensionMismatch("two-puncture splitting requires 2 punctures")
     chern = ohtsuki_c1(prep, integrality_tol)
-    gen_eigen = prep.local_eigen[0]
-    k = sum(p.multiplicity for p in gen_eigen.pairs if p.q != 0)
-    n = prep.dim
+    n, k = prep.dim, -chern.c1
+    if not 0 <= k <= n:
+        raise InternalInconsistency(f"c1 = {chern.c1} does not split into {n} roots 0 or -1")
     roots = SplittingType((0,) * (n - k) + (-1,) * k)
     kind = (
         ClassificationKind.CHARACTER if n == 1 else ClassificationKind.TWO_PUNCTURE_GENERAL
     )
-    return ClassificationReport(kind, chern.c1, (roots,), prep.warnings(), chern)
+    return ClassificationReport(kind, (roots,), prep.warnings(), chern)
 
 
 def classify_dim2(
@@ -265,42 +266,33 @@ def classify_dim2(
         kind = ClassificationKind.THREE_DIM2_DECOMPOSABLE
         roots = _summand_roots([line.sub_eigen_pair for line in report.lines], zeta, tol)
     else:
-        kind = ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
         line = report.lines[0]
         roots = _summand_roots([line.sub_eigen_pair, line.quotient_eigen_pair], zeta, tol)
         if roots == [-2, 0]:
             kind = ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
-    if kind is ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS:
-        candidates = (SplittingType((-1, -1)), SplittingType((0, -2)))
-    else:
-        candidates = (SplittingType(tuple(sorted(roots, reverse=True))),)
-    return ClassificationReport(kind, zeta, candidates, prep.warnings(), chern)
+            candidates = (SplittingType((-1, -1)), SplittingType((0, -2)))
+            return ClassificationReport(kind, candidates, prep.warnings(), chern)
+        kind = ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
+    candidates = (SplittingType(tuple(sorted(roots, reverse=True))),)
+    return ClassificationReport(kind, candidates, prep.warnings(), chern)
 
 
 def _summand_roots(
     summands: list[tuple[Scalar, Scalar]], zeta: int, tol: float
 ) -> list[int]:
-    """Character roots of the summands (eigenvalue pairs at punctures 0, 1).
-
-    A floating summand within the BranchBoundary band of the diagonal,
-    |q0 + q1 - 1| <= 10 tol, cannot tell -1 from -2 by itself.  Its root
-    is one of the two, and all roots sum to c1, which fixes the multiset.
-    """
-    roots = []
-    uncertain = []
-    for idx, pair in enumerate(summands):
-        q0, q1 = (normalized_arg(lam, tol) for lam in pair)
-        exact = isinstance(q0, Fraction) and isinstance(q1, Fraction)
-        if not exact and abs(q0 + q1 - 1) <= 10.0 * tol:
-            uncertain.append(idx)
-            roots.append(-1)
-        else:
-            roots.append(character_root(q0, q1))
-    deficit = sum(roots) - zeta  # uncertain roots that are -2, not -1
-    if 0 <= deficit <= len(uncertain):
-        for idx in uncertain[:deficit]:
-            roots[idx] = -2
-    return roots
+    """c1 split over line summands, given by their eigenvalue pairs at
+    punctures 0 and 1: 0 for a summand at the origin (both q = 0), -1 or
+    -2 for each of the others.  Two of those are reported sorted, so which
+    one takes the -2 does not matter."""
+    at_origin = [all(normalized_arg(lam, tol) == 0 for lam in pair) for pair in summands]
+    off = at_origin.count(False)
+    twos = -zeta - off
+    if not 0 <= twos <= off:
+        raise InternalInconsistency(
+            f"c1 = {zeta} does not split over {off} summands off the origin at -1 or -2"
+        )
+    roots = iter([-2] * twos + [-1] * (off - twos))
+    return [0 if origin else next(roots) for origin in at_origin]
 
 
 def classify(
@@ -315,13 +307,11 @@ def classify(
         return split_two_punctures(prep, tol, integrality_tol)
     if prep.dim == 1:
         chern = ohtsuki_c1(prep, integrality_tol)
-        roots = SplittingType((character_root(*(e.pairs[0].q for e in prep.local_eigen[:2])),))
-        kind = ClassificationKind.THREE_CHARACTER
-        return ClassificationReport(kind, chern.c1, (roots,), prep.warnings(), chern)
+        kind, roots = ClassificationKind.THREE_CHARACTER, SplittingType((chern.c1,))
+        return ClassificationReport(kind, (roots,), prep.warnings(), chern)
     if prep.dim == 2:
         return classify_dim2(prep, tol, integrality_tol)
     raise UnsupportedCase(
         f"three punctures with dimension {prep.dim} >= 3 is outside the "
         "implemented classification"
     )
-

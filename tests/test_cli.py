@@ -116,6 +116,62 @@ class TestClassify:
         assert out["candidates"] == [[-1, -1], [0, -2]]
 
 
+
+def _e(q: float) -> dict:
+    z = cmath.exp(2j * math.pi * q)
+    return {"re": z.real, "im": z.imag}
+
+
+class TestRootsFromC1:
+    """Characters whose q at infinity lies at the branch cut: the root is
+    c1, which counts that q, so the answer carries BranchBoundary where
+    reading the root from the finite q's once disagreed with c1 and
+    exited 1 with InternalInconsistency."""
+
+    @pytest.mark.parametrize(
+        ("generators", "c1"),
+        [
+            # q0 + q1 = 1 + 1e-12: q at infinity is 1 - 1e-12 and snaps to 0.
+            ([[[_e(0.6)]], [[_e(0.4 + 1e-12)]]], -1),
+            # q = 1.0000000001e-9 stays above tol = 1e-9, its reciprocal's
+            # 1 - q rounds onto 1 - tol and snaps to 0.
+            ([[[_e(1.0000000001e-9)]]], 0),
+        ],
+    )
+    def test_boundary_character_answers(self, tmp_path, capsys, generators, c1):
+        path = tmp_path / "doc.json"
+        doc = {"punctures": len(generators) + 1, "dim": 1, "generators": generators}
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["c1"], out["candidates"]) == (c1, [[c1]])
+        assert out["warnings"] == ["BranchBoundary"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--tol", "abc"],
+            ["sweep", "--steps", "x"],
+            ["sweep"],
+            ["bogus"],
+            [],
+            ["c1", "a.json", "b.json"],
+        ],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        # argparse's own code would be 2, the code of an unsupported case.
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: logsplit")
+        assert "error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: logsplit")
+
 class TestC1:
     def test_golden(self, golden_file, capsys):
         assert main(["c1", golden_file]) == EXIT_OK

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -437,6 +438,49 @@ class TestOneSolvePerMonodromy:
         assert len(invariant_lines(m0, m1, 1e-9).lines) == 1
         assert len(calls) == 2
 
+
+
+class TestRootsFromC1:
+    """Every root is c1 split over the summands; a c1 that does not split
+    raises InternalInconsistency rather than becoming an answer."""
+
+    @staticmethod
+    def _forcing_c1(monkeypatch, c1):
+        from logsplit import splitting
+
+        real = splitting.ohtsuki_c1
+        monkeypatch.setattr(
+            splitting, "ohtsuki_c1", lambda prep, tol: dataclasses.replace(real(prep, tol), c1=c1)
+        )
+
+    @staticmethod
+    def _pair(triangular: bool) -> Representation:
+        # Summands (1/4, 1/4) and the origin (0, 0): c1 = -1.
+        lam = Scalar.polar(1, F(1, 4))
+        m1 = Matrix([[lam, int(triangular)], [0, 1]])
+        return Representation(3, (Matrix([[lam, 0], [0, 1]]), m1))
+
+    @pytest.mark.parametrize("c1", [1, -3])
+    def test_two_punctures_outside_zero_to_n(self, monkeypatch, c1):
+        self._forcing_c1(monkeypatch, c1)
+        with pytest.raises(InternalInconsistency):
+            classify(Representation(2, (Matrix([[1, 0], [0, -1]]),)))
+
+    @pytest.mark.parametrize("triangular", [False, True])
+    @pytest.mark.parametrize("c1", [0, -3])
+    def test_summand_off_the_origin_outside_minus_one_minus_two(self, monkeypatch, triangular, c1):
+        self._forcing_c1(monkeypatch, c1)
+        with pytest.raises(InternalInconsistency):
+            classify(self._pair(triangular))
+
+    def test_c1_decides_the_root_off_the_origin(self, monkeypatch):
+        assert classify(self._pair(False)).candidates[0].roots == (0, -1)
+        self._forcing_c1(monkeypatch, -2)
+        assert classify(self._pair(False)).candidates[0].roots == (0, -2)
+        # Sub at -2 over a quotient at the origin is the two-valued case.
+        report = classify(self._pair(True))
+        assert report.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
+        assert report.c1 == -2
 
 class TestSplittingType:
     def test_rejects_unsorted_roots(self):
