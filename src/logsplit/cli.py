@@ -58,7 +58,7 @@ def _checked_flag(value: float | None, flag: str) -> float | None:
 
 
 def _resolved_tols(args, doc) -> tuple[float, float]:
-    """Each tolerance from its flag, else the document, else the default.
+    """Each tolerance from its flag, else any document, else the default.
     tol must stay below 0.05, so that the 10 tol BranchBoundary band is
     under half a turn, and integrality_tol below 1/2, the largest defect."""
     resolved = []
@@ -66,9 +66,9 @@ def _resolved_tols(args, doc) -> tuple[float, float]:
         ("tol", "--tol", CLI_DEFAULT_TOL, 0.05),
         ("integrality_tol", "--integrality-tol", DEFAULT_INTEGRALITY_TOL, 0.5),
     ):
-        value, where = _checked_flag(getattr(args, field), flag), flag
+        value, where = _checked_flag(getattr(args, field, None), flag), flag
         if value is None:
-            value, where = getattr(doc, field), f"tolerances.{field}"
+            value, where = getattr(doc, field, None), f"tolerances.{field}"
         if value is None:
             value = default
         elif value >= bound:
@@ -121,8 +121,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    tol = _checked_flag(args.tol, "--tol")
-    results = run_selftest(tol=tol if tol is not None else CLI_DEFAULT_TOL)
+    tol, _ = _resolved_tols(args, None)
+    results = run_selftest(tol=tol)
     failed = False
     for res in results:
         if res.passed:

@@ -13,7 +13,7 @@ type (object, number, anything else), and each check runs once:
 * a number, or a cartesian object whose ``re`` or ``im`` is 0, lies on an
   axis and is exact: its q is 0, 1/4, 1/2 or 3/4 and its modulus is the
   exact rational value of the JSON number (``0.1`` is its dyadic value);
-* any other cartesian object is a floating complex value;
+* any other cartesian object is floating, decoded as a plain ``complex``;
 * a polar object is exact: ``r`` is a positive number and ``q`` an
   integer or a rational string (``"2/3"``, ``"0.6"``, ``"1e-3"``) in
   [0, 1).  Float q's are refused, since they would be read as dyadic
@@ -141,7 +141,7 @@ def _parse_matrix(raw, dim: int, path: str) -> Matrix:
     return Matrix(rows)
 
 
-def _parse_entry(raw) -> Scalar:
+def _parse_entry(raw) -> Scalar | complex:
     """Decode one matrix entry by a single dispatch on its JSON type.
 
     Errors carry no path; ``_parse_matrix`` prefixes it.
@@ -158,7 +158,7 @@ def _parse_entry(raw) -> Scalar:
                 except OverflowError:  # an integer beyond the float range
                     modulus = math.nan
                 if modulus < math.inf:
-                    return Scalar.exact(re, im)
+                    return complex(re, im) if re and im else Scalar.exact(re, im)
                 if modulus == math.inf and math.isfinite(re) and math.isfinite(im):
                     raise InputFormatError("modulus beyond the floating-point range")
             raise InputFormatError("re/im must be numbers")

@@ -35,7 +35,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
-from .scalar import Scalar
+from .scalar import Scalar, is_exact
 
 #: Default multiplicity-clustering tolerance (mixed absolute-relative).
 DEFAULT_CLUSTER_TOL = 1e-7
@@ -126,12 +126,12 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_values(list(a.diagonal()), tol)
-    coeffs = a.char_poly()
-    if n == 2:
+    coeffs = a._char_poly()
+    if n == 2 and is_exact(coeffs[2]):
         exact = _exact_quadratic(coeffs[1], coeffs[2])
         if exact is not None:
             return _from_clusters(exact, tol)
-    coeffs_c = [c.z for c in coeffs]
+    coeffs_c = list(map(complex, coeffs))
     if all(map(cmath.isfinite, coeffs_c)):
         try:
             return _from_float_roots(coeffs_c, _aberth_roots(coeffs_c), tol, 0)
@@ -142,8 +142,8 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     # coefficients and their evaluation back into range when the
     # eigenvalues themselves are.
     exp = math.frexp(a.max_abs())[1]
-    scaled = Matrix([[Scalar.inexact(_ldexp(e.z, -exp)) for e in row] for row in a.rows])
-    coeffs_c = [c.z for c in scaled.char_poly()]
+    scaled = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a._rows])
+    coeffs_c = list(map(complex, scaled._char_poly()))
     # The singularity test of Representation, made at this scale: below it
     # the smallest eigenvalues are not determined by the floating entries.
     if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):

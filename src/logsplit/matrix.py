@@ -1,24 +1,29 @@
 """Small dense complex matrices over :class:`~logsplit.scalar.Scalar`.
 
 Dimensions are capped at 8: local monodromies at desk scale.  All methods
-are pure; a Matrix is immutable after construction.  Because the entries
-are Scalars, exact polar data survives any operation that only needs
-products, reciprocals and colinear sums (diagonal and triangular work in
-particular), and degrades to floats elsewhere.  The determinant and the
-characteristic polynomial at dimension 3 and up run on plain ``complex``
-values, read only by the float root finder and singularity tests.  The
-product ``@`` and the inverse run on the Scalars in every dimension, so
-exact conjugation and the monodromy at infinity keep exact entries exact.
+are pure; a Matrix is immutable after construction.  A matrix whose
+entries are all floating stores plain ``complex`` rows, and every
+operation runs on them in the order floating Scalars would (sums from the
+first term, division as a product with ``1.0 / x``), so the bits are the
+same.  Any exact entry keeps Scalar rows: exact polar data then survives
+any operation that only needs products, reciprocals and colinear sums
+(diagonal and triangular work in particular), and ``@`` and the inverse
+keep exact entries exact in every dimension.  ``det`` and ``char_poly``
+run on ``complex`` values from dimension 3 either way.  ``rows``,
+indexing, ``det`` and ``char_poly`` return Scalars; sibling modules read
+the stored values through ``_rows``, ``_det`` and ``_char_poly``.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from functools import reduce
+from itertools import chain
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar, is_exact, modulus
 
 MAX_DIM = 8
 
@@ -46,12 +51,14 @@ class Matrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        grid = tuple(tuple(_entry(e) for e in row) for row in rows)
+        grid = tuple(tuple(map(_entry, row)) for row in rows)
         n = len(grid)
         if not 1 <= n <= MAX_DIM:
             raise DimensionMismatch(f"matrix dimension must be 1..{MAX_DIM}, got {n}")
         if any(len(row) != n for row in grid):
             raise DimensionMismatch("matrix must be square")
+        if len(set(map(type, chain.from_iterable(grid)))) > 1:  # exact and floating
+            grid = tuple(tuple(map(as_scalar, row)) for row in grid)
         self._rows = grid
 
     @classmethod
@@ -66,14 +73,17 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._rows
+        return tuple(tuple(map(as_scalar, row)) for row in self._rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
-        return self._rows[i][j]
+        return as_scalar(self._rows[i][j])
 
     def max_abs(self) -> float:
-        return max(abs(e) for row in self._rows for e in row)
+        try:
+            return max(map(abs, chain.from_iterable(self._rows)))
+        except OverflowError:  # that complex entry's modulus is the largest
+            return math.inf
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -84,7 +94,7 @@ class Matrix:
         return hash(self._rows)
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(repr(e) for e in row) for row in self._rows)
+        body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
 
     def close_to(self, other: "Matrix", tol: float) -> bool:
@@ -92,7 +102,7 @@ class Matrix:
             return False
         scale = 1.0 + max(self.max_abs(), other.max_abs())
         return all(
-            abs(a.z - b.z) <= tol * scale
+            abs(complex(a) - complex(b)) <= tol * scale
             for ra, rb in zip(self._rows, other._rows)
             for a, b in zip(ra, rb)
         )
@@ -105,35 +115,37 @@ class Matrix:
         if self.n != other.n:
             raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
         cols = tuple(zip(*other._rows))
-        return Matrix([[sum(map(mul, row, col), ZERO) for col in cols] for row in self._rows])
+        return Matrix([[reduce(add, map(mul, row, col)) for col in cols] for row in self._rows])
 
-    def apply(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    def apply(self, v: Sequence) -> tuple:
         if len(v) != self.n:
             raise DimensionMismatch("vector length does not match matrix dimension")
-        return tuple(sum(map(mul, row, v), ZERO) for row in self._rows)
+        return tuple(reduce(add, map(mul, row, v)) for row in self._rows)
 
     def trace(self) -> Scalar:
-        return sum(self.diagonal(), ZERO)
+        return reduce(add, self.diagonal())
 
     def det(self) -> Scalar:
+        return as_scalar(self._det())
+
+    def _det(self) -> Scalar | complex:
+        """``det`` in the stored values (complex from dimension 3)."""
         n = self.n
         r = self._rows
         if n == 1:
             return r[0][0]
         if n == 2:
             return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return Scalar.inexact(_det_by_elimination(self._complex_rows()))
-
-    def _complex_rows(self) -> list[list[complex]]:
-        return [[e.z for e in row] for row in self._rows]
+        return _det_by_elimination([list(map(complex, row)) for row in r])
 
     def inverse(self) -> "Matrix":
-        """Inverse by Gauss-Jordan elimination of ``[A | I]`` on the Scalars,
-        which keeps exact entries exact where complex values would not.
-        Raises SingularMatrix when |det| is below_singularity_threshold."""
+        """Inverse by Gauss-Jordan elimination of ``[A | I]`` in the stored
+        values; Scalar rows keep exact entries exact.  Raises SingularMatrix
+        when |det| is below_singularity_threshold."""
         n = self.n
-        w = [list(row) + list(unit) for row, unit in zip(self._rows, Matrix.identity(n)._rows)]
-        det_abs = abs(_det_by_elimination(w))
+        one, zero = (1 + 0j, 0j) if self._rows[0][0].__class__ is complex else (ONE, ZERO)
+        w = [list(self._rows[i]) + [zero] * i + [one] + [zero] * (n - i - 1) for i in range(n)]
+        det_abs = modulus(_det_by_elimination(w))
         if below_singularity_threshold(det_abs, self.max_abs(), n):
             raise SingularMatrix(f"{n}x{n} determinant {det_abs:.3e} below tolerance")
         return Matrix(row[n:] for row in w)
@@ -152,29 +164,28 @@ class Matrix:
         which poisons the low coefficients whenever the spectrum is
         spread over a few orders of magnitude.
         """
+        return tuple(map(as_scalar, self._char_poly()))
+
+    def _char_poly(self) -> Sequence[Scalar | complex]:
+        """``char_poly`` in the stored values (complex from dimension 3)."""
         n = self.n
         if n == 1:
             return (ONE, -self._rows[0][0])
         if n == 2:
             (a, b), (c, d) = self._rows
             return (ONE, -(a + d), a * d - b * c)
-        h = _hessenberg(self._complex_rows())
-        return tuple(Scalar.inexact(c) for c in _hessenberg_char_poly(h))
+        return _hessenberg_char_poly(_hessenberg([list(map(complex, row)) for row in self._rows]))
 
     # -- structure probes -------------------------------------------------
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            self._rows[i][j].is_zero for i in range(self.n) for j in range(i)
-        )
+        return all(_is_zero(e) for i, row in enumerate(self._rows) for e in row[:i])
 
     def is_lower_triangular(self) -> bool:
-        return all(
-            self._rows[i][j].is_zero for i in range(self.n) for j in range(i + 1, self.n)
-        )
+        return all(_is_zero(e) for i, row in enumerate(self._rows) for e in row[i + 1:])
 
     def diagonal(self) -> tuple[Scalar, ...]:
-        return tuple(self._rows[i][i] for i in range(self.n))
+        return tuple(as_scalar(self._rows[i][i]) for i in range(self.n))
 
     def scalar_value(self, tol: float) -> Scalar | None:
         """The scalar c when this matrix equals c * I, else None.
@@ -183,33 +194,22 @@ class Matrix:
         the mean diagonal entry is compared against ``tol * scale``.
         """
         n = self.n
-        diag = self.diagonal()
-        if all(e.is_exact for row in self._rows for e in row):
-            off_ok = all(
-                self._rows[i][j].is_exact_zero
-                for i in range(n)
-                for j in range(n)
-                if i != j
-            )
-            if off_ok and all(d == diag[0] for d in diag):
-                return diag[0]
-            return None
-        mean = sum((d.z for d in diag), 0j) / n
+        rows = self._rows
+        diag = [rows[i][i] for i in range(n)]
+        if all(map(is_exact, chain.from_iterable(rows))):
+            off_ok = all(rows[i][j].is_exact_zero for i in range(n) for j in range(n) if i != j)
+            return diag[0] if off_ok and all(d == diag[0] for d in diag) else None
+        mean = sum(map(complex, diag), 0j) / n
         scale = 1.0 + self.max_abs()
-        dev = max(
-            abs(self._rows[i][j].z - (mean if i == j else 0j))
-            for i in range(n)
-            for j in range(n)
-        )
-        if dev <= tol * scale:
-            return Scalar.inexact(mean)
-        return None
+        dev = max(abs(complex(e) - (mean if i == j else 0j))
+                  for i, row in enumerate(rows) for j, e in enumerate(row))
+        return Scalar.inexact(mean) if dev <= tol * scale else None
 
 
-# Kernels on plain complex values, for dimension 3 and up; the elimination
-# also takes Scalar rows, for the inverse.  Division is a multiplication by
-# ``1.0 / pivot``, as in Scalar, so a matrix of floating Scalars gets the
-# same coefficients bit for bit.
+# Kernels on plain complex values; the elimination also takes Scalar rows,
+# for the inverse of a matrix with exact entries.  Division is a
+# multiplication by ``1.0 / pivot``, as in Scalar, so a matrix of floating
+# Scalars gets the same values bit for bit.
 
 
 def _det_by_elimination(w: list[list]) -> complex | Scalar:
@@ -221,7 +221,7 @@ def _det_by_elimination(w: list[list]) -> complex | Scalar:
     jordan = width > n
     det = 1 + 0j
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda i: abs(w[i][col]))
+        pivot_row = max(range(col, n), key=lambda i: modulus(w[i][col]))
         pivot = w[pivot_row][col]
         if pivot == 0:
             return 0j
@@ -307,13 +307,17 @@ def _hessenberg_char_poly(h: list[list[complex]]) -> list[complex]:
     return polys[n]
 
 
-def _entry(e) -> Scalar:
-    if isinstance(e, Scalar):
+def _is_zero(e: Scalar | complex) -> bool:
+    return e.is_zero if e.__class__ is Scalar else e == 0
+
+
+def _entry(e) -> Scalar | complex:  # floating entries as their complex values
+    if e.__class__ is complex:
         return e
     s = Scalar._coerce(e)
     if s is None:
         raise TypeError(f"matrix entries must be Scalars or numbers, got {type(e).__name__}")
-    return s
+    return s if s.is_exact else s.z
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -160,10 +160,7 @@ class Scalar:
         modulus."""
         if self._r is not None:
             return _to_float(self._r)
-        try:
-            return abs(self._z)
-        except OverflowError:  # finite parts, modulus beyond the float range
-            return math.inf
+        return modulus(self._z)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -290,6 +287,27 @@ class Scalar:
         if self._q is not None:
             return f"Scalar({self._r}*e2pi({self._q}))"
         return f"Scalar({self._z!r})"
+
+
+def modulus(x: Scalar | complex) -> float:
+    """``abs(x)``, inf where a complex's modulus leaves the float range."""
+    try:
+        return abs(x)
+    except OverflowError:  # abs of a complex with finite parts can raise it
+        return math.inf
+
+
+def is_exact(x: Scalar | complex) -> bool:
+    return x.__class__ is Scalar and x._r is not None
+
+
+def as_scalar(x: Scalar | complex) -> Scalar:
+    return x if x.__class__ is Scalar else Scalar(x, None, None)
+
+
+def quotient(x: Scalar | complex, y: Scalar | complex) -> Scalar | complex:
+    """``x / y`` as Scalars divide: complex values as ``x * (1.0 / y)``."""
+    return x * (1.0 / y) if x.__class__ is complex and y.__class__ is complex else x / y
 
 
 _ZERO = Scalar(0j, Fraction(0), None)

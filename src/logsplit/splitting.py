@@ -29,7 +29,7 @@ from .errors import (
 )
 from .matrix import Matrix
 from .representation import PuncturedRepresentation, Representation, build
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar, is_exact, modulus, quotient
 
 
 @unique
@@ -61,6 +61,12 @@ class SplittingType:
     @property
     def degree(self) -> int:
         return sum(self.roots)
+
+
+#: A 2x2 direction: Scalars, or complex values for a floating matrix.
+Direction = tuple[Scalar, Scalar] | tuple[complex, complex]
+#: The unit slot of a normalized complex direction, found by identity.
+_UNIT = complex(1.0)
 
 
 @dataclass(frozen=True)
@@ -144,14 +150,14 @@ def _invariant_lines(
 ) -> InvariantLineReport:
     if m0.n != 2 or m1.n != 2:
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
-    (a, b), (c, d) = m0.rows
-    (e, f), (g, h) = m1.rows
+    (a, b), (c, d) = m0._rows
+    (e, f), (g, h) = m1._rows
     a_d, e_h = a - d, e - h
     c00 = b * g - f * c
     c01 = f * a_d - b * e_h
     c10 = c * e_h - g * a_d
     det_c = c00 * c00 + c01 * c10  # det C = -det_c; C has trace 0.
-    exact = all(x.is_exact for x in (c00, c01, c10, det_c))
+    exact = all(map(is_exact, (c00, c01, c10, det_c)))
     if exact and not det_c.is_exact_zero:
         return InvariantLineReport((), False)
     if exact and not (c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero):
@@ -175,48 +181,49 @@ def _invariant_lines(
     return InvariantLineReport(lines, len(lines) >= 2)
 
 
-def _preserved(m: Matrix, v: tuple[Scalar, Scalar], tol: float) -> bool:
+def _preserved(m: Matrix, v: Direction, tol: float) -> bool:
     w = m.apply(v)
     cross = v[0] * w[1] - v[1] * w[0]
-    if cross.is_exact:
+    if is_exact(cross):
         return cross.is_exact_zero
-    return abs(cross) < tol * math.hypot(abs(v[0]), abs(v[1])) * math.hypot(abs(w[0]), abs(w[1]))
+    return modulus(cross) < tol * math.hypot(*map(modulus, v)) * math.hypot(*map(modulus, w))
 
 
-def _line(m0: Matrix, m1: Matrix, v: tuple[Scalar, Scalar]) -> InvariantLine:
+def _line(m0: Matrix, m1: Matrix, v: Direction) -> InvariantLine:
     """The invariant line along the normalized direction v."""
-    i = 0 if v[0] is ONE else 1
-    lam0, lam1 = (row[0] * v[0] + row[1] * v[1] for row in (m0.rows[i], m1.rows[i]))
-    return InvariantLine(v, (lam0, lam1), (m0.det() / lam0, m1.det() / lam1))
+    i = 0 if v[0] is ONE or v[0] is _UNIT else 1
+    lams = [row[0] * v[0] + row[1] * v[1] for row in (m0._rows[i], m1._rows[i])]
+    quotients = [quotient(m._det(), lam) for m, lam in zip((m0, m1), lams)]
+    direction = tuple(ONE if x is _UNIT else as_scalar(x) for x in v)
+    return InvariantLine(direction, tuple(map(as_scalar, lams)), tuple(map(as_scalar, quotients)))
 
 
-def _eigendirections(m: Matrix, eigen: EigenData) -> list[tuple[Scalar, Scalar]]:
-    """One direction per distinct eigenvalue of a non-scalar 2x2."""
-    (a, b), (c, d) = m.rows
+def _eigendirections(m: Matrix, eigen: EigenData) -> list[Direction]:
+    """One direction per distinct eigenvalue of a non-scalar 2x2, in its stored values."""
+    (a, b), (c, d) = m._rows
     # Kernel of (m - lam I): orthogonal complements of its two rows.
-    lams = (p.value for p in eigen.pairs)
+    lams = (p.value if a.__class__ is Scalar else p.value.z for p in eigen.pairs)
     kernels = (_kernel_direction((b, lam - a), (lam - d, c)) for lam in lams)
     return [v for v in kernels if v is not None]
 
 
-def _kernel_direction(
-    u1: tuple[Scalar, Scalar], u2: tuple[Scalar, Scalar]
-) -> tuple[Scalar, Scalar] | None:
+def _kernel_direction(u1: Direction, u2: Direction) -> Direction | None:
     """The larger of two candidate kernel vectors, normalized; None when
     both vanish."""
-    v = u1 if max(abs(u1[0]), abs(u1[1])) >= max(abs(u2[0]), abs(u2[1])) else u2
-    if max(abs(v[0]), abs(v[1])) == 0.0:
+    v = u1 if max(map(modulus, u1)) >= max(map(modulus, u2)) else u2
+    if max(map(modulus, v)) == 0.0:
         return None
     return _normalize_direction(v)
 
 
-def _normalize_direction(v: tuple[Scalar, Scalar]) -> tuple[Scalar, Scalar]:
+def _normalize_direction(v: Direction) -> Direction:
     # Directions are projective: the leading slot becomes the literal exact
-    # ONE (not v_i / v_i, which would inherit the scale factor's
-    # inexactness), which is how _line finds it.
-    if abs(v[0]) >= abs(v[1]):
-        return (ONE, v[1] / v[0])
-    return (v[0] / v[1], ONE)
+    # ONE, or _UNIT for complex values (not v_i / v_i, which would inherit
+    # the scale factor's inexactness), which is how _line finds it.
+    one = ONE if v[0].__class__ is Scalar else _UNIT
+    if modulus(v[0]) >= modulus(v[1]):
+        return (one, quotient(v[1], v[0]))
+    return (quotient(v[0], v[1]), one)
 
 
 # ---------------------------------------------------------------------------

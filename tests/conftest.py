@@ -3,8 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from logsplit import Matrix, Representation, Scalar
+
+# CI runs pytest with --hypothesis-profile=ci: the same examples on every
+# run, and no per-example deadline that a slow runner could miss.
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 
 def rand_complex(rng: random.Random, radius: float = 1.0) -> complex:

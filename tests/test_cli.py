@@ -172,6 +172,15 @@ class TestUsageErrors:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: logsplit")
 
+    @pytest.mark.parametrize("value", ["0.05", "5"])
+    def test_selftest_tol_at_or_above_the_bound(self, capsys, value):
+        # The bound classify and c1 apply to --tol.
+        assert main(["selftest", "--tol", value]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[InputFormatError]: --tol: expected a number below 0.05, got {float(value)!r}\n"
+        assert main(["selftest", "--tol", "0.0499"]) == EXIT_OK
+
 class TestC1:
     def test_golden(self, golden_file, capsys):
         assert main(["c1", golden_file]) == EXIT_OK
@@ -380,9 +389,11 @@ class TestSelftest:
         assert "FAIL" not in out
 
     def test_tampered_tolerance_still_passes(self, capsys):
-        # The golden path is exact, so the float tolerance is irrelevant.
-        assert main(["selftest", "--tol", "1e+1"]) == EXIT_OK
-        assert "FAIL" not in capsys.readouterr().out
+        # The golden path is exact, so the float tolerance is irrelevant,
+        # from a tiny tol up to the largest one the bound allows.
+        for tol in ("1e-300", "0.0499"):
+            assert main(["selftest", "--tol", tol]) == EXIT_OK
+            assert "FAIL" not in capsys.readouterr().out
 
     def test_corrupted_golden_data_fails(self, capsys, monkeypatch):
         import functools

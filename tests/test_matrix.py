@@ -181,3 +181,42 @@ class TestStructure:
         m = Matrix([[1, 2], [3, 4]])
         assert m.trace() == Scalar.exact(5)
         assert m.det() == Scalar.exact(-2)
+
+
+class TestStorage:
+    """All-floating matrices store complex rows, any exact entry keeps
+    Scalar rows; the public accessors return Scalars either way."""
+
+    def test_same_values_compare_equal_across_storage(self):
+        floating = Matrix([[1.5 + 0j, 2 + 1j], [0.5j, -3 + 0j]])
+        mixed = Matrix([[1.5, 2 + 1j], [Scalar.exact(0, 0.5), -3]])
+        assert all(type(e) is complex for row in floating._rows for e in row)
+        assert all(type(e) is Scalar for row in mixed._rows for e in row)
+        assert floating == mixed and mixed == floating
+        assert hash(floating) == hash(mixed)
+        assert floating != Matrix([[1.5, 2 + 1j], [Scalar.exact(0, 0.5), -3.5]])
+        for m in (floating, mixed):
+            assert all(isinstance(e, Scalar) for row in m.rows for e in row)
+            assert all(isinstance(m[i, j], Scalar) for i in range(2) for j in range(2))
+            assert isinstance(m.det(), Scalar)
+            assert all(isinstance(c, Scalar) for c in m.char_poly())
+        assert not any(e.is_exact for row in floating.rows for e in row)
+        assert mixed[0, 0].is_exact and not mixed[0, 1].is_exact
+
+    def test_floating_scalars_are_stored_as_complex(self):
+        m = Matrix([[Scalar.inexact(1 + 1j), 2 - 1j], [Scalar.inexact(complex(-0.0, 3)), 4j + 1]])
+        assert all(type(e) is complex for row in m._rows for e in row)
+        assert m[1, 0].z.real.hex() == "-0x0.0p+0"
+
+    def test_one_exact_entry_keeps_scalar_storage_and_exact_products(self):
+        a = Scalar.polar(2, F(1, 3))
+        m = Matrix([[a, 1 + 2j], [3 - 1j, 0.5 + 0.5j]])
+        assert all(type(e) is Scalar for row in m._rows for e in row)
+        assert m[0, 0] is a
+        scale = Matrix([[Scalar.polar(3, F(1, 4)), 0], [0, 2]])
+        product = m @ scale
+        assert product[0, 0].is_exact
+        assert (product[0, 0].r, product[0, 0].q) == (6, F(7, 12))
+        assert not product[0, 1].is_exact
+        assert (Matrix.identity(2) @ m)[0, 0] == a
+        assert (Matrix.identity(2) @ m)[0, 0].is_exact

@@ -1,5 +1,6 @@
-"""The complex-valued determinant and characteristic-polynomial kernels
-against reference copies of the same algorithms written on Scalars.
+"""The complex-valued determinant and characteristic-polynomial kernels,
+and every operation of a matrix stored as complex rows, against reference
+copies of the same algorithms written on Scalars.
 
 On matrices of floating Scalars every Scalar operation is one complex
 operation, and the kernels divide by multiplying with ``1.0 / pivot`` as
@@ -7,13 +8,20 @@ operation, and the kernels divide by multiplying with ``1.0 / pivot`` as
 """
 
 import random
+from operator import mul
 
 import pytest
 
 from logsplit import Matrix, Scalar, char_poly
-from logsplit.matrix import SINGULARITY_TOL, below_singularity_threshold
+from logsplit.matrix import (
+    SINGULARITY_TOL,
+    _det_by_elimination,
+    _hessenberg,
+    _hessenberg_char_poly,
+    below_singularity_threshold,
+)
 from logsplit.scalar import ONE, ZERO
-from conftest import rand_matrix
+from conftest import rand_complex, rand_matrix
 
 
 def _ref_det(m: Matrix) -> Scalar:
@@ -113,6 +121,74 @@ def test_triangular_input_reproduces_diagonal_product():
     m = Matrix([[2, 5, 7], [0, 3, 11], [0, 0, 4]])
     coeffs = [c.z for c in char_poly(m)]
     assert coeffs == [1, -9, 26, -24]
+
+
+# ---------------------------------------------------------------------------
+# complex rows against the same arithmetic on floating Scalars
+
+
+def _inexact_entries(rng: random.Random, n: int, family: int) -> list[list[complex]]:
+    """Seeded floating entries with signed zero parts, which a JSON document
+    would decode as exact but a library caller can build: in family 0 about
+    one entry in four has a real or imaginary part of +-0.0, family 1 holds
+    positive reals with imaginary part -0.0, family 2 imaginary values with
+    real part +-0.0.  A product of two family-1 entries has imaginary part
+    -0.0, and so has their sum, unless it starts from 0j."""
+    def entry() -> complex:
+        z = rand_complex(rng, 10 ** rng.uniform(-2, 2))
+        kind = rng.randrange(8) if family == 0 else family - 1
+        if kind == 0:
+            return complex(abs(z.real), -0.0)
+        if kind == 1:
+            return complex(rng.choice((0.0, -0.0)), z.imag)
+        return z
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _scalars(rows) -> list[list[Scalar]]:
+    return [[Scalar.inexact(z) for z in row] for row in rows]
+
+
+def _small_char_poly(a: list[list[Scalar]]) -> tuple[Scalar, ...]:
+    if len(a) == 1:
+        return (ONE, -a[0][0])
+    (p, q), (r, s) = a
+    return (ONE, -(p + s), p * s - q * r)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complex_rows_match_floating_scalars_bit_for_bit(n):
+    # The references are the parent's arithmetic on floating Scalars: the
+    # same kernels, and for the product, dimensions 1-2 and the inverse's
+    # identity block the Scalar formulas.
+    rng = random.Random(2000 + n)
+    for k in range(30):
+        rows, other_rows = _inexact_entries(rng, n, k % 3), _inexact_entries(rng, n, k % 3)
+        m, other = Matrix(rows), Matrix(other_rows)
+        assert all(type(e) is complex for row in m._rows for e in row)
+        a, b = _scalars(rows), _scalars(other_rows)
+        v = [Scalar.inexact(z) for z in other_rows[0]]
+        # A Scalar sum starts from ZERO, which returns the first term itself.
+        product = [[sum(map(mul, row, col), ZERO) for col in zip(*b)] for row in a]
+        assert [[_bits(e.z) for e in row] for row in (m @ other).rows] == \
+            [[_bits(e.z) for e in row] for row in product]
+        assert [_bits(complex(e)) for e in m.apply(other_rows[0])] == \
+            [_bits(sum(map(mul, row, v), ZERO).z) for row in a]
+        if n <= 2:
+            coeffs = _small_char_poly(a)
+            det = a[0][0] if n == 1 else coeffs[2]
+        else:
+            det, coeffs = _det_by_elimination([list(row) for row in a]), \
+                _hessenberg_char_poly(_hessenberg([list(row) for row in a]))
+        assert _bits(m.det().z) == _bits(complex(det))
+        assert [_bits(c.z) for c in m.char_poly()] == [_bits(complex(c)) for c in coeffs]
+        assert m.max_abs().hex() == max(abs(e) for row in a for e in row).hex()
+        unit = [[Scalar.inexact(complex(i == j)) for j in range(n)] for i in range(n)]
+        work = [row + u for row, u in zip(a, unit)]
+        _det_by_elimination(work)
+        assert [[_bits(e.z) for e in row] for row in m.inverse().rows] == \
+            [[_bits(complex(e)) for e in row[n:]] for row in work]
 
 
 class TestSingularityThreshold:

@@ -7,7 +7,10 @@ decoder that turned cartesian objects into floats would lose the exact
 answers (and gain warnings).
 """
 
+import cmath
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -98,3 +101,98 @@ def test_stdout_is_pinned(tmp_path, capsys, name, command):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == EXPECTED[name, command] + "\n"
+
+
+# ---------------------------------------------------------------------------
+# All-inexact documents: every entry a cartesian object with both parts
+# nonzero, so no entry is exact.  The documents are built here in plain
+# complex arithmetic, not by logsplit, and the digests were captured before
+# all-inexact matrices were stored as complex rows.
+
+
+def _cartesian(gens) -> list:
+    def entry(z: complex) -> dict:
+        assert z.real != 0 and z.imag != 0  # an axis value would decode as exact
+        return {"re": z.real, "im": z.imag}
+
+    return [[[entry(z) for z in row] for row in g] for g in gens]
+
+
+def _inverse(a: list[list[complex]]) -> list[list[complex]]:
+    n = len(a)
+    w = [list(row) + [complex(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        p = max(range(col, n), key=lambda i: abs(w[i][col]))
+        w[col], w[p] = w[p], w[col]
+        pivot = w[col][col]
+        w[col] = [e / pivot for e in w[col]]
+        for i in range(n):
+            if i != col:
+                f = w[i][col]
+                w[i] = [e - f * c for e, c in zip(w[i], w[col])]
+    return [row[n:] for row in w]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _conjugated(s, s_inv, m):
+    return _matmul(_matmul(s, m), s_inv)
+
+
+def _unit(rng: random.Random) -> complex:
+    # Eigenvalue r e(q), q kept 0.05 away from the branch cut.
+    return 10 ** rng.uniform(-1, 1) * cmath.exp(2j * math.pi * rng.uniform(0.05, 0.95))
+
+
+def _inexact_3p_documents() -> list[str]:
+    rng = random.Random(12)
+    docs = []
+    for k in range(200):
+        def gauss():
+            return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+        s = [[gauss(), gauss()], [gauss(), gauss()]]
+        s_inv = _inverse(s)
+        if k % 4 < 2:  # generic pair, irreducible
+            gens = [[[gauss(), gauss()], [gauss(), gauss()]] for _ in range(2)]
+        elif k % 4 == 2:  # common invariant line
+            gens = [_conjugated(s, s_inv, [[_unit(rng), gauss()], [0, _unit(rng)]]) for _ in range(2)]
+        else:  # two common lines
+            gens = [_conjugated(s, s_inv, [[_unit(rng), 0], [0, _unit(rng)]]) for _ in range(2)]
+        docs.append(json.dumps({"punctures": 3, "dim": 2, "generators": _cartesian(gens)}))
+    return docs
+
+
+def _inexact_dim8_documents() -> list[str]:
+    rng = random.Random(88)
+    docs = []
+    for _ in range(40):
+        s = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(8)] for _ in range(8)]
+        d = [[_unit(rng) if i == j else 0j for j in range(8)] for i in range(8)]
+        gen = _conjugated(s, _inverse(s), d)
+        docs.append(json.dumps({"punctures": 2, "dim": 8, "generators": _cartesian([gen])}))
+    return docs
+
+
+INEXACT_SETS = {"inexact_3p": _inexact_3p_documents, "inexact_dim8": _inexact_dim8_documents}
+
+INEXACT_DIGESTS = {
+    ("inexact_3p", "c1"): "a6d1d0e67b84d33392eb7d3e020088ef5cdc163ecce15e744a0d46f1723ec9d8",
+    ("inexact_3p", "classify"): "2642517ea847d663299d05d1e8037f621474f22dcbc28f12d7bb894f07be22d7",
+    ("inexact_dim8", "c1"): "14ff0a4611a9f0591420cd7078479eaeb31f6bbcd2e6ee95c66e6118f3c536c5",
+    ("inexact_dim8", "classify"): "6162265568723d61ad759d157b817b196d527c0fda4ab4ff697ae873a5885f6b",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(INEXACT_DIGESTS))
+def test_all_inexact_outputs_are_pinned(tmp_path, capsys, name, command):
+    path = tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    for text in INEXACT_SETS[name]():
+        path.write_text(text, encoding="utf-8")
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}{captured.err}\n".encode("utf-8"))
+    assert digest.hexdigest() == INEXACT_DIGESTS[name, command]
