@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eigen import EigenData
+from .eigen import EigenData, checked_tolerance
 from .errors import NonIntegralChernClass, ProductNotIdentity
 from .representation import PuncturedRepresentation
 
@@ -25,6 +25,10 @@ CLOSURE_TOL = 1e-8
 #: How far the raw q-sum may sit from an integer before the input is
 #: declared inconsistent.
 DEFAULT_INTEGRALITY_TOL = 1e-6
+
+#: Every integrality tolerance lies below this bound, the largest distance
+#: of a real number from an integer.
+INTEGRALITY_TOL_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,11 @@ def ohtsuki_c1(
     """First Chern class of the extended bundle: minus the total q-sum.
 
     The total is an integer in exact arithmetic; the distance to the
-    nearest integer measures input noise and must stay below ``tol``.
+    nearest integer measures input noise and must stay below ``tol``,
+    which lies in (0, INTEGRALITY_TOL_BOUND) or raises InputFormatError.
     The ln-modulus closure is checked first (ProductNotIdentity).
     """
+    checked_tolerance(tol, "integrality_tol", INTEGRALITY_TOL_BOUND)
     ln_sum = sum(e.ln_r_sum() for e in prep.local_eigen)
     ln_scale = 1.0 + sum(
         abs(p.ln_r) * p.multiplicity for e in prep.local_eigen for p in e.pairs
@@ -60,9 +66,7 @@ def ohtsuki_c1(
             f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
         )
 
-    raw: Fraction | float = Fraction(0)
-    for e in prep.local_eigen:
-        raw = raw + residue_q_trace(e)
+    raw = sum((residue_q_trace(e) for e in prep.local_eigen), Fraction(0))
     nearest = round(raw)
     defect = abs(raw - nearest)
     if defect > tol:

@@ -6,18 +6,23 @@ checks).  Structured results go to stdout; human diagnostics to stderr.
 
 Exit codes: 0 ok, 1 usage, validation or numeric error, 2 unsupported
 case, 3 non-integral Chern class, 4 self-test failure.
+
+``classify`` and ``c1`` check a tolerance given by a flag or the document
+against the library's bound, naming the flag or the ``tolerances.*`` field.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .chern import DEFAULT_INTEGRALITY_TOL, ohtsuki_c1
-from .documents import parse_input_document, positive_tolerance, report_to_output
+from .chern import DEFAULT_INTEGRALITY_TOL, INTEGRALITY_TOL_BOUND, ohtsuki_c1
+from .documents import parse_input_document, report_to_output
+from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, checked_tolerance
 from .errors import InputFormatError, LogSplitError, NonIntegralChernClass, UnsupportedCase
 from .representation import build
 from .selftest import run_selftest
@@ -29,8 +34,8 @@ EXIT_UNSUPPORTED = 2
 EXIT_NONINTEGRAL = 3
 EXIT_SELFTEST = 4
 
-#: CLI default for the parallelism/clustering/snapping tolerance.
-CLI_DEFAULT_TOL = 1e-9
+#: The parallelism/clustering/snapping tolerance default, the library's.
+CLI_DEFAULT_TOL = DEFAULT_CLUSTER_TOL
 
 MAX_SWEEP_STEPS = 10000
 
@@ -53,51 +58,32 @@ def _read_input(path: str) -> str:
         raise InputFormatError(f"input is not valid UTF-8: {exc}") from exc
 
 
-def _checked_flag(value: float | None, flag: str) -> float | None:
-    return None if value is None else positive_tolerance(value, flag)
-
-
-def _resolved_tols(args, doc) -> tuple[float, float]:
-    """Each tolerance from its flag, else any document, else the default.
-    tol must stay below 0.05, so that the 10 tol BranchBoundary band is
-    under half a turn, and integrality_tol below 1/2, the largest defect."""
+def _document_and_tols(args) -> tuple:
+    """The input's representation and tolerances, each tolerance from its
+    flag, else the document, else the default."""
+    doc = parse_input_document(_read_input(args.input))
     resolved = []
     for field, flag, default, bound in (
-        ("tol", "--tol", CLI_DEFAULT_TOL, 0.05),
-        ("integrality_tol", "--integrality-tol", DEFAULT_INTEGRALITY_TOL, 0.5),
+        ("tol", "--tol", CLI_DEFAULT_TOL, TOL_BOUND),
+        ("integrality_tol", "--integrality-tol", DEFAULT_INTEGRALITY_TOL, INTEGRALITY_TOL_BOUND),
     ):
-        value, where = _checked_flag(getattr(args, field, None), flag), flag
+        value, where = getattr(args, field), flag
         if value is None:
-            value, where = getattr(doc, field, None), f"tolerances.{field}"
-        if value is None:
-            value = default
-        elif value >= bound:
-            raise InputFormatError(f"{where}: expected a number below {bound}, got {value!r}")
-        resolved.append(value)
-    return resolved[0], resolved[1]
+            value, where = getattr(doc, field), f"tolerances.{field}"
+        resolved.append(default if value is None else checked_tolerance(value, where, bound))
+    return doc.representation(), resolved[0], resolved[1]
 
 
 def _cmd_classify(args) -> int:
-    doc = parse_input_document(_read_input(args.input))
-    tol, itol = _resolved_tols(args, doc)
-    report = classify(doc.representation(), tol, itol)
-    print(report_to_output(report).to_json())
+    rep, tol, itol = _document_and_tols(args)
+    print(report_to_output(classify(rep, tol, itol)).to_json())
     return EXIT_OK
 
 
 def _cmd_c1(args) -> int:
-    doc = parse_input_document(_read_input(args.input))
-    tol, itol = _resolved_tols(args, doc)
-    prep = build(doc.representation(), tol)
-    chern = ohtsuki_c1(prep, itol)
-    payload = {
-        "c1": chern.c1,
-        "raw_q_sum": chern.raw_q_sum,
-        "integrality_defect": chern.integrality_defect,
-        "ln_r_closure_defect": chern.ln_r_closure_defect,
-        "exact": chern.exact,
-    }
-    print(json.dumps(payload, separators=(", ", ": ")))
+    rep, tol, itol = _document_and_tols(args)
+    chern = ohtsuki_c1(build(rep, tol), itol)
+    print(json.dumps(dataclasses.asdict(chern), separators=(", ", ": ")))
     return EXIT_OK
 
 
@@ -121,16 +107,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    tol, _ = _resolved_tols(args, None)
-    results = run_selftest(tol=tol)
-    failed = False
+    results = run_selftest()
     for res in results:
-        if res.passed:
-            print(f"PASS {res.name}")
-        else:
-            failed = True
-            print(f"FAIL {res.name}: {res.detail}")
-    return EXIT_SELFTEST if failed else EXIT_OK
+        print(f"PASS {res.name}" if res.passed else f"FAIL {res.name}: {res.detail}")
+    return EXIT_OK if all(res.passed for res in results) else EXIT_SELFTEST
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_self = sub.add_parser("selftest", help="run the embedded golden checks")
-    p_self.add_argument("--tol", type=float, default=None, help="tolerance passed to the pipeline")
     p_self.set_defaults(func=_cmd_selftest)
 
     return parser

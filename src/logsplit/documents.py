@@ -37,9 +37,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .eigen import checked_tolerance
 from .errors import InputFormatError, OutOfBranch
-from .matrix import Matrix
-from .representation import Representation
+from .matrix import MAX_DIM, Matrix
+from .representation import SUPPORTED_PUNCTURES, Representation
 from .scalar import Scalar
 from .splitting import ClassificationReport
 
@@ -49,6 +50,7 @@ from .splitting import ClassificationReport
 MAX_Q_DIGITS = 4300
 
 _NUMBER_TYPES = (int, float)
+_TOLERANCE_FIELDS = ("tol", "integrality_tol")
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,12 @@ def parse_input_document(text: str) -> InputDocument:
         raise InputFormatError(f"unknown top-level fields: {sorted(unknown)}")
 
     punctures = _expect_int(raw, "punctures")
-    if punctures not in (2, 3):
-        raise InputFormatError(f"punctures: must be 2 or 3, got {punctures}")
+    if punctures not in SUPPORTED_PUNCTURES:
+        supported = " or ".join(map(str, SUPPORTED_PUNCTURES))
+        raise InputFormatError(f"punctures: must be {supported}, got {punctures}")
     dim = _expect_int(raw, "dim")
-    if not 1 <= dim <= 8:
-        raise InputFormatError(f"dim: must lie in 1..8, got {dim}")
+    if not 1 <= dim <= MAX_DIM:
+        raise InputFormatError(f"dim: must lie in 1..{MAX_DIM}, got {dim}")
 
     gens_raw = raw.get("generators")
     if not isinstance(gens_raw, list):
@@ -105,23 +108,19 @@ def parse_input_document(text: str) -> InputDocument:
         _parse_matrix(g, dim, f"generators[{idx}]") for idx, g in enumerate(gens_raw)
     )
 
-    tol = None
-    integrality_tol = None
+    tols: dict[str, float] = {}
     tolerances = raw.get("tolerances")
     if tolerances is not None:
         if not isinstance(tolerances, dict):
             raise InputFormatError("tolerances: must be an object")
-        unknown = set(tolerances) - {"tol", "integrality_tol"}
+        unknown = set(tolerances) - set(_TOLERANCE_FIELDS)
         if unknown:
             raise InputFormatError(f"tolerances: unknown fields {sorted(unknown)}")
-        if "tol" in tolerances:
-            tol = positive_tolerance(tolerances["tol"], "tolerances.tol")
-        if "integrality_tol" in tolerances:
-            integrality_tol = positive_tolerance(
-                tolerances["integrality_tol"], "tolerances.integrality_tol"
-            )
+        for field in _TOLERANCE_FIELDS:
+            if field in tolerances:
+                tols[field] = checked_tolerance(tolerances[field], f"tolerances.{field}")
 
-    return InputDocument(punctures, dim, generators, tol, integrality_tol)
+    return InputDocument(punctures, dim, generators, **tols)
 
 
 def _parse_matrix(raw, dim: int, path: str) -> Matrix:
@@ -236,14 +235,6 @@ def _expect_int(raw: dict, key: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise InputFormatError(f"{key}: expected an integer")
     return v
-
-
-def positive_tolerance(value, where: str) -> float:
-    """``value`` as a float when it is a finite number above zero, else
-    InputFormatError naming ``where`` (a document field or a flag)."""
-    if not _is_number(value) or value <= 0:
-        raise InputFormatError(f"{where}: expected a finite number above zero, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ roundoff at the root, not by where the iteration stopped.  When a
 coefficient is not finite, or the solve overflows or diverges, the roots
 are solved once more for the matrix scaled by a power of two and scaled
 back.
+
+The tolerance ``tol`` has its one default here, shared by the command
+line, and its bound TOL_BOUND, which keeps the BranchBoundary band of
+BOUNDARY_BAND tolerances on each side of the cut under half a turn.
 """
 
 from __future__ import annotations
@@ -29,16 +33,25 @@ from math import isqrt
 
 from .errors import (
     FloatRangeError,
+    InputFormatError,
     RootFindingDivergence,
     SingularMatrix,
     ZeroArgument,
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
-from .scalar import Scalar, is_exact
+from .scalar import Scalar, as_scalar, is_exact, modulus
 
-#: Default multiplicity-clustering tolerance (mixed absolute-relative).
-DEFAULT_CLUSTER_TOL = 1e-7
+#: Default clustering, snapping and parallelism tolerance, of the library
+#: and the command line alike (mixed absolute-relative).
+DEFAULT_CLUSTER_TOL = 1e-9
+
+#: Half-width of the BranchBoundary band around the cut, in tolerances.
+BOUNDARY_BAND = 10.0
+
+#: Every tol lies below this bound, where the band on both sides of the
+#: cut would reach half a turn.
+TOL_BOUND = 0.5 / BOUNDARY_BAND
 
 _EPS = sys.float_info.epsilon
 _TWO_PI = 2.0 * math.pi
@@ -46,6 +59,21 @@ _HALF = Fraction(1, 2)
 
 BRANCH_BOUNDARY = "BranchBoundary"
 EIGENVALUE_UNCERTAIN = "EigenvalueUncertain"
+
+
+def checked_tolerance(value, where: str, bound: float = math.inf) -> float:
+    """``value`` as a float when it is a finite real number above zero and
+    below ``bound``, else InputFormatError naming ``where``: a parameter,
+    a flag or a document field."""
+    try:
+        positive = value > 0 and value.__class__ is not bool and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        positive = False
+    if not positive:
+        raise InputFormatError(f"{where}: expected a finite number above zero, got {value!r}")
+    if not value < bound:
+        raise InputFormatError(f"{where}: expected a number below {bound}, got {value!r}")
+    return float(value)
 
 
 def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | float:
@@ -70,14 +98,14 @@ def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | 
 def _float_arg(z: complex, tol: float) -> tuple[float, bool]:
     """(q, near_boundary) for a floating nonzero complex value.
 
-    ``near_boundary`` is True when q lies within 10*tol of the branch cut,
-    including values that snapped to 0 — floating data that close to the
-    positive real axis cannot certify its branch.
+    ``near_boundary`` is True when q lies within BOUNDARY_BAND * tol of
+    the branch cut, including values that snapped to 0 — floating data
+    that close to the positive real axis cannot certify its branch.
     """
     q = math.atan2(z.imag, z.real) / _TWO_PI
     if q < 0.0:
         q += 1.0
-    boundary = q <= 10.0 * tol or q >= 1.0 - 10.0 * tol
+    boundary = not BOUNDARY_BAND * tol < q < 1.0 - BOUNDARY_BAND * tol
     if q <= tol or q >= 1.0 - tol:
         q = 0.0
     return q, boundary
@@ -107,10 +135,7 @@ class EigenData:
         return all(isinstance(p.q, Fraction) for p in self.pairs)
 
     def q_sum(self) -> Fraction | float:
-        total: Fraction | float = Fraction(0)
-        for p in self.pairs:
-            total = total + p.multiplicity * p.q
-        return total
+        return sum((p.multiplicity * p.q for p in self.pairs), Fraction(0))
 
     def ln_r_sum(self) -> float:
         return sum(p.multiplicity * p.ln_r for p in self.pairs)
@@ -125,12 +150,12 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     """
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
-        return _from_values(list(a.diagonal()), tol)
+        return _from_diagonal(a.diagonal(), tol)
     coeffs = a._char_poly()
     if n == 2 and is_exact(coeffs[2]):
         exact = _exact_quadratic(coeffs[1], coeffs[2])
         if exact is not None:
-            return _from_clusters(exact, tol)
+            return _eigen_data(exact, tol)
     coeffs_c = list(map(complex, coeffs))
     if all(map(cmath.isfinite, coeffs_c)):
         try:
@@ -163,58 +188,58 @@ def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) ->
     values already passed the zero test where they were solved for, so a
     large λ gives a small 1/λ, not a ZeroEigenvalue.
     """
-    inverse = _from_clusters([(p.value.reciprocal(), p.multiplicity) for p in data.pairs], tol)
-    if EIGENVALUE_UNCERTAIN in data.warnings:
-        inverse = _with_warning(inverse, EIGENVALUE_UNCERTAIN)
-    return inverse
+    pairs = [(p.value.reciprocal(), p.multiplicity) for p in data.pairs]
+    return _eigen_data(pairs, tol, EIGENVALUE_UNCERTAIN in data.warnings)
 
 
 # ---------------------------------------------------------------------------
 # assembling EigenData
 
 
-def _check_nonzero(value: Scalar, tol: float) -> None:
-    """The zero test on a solved eigenvalue: exact zero, or a floating
-    modulus below ``tol``."""
-    if value.is_exact_zero:
-        raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-    if not value.is_exact and abs(value) < tol:
-        raise ZeroEigenvalue(f"eigenvalue of modulus {abs(value):.3e} below tolerance {tol:.3e}")
+def _eigen_data(clusters: list, tol: float, uncertain: bool = False) -> EigenData:
+    """EigenData of solved nonzero (value, multiplicity) pairs, a value a
+    Scalar or a complex; ``uncertain`` adds EigenvalueUncertain."""
+    keyed = []
+    warnings: list[str] = []
+    for value, mult in clusters:
+        z = value if value.__class__ is complex else value.z
+        if not cmath.isfinite(z):
+            # A product of huge generators can overflow; NaN would pass
+            # every later comparison.
+            raise FloatRangeError(f"eigenvalue {z!r} outside the floating-point range")
+        r = modulus(value)
+        if r == 0.0:
+            # A nonzero exact value, or the reciprocal of a huge one.
+            raise FloatRangeError("eigenvalue modulus below the floating-point range")
+        if is_exact(value):
+            q: Fraction | float = value.q
+        else:
+            q, boundary = _float_arg(z, tol)
+            if boundary:
+                warnings.append(BRANCH_BOUNDARY)
+            value = as_scalar(value)
+        keyed.append(((float(q), r), EigenPair(value, mult, q, math.log(r))))
+    keyed.sort(key=lambda k: k[0])
+    if uncertain:
+        warnings.append(EIGENVALUE_UNCERTAIN)
+    return EigenData(tuple(pair for _, pair in keyed), tuple(dict.fromkeys(warnings)))
 
 
-def _from_values(values: list[Scalar], tol: float) -> EigenData:
+def _from_diagonal(values: tuple[Scalar, ...], tol: float) -> EigenData:
+    """EigenData of a triangular matrix's diagonal ``values``."""
     clusters: list[list[Scalar]] = []
     for v in values:
-        _check_nonzero(v, tol)
+        if v.is_exact_zero:
+            raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
+        if not v.is_exact and abs(v) < tol:
+            raise ZeroEigenvalue(f"eigenvalue of modulus {abs(v):.3e} below tolerance {tol:.3e}")
         for group in clusters:
             if v.same_value(group[0], tol):
                 group.append(v)
                 break
         else:
             clusters.append([v])
-    return _from_clusters([(g[0], len(g)) for g in clusters], tol)
-
-
-def _from_clusters(clusters: list[tuple[Scalar, int]], tol: float) -> EigenData:
-    pairs = []
-    warnings: list[str] = []
-    for value, mult in clusters:
-        if not cmath.isfinite(value.z):
-            # A product of huge generators can overflow; NaN would pass
-            # every later comparison.
-            raise FloatRangeError(f"eigenvalue {value.z!r} outside the floating-point range")
-        if abs(value) == 0.0:
-            # A nonzero exact value, or the reciprocal of a huge one.
-            raise FloatRangeError("eigenvalue modulus below the floating-point range")
-        if value.is_exact:
-            q: Fraction | float = value.q
-        else:
-            q, boundary = _float_arg(value.z, tol)
-            if boundary:
-                warnings.append(BRANCH_BOUNDARY)
-        pairs.append(EigenPair(value, mult, q, math.log(abs(value))))
-    pairs.sort(key=lambda p: (float(p.q), abs(p.value)))
-    return EigenData(tuple(pairs), tuple(dict.fromkeys(warnings)))
+    return _eigen_data([(g[0], len(g)) for g in clusters], tol)
 
 
 def _from_float_roots(
@@ -227,7 +252,7 @@ def _from_float_roots(
     max_abs = max(abs(r) for r in roots)
     thresh = tol * (1.0 + max_abs)
     clusters = _cluster_roots(roots, thresh)
-    scalars: list[tuple[Scalar, int]] = []
+    centroids: list[tuple[complex, int]] = []
     uncertain = False
     for members in clusters:
         centroid = sum(members, 0j) / len(members)
@@ -239,23 +264,17 @@ def _from_float_roots(
         radius = math.ldexp(len(coeffs_c) * max(abs(p), noise) / max(abs(dp), 1e-300), exp)
         if radius > 10.0 * thresh:
             uncertain = True
-        value = Scalar.inexact(centroid)
-        _check_nonzero(value, tol)
-        scalars.append((value, len(members)))
-    data = _from_clusters(scalars, tol)
-    if uncertain:
-        data = _with_warning(data, EIGENVALUE_UNCERTAIN)
-    return data
+        r = modulus(centroid)
+        if r < tol:
+            raise ZeroEigenvalue(f"eigenvalue of modulus {r:.3e} below tolerance {tol:.3e}")
+        centroids.append((centroid, len(members)))
+    return _eigen_data(centroids, tol, uncertain)
 
 
 def _ldexp(z: complex, exp: int) -> complex:
     """``z * 2**exp``, exact unless a part falls below the normal float
     range; OverflowError above it."""
     return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
-
-
-def _with_warning(data: EigenData, warning: str) -> EigenData:
-    return EigenData(data.pairs, tuple(dict.fromkeys(data.warnings + (warning,))))
 
 
 def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:

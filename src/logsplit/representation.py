@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, reciprocal_eigenvalues
+from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, checked_tolerance, eigenvalues
+from .eigen import reciprocal_eigenvalues
 from .errors import DimensionMismatch, SingularMatrix
 from .matrix import Matrix, below_singularity_threshold
 
@@ -99,8 +100,10 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
 
     The eigenvalues at infinity are the reciprocals of those of the
     generator product: at two punctures the product is the generator
-    itself, whose data is reused; at three it is ``m0 @ m1``.
+    itself, whose data is reused; at three it is ``m0 @ m1``.  A ``tol``
+    outside (0, TOL_BOUND) raises InputFormatError.
     """
+    checked_tolerance(tol, "tol", TOL_BOUND)
     gens = rep.generators
     gen_eigen = tuple(eigenvalues(g, tol) for g in gens)
     product_eigen = gen_eigen[0] if len(gens) == 1 else eigenvalues(gens[0] @ gens[1], tol)

@@ -4,7 +4,8 @@ Runs the embedded modular-group representation (exact rational entries)
 through the whole pipeline and checks every intermediate against frozen
 values, then sweeps the character region table on a 4x4 rational lattice.
 All golden inputs are exact, so the checks are immune to the floating
-tolerance — tampering with ``tol`` must not change the outcome.
+tolerance: ``run_selftest(tol=...)`` passes at any tol inside its bounds,
+and the command line runs it at the default, with no flag.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ohtsuki_c1, residue_q_trace
+from .eigen import DEFAULT_CLUSTER_TOL
 from .matrix import Matrix
 from .representation import Representation, build
 from .splitting import ClassificationKind, character_root, classify
@@ -58,7 +60,7 @@ class CheckResult:
     detail: str = ""
 
 
-def run_selftest(tol: float = 1e-9, corrupt: bool = False) -> list[CheckResult]:
+def run_selftest(tol: float = DEFAULT_CLUSTER_TOL, corrupt: bool = False) -> list[CheckResult]:
     """Run every golden check; a fresh build must pass all of them."""
     results: list[CheckResult] = []
 

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from logsplit import (
+    DEFAULT_CLUSTER_TOL,
+    InputFormatError,
     Matrix,
     NonIntegralChernClass,
     ProductNotIdentity,
@@ -11,11 +14,13 @@ from logsplit import (
     Representation,
     Scalar,
     build,
+    classify,
     conjugate,
     eigenvalues,
     ohtsuki_c1,
     residue_q_trace,
 )
+from logsplit.chern import INTEGRALITY_TOL_BOUND
 from conftest import block_diag, rand_invertible, rand_well_conditioned
 
 F = Fraction
@@ -116,6 +121,26 @@ class TestFailureModes:
         )
         with pytest.raises(ProductNotIdentity):
             ohtsuki_c1(broken)
+
+    @pytest.mark.parametrize(
+        "itol, message",
+        [
+            (0, "integrality_tol: expected a finite number above zero, got 0"),
+            (-1e-6, "integrality_tol: expected a finite number above zero, got -1e-06"),
+            (math.nan, "integrality_tol: expected a finite number above zero, got nan"),
+            (INTEGRALITY_TOL_BOUND, "integrality_tol: expected a number below 0.5, got 0.5"),
+            (3, "integrality_tol: expected a number below 0.5, got 3"),
+        ],
+    )
+    def test_integrality_tol_outside_its_bounds(self, golden_rep, itol, message):
+        # ohtsuki_c1 and classify check integrality_tol as the command line does.
+        with pytest.raises(InputFormatError) as info:
+            ohtsuki_c1(build(golden_rep), itol)
+        assert str(info.value) == message
+        with pytest.raises(InputFormatError) as info:
+            classify(golden_rep, DEFAULT_CLUSTER_TOL, itol)
+        assert str(info.value) == message
+        assert ohtsuki_c1(build(golden_rep), math.nextafter(INTEGRALITY_TOL_BOUND, 0.0)).c1 == -2
 
     def test_tight_tolerance_flags_float_noise(self, golden_rep):
         rng = random.Random(59)

@@ -20,8 +20,10 @@ from logsplit.cli import (
     EXIT_UNSUPPORTED,
     main,
 )
+from logsplit.documents import parse_input_document, report_to_output
+from logsplit.eigen import TOL_BOUND
 from logsplit.selftest import run_selftest
-from logsplit.splitting import character_root
+from logsplit.splitting import character_root, classify
 
 GOLDEN = '{"punctures": 3, "dim": 2, "generators": [[[1, 0], [0, -1]], [[-0.5, 1], [0.75, 0.5]]]}'
 
@@ -173,13 +175,15 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: logsplit")
 
     @pytest.mark.parametrize("value", ["0.05", "5"])
-    def test_selftest_tol_at_or_above_the_bound(self, capsys, value):
-        # The bound classify and c1 apply to --tol.
+    def test_selftest_takes_no_tol(self, capsys, value):
+        # The golden checks are exact, so no tolerance can change them.
         assert main(["selftest", "--tol", value]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error[InputFormatError]: --tol: expected a number below 0.05, got {float(value)!r}\n"
-        assert main(["selftest", "--tol", "0.0499"]) == EXIT_OK
+        assert captured.err.splitlines()[-1] == (
+            f"logsplit: error: unrecognized arguments: --tol {value}"
+        )
+
 
 class TestC1:
     def test_golden(self, golden_file, capsys):
@@ -306,6 +310,30 @@ class TestToleranceBounds:
         assert capsys.readouterr().out == plain
 
 
+def _near_cut_character_documents(count: int, seed: int):
+    """Seeded one-dimensional 2-puncture documents r * e(q), with q within
+    1e-6 of the cut, within 1e-6 of 1/2, or uniform in [0, 1), in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        offset = rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -6)
+        q = (offset % 1.0, 0.5 + offset, rng.random())[k % 3]
+        z = cmath.rect(math.exp(rng.uniform(-2, 2)), 2 * math.pi * q)
+        entry = {"re": z.real, "im": z.imag}
+        yield json.dumps({"punctures": 2, "dim": 1, "generators": [[[entry]]]})
+
+
+class TestLibraryAgreesWithCli:
+    def test_default_tolerances_give_the_same_answer(self, tmp_path, capsys):
+        # One default tol serves both: library classify with no tolerance
+        # answers what logsplit classify prints, also next to the cut.
+        path = tmp_path / "doc.json"
+        for text in _near_cut_character_documents(1500, seed=41):
+            path.write_text(text)
+            library = report_to_output(classify(parse_input_document(text).representation()))
+            assert main(["classify", str(path)]) == EXIT_OK
+            assert capsys.readouterr().out == library.to_json() + "\n", text
+
+
 class _StopSweep(Exception):
     pass
 
@@ -388,12 +416,11 @@ class TestSelftest:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
-    def test_tampered_tolerance_still_passes(self, capsys):
+    def test_tampered_tolerance_still_passes(self):
         # The golden path is exact, so the float tolerance is irrelevant,
         # from a tiny tol up to the largest one the bound allows.
-        for tol in ("1e-300", "0.0499"):
-            assert main(["selftest", "--tol", tol]) == EXIT_OK
-            assert "FAIL" not in capsys.readouterr().out
+        for tol in (1e-300, math.nextafter(TOL_BOUND, 0.0)):
+            assert all(res.passed for res in run_selftest(tol=tol))
 
     def test_corrupted_golden_data_fails(self, capsys, monkeypatch):
         import functools
@@ -588,5 +615,7 @@ class TestNumericRobustness:
         assert main(["c1", str(path), f"{flag}={value}"]) == EXIT_ERROR
 
     def test_nonpositive_selftest_tolerance(self, capsys):
+        # selftest takes no --tol at all.
         assert main(["selftest", "--tol=-1"]) == EXIT_ERROR
-        assert "--tol" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "logsplit: error: unrecognized arguments: --tol=-1"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from logsplit import (
     DimensionMismatch,
+    InputFormatError,
     Matrix,
     Representation,
     Scalar,
@@ -17,6 +19,7 @@ from logsplit import (
     ohtsuki_c1,
     report_to_output,
 )
+from logsplit.eigen import TOL_BOUND
 from logsplit.scalar import ZERO
 from conftest import rand_invertible, rand_well_conditioned
 
@@ -51,6 +54,28 @@ class TestBuild:
             [F(0), F(1, 2)],
             [F(1, 3), F(2, 3)],
         ]
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (-1, "tol: expected a finite number above zero, got -1"),
+            (0.0, "tol: expected a finite number above zero, got 0.0"),
+            (math.nan, "tol: expected a finite number above zero, got nan"),
+            (TOL_BOUND, "tol: expected a number below 0.05, got 0.05"),
+            (0.3, "tol: expected a number below 0.05, got 0.3"),
+            (math.inf, "tol: expected a finite number above zero, got inf"),
+        ],
+    )
+    def test_tol_outside_its_bounds(self, golden_rep, tol, message):
+        # build and classify check tol as the command line does.
+        for call in (build, classify):
+            with pytest.raises(InputFormatError) as info:
+                call(golden_rep, tol)
+            assert str(info.value) == message
+
+    def test_tol_just_inside_its_bounds(self, golden_rep):
+        for tol in (1e-300, math.nextafter(TOL_BOUND, 0.0)):
+            assert classify(golden_rep, tol).c1 == -2
 
     def test_minus_one_character_pair(self):
         prep = build(Representation(3, (Matrix([[-1]]), Matrix([[-1]]))))
