@@ -8,7 +8,7 @@ sheaves, including the one documented case where the answer is a
 two-candidate ambiguity.
 """
 
-from .chern import DEFAULT_INTEGRALITY_TOL, ChernResult, ohtsuki_c1, residue_q_trace
+from .chern import DEFAULT_INTEGRALITY_TOL, ChernResult, ohtsuki_c1
 from .documents import (
     InputDocument,
     OutputDocument,
@@ -113,7 +113,6 @@ __all__ = [
     "ohtsuki_c1",
     "parse_input_document",
     "report_to_output",
-    "residue_q_trace",
     "run_selftest",
     "split_two_punctures",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eigen import EigenData, checked_tolerance
+from .eigen import checked_tolerance
 from .errors import NonIntegralChernClass, ProductNotIdentity
 from .representation import PuncturedRepresentation
 
@@ -40,12 +40,6 @@ class ChernResult:
     exact: bool
 
 
-def residue_q_trace(e: EigenData) -> Fraction | float:
-    """Branch part of the residue trace at one puncture: the
-    multiplicity-weighted sum of the normalized arguments."""
-    return e.q_sum()
-
-
 def ohtsuki_c1(
     prep: PuncturedRepresentation, tol: float = DEFAULT_INTEGRALITY_TOL
 ) -> ChernResult:
@@ -66,7 +60,7 @@ def ohtsuki_c1(
             f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
         )
 
-    raw = sum((residue_q_trace(e) for e in prep.local_eigen), Fraction(0))
+    raw = sum(e.q_sum() for e in prep.local_eigen)
     nearest = round(raw)
     defect = abs(raw - nearest)
     if defect > tol:

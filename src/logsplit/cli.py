@@ -83,7 +83,7 @@ def _cmd_classify(args) -> int:
 def _cmd_c1(args) -> int:
     rep, tol, itol = _document_and_tols(args)
     chern = ohtsuki_c1(build(rep, tol), itol)
-    print(json.dumps(dataclasses.asdict(chern), separators=(", ", ": ")))
+    print(json.dumps(dataclasses.asdict(chern)))
     return EXIT_OK
 
 

@@ -267,25 +267,7 @@ class OutputDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(", ", ": "))
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "OutputDocument":
-        diag = raw["diagnostics"]
-        return cls(
-            kind=raw["kind"],
-            c1=raw["c1"],
-            candidates=tuple(tuple(c) for c in raw["candidates"]),
-            ambiguous=raw["ambiguous"],
-            warnings=tuple(raw["warnings"]),
-            raw_q_sum=diag["raw_q_sum"],
-            integrality_defect=diag["integrality_defect"],
-            ln_r_closure_defect=diag["ln_r_closure_defect"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputDocument":
-        return cls.from_dict(json.loads(text))
+        return json.dumps(self.to_dict())
 
 
 def report_to_output(report: ClassificationReport) -> OutputDocument:

@@ -135,7 +135,7 @@ class EigenData:
         return all(isinstance(p.q, Fraction) for p in self.pairs)
 
     def q_sum(self) -> Fraction | float:
-        return sum((p.multiplicity * p.q for p in self.pairs), Fraction(0))
+        return sum(p.multiplicity * p.q for p in self.pairs)
 
     def ln_r_sum(self) -> float:
         return sum(p.multiplicity * p.ln_r for p in self.pairs)

@@ -122,9 +122,6 @@ class Matrix:
             raise DimensionMismatch("vector length does not match matrix dimension")
         return tuple(reduce(add, map(mul, row, v)) for row in self._rows)
 
-    def trace(self) -> Scalar:
-        return reduce(add, self.diagonal())
-
     def det(self) -> Scalar:
         return as_scalar(self._det())
 

@@ -252,13 +252,6 @@ class Scalar:
             return NotImplemented
         return o * self.reciprocal()
 
-    def conjugate(self) -> "Scalar":
-        if self is _ZERO:
-            return self
-        if self._q is not None:
-            return Scalar(None, self._r, (-self._q) % 1)
-        return Scalar.inexact(self._z.conjugate())
-
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -3,9 +3,8 @@
 Runs the embedded modular-group representation (exact rational entries)
 through the whole pipeline and checks every intermediate against frozen
 values, then sweeps the character region table on a 4x4 rational lattice.
-All golden inputs are exact, so the checks are immune to the floating
-tolerance: ``run_selftest(tol=...)`` passes at any tol inside its bounds,
-and the command line runs it at the default, with no flag.
+All golden inputs are exact, so every decision is exact and the checks
+run at the library's default tolerances, which no option changes.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ohtsuki_c1, residue_q_trace
-from .eigen import DEFAULT_CLUSTER_TOL
+from .chern import ohtsuki_c1
 from .matrix import Matrix
 from .representation import Representation, build
 from .splitting import ClassificationKind, character_root, classify
@@ -22,11 +20,10 @@ from .splitting import ClassificationKind, character_root, classify
 F = Fraction
 
 
-def golden_representation(corrupt: bool = False) -> Representation:
+def golden_representation() -> Representation:
     """The embedded two-generator representation with exact rational
-    entries; ``corrupt`` (a test-only hook) swaps the first generator for
-    the identity, which must make the self-test fail."""
-    gen_t = Matrix([[1, 0], [0, 1 if corrupt else -1]])
+    entries, whose every intermediate the self-test checks."""
+    gen_t = Matrix([[1, 0], [0, -1]])
     gen_s = Matrix([[F(-1, 2), 1], [F(3, 4), F(1, 2)]])
     return Representation(3, (gen_t, gen_s))
 
@@ -60,15 +57,15 @@ class CheckResult:
     detail: str = ""
 
 
-def run_selftest(tol: float = DEFAULT_CLUSTER_TOL, corrupt: bool = False) -> list[CheckResult]:
+def run_selftest() -> list[CheckResult]:
     """Run every golden check; a fresh build must pass all of them."""
     results: list[CheckResult] = []
 
     def check(name: str, passed: bool, detail: str = "") -> None:
         results.append(CheckResult(name, passed, "" if passed else detail))
 
-    rep = golden_representation(corrupt=corrupt)
-    prep = build(rep, tol)
+    rep = golden_representation()
+    prep = build(rep)
 
     check(
         "infinity-monodromy",
@@ -85,7 +82,7 @@ def run_selftest(tol: float = DEFAULT_CLUSTER_TOL, corrupt: bool = False) -> lis
         f"got {q_multisets!r}",
     )
 
-    traces = tuple(residue_q_trace(e) for e in prep.local_eigen)
+    traces = tuple(e.q_sum() for e in prep.local_eigen)
     check("residue-traces", traces == _GOLDEN_RESIDUE_TRACES, f"got {traces!r}")
 
     chern = ohtsuki_c1(prep)
@@ -95,7 +92,7 @@ def run_selftest(tol: float = DEFAULT_CLUSTER_TOL, corrupt: bool = False) -> lis
         f"got c1={chern.c1}, defect={chern.integrality_defect}, exact={chern.exact}",
     )
 
-    report = classify(rep, tol)
+    report = classify(rep)
     check(
         "splitting",
         report.kind is ClassificationKind.THREE_DIM2_IRREDUCIBLE

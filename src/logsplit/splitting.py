@@ -55,10 +55,6 @@ class SplittingType:
             raise InternalInconsistency("splitting roots must be sorted descending")
 
     @property
-    def dim(self) -> int:
-        return len(self.roots)
-
-    @property
     def degree(self) -> int:
         return sum(self.roots)
 

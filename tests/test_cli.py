@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_well_conditioned
-from logsplit import Matrix, cli
+from logsplit import Matrix, Representation, cli, selftest
 from logsplit.cli import (
     EXIT_ERROR,
     EXIT_NONINTEGRAL,
@@ -21,8 +21,6 @@ from logsplit.cli import (
     main,
 )
 from logsplit.documents import parse_input_document, report_to_output
-from logsplit.eigen import TOL_BOUND
-from logsplit.selftest import run_selftest
 from logsplit.splitting import character_root, classify
 
 GOLDEN = '{"punctures": 3, "dim": 2, "generators": [[[1, 0], [0, -1]], [[-0.5, 1], [0.75, 0.5]]]}'
@@ -416,23 +414,22 @@ class TestSelftest:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
-    def test_tampered_tolerance_still_passes(self):
-        # The golden path is exact, so the float tolerance is irrelevant,
-        # from a tiny tol up to the largest one the bound allows.
-        for tol in (1e-300, math.nextafter(TOL_BOUND, 0.0)):
-            assert all(res.passed for res in run_selftest(tol=tol))
-
-    def test_corrupted_golden_data_fails(self, capsys, monkeypatch):
-        import functools
-
+    @pytest.fixture
+    def corrupted(self, monkeypatch, golden_pair):
+        # The identity in place of the first generator: every later check
+        # sees different data and the self-test must notice.
+        _, gen_s = golden_pair
         monkeypatch.setattr(
-            cli, "run_selftest", functools.partial(run_selftest, corrupt=True)
+            selftest, "golden_representation",
+            lambda: Representation(3, (Matrix.identity(2), gen_s)),
         )
+
+    def test_corrupted_golden_data_fails(self, capsys, corrupted):
         assert main(["selftest"]) == EXIT_SELFTEST
         assert "FAIL" in capsys.readouterr().out
 
-    def test_corrupt_hook_reports_specific_failures(self):
-        results = run_selftest(corrupt=True)
+    def test_corrupt_hook_reports_specific_failures(self, corrupted):
+        results = selftest.run_selftest()
         failed = {r.name for r in results if not r.passed}
         assert "local-branch-data" in failed
         assert "chern-class" in failed

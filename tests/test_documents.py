@@ -6,7 +6,6 @@ import pytest
 from logsplit import (
     InputFormatError,
     OutOfBranch,
-    OutputDocument,
     classify,
     parse_input_document,
     report_to_output,
@@ -127,29 +126,51 @@ class TestParsing:
         assert report.c1 == -2
 
 
-class TestOutputDocument:
-    def test_json_roundtrip_is_lossless(self):
-        doc = OutputDocument(
-            kind="ThreeDim2ReducibleAmbiguous",
-            c1=-2,
-            candidates=((-1, -1), (0, -2)),
-            ambiguous=True,
-            warnings=("BranchBoundary",),
-            raw_q_sum=2.0,
-            integrality_defect=1.1102230246251565e-16,
-            ln_r_closure_defect=0.0,
-        )
-        assert OutputDocument.from_json(doc.to_json()) == doc
+_MISSING = object()
 
+
+def _header(**fields) -> str:
+    """A one-dimensional 2-puncture document with header fields replaced;
+    ``_MISSING`` drops a field."""
+    raw = {"punctures": 2, "dim": 1, "generators": [[[1]]], **fields}
+    return json.dumps({k: v for k, v in raw.items() if v is not _MISSING})
+
+
+HEADER_REJECTIONS = [
+    ("[1]", "top level must be a JSON object"),
+    (_header(punctures="2"), "punctures: expected an integer"),
+    (_header(punctures=True), "punctures: expected an integer"),
+    (_header(punctures=_MISSING), "punctures: expected an integer"),
+    (_header(punctures=4), "punctures: must be 2 or 3, got 4"),
+    (_header(dim=0), "dim: must lie in 1..8, got 0"),
+    (_header(dim=9), "dim: must lie in 1..8, got 9"),
+    (_header(dim=1.0), "dim: expected an integer"),
+    (_header(generators={}), "generators: must be a list of matrices"),
+    (_header(dim=2, generators=[[[1, 0]]]), "generators[0]: expected 2 rows"),
+    (_header(tolerances=[1e-9]), "tolerances: must be an object"),
+    (_header(tolerances={"eps": 1e-9}), "tolerances: unknown fields ['eps']"),
+]
+
+
+@pytest.mark.parametrize("text, message", HEADER_REJECTIONS)
+def test_header_rejection_message_is_pinned(text, message):
+    with pytest.raises(InputFormatError) as info:
+        parse_input_document(text)
+    assert str(info.value) == message
+
+
+class TestOutputDocument:
     def test_report_serialization(self):
         doc = parse_input_document(GOLDEN_JSON)
         out = report_to_output(classify(doc.representation()))
-        assert out.kind == "ThreeDim2Irreducible"
-        assert out.candidates == ((-1, -1),)
-        assert not out.ambiguous
-        parsed = json.loads(out.to_json())
-        assert parsed["diagnostics"]["raw_q_sum"] == 2.0
-        assert OutputDocument.from_json(out.to_json()) == out
+        assert json.loads(out.to_json()) == {
+            "kind": "ThreeDim2Irreducible",
+            "c1": -2,
+            "candidates": [[-1, -1]],
+            "ambiguous": False,
+            "warnings": [],
+            "diagnostics": {"raw_q_sum": 2.0, "integrality_defect": 0.0, "ln_r_closure_defect": 0.0},
+        }
 
     def test_deterministic_serialization(self):
         doc = parse_input_document(GOLDEN_JSON)

@@ -18,12 +18,19 @@ from logsplit import (
 )
 from logsplit.eigen import (
     _EPS,
+    _aberth_iterate,
     _aberth_roots,
     _cluster_roots,
     _newton_polygon_starts,
     _poly_eval,
+    _vieta_verdict,
 )
 from conftest import rand_invertible, rand_well_conditioned
+
+try:
+    import numpy
+except ImportError:  # the package and its tests run without it
+    numpy = None
 
 F = Fraction
 
@@ -228,6 +235,28 @@ class TestAberth:
         coeffs = [complex(1), complex(0.3, -1), complex(-2, 0.1), complex(0, 1.7)]
         with pytest.raises(RootFindingDivergence):
             _aberth_roots(coeffs, budget=1)
+
+    @pytest.mark.parametrize(
+        "starts",
+        [[1 + 0j, 2j, -2 + 0j], [2j, 2j, -2 + 0j]],
+        ids=["start-where-the-derivative-vanishes", "collided-starts"],
+    )
+    def test_nudged_starts_still_converge(self, starts):
+        # x^3 - 3x + 5: p'(1) = 0 while p(1) = 3, so a start at 1 has no
+        # Newton step, and two equal starts have no Aberth repulsion; each
+        # is nudged off its point before the iteration goes on.
+        coeffs = [1 + 0j, 0j, -3 + 0j, 5 + 0j]
+        z, radii = _aberth_iterate(coeffs, starts, 200)
+        assert _vieta_verdict(coeffs, z, radii) is True
+        if numpy is None:
+            a, b, c = z
+            assert abs(a + b + c) < 1e-12
+            assert abs(a * b + b * c + c * a + 3) < 1e-12
+            assert abs(a * b * c + 5) < 1e-12
+        else:
+            key = lambda r: (round(r.real, 9), r.imag)
+            for found, expected in zip(sorted(z, key=key), sorted(numpy.roots([1, 0, -3, 5]), key=key)):
+                assert abs(found - expected) < 1e-12
 
 
 class TestClusteringKnob:

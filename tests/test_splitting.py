@@ -490,4 +490,3 @@ class TestSplittingType:
     def test_degree_and_dim(self):
         s = SplittingType((0, -1, -1))
         assert s.degree == -2
-        assert s.dim == 3
