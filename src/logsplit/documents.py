@@ -198,7 +198,7 @@ def _parse_polar(raw: dict) -> Scalar:
         raise InputFormatError(f"cannot parse q = {q_raw!r} as a rational") from exc
     if not 0 <= q < 1:
         raise OutOfBranch(f"polar q = {q} outside [0, 1)")
-    return Scalar(None, Fraction(r), q)
+    return Scalar.polar(r, q)
 
 
 def _q_digit_bound(text: str) -> int:

@@ -40,7 +40,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
-from .scalar import Scalar, as_scalar, is_exact, modulus
+from .scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, Scalar, as_scalar, is_exact, modulus
 
 #: Default clustering, snapping and parallelism tolerance, of the library
 #: and the command line alike (mixed absolute-relative).
@@ -55,7 +55,13 @@ TOL_BOUND = 0.5 / BOUNDARY_BAND
 
 _EPS = sys.float_info.epsilon
 _TWO_PI = 2.0 * math.pi
-_HALF = Fraction(1, 2)
+
+#: The rational cosines x/|root| of a complex root off the imaginary axis
+#: (Niven: +-1/2), each with the root's q and its conjugate's.
+_COSINE_TURNS = {
+    Fraction(1, 2): (Fraction(1, 6), Fraction(5, 6)),
+    Fraction(-1, 2): (Fraction(1, 3), Fraction(2, 3)),
+}
 
 BRANCH_BOUNDARY = "BranchBoundary"
 EIGENVALUE_UNCERTAIN = "EigenvalueUncertain"
@@ -304,10 +310,11 @@ def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:
 def _real_fraction(s: Scalar) -> Fraction | None:
     """Exact rational value of a Scalar lying on the real axis, else None."""
     if s.is_exact_zero:
-        return Fraction(0)
-    if s.q == 0:
+        return Q_ZERO
+    q = s.q
+    if q is Q_ZERO or q == 0:
         return s.r
-    if s.q == _HALF:
+    if q is Q_HALF or q == Q_HALF:
         return -s.r
     return None
 
@@ -362,8 +369,8 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar, int]] | Non
         sign_hi = 1 if (b <= 0 or c < 0) else -1  # sign of (-b + sqrt(disc))/2
         sign_lo = 1 if (b < 0 and c > 0) else -1
         return [
-            (Scalar.polar(abs(hi), 0 if sign_hi > 0 else _HALF), 1),
-            (Scalar.polar(abs(lo), 0 if sign_lo > 0 else _HALF), 1),
+            (Scalar.polar(abs(hi), Q_ZERO if sign_hi > 0 else Q_HALF), 1),
+            (Scalar.polar(abs(lo), Q_ZERO if sign_lo > 0 else Q_HALF), 1),
         ]
     # Conjugate pair x +- iy with x rational, y > 0, and |root|^2 = c.
     x = -b / 2
@@ -371,13 +378,11 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar, int]] | Non
     r_frac = _fraction_sqrt(c)
     if x == 0:
         r = r_frac if r_frac is not None else math.sqrt(c_f)
-        return [(Scalar.polar(r, Fraction(1, 4)), 1), (Scalar.polar(r, Fraction(3, 4)), 1)]
+        return [(Scalar.polar(r, Q_QUARTER), 1), (Scalar.polar(r, Q_THREE_QUARTERS), 1)]
     if r_frac is not None:
-        ratio = x / r_frac
-        table = {Fraction(1, 2): Fraction(1, 6), Fraction(-1, 2): Fraction(1, 3)}
-        if ratio in table:
-            q = table[ratio]
-            return [(Scalar.polar(r_frac, q), 1), (Scalar.polar(r_frac, 1 - q), 1)]
+        turns = _COSINE_TURNS.get(x / r_frac)
+        if turns is not None:
+            return [(Scalar.polar(r_frac, turns[0]), 1), (Scalar.polar(r_frac, turns[1]), 1)]
     return [
         (Scalar.inexact(complex(-b_f / 2, y)), 1),
         (Scalar.inexact(complex(-b_f / 2, -y)), 1),

@@ -17,6 +17,15 @@ quadratic (eigen._exact_quadratic), whose q is exact.
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
 so that boundary warnings still fire for them.
+
+Nearly every exact entry lies on an axis, so the four quarter turns
+q = 0, 1/4, 1/2, 3/4 are shared constants (Q_ZERO, Q_QUARTER, Q_HALF,
+Q_THREE_QUARTERS): ``Scalar.exact`` and ``Scalar.polar`` return them, and
+products, negations, reciprocals and sums of scalars carrying them add
+turns mod 4 instead of doing Fraction arithmetic, and return them again.
+Identity is only a shortcut: any other q, a Fraction equal to a quarter
+turn but not the shared object included, takes the Fraction path, and
+equality stays by value.
 """
 
 from __future__ import annotations
@@ -27,10 +36,16 @@ from fractions import Fraction
 from .errors import FloatRangeError, OutOfBranch
 
 _TWO_PI = 2.0 * math.pi
-_Q_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
-_THREE_QUARTERS = Fraction(3, 4)
+
+Q_ZERO = Fraction(0)
+Q_QUARTER = Fraction(1, 4)
+Q_HALF = Fraction(1, 2)
+Q_THREE_QUARTERS = Fraction(3, 4)
+
+#: The shared quarter turns, in order, and the turn count of each by
+#: identity: the constants add mod 4 without Fraction arithmetic.
+_TURNS = (Q_ZERO, Q_QUARTER, Q_HALF, Q_THREE_QUARTERS)
+_TURN_OF = {id(q): k for k, q in enumerate(_TURNS)}
 
 
 def _to_float(x: Fraction | int | float) -> float:
@@ -52,16 +67,19 @@ def _to_fraction(x: Fraction | int | float) -> Fraction:
 def _polar_to_complex(r: Fraction, q: Fraction) -> complex:
     # Quarter turns hit the axes exactly; sin/cos of their float angles do not.
     r_f = _to_float(r)
-    if q == 0:
+    k = _TURN_OF.get(id(q))
+    if k is None:
+        if q not in _TURNS:
+            a = _TWO_PI * float(q)
+            return complex(r_f * math.cos(a), r_f * math.sin(a))
+        k = _TURNS.index(q)
+    if k == 0:
         return complex(r_f, 0.0)
-    if q == _HALF:
-        return complex(-r_f, 0.0)
-    if q == _QUARTER:
+    if k == 1:
         return complex(0.0, r_f)
-    if q == _THREE_QUARTERS:
-        return complex(0.0, -r_f)
-    a = _TWO_PI * float(q)
-    return complex(r_f * math.cos(a), r_f * math.sin(a))
+    if k == 2:
+        return complex(-r_f, 0.0)
+    return complex(0.0, -r_f)
 
 
 class Scalar:
@@ -96,10 +114,10 @@ class Scalar:
             if re == 0:
                 return _ZERO
             r = _to_fraction(re)
-            return cls(None, r, _Q_ZERO) if r > 0 else cls(None, -r, _HALF)
+            return cls(None, r, Q_ZERO) if r > 0 else cls(None, -r, Q_HALF)
         if re == 0:
             r = _to_fraction(im)
-            return cls(None, r, _QUARTER) if r > 0 else cls(None, -r, _THREE_QUARTERS)
+            return cls(None, r, Q_QUARTER) if r > 0 else cls(None, -r, Q_THREE_QUARTERS)
         try:
             return cls(complex(re, im), None, None)
         except OverflowError:
@@ -107,12 +125,15 @@ class Scalar:
 
     @classmethod
     def polar(cls, r: float | int | Fraction, q: Fraction | int | str) -> "Scalar":
-        """Exact polar value ``r * exp(2*pi*i*q)`` with q rational in [0, 1)."""
-        q_frac = Fraction(q)
+        """Exact polar value ``r * exp(2*pi*i*q)`` with q rational in [0, 1);
+        a quarter turn becomes its shared constant."""
+        q_frac = q if q.__class__ is Fraction else Fraction(q)
         if not 0 <= q_frac < 1:
             raise OutOfBranch(f"polar argument q must lie in [0, 1), got {q_frac}")
         if isinstance(r, float) and not math.isfinite(r) or not r > 0:
             raise ValueError(f"polar modulus must be a finite positive real, got {r}")
+        if not 4 % q_frac.denominator:
+            q_frac = _TURNS[4 * q_frac.numerator // q_frac.denominator]
         return cls(None, _to_fraction(r), q_frac)
 
     @classmethod
@@ -182,17 +203,25 @@ class Scalar:
             return o
         if o is _ZERO:
             return self
-        if self._q is None or o._q is None:
+        q, oq = self._q, o._q
+        if q is None or oq is None:
             z, oz = self._z, o._z
             return Scalar((self.z if z is None else z) + (o.z if oz is None else oz), None, None)
-        if self._q == o._q:
-            return Scalar(None, self._r + o._r, self._q)
-        if (o._q - self._q) % 1 == _HALF:
+        k, ok = _TURN_OF.get(id(q)), _TURN_OF.get(id(oq))
+        if k is None or ok is None:
+            colinear = q == oq
+            opposite = not colinear and (oq - q) % 1 == Q_HALF
+        else:
+            colinear = k == ok
+            opposite = (ok - k) % 4 == 2
+        if colinear:
+            return Scalar(None, self._r + o._r, q)
+        if opposite:
             d = self._r - o._r
             if d > 0:
-                return Scalar(None, d, self._q)
+                return Scalar(None, d, q)
             if d < 0:
-                return Scalar(None, -d, o._q)
+                return Scalar(None, -d, oq)
             return _ZERO
         return Scalar(self.z + o.z, None, None)
 
@@ -201,8 +230,10 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         if self is _ZERO:
             return self
-        if self._q is not None:
-            return Scalar(None, self._r, (self._q + _HALF) % 1)
+        q = self._q
+        if q is not None:
+            k = _TURN_OF.get(id(q))
+            return Scalar(None, self._r, (q + Q_HALF) % 1 if k is None else _TURNS[(k + 2) % 4])
         return Scalar(-self._z, None, None)
 
     def __sub__(self, other) -> "Scalar":
@@ -223,8 +254,12 @@ class Scalar:
             return NotImplemented
         if self is _ZERO or o is _ZERO:
             return _ZERO
-        if self._q is not None and o._q is not None:
-            return Scalar(None, self._r * o._r, (self._q + o._q) % 1)
+        q, oq = self._q, o._q
+        if q is not None and oq is not None:
+            k, ok = _TURN_OF.get(id(q)), _TURN_OF.get(id(oq))
+            if k is None or ok is None:
+                return Scalar(None, self._r * o._r, (q + oq) % 1)
+            return Scalar(None, self._r * o._r, _TURNS[(k + ok) % 4])
         z, oz = self._z, o._z
         return Scalar((self.z if z is None else z) * (o.z if oz is None else oz), None, None)
 
@@ -233,8 +268,10 @@ class Scalar:
     def reciprocal(self) -> "Scalar":
         if self is _ZERO:
             raise ZeroDivisionError("reciprocal of exact zero")
-        if self._q is not None:
-            return Scalar(None, 1 / self._r, (-self._q) % 1)
+        q = self._q
+        if q is not None:
+            k = _TURN_OF.get(id(q))
+            return Scalar(None, 1 / self._r, (-q) % 1 if k is None else _TURNS[-k % 4])
         return Scalar.inexact(1.0 / self._z)
 
     def __truediv__(self, other) -> "Scalar":

@@ -196,3 +196,66 @@ def test_all_inexact_outputs_are_pinned(tmp_path, capsys, name, command):
         captured = capsys.readouterr()
         digest.update(f"{code}\n{captured.out}{captured.err}\n".encode("utf-8"))
     assert digest.hexdigest() == INEXACT_DIGESTS[name, command]
+
+
+# ---------------------------------------------------------------------------
+# Exact documents: every entry exact, spelled as a dyadic JSON number, an
+# imaginary-axis cartesian object, a polar object whose q is a quarter
+# turn, 1/3, 1/6 or 3/5, or 0 off the diagonal.  Two punctures at dims 1-4 and three at dims 1-2,
+# with triangular and full generators alike.  The digests were captured
+# before quarter-turn arguments became shared constants.
+
+_EXACT_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+_EXACT_QS = ["0", "1/4", "1/2", "3/4", "2/4", 0, "1/3", "1/6", "3/5"]
+
+
+def _dyadic(rng: random.Random) -> int | float:
+    k = rng.choice([v for v in range(-8, 9) if v])
+    shift = rng.randrange(4)
+    return k if shift == 0 else k / 2**shift
+
+
+def _exact_entry(rng: random.Random, diagonal: bool) -> int | float | dict:
+    kind = rng.randrange(6 if diagonal else 7)
+    if kind < 2:
+        return _dyadic(rng)
+    if kind < 4:
+        return {"re": rng.choice([0, 0.0, -0.0]), "im": _dyadic(rng)}
+    if kind < 6:
+        return {"r": abs(_dyadic(rng)), "q": rng.choice(_EXACT_QS)}
+    return 0
+
+
+def _exact_documents() -> list[str]:
+    rng = random.Random(15)
+    docs = []
+    for k in range(240):
+        punctures, dim = _EXACT_SHAPES[k % len(_EXACT_SHAPES)]
+        triangular = k // len(_EXACT_SHAPES) % 2 == 0
+        gens = [
+            [
+                [0 if triangular and j < i else _exact_entry(rng, i == j) for j in range(dim)]
+                for i in range(dim)
+            ]
+            for _ in range(punctures - 1)
+        ]
+        docs.append(json.dumps({"punctures": punctures, "dim": dim, "generators": gens}))
+    return docs
+
+
+EXACT_DIGESTS = {
+    ("exact", "c1"): "294d9bb04a7afeee30e026d5328cc0629d2bb89489fcf68ea08c45bac7a18061",
+    ("exact", "classify"): "9c374d7b16536149645d09f64e377205517acf01a5c4047156bc8686baf8ab0b",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(EXACT_DIGESTS))
+def test_exact_outputs_are_pinned(tmp_path, capsys, name, command):
+    path = tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    for text in _exact_documents():
+        path.write_text(text, encoding="utf-8")
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}{captured.err}\n".encode("utf-8"))
+    assert digest.hexdigest() == EXACT_DIGESTS[name, command]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsplit import OutOfBranch, Scalar
-from logsplit.scalar import ZERO
+from logsplit.scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, ZERO
 
 F = Fraction
 
@@ -127,6 +127,46 @@ class TestArithmetic:
         assert (a * b).z == 2j
 
 
+TURNS = (Q_ZERO, Q_QUARTER, Q_HALF, Q_THREE_QUARTERS)
+#: Exact values at q = k/4, with distinct moduli so no sum cancels.
+AXES = (Scalar.exact(2), Scalar.exact(0, 3), Scalar.exact(F(-5, 2)), Scalar.exact(0, -1))
+
+
+class TestQuarterTurns:
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_axis_arithmetic_returns_the_shared_constants(self, k, j):
+        a, b = AXES[k], AXES[j]
+        assert a.q is TURNS[k]
+        assert (-a).q is TURNS[(k + 2) % 4]
+        assert a.reciprocal().q is TURNS[-k % 4]
+        assert (a * b).q is TURNS[(k + j) % 4]
+        assert (a / b).q is TURNS[(k - j) % 4]
+        assert (a - a) is ZERO
+        sums = ((a + b, j),) if j == k else ((a + b, j), (a - b, (j + 2) % 4))
+        for total, turn in sums:
+            if turn == k or (turn - k) % 4 == 2:
+                assert total.q is TURNS[k] or total.q is TURNS[turn]
+            else:
+                assert not total.is_exact
+
+    def test_polar_maps_equal_arguments_onto_the_constants(self):
+        assert Scalar.polar(3, F(2, 4)).q is Q_HALF
+        assert Scalar.polar(3, "3/4").q is Q_THREE_QUARTERS
+        assert Scalar.polar(3, 0).q is Q_ZERO
+        assert Scalar.polar(3, F(1, 3)).q == F(1, 3)
+
+    def test_an_equal_argument_that_is_not_shared_gives_equal_results(self):
+        # Products of non-quarter turns make such arguments.
+        fresh = Scalar.polar(2, F(1, 3)) * Scalar.polar(1, F(1, 6))
+        assert fresh.q == Q_HALF and fresh.q is not Q_HALF
+        for other in AXES:
+            assert fresh * other == Scalar.exact(-2) * other
+            assert fresh + other == Scalar.exact(-2) + other
+        assert -fresh == Scalar.exact(2) and fresh.reciprocal() == Scalar.exact(F(-1, 2))
+        assert fresh.z == -2 + 0j
+
+
 class TestEquality:
     def test_exact_equality_is_structural(self):
         assert Scalar.polar(1, F(1, 2)) == Scalar.exact(-1)
@@ -163,10 +203,22 @@ any_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300]
 )
 floating = st.builds(lambda re, im: Scalar.inexact(complex(re, im)), any_float, any_float)
-polar = st.builds(
-    Scalar.polar,
-    st.fractions(min_value=F(1, 10**9), max_value=10**9),
-    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda q: q < 1),
+moduli = st.fractions(min_value=F(1, 10**9), max_value=10**9)
+# Quarter turns are drawn often: as the shared constants, which take the
+# identity shortcut, and as equal Fractions that are not them, which take
+# the Fraction path.  Scalar.polar would map the latter onto the constants,
+# so they go to the constructor, as arithmetic on other arguments does.
+fresh_turns = st.sampled_from(
+    [lambda: F(2, 4), lambda: (F(1, 3) + F(2, 3)) % 1, lambda: F(1, 12) * 3, lambda: F(3, 4) * 1]
+).map(lambda make: make())
+polar = (
+    st.builds(
+        Scalar.polar,
+        moduli,
+        st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda q: q < 1)
+        | st.sampled_from(TURNS),
+    )
+    | st.builds(lambda r, q: Scalar(None, r, q), moduli, fresh_turns)
 )
 scalars = floating | polar | st.just(ZERO) | st.fractions().map(Scalar.exact)
 plain = (
