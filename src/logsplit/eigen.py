@@ -40,7 +40,8 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
-from .scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, Scalar, as_scalar, is_exact, modulus
+from .scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, ZERO, Scalar
+from .scalar import is_exact, modulus, same_value, value_of
 
 #: Default clustering, snapping and parallelism tolerance, of the library
 #: and the command line alike (mixed absolute-relative).
@@ -90,14 +91,14 @@ def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | 
     inputs within ``tol`` of the branch cut (near 0 or near 1) snap to
     exactly 0; the branch is half-open.
     """
-    s = Scalar._coerce(z)
-    if s is None:
+    v = value_of(z)
+    if v is None:
         raise TypeError(f"cannot take the argument of {type(z).__name__}")
-    if s.is_zero:
+    if v == 0:
         raise ZeroArgument("the zero scalar has no argument")
-    if s.q is not None:
-        return s.q
-    q, _ = _float_arg(s.z, tol)
+    if v.__class__ is Scalar:
+        return v.q
+    q, _ = _float_arg(v, tol)
     return q
 
 
@@ -157,8 +158,8 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_diagonal(a.diagonal(), tol)
-    coeffs = a._char_poly()
-    if n == 2 and is_exact(coeffs[2]):
+    coeffs = a.char_poly()
+    if n == 2 and is_exact(coeffs[1]) and is_exact(coeffs[2]):
         exact = _exact_quadratic(coeffs[1], coeffs[2])
         if exact is not None:
             return _eigen_data(exact, tol)
@@ -173,8 +174,8 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     # coefficients and their evaluation back into range when the
     # eigenvalues themselves are.
     exp = math.frexp(a.max_abs())[1]
-    scaled = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a._rows])
-    coeffs_c = list(map(complex, scaled._char_poly()))
+    scaled = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a.rows])
+    coeffs_c = list(map(complex, scaled.char_poly()))
     # The singularity test of Representation, made at this scale: below it
     # the smallest eigenvalues are not determined by the floating entries.
     if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
@@ -203,8 +204,9 @@ def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) ->
 
 
 def _eigen_data(clusters: list, tol: float, uncertain: bool = False) -> EigenData:
-    """EigenData of solved nonzero (value, multiplicity) pairs, a value a
-    Scalar or a complex; ``uncertain`` adds EigenvalueUncertain."""
+    """EigenData of solved nonzero (value, multiplicity) pairs, a value an
+    exact Scalar or a complex, which is boxed by ``Scalar.inexact`` as the
+    pair's value; ``uncertain`` adds EigenvalueUncertain."""
     keyed = []
     warnings: list[str] = []
     for value, mult in clusters:
@@ -223,7 +225,7 @@ def _eigen_data(clusters: list, tol: float, uncertain: bool = False) -> EigenDat
             q, boundary = _float_arg(z, tol)
             if boundary:
                 warnings.append(BRANCH_BOUNDARY)
-            value = as_scalar(value)
+            value = Scalar.inexact(z)
         keyed.append(((float(q), r), EigenPair(value, mult, q, math.log(r))))
     keyed.sort(key=lambda k: k[0])
     if uncertain:
@@ -231,16 +233,18 @@ def _eigen_data(clusters: list, tol: float, uncertain: bool = False) -> EigenDat
     return EigenData(tuple(pair for _, pair in keyed), tuple(dict.fromkeys(warnings)))
 
 
-def _from_diagonal(values: tuple[Scalar, ...], tol: float) -> EigenData:
+def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenData:
     """EigenData of a triangular matrix's diagonal ``values``."""
-    clusters: list[list[Scalar]] = []
+    clusters: list[list[Scalar | complex]] = []
     for v in values:
-        if v.is_exact_zero:
+        if v is ZERO:
             raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-        if not v.is_exact and abs(v) < tol:
-            raise ZeroEigenvalue(f"eigenvalue of modulus {abs(v):.3e} below tolerance {tol:.3e}")
+        if not is_exact(v) and modulus(v) < tol:
+            raise ZeroEigenvalue(
+                f"eigenvalue of modulus {modulus(v):.3e} below tolerance {tol:.3e}"
+            )
         for group in clusters:
-            if v.same_value(group[0], tol):
+            if same_value(v, group[0], tol):
                 group.append(v)
                 break
         else:
@@ -327,7 +331,7 @@ def _fraction_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
-def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar, int]] | None:
+def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar | complex, int]] | None:
     """Roots of x^2 + b x + c for exact real-rational b, c.
 
     Real roots always carry an exact argument (0 or 1/2: the sign is
@@ -383,10 +387,7 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar, int]] | Non
         turns = _COSINE_TURNS.get(x / r_frac)
         if turns is not None:
             return [(Scalar.polar(r_frac, turns[0]), 1), (Scalar.polar(r_frac, turns[1]), 1)]
-    return [
-        (Scalar.inexact(complex(-b_f / 2, y)), 1),
-        (Scalar.inexact(complex(-b_f / 2, -y)), 1),
-    ]
+    return [(complex(-b_f / 2, y), 1), (complex(-b_f / 2, -y), 1)]
 
 
 # ---------------------------------------------------------------------------

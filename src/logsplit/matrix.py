@@ -1,17 +1,17 @@
-"""Small dense complex matrices over :class:`~logsplit.scalar.Scalar`.
+"""Small dense complex matrices of exact Scalars and ``complex`` values.
 
 Dimensions are capped at 8: local monodromies at desk scale.  All methods
-are pure; a Matrix is immutable after construction.  A matrix whose
-entries are all floating stores plain ``complex`` rows, and every
-operation runs on them in the order floating Scalars would (sums from the
-first term, division as a product with ``1.0 / x``), so the bits are the
-same.  Any exact entry keeps Scalar rows: exact polar data then survives
-any operation that only needs products, reciprocals and colinear sums
-(diagonal and triangular work in particular), and ``@`` and the inverse
-keep exact entries exact in every dimension.  ``det`` and ``char_poly``
-run on ``complex`` values from dimension 3 either way.  ``rows``,
-indexing, ``det`` and ``char_poly`` return Scalars; sibling modules read
-the stored values through ``_rows``, ``_det`` and ``_char_poly``.
+are pure; a Matrix is immutable after construction.  Each entry is stored
+as given: an exact :class:`~logsplit.scalar.Scalar`, or a ``complex`` for
+a floating value (a floating Scalar is unboxed).  Arithmetic between the
+two is Scalar arithmetic, whose floating results are ``complex``, and
+every operation divides as a product with ``1.0 / x``.  Exact polar data
+survives any operation that only needs products, reciprocals and colinear
+sums (diagonal and triangular work in particular), and ``@`` and the
+inverse keep exact entries exact in every dimension.  ``det`` and
+``char_poly`` run on ``complex`` values from dimension 3.  ``rows``,
+indexing, ``diagonal``, ``det``, ``char_poly`` and ``scalar_value``
+return the values as stored or computed: exact Scalars and ``complex``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalar import ONE, ZERO, Scalar, as_scalar, is_exact, modulus
+from .scalar import ONE, ZERO, Scalar, is_exact, modulus, value_of
 
 MAX_DIM = 8
 
@@ -57,8 +57,6 @@ class Matrix:
             raise DimensionMismatch(f"matrix dimension must be 1..{MAX_DIM}, got {n}")
         if any(len(row) != n for row in grid):
             raise DimensionMismatch("matrix must be square")
-        if len(set(map(type, chain.from_iterable(grid)))) > 1:  # exact and floating
-            grid = tuple(tuple(map(as_scalar, row)) for row in grid)
         self._rows = grid
 
     @classmethod
@@ -72,12 +70,12 @@ class Matrix:
         return len(self._rows)
 
     @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return tuple(tuple(map(as_scalar, row)) for row in self._rows)
+    def rows(self) -> tuple[tuple[Scalar | complex, ...], ...]:
+        return self._rows
 
-    def __getitem__(self, ij: tuple[int, int]) -> Scalar:
+    def __getitem__(self, ij: tuple[int, int]) -> Scalar | complex:
         i, j = ij
-        return as_scalar(self._rows[i][j])
+        return self._rows[i][j]
 
     def max_abs(self) -> float:
         try:
@@ -97,16 +95,6 @@ class Matrix:
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def close_to(self, other: "Matrix", tol: float) -> bool:
-        if self.n != other.n:
-            return False
-        scale = 1.0 + max(self.max_abs(), other.max_abs())
-        return all(
-            abs(complex(a) - complex(b)) <= tol * scale
-            for ra, rb in zip(self._rows, other._rows)
-            for a, b in zip(ra, rb)
-        )
-
     # -- algebra ----------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -122,11 +110,8 @@ class Matrix:
             raise DimensionMismatch("vector length does not match matrix dimension")
         return tuple(reduce(add, map(mul, row, v)) for row in self._rows)
 
-    def det(self) -> Scalar:
-        return as_scalar(self._det())
-
-    def _det(self) -> Scalar | complex:
-        """``det`` in the stored values (complex from dimension 3)."""
+    def det(self) -> Scalar | complex:
+        """The determinant (a complex from dimension 3)."""
         n = self.n
         r = self._rows
         if n == 1:
@@ -137,17 +122,19 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """Inverse by Gauss-Jordan elimination of ``[A | I]`` in the stored
-        values; Scalar rows keep exact entries exact.  Raises SingularMatrix
-        when |det| is below_singularity_threshold."""
+        values, with an exact I unless every entry is floating, so exact
+        entries stay exact.  Raises SingularMatrix when |det| is
+        below_singularity_threshold."""
         n = self.n
-        one, zero = (1 + 0j, 0j) if self._rows[0][0].__class__ is complex else (ONE, ZERO)
+        floating = all(e.__class__ is complex for e in chain.from_iterable(self._rows))
+        one, zero = (1 + 0j, 0j) if floating else (ONE, ZERO)
         w = [list(self._rows[i]) + [zero] * i + [one] + [zero] * (n - i - 1) for i in range(n)]
         det_abs = modulus(_det_by_elimination(w))
         if below_singularity_threshold(det_abs, self.max_abs(), n):
             raise SingularMatrix(f"{n}x{n} determinant {det_abs:.3e} below tolerance")
         return Matrix(row[n:] for row in w)
 
-    def char_poly(self) -> tuple[Scalar, ...]:
+    def char_poly(self) -> tuple[Scalar | complex, ...]:
         """Monic characteristic polynomial det(xI - A), coefficients from
         the leading 1 down to the constant term (length n + 1).
 
@@ -161,17 +148,14 @@ class Matrix:
         which poisons the low coefficients whenever the spectrum is
         spread over a few orders of magnitude.
         """
-        return tuple(map(as_scalar, self._char_poly()))
-
-    def _char_poly(self) -> Sequence[Scalar | complex]:
-        """``char_poly`` in the stored values (complex from dimension 3)."""
         n = self.n
         if n == 1:
             return (ONE, -self._rows[0][0])
         if n == 2:
             (a, b), (c, d) = self._rows
             return (ONE, -(a + d), a * d - b * c)
-        return _hessenberg_char_poly(_hessenberg([list(map(complex, row)) for row in self._rows]))
+        h = _hessenberg([list(map(complex, row)) for row in self._rows])
+        return tuple(_hessenberg_char_poly(h))
 
     # -- structure probes -------------------------------------------------
 
@@ -181,10 +165,10 @@ class Matrix:
     def is_lower_triangular(self) -> bool:
         return all(_is_zero(e) for i, row in enumerate(self._rows) for e in row[i + 1:])
 
-    def diagonal(self) -> tuple[Scalar, ...]:
-        return tuple(as_scalar(self._rows[i][i]) for i in range(self.n))
+    def diagonal(self) -> tuple[Scalar | complex, ...]:
+        return tuple(self._rows[i][i] for i in range(self.n))
 
-    def scalar_value(self, tol: float) -> Scalar | None:
+    def scalar_value(self, tol: float) -> Scalar | complex | None:
         """The scalar c when this matrix equals c * I, else None.
 
         Fully exact matrices are tested exactly; otherwise deviation from
@@ -200,20 +184,20 @@ class Matrix:
         scale = 1.0 + self.max_abs()
         dev = max(abs(complex(e) - (mean if i == j else 0j))
                   for i, row in enumerate(rows) for j, e in enumerate(row))
-        return Scalar.inexact(mean) if dev <= tol * scale else None
+        return mean if dev <= tol * scale else None
 
 
-# Kernels on plain complex values; the elimination also takes Scalar rows,
-# for the inverse of a matrix with exact entries.  Division is a
-# multiplication by ``1.0 / pivot``, as in Scalar, so a matrix of floating
-# Scalars gets the same values bit for bit.
+# Kernels on plain complex values; the elimination also takes rows with
+# exact Scalars, for the inverse of a matrix with exact entries.  Division
+# is a multiplication by ``1.0 / pivot``, as in Scalar.
 
 
 def _det_by_elimination(w: list[list]) -> complex | Scalar:
-    """Determinant by partial-pivot elimination of ``complex`` or Scalar
-    rows; ``w`` is overwritten.  When ``w`` is wider than square, [A | B],
-    each pivot row is also scaled to 1 and cleared from the rows above it
-    (Gauss-Jordan), which leaves A^-1 B in the right block."""
+    """Determinant by partial-pivot elimination of rows of ``complex``
+    values and exact Scalars; ``w`` is overwritten.  When ``w`` is wider
+    than square, [A | B], each pivot row is also scaled to 1 and cleared
+    from the rows above it (Gauss-Jordan), which leaves A^-1 B in the
+    right block."""
     n, width = len(w), len(w[0])
     jordan = width > n
     det = 1 + 0j
@@ -308,13 +292,11 @@ def _is_zero(e: Scalar | complex) -> bool:
     return e.is_zero if e.__class__ is Scalar else e == 0
 
 
-def _entry(e) -> Scalar | complex:  # floating entries as their complex values
-    if e.__class__ is complex:
-        return e
-    s = Scalar._coerce(e)
-    if s is None:
+def _entry(e) -> Scalar | complex:
+    v = e if e.__class__ is complex else value_of(e)
+    if v is None:
         raise TypeError(f"matrix entries must be Scalars or numbers, got {type(e).__name__}")
-    return s if s.is_exact else s.z
+    return v
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -327,6 +309,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     return a.inverse()
 
 
-def char_poly(a: Matrix) -> tuple[Scalar, ...]:
+def char_poly(a: Matrix) -> tuple[Scalar | complex, ...]:
     """Monic characteristic polynomial coefficients of ``a``."""
     return a.char_poly()

@@ -17,6 +17,7 @@ from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, checked_tolerance,
 from .eigen import reciprocal_eigenvalues
 from .errors import DimensionMismatch, SingularMatrix
 from .matrix import Matrix, below_singularity_threshold
+from .scalar import modulus
 
 SUPPORTED_PUNCTURES = (2, 3)
 
@@ -44,7 +45,7 @@ class Representation:
         if any(g.n != dim for g in gens):
             raise DimensionMismatch("all generators must share one dimension")
         for idx, g in enumerate(gens):
-            if below_singularity_threshold(abs(g.det()), g.max_abs(), dim):
+            if below_singularity_threshold(modulus(g.det()), g.max_abs(), dim):
                 raise SingularMatrix(f"generator {idx} is singular")
 
     @property

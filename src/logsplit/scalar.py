@@ -1,4 +1,4 @@
-"""Complex scalars that remember an exact value when they can.
+"""Exact complex scalars, and the arithmetic that mixes them with floats.
 
 The classification downstream is discontinuous in the normalized argument
 q of an eigenvalue (q = 0 versus q != 0 picks a different twisting sheaf),
@@ -9,14 +9,18 @@ therefore carries, whenever its provenance allows, the exact value
 its exact dyadic value).  Arithmetic keeps the exact form alive through
 the operations that preserve it (products, reciprocals, negation,
 conjugation, addition of colinear values), so exact zero tests decide on
-exact data, and degrades to a plain complex float otherwise.  The complex
-value of an exact scalar is derived when it is first read.  One exact
-modulus is rounded: the irrational modulus of a root of a rational
-quadratic (eigen._exact_quadratic), whose q is exact.
+exact data, and degrades to a plain ``complex`` otherwise: every floating
+result is a ``complex``, computed on the operands' complex values in the
+order they are written, and a ``complex`` operand is a floating value.
+The complex value of an exact scalar is derived when it is first read.
+One exact modulus is rounded: the irrational modulus of a root of a
+rational quadratic (eigen._exact_quadratic), whose q is exact.
 
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
-so that boundary warnings still fire for them.
+so that boundary warnings still fire for them.  A floating Scalar
+(``Scalar.inexact``) only boxes such a value where a Scalar is promised,
+as for an eigenvalue; arithmetic on it gives a ``complex`` too.
 
 Nearly every exact entry lies on an axis, so the four quarter turns
 q = 0, 1/4, 1/2, 3/4 are shared constants (Q_ZERO, Q_QUARTER, Q_HALF,
@@ -83,7 +87,7 @@ def _polar_to_complex(r: Fraction, q: Fraction) -> complex:
 
 
 class Scalar:
-    """Immutable complex scalar, exact or floating.
+    """Immutable complex scalar, exact or a boxed float.
 
     States:
       * exact zero      -- the ``ZERO`` singleton, tested by identity
@@ -102,13 +106,15 @@ class Scalar:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def exact(cls, re: float | int | Fraction = 0, im: float | int | Fraction = 0) -> "Scalar":
+    def exact(
+        cls, re: float | int | Fraction = 0, im: float | int | Fraction = 0
+    ) -> "Scalar | complex":
         """Exactly specified cartesian value.
 
         Real and purely imaginary inputs land on a known axis, so their
         branch argument is exact (0, 1/4, 1/2 or 3/4) and their modulus is
         the exact rational value of the input; anything else has no
-        representable exact argument and is stored as a float.
+        representable exact argument and is returned as a ``complex``.
         """
         if im == 0:
             if re == 0:
@@ -119,9 +125,9 @@ class Scalar:
             r = _to_fraction(im)
             return cls(None, r, Q_QUARTER) if r > 0 else cls(None, -r, Q_THREE_QUARTERS)
         try:
-            return cls(complex(re, im), None, None)
+            return complex(re, im)
         except OverflowError:
-            return cls(complex(_to_float(re), _to_float(im)), None, None)
+            return complex(_to_float(re), _to_float(im))
 
     @classmethod
     def polar(cls, r: float | int | Fraction, q: Fraction | int | str) -> "Scalar":
@@ -138,7 +144,8 @@ class Scalar:
 
     @classmethod
     def inexact(cls, z: complex) -> "Scalar":
-        """Floating value with no exactness claim (e.g. an iterated root)."""
+        """A floating value boxed as a Scalar, with no exactness claim (an
+        iterated root, where a Scalar is promised)."""
         return cls(complex(z), None, None)
 
     # -- state predicates ---------------------------------------------
@@ -185,28 +192,19 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "Scalar | None":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, float, Fraction)):
-            return Scalar.exact(value)
-        if isinstance(value, complex):
-            return Scalar.inexact(value)
-        return None
-
-    def __add__(self, other) -> "Scalar":
-        o = other if other.__class__ is Scalar else self._coerce(other)
+    def __add__(self, other) -> "Scalar | complex":
+        o = other if other.__class__ is Scalar else value_of(other)
         if o is None:
             return NotImplemented
         if self is _ZERO:
-            return o
+            return o if o.__class__ is complex or o._r is not None else o._z
         if o is _ZERO:
-            return self
+            return self if self._r is not None else self._z
+        if o.__class__ is complex:
+            return self.z + o
         q, oq = self._q, o._q
         if q is None or oq is None:
-            z, oz = self._z, o._z
-            return Scalar((self.z if z is None else z) + (o.z if oz is None else oz), None, None)
+            return self.z + o.z
         k, ok = _TURN_OF.get(id(q)), _TURN_OF.get(id(oq))
         if k is None or ok is None:
             colinear = q == oq
@@ -223,68 +221,69 @@ class Scalar:
             if d < 0:
                 return Scalar(None, -d, oq)
             return _ZERO
-        return Scalar(self.z + o.z, None, None)
+        return self.z + o.z
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Scalar":
+    def __neg__(self) -> "Scalar | complex":
         if self is _ZERO:
             return self
         q = self._q
         if q is not None:
             k = _TURN_OF.get(id(q))
             return Scalar(None, self._r, (q + Q_HALF) % 1 if k is None else _TURNS[(k + 2) % 4])
-        return Scalar(-self._z, None, None)
+        return -self._z
 
-    def __sub__(self, other) -> "Scalar":
-        o = other if other.__class__ is Scalar else self._coerce(other)
+    def __sub__(self, other) -> "Scalar | complex":
+        o = other if other.__class__ is Scalar else value_of(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other) -> "Scalar":
-        o = self._coerce(other)
+    def __rsub__(self, other) -> "Scalar | complex":
+        o = value_of(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
-    def __mul__(self, other) -> "Scalar":
-        o = other if other.__class__ is Scalar else self._coerce(other)
+    def __mul__(self, other) -> "Scalar | complex":
+        o = other if other.__class__ is Scalar else value_of(other)
         if o is None:
             return NotImplemented
         if self is _ZERO or o is _ZERO:
             return _ZERO
+        if o.__class__ is complex:
+            return self.z * o
         q, oq = self._q, o._q
         if q is not None and oq is not None:
             k, ok = _TURN_OF.get(id(q)), _TURN_OF.get(id(oq))
             if k is None or ok is None:
                 return Scalar(None, self._r * o._r, (q + oq) % 1)
             return Scalar(None, self._r * o._r, _TURNS[(k + ok) % 4])
-        z, oz = self._z, o._z
-        return Scalar((self.z if z is None else z) * (o.z if oz is None else oz), None, None)
+        return self.z * o.z
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "Scalar":
+    def reciprocal(self) -> "Scalar | complex":
         if self is _ZERO:
             raise ZeroDivisionError("reciprocal of exact zero")
         q = self._q
         if q is not None:
             k = _TURN_OF.get(id(q))
             return Scalar(None, 1 / self._r, (-q) % 1 if k is None else _TURNS[-k % 4])
-        return Scalar.inexact(1.0 / self._z)
+        return 1.0 / self._z
 
-    def __truediv__(self, other) -> "Scalar":
-        o = self._coerce(other)
+    def __truediv__(self, other) -> "Scalar | complex":
+        o = value_of(other)
         if o is None:
             return NotImplemented
-        return self * o.reciprocal()
+        return self * (1.0 / o if o.__class__ is complex else o.reciprocal())
 
-    def __rtruediv__(self, other) -> "Scalar":
+    def __rtruediv__(self, other) -> "Scalar | complex":
         # A real 1 would coerce to a value equal to ONE in every field, its
         # complex value 1+0j included; ONE saves building a Fraction.
         real_one = isinstance(other, (int, float, Fraction)) and other == 1
-        o = ONE if real_one else self._coerce(other)
+        o = ONE if real_one else value_of(other)
         if o is None:
             return NotImplemented
         return o * self.reciprocal()
@@ -292,24 +291,15 @@ class Scalar:
     # -- comparison -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = value_of(other)
         if o is None:
             return NotImplemented
-        if self.is_exact and o.is_exact:
+        if o.__class__ is Scalar and self._r is not None:  # both exact
             return self._r == o._r and self._q == o._q
-        return self.z == o.z
+        return self.z == complex(o)
 
     def __hash__(self) -> int:
         return hash(self.z)
-
-    def same_value(self, other: "Scalar", tol: float) -> bool:
-        """Equality test honoring exactness: exact pairs compare exactly,
-        anything touching a float compares within ``tol`` (mixed absolute
-        and relative)."""
-        if self.is_exact and other.is_exact:
-            return self == other
-        scale = 1.0 + max(abs(self), abs(other))
-        return abs(self.z - other.z) < tol * scale
 
     def __repr__(self) -> str:
         if self is _ZERO:
@@ -317,6 +307,19 @@ class Scalar:
         if self._q is not None:
             return f"Scalar({self._r}*e2pi({self._q}))"
         return f"Scalar({self._z!r})"
+
+
+def value_of(x) -> Scalar | complex | None:
+    """A number as the package holds it: an exact value as a Scalar (a
+    real int, float or Fraction is exact), a floating one as a ``complex``
+    (a floating Scalar unboxed); None for anything else."""
+    if x.__class__ is Scalar:
+        return x if x._r is not None else x._z
+    if isinstance(x, complex):
+        return complex(x)
+    if isinstance(x, (int, float, Fraction)):
+        return Scalar.exact(x)
+    return None
 
 
 def modulus(x: Scalar | complex) -> float:
@@ -331,8 +334,14 @@ def is_exact(x: Scalar | complex) -> bool:
     return x.__class__ is Scalar and x._r is not None
 
 
-def as_scalar(x: Scalar | complex) -> Scalar:
-    return x if x.__class__ is Scalar else Scalar(x, None, None)
+def same_value(x: Scalar | complex, y: Scalar | complex, tol: float) -> bool:
+    """Equality test honoring exactness: exact pairs compare exactly,
+    anything touching a float compares within ``tol`` (mixed absolute and
+    relative)."""
+    if is_exact(x) and is_exact(y):
+        return x == y
+    scale = 1.0 + max(modulus(x), modulus(y))
+    return modulus(complex(x) - complex(y)) < tol * scale
 
 
 def quotient(x: Scalar | complex, y: Scalar | complex) -> Scalar | complex:

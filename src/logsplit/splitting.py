@@ -29,7 +29,7 @@ from .errors import (
 )
 from .matrix import Matrix
 from .representation import PuncturedRepresentation, Representation, build
-from .scalar import ONE, ZERO, Scalar, as_scalar, is_exact, modulus, quotient
+from .scalar import ONE, ZERO, Scalar, is_exact, modulus, quotient, value_of
 
 
 @unique
@@ -59,17 +59,16 @@ class SplittingType:
         return sum(self.roots)
 
 
-#: A 2x2 direction: Scalars, or complex values for a floating matrix.
-Direction = tuple[Scalar, Scalar] | tuple[complex, complex]
-#: The unit slot of a normalized complex direction, found by identity.
-_UNIT = complex(1.0)
+#: A pair of values, each an exact Scalar or a complex: a 2x2 direction,
+#: or the eigenvalues of m0 and m1 on a line.
+Pair = tuple[Scalar | complex, Scalar | complex]
 
 
 @dataclass(frozen=True)
 class InvariantLine:
-    direction: tuple[Scalar, Scalar]
-    sub_eigen_pair: tuple[Scalar, Scalar]
-    quotient_eigen_pair: tuple[Scalar, Scalar]
+    direction: Pair
+    sub_eigen_pair: Pair
+    quotient_eigen_pair: Pair
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     ch. V): m0 on a tie, the other member when that one is scalar at
     ``tol``.  Eigenvalues are solved only when this branch is reached.
     Each line carries the eigenvalues of m0 and m1 on it, read at the
-    exact-1 slot of v, and the quotient det/lambda.
+    slot of v that holds the exact ONE, and the quotient det/lambda.
     """
     return _invariant_lines(m0, m1, tol, None)
 
@@ -146,8 +145,8 @@ def _invariant_lines(
 ) -> InvariantLineReport:
     if m0.n != 2 or m1.n != 2:
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
-    (a, b), (c, d) = m0._rows
-    (e, f), (g, h) = m1._rows
+    (a, b), (c, d) = m0.rows
+    (e, f), (g, h) = m1.rows
     a_d, e_h = a - d, e - h
     c00 = b * g - f * c
     c01 = f * a_d - b * e_h
@@ -163,7 +162,7 @@ def _invariant_lines(
     if eigen is None:
         eigen = (eigenvalues(m0, tol), eigenvalues(m1, tol))
     # Relative eigenvalue gaps, 0 for a single cluster.
-    gap0, gap1 = (abs(data.pairs[0].value.z - data.pairs[-1].value.z) / m.max_abs()
+    gap0, gap1 = (modulus(data.pairs[0].value.z - data.pairs[-1].value.z) / m.max_abs()
                   for m, data in zip((m0, m1), eigen))
     members = ((m0, eigen[0], m1), (m1, eigen[1], m0))
     for source, source_eigen, other in members[::-1] if gap1 > gap0 else members:
@@ -177,7 +176,7 @@ def _invariant_lines(
     return InvariantLineReport(lines, len(lines) >= 2)
 
 
-def _preserved(m: Matrix, v: Direction, tol: float) -> bool:
+def _preserved(m: Matrix, v: Pair, tol: float) -> bool:
     w = m.apply(v)
     cross = v[0] * w[1] - v[1] * w[0]
     if is_exact(cross):
@@ -185,25 +184,23 @@ def _preserved(m: Matrix, v: Direction, tol: float) -> bool:
     return modulus(cross) < tol * math.hypot(*map(modulus, v)) * math.hypot(*map(modulus, w))
 
 
-def _line(m0: Matrix, m1: Matrix, v: Direction) -> InvariantLine:
+def _line(m0: Matrix, m1: Matrix, v: Pair) -> InvariantLine:
     """The invariant line along the normalized direction v."""
-    i = 0 if v[0] is ONE or v[0] is _UNIT else 1
-    lams = [row[0] * v[0] + row[1] * v[1] for row in (m0._rows[i], m1._rows[i])]
-    quotients = [quotient(m._det(), lam) for m, lam in zip((m0, m1), lams)]
-    direction = tuple(ONE if x is _UNIT else as_scalar(x) for x in v)
-    return InvariantLine(direction, tuple(map(as_scalar, lams)), tuple(map(as_scalar, quotients)))
+    i = 0 if v[0] is ONE else 1
+    lams = tuple(row[0] * v[0] + row[1] * v[1] for row in (m0.rows[i], m1.rows[i]))
+    return InvariantLine(v, lams, (quotient(m0.det(), lams[0]), quotient(m1.det(), lams[1])))
 
 
-def _eigendirections(m: Matrix, eigen: EigenData) -> list[Direction]:
-    """One direction per distinct eigenvalue of a non-scalar 2x2, in its stored values."""
-    (a, b), (c, d) = m._rows
+def _eigendirections(m: Matrix, eigen: EigenData) -> list[Pair]:
+    """One direction per distinct eigenvalue of a non-scalar 2x2."""
+    (a, b), (c, d) = m.rows
     # Kernel of (m - lam I): orthogonal complements of its two rows.
-    lams = (p.value if a.__class__ is Scalar else p.value.z for p in eigen.pairs)
+    lams = (value_of(p.value) for p in eigen.pairs)
     kernels = (_kernel_direction((b, lam - a), (lam - d, c)) for lam in lams)
     return [v for v in kernels if v is not None]
 
 
-def _kernel_direction(u1: Direction, u2: Direction) -> Direction | None:
+def _kernel_direction(u1: Pair, u2: Pair) -> Pair | None:
     """The larger of two candidate kernel vectors, normalized; None when
     both vanish."""
     v = u1 if max(map(modulus, u1)) >= max(map(modulus, u2)) else u2
@@ -212,14 +209,13 @@ def _kernel_direction(u1: Direction, u2: Direction) -> Direction | None:
     return _normalize_direction(v)
 
 
-def _normalize_direction(v: Direction) -> Direction:
+def _normalize_direction(v: Pair) -> Pair:
     # Directions are projective: the leading slot becomes the literal exact
-    # ONE, or _UNIT for complex values (not v_i / v_i, which would inherit
-    # the scale factor's inexactness), which is how _line finds it.
-    one = ONE if v[0].__class__ is Scalar else _UNIT
+    # ONE (not v_i / v_i, which would inherit the scale factor's
+    # inexactness), which is how _line finds it.
     if modulus(v[0]) >= modulus(v[1]):
-        return (one, quotient(v[1], v[0]))
-    return (quotient(v[0], v[1]), one)
+        return (ONE, quotient(v[1], v[0]))
+    return (quotient(v[0], v[1]), ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +276,7 @@ def classify_dim2(
     return ClassificationReport(kind, candidates, prep.warnings(), chern)
 
 
-def _summand_roots(
-    summands: list[tuple[Scalar, Scalar]], zeta: int, tol: float
-) -> list[int]:
+def _summand_roots(summands: list[Pair], zeta: int, tol: float) -> list[int]:
     """c1 split over line summands, given by their eigenvalue pairs at
     punctures 0 and 1: 0 for a summand at the origin (both q = 0), -1 or
     -2 for each of the others.  Two of those are reported sorted, so which

@@ -31,6 +31,23 @@ def rand_invertible(rng: random.Random, n: int, det_floor: float = 1e-6) -> Matr
             return m
 
 
+def stored_form(x) -> bool:
+    """Whether ``x`` is a value as the package holds it: an exact Scalar
+    or a complex, not a floating Scalar."""
+    return (type(x) is Scalar and x.is_exact) or type(x) is complex
+
+
+def close_to(a: Matrix, b: Matrix, tol: float) -> bool:
+    """Whether every entry of ``a`` lies within ``tol * scale`` of ``b``'s,
+    ``scale`` being 1 plus the largest entry modulus of either."""
+    scale = 1.0 + max(a.max_abs(), b.max_abs())
+    return a.n == b.n and all(
+        abs(complex(x) - complex(y)) <= tol * scale
+        for ra, rb in zip(a.rows, b.rows)
+        for x, y in zip(ra, rb)
+    )
+
+
 def frobenius(m: Matrix) -> float:
     return math.sqrt(sum(abs(e) ** 2 for row in m.rows for e in row))
 

@@ -494,7 +494,7 @@ class TestNumericRobustness:
         assert dim == n
         coeffs = parse_input_document(doc).representation().generators[0].char_poly()
         with pytest.raises(RootFindingDivergence):
-            _aberth_roots([c.z for c in coeffs])
+            _aberth_roots(list(map(complex, coeffs)))
         assert self._run(tmp_path, doc) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert (out["kind"], out["c1"], out["candidates"], out["warnings"]) == (
@@ -512,8 +512,8 @@ class TestNumericRobustness:
 
         def answer(exp: int) -> tuple:
             gen = [
-                [{"re": math.ldexp(e.z.real, exp), "im": math.ldexp(e.z.imag, exp)} for e in row]
-                for row in m.rows
+                [{"re": math.ldexp(z.real, exp), "im": math.ldexp(z.imag, exp)} for z in row]
+                for row in (map(complex, row) for row in m.rows)
             ]
             doc = json.dumps({"punctures": 2, "dim": n, "generators": [gen]})
             assert self._run(tmp_path, doc) == EXIT_OK
@@ -569,6 +569,18 @@ class TestNumericRobustness:
         doc = (
             '{"punctures": 2, "dim": 2, '
             '"generators": [[[{"re": 1.3e154, "im": 1.3e154}, 0], [0, 1e154]]]}'
+        )
+        assert self._run(tmp_path, doc) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["c1"], out["candidates"]) == ("TwoPunctureGeneral", -1, [[0, -1]])
+
+    def test_complex_determinant_modulus_beyond_the_float_range(self, tmp_path, capsys):
+        # The same determinant from a generator whose entries are all
+        # floating, so det() is a complex, not an exact Scalar.
+        tiny = '{"re": 1e-300, "im": 1e-300}'
+        doc = (
+            '{"punctures": 2, "dim": 2, "generators": [[[{"re": 1.3e154, "im": 1.3e154}, %s], '
+            '[%s, {"re": 1e154, "im": 1e-154}]]]}' % (tiny, tiny)
         )
         assert self._run(tmp_path, doc) == EXIT_OK
         out = json.loads(capsys.readouterr().out)

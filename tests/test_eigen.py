@@ -171,7 +171,7 @@ class TestEigenvaluesFloat:
         rng = random.Random(53)
         for n in (3, 5, 6):
             a = rand_invertible(rng, n)
-            coeffs = [c.z for c in a.char_poly()]
+            coeffs = list(map(complex, a.char_poly()))
             bound = 1e-8 * (1 + max(abs(c) for c in coeffs))
             for p in eigenvalues(a, 1e-7).pairs:
                 value, _, _ = _poly_eval(coeffs, p.value.z)

@@ -187,7 +187,7 @@ def test_rejected_closure_inputs_answer_correctly_or_raise(family, seed):
         return
 
     def exact(m: Matrix):
-        return mpmath.matrix([[mpmath.mpc(e.z.real, e.z.imag) for e in row] for row in m.rows])
+        return mpmath.matrix([[mpmath.mpc(complex(e)) for e in row] for row in m.rows])
 
     with mpmath.workdps(60):
         locals_ = [exact(g) for g in rep.generators]

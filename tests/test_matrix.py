@@ -12,8 +12,8 @@ from logsplit import (
     mat_inverse,
     mat_mul,
 )
-from logsplit.scalar import ZERO
-from conftest import rand_invertible
+from logsplit.scalar import ZERO, is_exact
+from conftest import close_to, rand_invertible, stored_form
 
 F = Fraction
 
@@ -51,7 +51,7 @@ class TestProduct:
         rng = random.Random(11)
         for n in (2, 3, 5):
             a = rand_invertible(rng, n)
-            assert mat_mul(a, a.inverse()).close_to(Matrix.identity(n), 1e-9)
+            assert close_to(mat_mul(a, a.inverse()), Matrix.identity(n), 1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -92,7 +92,7 @@ class TestInverse:
         for _ in range(5):
             m = _rational_plu(rng, n)
             inv = m.inverse()
-            assert all(e.is_exact for row in inv.rows for e in row)
+            assert all(map(is_exact, (e for row in inv.rows for e in row)))
             assert m @ inv == Matrix.identity(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -102,7 +102,7 @@ class TestInverse:
             perm = rng.sample(range(n), n)
             m = Matrix([[_rand_polar(rng) if j == perm[i] else ZERO for j in range(n)] for i in range(n)])
             inv = m.inverse()
-            assert all(e.is_exact for row in inv.rows for e in row)
+            assert all(map(is_exact, (e for row in inv.rows for e in row)))
             assert m @ inv == Matrix.identity(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -111,15 +111,15 @@ class TestInverse:
         m = Matrix([[_rand_polar(rng) if j >= i else ZERO for j in range(n)] for i in range(n)])
         inv = m.inverse()
         for i in range(n):
-            assert inv[i, i].is_exact and inv[i, i] == m[i, i].reciprocal()
-            assert all(inv[i, j].is_exact_zero for j in range(i))
+            assert is_exact(inv[i, i]) and inv[i, i] == m[i, i].reciprocal()
+            assert all(inv[i, j] is ZERO for j in range(i))
 
     def test_gauss_jordan_matches_adjugate_scale(self):
         rng = random.Random(23)
         for _ in range(10):
             a = rand_invertible(rng, 4)
             prod = a @ a.inverse()
-            assert prod.close_to(Matrix.identity(4), 1e-8)
+            assert close_to(prod, Matrix.identity(4), 1e-8)
 
 
 class TestCharPoly:
@@ -133,7 +133,7 @@ class TestCharPoly:
     def test_golden_generator_trace_zero_det_minus_one(self, golden_pair):
         _, gen_s = golden_pair
         coeffs = char_poly(gen_s)
-        assert coeffs[1].is_exact_zero
+        assert coeffs[1] is ZERO
         assert coeffs[2] == Scalar.exact(-1)
 
     def test_jordan_block_squares_the_eigenvalue(self):
@@ -149,7 +149,7 @@ class TestCharPoly:
             a = rand_invertible(rng, n)
             coeffs = char_poly(a)
             sign = 1 if n % 2 == 0 else -1
-            assert abs(coeffs[-1].z - sign * a.det().z) < 1e-9 * (1 + abs(a.det()))
+            assert abs(coeffs[-1] - sign * a.det()) < 1e-9 * (1 + abs(a.det()))
 
 
 class TestStructure:
@@ -183,39 +183,45 @@ class TestStructure:
 
 
 class TestStorage:
-    """All-floating matrices store complex rows, any exact entry keeps
-    Scalar rows; the public accessors return Scalars either way."""
+    """Entries are stored as given, exact Scalars next to complex values,
+    and the accessors return them so: never a floating Scalar."""
 
     def test_same_values_compare_equal_across_storage(self):
         floating = Matrix([[1.5 + 0j, 2 + 1j], [0.5j, -3 + 0j]])
         mixed = Matrix([[1.5, 2 + 1j], [Scalar.exact(0, 0.5), -3]])
-        assert all(type(e) is complex for row in floating._rows for e in row)
-        assert all(type(e) is Scalar for row in mixed._rows for e in row)
+        assert all(type(e) is complex for row in floating.rows for e in row)
+        assert [type(e) for row in mixed.rows for e in row] == [Scalar, complex, Scalar, Scalar]
         assert floating == mixed and mixed == floating
         assert hash(floating) == hash(mixed)
         assert floating != Matrix([[1.5, 2 + 1j], [Scalar.exact(0, 0.5), -3.5]])
         for m in (floating, mixed):
-            assert all(isinstance(e, Scalar) for row in m.rows for e in row)
-            assert all(isinstance(m[i, j], Scalar) for i in range(2) for j in range(2))
-            assert isinstance(m.det(), Scalar)
-            assert all(isinstance(c, Scalar) for c in m.char_poly())
-        assert not any(e.is_exact for row in floating.rows for e in row)
-        assert mixed[0, 0].is_exact and not mixed[0, 1].is_exact
+            assert all(stored_form(m[i, j]) for i in range(2) for j in range(2))
+            assert all(map(stored_form, (m.det(), *m.char_poly(), *m.diagonal())))
+        assert type(floating.det()) is complex and type(mixed.det()) is complex
+        assert is_exact(mixed[0, 0]) and not is_exact(mixed[0, 1])
 
     def test_floating_scalars_are_stored_as_complex(self):
         m = Matrix([[Scalar.inexact(1 + 1j), 2 - 1j], [Scalar.inexact(complex(-0.0, 3)), 4j + 1]])
-        assert all(type(e) is complex for row in m._rows for e in row)
-        assert m[1, 0].z.real.hex() == "-0x0.0p+0"
+        assert all(type(e) is complex for row in m.rows for e in row)
+        assert m[1, 0].real.hex() == "-0x0.0p+0"
 
-    def test_one_exact_entry_keeps_scalar_storage_and_exact_products(self):
+    def test_mixed_entries_stay_as_given_and_exact_products_stay_exact(self):
         a = Scalar.polar(2, F(1, 3))
         m = Matrix([[a, 1 + 2j], [3 - 1j, 0.5 + 0.5j]])
-        assert all(type(e) is Scalar for row in m._rows for e in row)
+        assert [type(e) for row in m.rows for e in row] == [Scalar, complex, complex, complex]
         assert m[0, 0] is a
         scale = Matrix([[Scalar.polar(3, F(1, 4)), 0], [0, 2]])
         product = m @ scale
-        assert product[0, 0].is_exact
+        assert is_exact(product[0, 0])
         assert (product[0, 0].r, product[0, 0].q) == (6, F(7, 12))
-        assert not product[0, 1].is_exact
+        assert type(product[0, 1]) is complex
         assert (Matrix.identity(2) @ m)[0, 0] == a
-        assert (Matrix.identity(2) @ m)[0, 0].is_exact
+        assert is_exact((Matrix.identity(2) @ m)[0, 0])
+
+    def test_scalar_value_is_exact_or_complex(self):
+        exact = Matrix([[Scalar.polar(2, F(1, 3)), 0], [0, Scalar.polar(2, F(1, 3))]])
+        floating = Matrix([[2 + 1j, 0], [0, 2 + 1j]])
+        mixed = Matrix([[2 + 0j, 0], [0, 2]])
+        assert is_exact(exact.scalar_value(1e-9))
+        for m, value in ((floating, 2 + 1j), (mixed, 2)):
+            assert m.scalar_value(1e-9) == value and type(m.scalar_value(1e-9)) is complex

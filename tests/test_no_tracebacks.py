@@ -41,14 +41,14 @@ def documents(draw):
     return json.dumps({"punctures": punctures, "dim": dim, "generators": generators})
 
 
-def _classify(text: str) -> tuple[int, str, str]:
+def _classify(text: str, command: str = "classify") -> tuple[int, str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["classify", path])
+            code = main([command, path])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -74,6 +74,26 @@ def test_huge_exact_triangular_generator_is_answered():
     report = json.loads(out)
     assert report["c1"] == -2
     assert report["candidates"] == [[-1, -1]]
+
+
+def test_eigenvalue_difference_beyond_the_float_range_is_answered():
+    # Both eigenvalues of the first generator are finite, but their
+    # difference has a modulus above the float range; the clustering of
+    # the diagonal and the eigenvalue gap of the invariant-line search
+    # both measure it.
+    text = (
+        '{"punctures": 3, "dim": 2, "generators": [[[{"re": 1.3e308, "im": 1e-300}, 0], '
+        '[0, {"re": 0, "im": -1.3e308}]], [[0.5, 0], [0, 0.25]]]}'
+    )
+    code, out, err = _classify(text)
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert (report["kind"], report["c1"], report["candidates"], report["warnings"]) == (
+        "ThreeDim2Decomposable", -1, [[0, -1]], ["BranchBoundary"],
+    )
+    code, out, err = _classify(text, "c1")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["c1"] == -1
 
 
 def test_integer_beyond_float_range_in_the_library():

@@ -259,3 +259,78 @@ def test_exact_outputs_are_pinned(tmp_path, capsys, name, command):
         captured = capsys.readouterr()
         digest.update(f"{code}\n{captured.out}{captured.err}\n".encode("utf-8"))
     assert digest.hexdigest() == EXACT_DIGESTS[name, command]
+
+
+# ---------------------------------------------------------------------------
+# Mixed documents: exact and floating entries side by side in one matrix,
+# the storage in which a matrix holds exact Scalars next to complex values.
+# Entries are dyadic JSON numbers, axis cartesian objects, polar objects
+# with a rational q, and cartesian objects with both parts nonzero (the
+# floating ones).  Two punctures at dims 1-5 and three at dims 1-3, with
+# full, upper and lower triangular and diagonal generators.  The digests
+# were captured before mixed matrices stopped boxing their complex entries
+# as Scalars.
+
+_MIXED_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3)]
+_MIXED_PATTERNS = ["full", "upper", "lower", "diagonal"]
+_MIXED_QS = ["0", "1/4", "1/2", "3/4", "1/3", "1/6", "3/5", "7/8"]
+
+
+def _mixed_entry(rng: random.Random, diagonal: bool) -> int | float | dict:
+    kind = rng.randrange(8 if diagonal else 9)
+    if kind < 2:
+        return _dyadic(rng)
+    if kind < 4:
+        axis = _dyadic(rng)
+        return {"re": 0, "im": axis} if kind == 2 else {"re": axis, "im": rng.choice([0, 0.0])}
+    if kind < 6:
+        return {"r": abs(_dyadic(rng)), "q": rng.choice(_MIXED_QS)}
+    if kind < 8:
+        re = rng.choice([-1, 1]) * round(rng.uniform(0.05, 3), 6)
+        im = rng.choice([-1, 1]) * round(rng.uniform(0.05, 3), 6)
+        return {"re": re, "im": im}
+    return 0
+
+
+def _mixed_documents() -> list[str]:
+    rng = random.Random(16)
+    docs = []
+    for k in range(400):
+        punctures, dim = _MIXED_SHAPES[k % len(_MIXED_SHAPES)]
+        pattern = _MIXED_PATTERNS[k // len(_MIXED_SHAPES) % len(_MIXED_PATTERNS)]
+
+        def keep(i, j):
+            return (
+                i == j
+                or pattern == "full"
+                or (pattern == "upper" and j > i)
+                or (pattern == "lower" and j < i)
+            )
+
+        gens = [
+            [
+                [_mixed_entry(rng, i == j) if keep(i, j) else 0 for j in range(dim)]
+                for i in range(dim)
+            ]
+            for _ in range(punctures - 1)
+        ]
+        docs.append(json.dumps({"punctures": punctures, "dim": dim, "generators": gens}))
+    return docs
+
+
+MIXED_DIGESTS = {
+    ("mixed", "c1"): "7064da2825bbe994789e76b13175756b2af4f76f38d6715e27052885628d310f",
+    ("mixed", "classify"): "86a76c1c4a89f5c5c093e3a53388755e4dc9e1420ed1d32ddc9dd6625e73e203",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(MIXED_DIGESTS))
+def test_mixed_outputs_are_pinned(tmp_path, capsys, name, command):
+    path = tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    for text in _mixed_documents():
+        path.write_text(text, encoding="utf-8")
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}{captured.err}\n".encode("utf-8"))
+    assert digest.hexdigest() == MIXED_DIGESTS[name, command]
