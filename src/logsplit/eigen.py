@@ -299,7 +299,7 @@ def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < thresh:
+            if modulus(roots[i] - roots[j]) < thresh:
                 parent[find(i)] = find(j)
     groups: dict[int, list[complex]] = {}
     for i in range(n):

@@ -16,6 +16,13 @@ The complex value of an exact scalar is derived when it is first read.
 One exact modulus is rounded: the irrational modulus of a root of a
 rational quadratic (eigen._exact_quadratic), whose q is exact.
 
+The modulus is held as a reduced pair ``(numerator, denominator)`` of
+``int``s, taken from the input's ``as_integer_ratio()``; products,
+reciprocals and colinear sums and differences are done on the pair with
+``math.gcd``, not with Fraction arithmetic.  ``Scalar.r`` builds the
+Fraction on demand.  The float modulus is ``numerator / denominator``,
+which is how ``float(Fraction)`` rounds, and inf beyond the float range.
+
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
 so that boundary warnings still fire for them.  A floating Scalar
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 from .errors import FloatRangeError, OutOfBranch
 
@@ -53,24 +61,54 @@ _TURN_OF = {id(q): k for k, q in enumerate(_TURNS)}
 
 
 def _to_float(x: Fraction | int | float) -> float:
-    """``float(x)``, with values beyond the float range becoming +-inf: how
-    an exact modulus becomes a float for ``abs`` and ``z``."""
+    """``float(x)``, with values beyond the float range becoming +-inf."""
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
 
 
-def _to_fraction(x: Fraction | int | float) -> Fraction:
+def _ratio(x: Fraction | int | float) -> tuple[int, int]:
+    """The reduced ``(numerator, denominator)`` of a finite real number."""
     try:
-        return Fraction(x)
+        return x.as_integer_ratio()
     except (OverflowError, ValueError) as exc:  # inf or nan
         raise FloatRangeError(f"{x!r} is not a finite number") from exc
 
 
-def _polar_to_complex(r: Fraction, q: Fraction) -> complex:
+def _ratio_float(r: tuple[int, int]) -> float:
+    """An exact modulus as a float, rounded as ``float(Fraction)`` rounds;
+    inf beyond the float range."""
+    try:
+        return r[0] / r[1]
+    except OverflowError:
+        return math.inf
+
+
+def _ratio_product(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
+    """``r * s``, reduced across: each numerator by the other denominator."""
+    a, b = r
+    c, d = s
+    g, h = gcd(a, d), gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _ratio_sum(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
+    """``r + s`` reduced; numerators of either sign (0 for a zero sum)."""
+    a, b = r
+    c, d = s
+    if b == d:
+        n = a + c
+    else:
+        n = a * d + c * b
+        b *= d
+    g = gcd(n, b)
+    return n // g, b // g
+
+
+def _polar_to_complex(r: tuple[int, int], q: Fraction) -> complex:
     # Quarter turns hit the axes exactly; sin/cos of their float angles do not.
-    r_f = _to_float(r)
+    r_f = _ratio_float(r)
     k = _TURN_OF.get(id(q))
     if k is None:
         if q not in _TURNS:
@@ -91,14 +129,16 @@ class Scalar:
 
     States:
       * exact zero      -- the ``ZERO`` singleton, tested by identity
-      * exact polar     -- ``_r`` a Fraction > 0, ``_q`` a Fraction in [0, 1);
-                           ``_z`` is None until the complex value is read
+      * exact polar     -- ``_r`` the modulus > 0 as a reduced int pair
+                           ``(numerator, denominator)`` (``.r`` builds its
+                           Fraction), ``_q`` a Fraction in [0, 1); ``_z`` is
+                           None until the complex value is read
       * inexact (float) -- ``_r`` and ``_q`` None, ``_z`` the complex value
     """
 
     __slots__ = ("_z", "_r", "_q")
 
-    def __init__(self, z: complex | None, r: Fraction | None, q: Fraction | None):
+    def __init__(self, z: complex | None, r: tuple[int, int] | None, q: Fraction | None):
         self._z = z
         self._r = r
         self._q = q
@@ -119,11 +159,11 @@ class Scalar:
         if im == 0:
             if re == 0:
                 return _ZERO
-            r = _to_fraction(re)
-            return cls(None, r, Q_ZERO) if r > 0 else cls(None, -r, Q_HALF)
+            n, d = _ratio(re)
+            return cls(None, (n, d), Q_ZERO) if n > 0 else cls(None, (-n, d), Q_HALF)
         if re == 0:
-            r = _to_fraction(im)
-            return cls(None, r, Q_QUARTER) if r > 0 else cls(None, -r, Q_THREE_QUARTERS)
+            n, d = _ratio(im)
+            return cls(None, (n, d), Q_QUARTER) if n > 0 else cls(None, (-n, d), Q_THREE_QUARTERS)
         try:
             return complex(re, im)
         except OverflowError:
@@ -140,7 +180,7 @@ class Scalar:
             raise ValueError(f"polar modulus must be a finite positive real, got {r}")
         if not 4 % q_frac.denominator:
             q_frac = _TURNS[4 * q_frac.numerator // q_frac.denominator]
-        return cls(None, _to_fraction(r), q_frac)
+        return cls(None, _ratio(r), q_frac)
 
     @classmethod
     def inexact(cls, z: complex) -> "Scalar":
@@ -170,8 +210,9 @@ class Scalar:
 
     @property
     def r(self) -> Fraction | None:
-        """Exact modulus, when known (0 for the exact zero)."""
-        return self._r
+        """Exact modulus as a Fraction, when known (0 for the exact zero)."""
+        r = self._r
+        return None if r is None else Fraction(*r)
 
     @property
     def z(self) -> complex:
@@ -187,7 +228,7 @@ class Scalar:
         """The float modulus; inf beyond the float range, as for an exact
         modulus."""
         if self._r is not None:
-            return _to_float(self._r)
+            return _ratio_float(self._r)
         return modulus(self._z)
 
     # -- arithmetic ----------------------------------------------------
@@ -213,13 +254,14 @@ class Scalar:
             colinear = k == ok
             opposite = (ok - k) % 4 == 2
         if colinear:
-            return Scalar(None, self._r + o._r, q)
+            return Scalar(None, _ratio_sum(self._r, o._r), q)
         if opposite:
-            d = self._r - o._r
-            if d > 0:
-                return Scalar(None, d, q)
-            if d < 0:
-                return Scalar(None, -d, oq)
+            on, od = o._r
+            n, d = _ratio_sum(self._r, (-on, od))
+            if n > 0:
+                return Scalar(None, (n, d), q)
+            if n < 0:
+                return Scalar(None, (-n, d), oq)
             return _ZERO
         return self.z + o.z
 
@@ -258,8 +300,8 @@ class Scalar:
         if q is not None and oq is not None:
             k, ok = _TURN_OF.get(id(q)), _TURN_OF.get(id(oq))
             if k is None or ok is None:
-                return Scalar(None, self._r * o._r, (q + oq) % 1)
-            return Scalar(None, self._r * o._r, _TURNS[(k + ok) % 4])
+                return Scalar(None, _ratio_product(self._r, o._r), (q + oq) % 1)
+            return Scalar(None, _ratio_product(self._r, o._r), _TURNS[(k + ok) % 4])
         return self.z * o.z
 
     __rmul__ = __mul__
@@ -270,7 +312,8 @@ class Scalar:
         q = self._q
         if q is not None:
             k = _TURN_OF.get(id(q))
-            return Scalar(None, 1 / self._r, (-q) % 1 if k is None else _TURNS[-k % 4])
+            n, d = self._r
+            return Scalar(None, (d, n), (-q) % 1 if k is None else _TURNS[-k % 4])
         return 1.0 / self._z
 
     def __truediv__(self, other) -> "Scalar | complex":
@@ -305,7 +348,7 @@ class Scalar:
         if self is _ZERO:
             return "Scalar(0)"
         if self._q is not None:
-            return f"Scalar({self._r}*e2pi({self._q}))"
+            return f"Scalar({self.r}*e2pi({self._q}))"
         return f"Scalar({self._z!r})"
 
 
@@ -349,7 +392,7 @@ def quotient(x: Scalar | complex, y: Scalar | complex) -> Scalar | complex:
     return x * (1.0 / y) if x.__class__ is complex and y.__class__ is complex else x / y
 
 
-_ZERO = Scalar(0j, Fraction(0), None)
+_ZERO = Scalar(0j, (0, 1), None)
 
 ZERO = _ZERO
 ONE = Scalar.exact(1)

@@ -96,6 +96,26 @@ def test_eigenvalue_difference_beyond_the_float_range_is_answered():
     assert json.loads(out)["c1"] == -1
 
 
+def test_root_difference_beyond_the_float_range_is_answered():
+    # A full generator: its roots come from the float root finder, and
+    # clustering measures the distance of two roots whose difference has
+    # a modulus above the float range.
+    text = (
+        '{"punctures": 2, "dim": 2, "generators": [[[{"re": 1.3e308, "im": 1e-300}, '
+        '{"re": 1e-300, "im": 1e-300}], [{"re": 1e-300, "im": 1e-300}, '
+        '{"re": 1e-300, "im": -1.3e308}]]]}'
+    )
+    code, out, err = _classify(text)
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert (report["kind"], report["c1"], report["candidates"], report["warnings"]) == (
+        "TwoPunctureGeneral", -1, [[0, -1]], ["BranchBoundary"],
+    )
+    code, out, err = _classify(text, "c1")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["c1"] == -1
+
+
 def test_integer_beyond_float_range_in_the_library():
     with pytest.raises(LogSplitError):
         classify(Representation(2, (Matrix([[10**400]]),)))

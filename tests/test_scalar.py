@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsplit import OutOfBranch, Scalar
-from logsplit.scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, ZERO, is_exact, same_value
+from logsplit import FloatRangeError, OutOfBranch, Scalar
+from logsplit.scalar import (
+    ONE,
+    Q_HALF,
+    Q_QUARTER,
+    Q_THREE_QUARTERS,
+    Q_ZERO,
+    ZERO,
+    is_exact,
+    same_value,
+)
 
 F = Fraction
 
@@ -220,7 +229,7 @@ polar = (
         st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda q: q < 1)
         | st.sampled_from(TURNS),
     )
-    | st.builds(lambda r, q: Scalar(None, r, q), moduli, fresh_turns)
+    | st.builds(lambda r, q: Scalar(None, r.as_integer_ratio(), q), moduli, fresh_turns)
 )
 scalars = floating | polar | st.just(ZERO) | st.fractions().map(Scalar.exact)
 plain = (
@@ -313,3 +322,86 @@ def test_arithmetic_matches_the_model(op, s, other, scalar_left):
 @given(scalars)
 def test_negation_matches_the_model(s):
     _assert_same(-s, _model_neg(s))
+
+
+# -- exact moduli against Fraction -------------------------------------------
+#
+# An exact modulus is a reduced integer pair; its Fraction, float and
+# equality must be those of the Fraction it stands for, far outside the
+# float range included.
+
+BIG = 2**2000 // 3
+big_moduli = st.builds(F, st.integers(1, BIG), st.integers(1, BIG)) | moduli
+real_inputs = (
+    st.integers(-BIG, BIG)
+    | st.booleans()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
+)
+
+
+def _float_of(r: F) -> float:
+    """The model's float: float(Fraction), +-inf beyond the range."""
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
+
+
+def _assert_modulus(s: Scalar, r: F) -> None:
+    assert s.r == r and type(s.r) is F
+    assert abs(s).hex() == _float_of(r).hex()
+    # Built on another route: from the model's Fraction.
+    other = Scalar.polar(r, s.q)
+    assert s == other and hash(s) == hash(other)
+
+
+@given(real_inputs)
+def test_constructors_read_the_exact_value(x):
+    s = Scalar.exact(x)
+    if x == 0:
+        assert s is ZERO and s.r == 0
+        return
+    assert s.r == abs(F(x)) and s.q == (0 if x > 0 else F(1, 2))
+    assert s == Scalar.exact(F(x)) and hash(s) == hash(Scalar.exact(F(x)))
+    assert s.z == complex(_float_of(F(x)), 0.0)
+    assert Scalar.exact(0, x).r == abs(F(x))
+    if x > 0:
+        assert Scalar.polar(x, F(1, 3)).r == F(x)
+
+
+def test_constructors_reject_values_outside_the_float_range():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(FloatRangeError):
+            Scalar.exact(bad)
+        with pytest.raises(FloatRangeError):
+            Scalar.exact(0, bad)
+        with pytest.raises(ValueError):
+            Scalar.polar(bad, 0)
+
+
+@given(big_moduli, big_moduli, st.sampled_from(TURNS) | st.sampled_from([F(1, 3), F(5, 6)]))
+def test_modulus_arithmetic_matches_fractions(a, b, q):
+    x, y = Scalar.polar(a, q), Scalar.polar(b, q)
+    _assert_modulus(x * y, a * b)
+    _assert_modulus(x.reciprocal(), 1 / a)
+    _assert_modulus(x / y, a / b)
+    _assert_modulus(x + y, a + b)
+    d = x - y
+    if a == b:
+        assert d is ZERO
+    else:
+        _assert_modulus(d, abs(a - b))
+        assert d.q == (q if a > b else (q + F(1, 2)) % 1)
+    if q is Q_ZERO:
+        assert (x * y).z == complex(_float_of(a * b), 0.0)
+        assert (x + y).z == complex(_float_of(a + b), 0.0)
+
+
+def test_moduli_beyond_the_float_range_read_as_inf():
+    huge = Scalar.exact(10**400)
+    assert abs(huge) == math.inf and huge.z == complex(math.inf, 0.0)
+    assert abs(huge.reciprocal()) == 0.0
+    assert abs(huge * huge.reciprocal()) == 1.0
+    assert huge * huge.reciprocal() == ONE
+    assert abs(Scalar.exact(0, -(10**400))) == math.inf
