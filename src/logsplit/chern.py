@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eigen import checked_tolerance
+from .eigen import checked_tolerance, q_total
 from .errors import NonIntegralChernClass, ProductNotIdentity
 from .representation import PuncturedRepresentation
 
@@ -60,7 +60,8 @@ def ohtsuki_c1(
             f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
         )
 
-    raw = sum(e.q_sum() for e in prep.local_eigen)
+    # Summed puncture by puncture, so a floating total keeps its bits.
+    raw = q_total((1, e.q_sum()) for e in prep.local_eigen)
     nearest = round(raw)
     defect = abs(raw - nearest)
     if defect > tol:

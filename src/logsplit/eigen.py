@@ -5,7 +5,11 @@ a full Jordan form; the eigenvalue multiset with multiplicities and the
 normalized argument q in [0, 1) of each value is the whole story.  Exactly
 specified inputs travel an exact route (triangular read-off, and for 2x2 a
 rational quadratic solve with recognition of the rational-cosine angles
-0, 1/6, 1/4, 1/3, 1/2, ...).  Everything else is a floating root solve of
+0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve works on reduced
+(numerator, denominator) int pairs, as scalar.py holds exact values, and
+so does the q-sum (``q_total``): no Fraction arithmetic on the exact
+route, a Fraction only where a q or a q-sum is returned.
+Everything else is a floating root solve of
 the characteristic polynomial: a cancellation-free closed form for
 quadratics, and simultaneous Aberth-Ehrlich iteration started on the
 circle of the roots' geometric-mean modulus from degree 3 on, restarted
@@ -27,9 +31,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     FloatRangeError,
@@ -41,7 +46,7 @@ from .errors import (
 )
 from .matrix import Matrix, below_singularity_threshold
 from .scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, ZERO, Scalar
-from .scalar import is_exact, modulus, same_value, value_of
+from .scalar import is_exact, modulus, real_ratio, real_scalar, same_value, value_of
 
 #: Default clustering, snapping and parallelism tolerance, of the library
 #: and the command line alike (mixed absolute-relative).
@@ -57,12 +62,10 @@ TOL_BOUND = 0.5 / BOUNDARY_BAND
 _EPS = sys.float_info.epsilon
 _TWO_PI = 2.0 * math.pi
 
-#: The rational cosines x/|root| of a complex root off the imaginary axis
-#: (Niven: +-1/2), each with the root's q and its conjugate's.
-_COSINE_TURNS = {
-    Fraction(1, 2): (Fraction(1, 6), Fraction(5, 6)),
-    Fraction(-1, 2): (Fraction(1, 3), Fraction(2, 3)),
-}
+#: The arguments of a complex root off the imaginary axis with a rational
+#: cosine (Niven: +-1/2), and of its conjugate.
+_SIXTHS = (Fraction(1, 6), Fraction(5, 6))
+_THIRDS = (Fraction(1, 3), Fraction(2, 3))
 
 BRANCH_BOUNDARY = "BranchBoundary"
 EIGENVALUE_UNCERTAIN = "EigenvalueUncertain"
@@ -142,10 +145,28 @@ class EigenData:
         return all(isinstance(p.q, Fraction) for p in self.pairs)
 
     def q_sum(self) -> Fraction | float:
-        return sum(p.multiplicity * p.q for p in self.pairs)
+        return q_total((p.multiplicity, p.q) for p in self.pairs)
 
     def ln_r_sum(self) -> float:
         return sum(p.multiplicity * p.ln_r for p in self.pairs)
+
+
+def q_total(terms: Iterable[tuple[int, Fraction | float]]) -> Fraction | float:
+    """``sum(m * q for m, q in terms)`` as that left fold computes it: exact
+    q's add up as one int numerator over a common denominator; from the
+    first floating q on, the fold goes on in floats."""
+    n, d = 0, 1
+    total = None
+    for m, q in terms:
+        if total is not None:
+            total += m * q
+        elif q.__class__ is Fraction:
+            qn, qd = q.as_integer_ratio()
+            g = gcd(d, qd)
+            n, d = n * (qd // g) + m * qn * (d // g), d // g * qd
+        else:
+            total = n / d + m * q  # float(Fraction(n, d)) + m * q
+    return Fraction(n, d) if total is None else total
 
 
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
@@ -311,83 +332,77 @@ def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:
 # exact quadratic route
 
 
-def _real_fraction(s: Scalar) -> Fraction | None:
-    """Exact rational value of a Scalar lying on the real axis, else None."""
-    if s.is_exact_zero:
-        return Q_ZERO
-    q = s.q
-    if q is Q_ZERO or q == 0:
-        return s.r
-    if q is Q_HALF or q == Q_HALF:
-        return -s.r
-    return None
-
-
-def _fraction_sqrt(f: Fraction) -> Fraction | None:
-    num, den = f.numerator, f.denominator
-    a, b = isqrt(num), isqrt(den)
-    if a * a == num and b * b == den:
-        return Fraction(a, b)
-    return None
-
-
 def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar | complex, int]] | None:
     """Roots of x^2 + b x + c for exact real-rational b, c.
 
-    Real roots always carry an exact argument (0 or 1/2: the sign is
-    decided by rational comparisons, never by the float square root);
-    an irrational modulus is rounded.
+    b, c and the discriminant are reduced int pairs (numerator,
+    denominator), so a sign is a numerator's sign and a rational square
+    root is the ``isqrt`` of both.  Real roots always carry an exact
+    argument (0 or 1/2: the sign is decided on the integers, never by the
+    float square root); an irrational modulus is rounded.
     Complex pairs get an exact q only for the rational-cosine angles
     (Niven: cos(2*pi*q) rational forces cos in {0, +-1/2, +-1}); other
     angles are irrational and fall back to floats.
     """
-    b = _real_fraction(b_s)
-    c = _real_fraction(c_s)
+    b, c = real_ratio(b_s), real_ratio(c_s)
     if b is None or c is None:
         return None
-    if c == 0:
+    (bn, bd), (cn, cd) = b, c
+    if cn == 0:
         raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-    disc = b * b - 4 * c
-    if disc == 0:
-        return [(Scalar.exact(-b / 2), 2)]
-    if disc > 0:
-        root = _fraction_sqrt(disc)
-        if root is not None:
-            return [(Scalar.exact((-b + root) / 2), 1), (Scalar.exact((-b - root) / 2), 1)]
-    # The remaining roots are computed in floats.  Coefficients whose floats
-    # overflow or underflow take the float route, as inexact data does.
+    # disc = b^2 - 4c = dn / dd, reduced.
+    dn, dd = bn * bn * cd - 4 * cn * bd * bd, bd * bd * cd
+    g = gcd(dn, dd)
+    dn, dd = dn // g, dd // g
+    if dn == 0:
+        return [(real_scalar(-bn, 2 * bd), 2)]
+    if dn > 0:
+        s, t = isqrt(dn), isqrt(dd)
+        if s * s == dn and t * t == dd:  # (-b +- s/t) / 2
+            return [
+                (real_scalar(s * bd - bn * t, 2 * bd * t), 1),
+                (real_scalar(-s * bd - bn * t, 2 * bd * t), 1),
+            ]
+    # The remaining roots are computed in floats, rounded as float(Fraction)
+    # rounds.  Coefficients whose floats overflow or underflow take the
+    # float route, as inexact data does.
     try:
-        b_f, c_f, disc_f = float(b), float(c), float(disc)
+        b_f, c_f, disc_f = bn / bd, cn / cd, dn / dd
     except OverflowError:
         return None
     if c_f == 0.0:
         return None
-    if disc > 0:
+    if dn > 0:
         # Irrational real pair: exact signs, rounded moduli.
         s_f = math.sqrt(disc_f)
-        t = (-b_f - s_f) / 2 if b >= 0 else (-b_f + s_f) / 2
+        t = (-b_f - s_f) / 2 if bn >= 0 else (-b_f + s_f) / 2
         other = c_f / t
         hi, lo = max(t, other), min(t, other)
         if not all(0.0 < abs(v) < math.inf for v in (hi, lo)):
             return None
-        sign_hi = 1 if (b <= 0 or c < 0) else -1  # sign of (-b + sqrt(disc))/2
-        sign_lo = 1 if (b < 0 and c > 0) else -1
+        sign_hi = 1 if (bn <= 0 or cn < 0) else -1  # sign of (-b + sqrt(disc))/2
+        sign_lo = 1 if (bn < 0 and cn > 0) else -1
         return [
             (Scalar.polar(abs(hi), Q_ZERO if sign_hi > 0 else Q_HALF), 1),
             (Scalar.polar(abs(lo), Q_ZERO if sign_lo > 0 else Q_HALF), 1),
         ]
-    # Conjugate pair x +- iy with x rational, y > 0, and |root|^2 = c.
-    x = -b / 2
+    # Conjugate pair -b/2 +- iy with y > 0, and |root|^2 = c > 0, so
+    # |root| = a/e when c is a rational square.
     y = math.sqrt(-disc_f) / 2
-    r_frac = _fraction_sqrt(c)
-    if x == 0:
-        r = r_frac if r_frac is not None else math.sqrt(c_f)
-        return [(Scalar.polar(r, Q_QUARTER), 1), (Scalar.polar(r, Q_THREE_QUARTERS), 1)]
-    if r_frac is not None:
-        turns = _COSINE_TURNS.get(x / r_frac)
-        if turns is not None:
-            return [(Scalar.polar(r_frac, turns[0]), 1), (Scalar.polar(r_frac, turns[1]), 1)]
-    return [(complex(-b_f / 2, y), 1), (complex(-b_f / 2, -y), 1)]
+    a, e = isqrt(cn), isqrt(cd)
+    square = a * a == cn and e * e == cd
+    if bn == 0:
+        if not square:
+            r = math.sqrt(c_f)
+            return [(Scalar.polar(r, Q_QUARTER), 1), (Scalar.polar(r, Q_THREE_QUARTERS), 1)]
+        turns = (Q_QUARTER, Q_THREE_QUARTERS)
+    elif square and -bn * e == a * bd:  # cos = -b / (2|root|) = 1/2
+        turns = _SIXTHS
+    elif square and bn * e == a * bd:  # cos = -1/2
+        turns = _THIRDS
+    else:
+        return [(complex(-b_f / 2, y), 1), (complex(-b_f / 2, -y), 1)]
+    return [(Scalar(None, (a, e), turns[0]), 1), (Scalar(None, (a, e), turns[1]), 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ result is a ``complex``, computed on the operands' complex values in the
 order they are written, and a ``complex`` operand is a floating value.
 The complex value of an exact scalar is derived when it is first read.
 One exact modulus is rounded: the irrational modulus of a root of a
-rational quadratic (eigen._exact_quadratic), whose q is exact.
+rational quadratic whose q is exact, which eigen._exact_quadratic rounds
+from ``numerator / denominator`` floats of its coefficients.
 
 The modulus is held as a reduced pair ``(numerator, denominator)`` of
 ``int``s, taken from the input's ``as_integer_ratio()``; products,
@@ -22,6 +23,10 @@ reciprocals and colinear sums and differences are done on the pair with
 ``math.gcd``, not with Fraction arithmetic.  ``Scalar.r`` builds the
 Fraction on demand.  The float modulus is ``numerator / denominator``,
 which is how ``float(Fraction)`` rounds, and inf beyond the float range.
+Code outside this module reads an exact real as a signed pair with
+``real_ratio``, and builds a real from a signed pair with
+``real_scalar`` and a polar value from a reduced modulus pair with
+``Scalar(None, (n, d), q)``, as the exact quadratic solve does.
 
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
@@ -375,6 +380,26 @@ def modulus(x: Scalar | complex) -> float:
 
 def is_exact(x: Scalar | complex) -> bool:
     return x.__class__ is Scalar and x._r is not None
+
+
+def real_ratio(x: Scalar) -> tuple[int, int] | None:
+    """The signed reduced ``(numerator, denominator)`` of an exact real
+    Scalar, ``(0, 1)`` for the exact zero; None for any other value."""
+    q = x._q
+    if x is _ZERO or q is Q_ZERO or q == 0:
+        return x._r
+    if q is Q_HALF or q == Q_HALF:
+        return -x._r[0], x._r[1]
+    return None
+
+
+def real_scalar(n: int, d: int) -> Scalar:
+    """The exact real ``n / d``, for ``n != 0`` and ``d > 0``, as
+    ``Scalar.exact`` holds it."""
+    g = gcd(n, d)
+    if n > 0:
+        return Scalar(None, (n // g, d // g), Q_ZERO)
+    return Scalar(None, (-n // g, d // g), Q_HALF)
 
 
 def same_value(x: Scalar | complex, y: Scalar | complex, tol: float) -> bool:

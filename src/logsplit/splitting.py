@@ -7,9 +7,31 @@ irreducible 2x2 pair balances around c1/2; a decomposable pair has two
 character summands and a uniquely reducible pair a sub and a quotient
 line.  The only test per summand is the origin test (q0 = q1 = 0, root
 0); the others share c1 at -1 or -2 each, so c1's integer rounding alone
-decides the diagonal q0 + q1 = 1.  Sub at -2 over a quotient at the
-origin is the documented (-2, 0) case, reported with both possible
-answers.  A c1 that does not split this way is InternalInconsistency.
+decides the diagonal q0 + q1 = 1.  A c1 that does not split this way is
+InternalInconsistency.
+
+Sub at -2 over a quotient at the origin is the (-2, 0) case.  Its answer
+is O(-1) + O(-1); it is not two-valued:
+  * Let D = {0, 1, oo} and E the canonical extension.  E's sub line L is
+    the saturation of the invariant line; its residues are E's residues
+    on that line, so L is the sub character's canonical extension,
+    O(-2).  Likewise the quotient is O.
+  * Extensions 0 -> (L, nabla) -> (E, nabla) -> (O, d) -> 0 of log
+    connections are classified by H^1 of the complex
+    [L -> L (x) Omega^1(log D)].  Its map to the bundle class in
+    H^1(L) = H^1(O(-2)) = C has kernel H^0(L (x) Omega^1(log D)) =
+    H^0(O(-1)) = 0.
+  * A pair with only one invariant line is a non-split local system, and
+    a split log connection would split it, so the bundle class is
+    nonzero.  A non-split extension of O by O(-2) on P^1 is
+    O(-1) + O(-1): O(a) + O(-2 - a) with a >= 1 has no surjection onto O,
+    and a surjection from O + O(-2) onto O is an isomorphism on O: split.
+  * The split (decomposable) pair is O + O(-2), a ThreeDim2Decomposable
+    answer.  No other (sub, quotient) pair has a nonzero Ext^1:
+    H^1(O(d_sub - d_quot)) != 0 only when d_sub - d_quot <= -2.
+The report still lists both candidates, (-1, -1) and (0, -2), as
+ThreeDim2ReducibleAmbiguous, until a numerical check of a reducible
+family with this monodromy corroborates the argument.
 """
 
 from __future__ import annotations

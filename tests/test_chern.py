@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsplit import (
     DEFAULT_CLUSTER_TOL,
+    EigenData,
+    EigenPair,
     InputFormatError,
     Matrix,
     NonIntegralChernClass,
@@ -20,6 +24,7 @@ from logsplit import (
     ohtsuki_c1,
 )
 from logsplit.chern import INTEGRALITY_TOL_BOUND
+from logsplit.scalar import ONE, Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO
 from conftest import block_diag, rand_invertible, rand_well_conditioned
 
 F = Fraction
@@ -150,3 +155,76 @@ class TestFailureModes:
         if chern.integrality_defect > 0.0:
             with pytest.raises(NonIntegralChernClass):
                 ohtsuki_c1(prep, tol=chern.integrality_defect / 2)
+
+
+# -- the q-sum against the fold it replaced ----------------------------------
+#
+# Exact q's sum to a Fraction; from the first floating q on, the sum is a
+# float folded left term by term, as ``sum(m * q)`` folds it.
+
+exact_q = st.sampled_from([Q_ZERO, Q_QUARTER, Q_HALF, Q_THREE_QUARTERS]) | st.fractions(
+    min_value=0, max_value=1, max_denominator=60
+).filter(lambda q: q < 1)
+float_q = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+q_of_kind = {"exact": exact_q, "float": float_q, "mixed": exact_q | float_q}
+
+
+@st.composite
+def punctures(draw):
+    """Eigenvalue data of 2 or 3 punctures: (multiplicity, q) lists."""
+    kind = draw(st.sampled_from(sorted(q_of_kind)))
+    pairs = st.lists(st.tuples(st.integers(1, 4), q_of_kind[kind]), min_size=1, max_size=4)
+    return draw(st.lists(pairs, min_size=2, max_size=3))
+
+
+def _eigen_data(pairs) -> EigenData:
+    return EigenData(tuple(EigenPair(ONE, m, q, 0.0) for m, q in pairs))
+
+
+def _same(got, want) -> bool:
+    if type(want) is F:
+        return type(got) is F and got == want
+    return type(got) is float and got.hex() == want.hex()
+
+
+@settings(max_examples=300)
+@given(punctures(), st.floats(min_value=1e-9, max_value=0.49))
+def test_q_sums_match_the_fold(local, itol):
+    data = tuple(_eigen_data(pairs) for pairs in local)
+    sums = [sum(m * q for m, q in pairs) for pairs in local]
+    for e, want in zip(data, sums):
+        assert _same(e.q_sum(), want)
+    raw = sum(sums)
+    nearest = round(raw)
+    defect = abs(raw - nearest)
+    rep = Representation(len(local), tuple(Matrix([[1]]) for _ in local[1:]))
+    prep = PuncturedRepresentation(rep, data)
+    if defect > itol:
+        with pytest.raises(NonIntegralChernClass) as info:
+            ohtsuki_c1(prep, itol)
+        assert str(info.value) == (
+            f"residue q-sum {float(raw)!r} is {float(defect):.3e} from an integer "
+            f"(tolerance {itol:.3e})"
+        )
+        return
+    chern = ohtsuki_c1(prep, itol)
+    assert chern.c1 == -nearest
+    assert chern.raw_q_sum.hex() == float(raw).hex()
+    assert chern.integrality_defect.hex() == float(defect).hex()
+    assert chern.exact is (type(raw) is F)
+
+
+def test_non_integral_exact_sum_message():
+    # Library-built data: e(1/3) at 0, e(1/4) and e(1/2) at 1, 1 at infinity.
+    local = (
+        eigenvalues(Matrix([[Scalar.polar(1, F(1, 3))]])),
+        eigenvalues(Matrix([[Scalar.polar(1, F(1, 4)), 0], [0, -1]])),
+        eigenvalues(Matrix([[1]])),
+    )
+    assert local[1].q_sum() == F(3, 4) and type(local[1].q_sum()) is F
+    rep = Representation(3, (Matrix([[1]]), Matrix([[1]])))
+    with pytest.raises(NonIntegralChernClass) as info:
+        ohtsuki_c1(PuncturedRepresentation(rep, local))
+    assert str(info.value) == (
+        "residue q-sum 1.0833333333333333 is 8.333e-02 from an integer (tolerance 1.000e-06)"
+    )

@@ -21,10 +21,12 @@ from logsplit.eigen import (
     _aberth_iterate,
     _aberth_roots,
     _cluster_roots,
+    _exact_quadratic,
     _newton_polygon_starts,
     _poly_eval,
     _vieta_verdict,
 )
+from logsplit.scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO
 from conftest import rand_invertible, rand_well_conditioned
 
 try:
@@ -533,3 +535,165 @@ class TestRootBits:
     )
     def test_roots_are_bit_for_bit(self, coeffs, expected):
         assert [(z.real.hex(), z.imag.hex()) for z in _aberth_roots(coeffs)] == expected
+
+
+# -- the exact quadratic route against a Fraction model -----------------------
+#
+# The model is the Fraction implementation the integer-pair route replaced,
+# kept verbatim: every outcome must match it bit for bit.
+
+_TURNS = (Q_ZERO, Q_QUARTER, Q_HALF, Q_THREE_QUARTERS)
+_MODEL_COSINE_TURNS = {F(1, 2): (F(1, 6), F(5, 6)), F(-1, 2): (F(1, 3), F(2, 3))}
+
+
+def _model_real_fraction(s):
+    if s.is_exact_zero:
+        return Q_ZERO
+    q = s.q
+    if q is Q_ZERO or q == 0:
+        return s.r
+    if q is Q_HALF or q == Q_HALF:
+        return -s.r
+    return None
+
+
+def _model_fraction_sqrt(f):
+    num, den = f.numerator, f.denominator
+    a, b = math.isqrt(num), math.isqrt(den)
+    if a * a == num and b * b == den:
+        return F(a, b)
+    return None
+
+
+def _model_exact_quadratic(b_s, c_s):
+    b = _model_real_fraction(b_s)
+    c = _model_real_fraction(c_s)
+    if b is None or c is None:
+        return None
+    if c == 0:
+        raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
+    disc = b * b - 4 * c
+    if disc == 0:
+        return [(Scalar.exact(-b / 2), 2)]
+    if disc > 0:
+        root = _model_fraction_sqrt(disc)
+        if root is not None:
+            return [(Scalar.exact((-b + root) / 2), 1), (Scalar.exact((-b - root) / 2), 1)]
+    try:
+        b_f, c_f, disc_f = float(b), float(c), float(disc)
+    except OverflowError:
+        return None
+    if c_f == 0.0:
+        return None
+    if disc > 0:
+        s_f = math.sqrt(disc_f)
+        t = (-b_f - s_f) / 2 if b >= 0 else (-b_f + s_f) / 2
+        other = c_f / t
+        hi, lo = max(t, other), min(t, other)
+        if not all(0.0 < abs(v) < math.inf for v in (hi, lo)):
+            return None
+        sign_hi = 1 if (b <= 0 or c < 0) else -1
+        sign_lo = 1 if (b < 0 and c > 0) else -1
+        return [
+            (Scalar.polar(abs(hi), Q_ZERO if sign_hi > 0 else Q_HALF), 1),
+            (Scalar.polar(abs(lo), Q_ZERO if sign_lo > 0 else Q_HALF), 1),
+        ]
+    x = -b / 2
+    y = math.sqrt(-disc_f) / 2
+    r_frac = _model_fraction_sqrt(c)
+    if x == 0:
+        r = r_frac if r_frac is not None else math.sqrt(c_f)
+        return [(Scalar.polar(r, Q_QUARTER), 1), (Scalar.polar(r, Q_THREE_QUARTERS), 1)]
+    if r_frac is not None:
+        turns = _MODEL_COSINE_TURNS.get(x / r_frac)
+        if turns is not None:
+            return [(Scalar.polar(r_frac, turns[0]), 1), (Scalar.polar(r_frac, turns[1]), 1)]
+    return [(complex(-b_f / 2, y), 1), (complex(-b_f / 2, -y), 1)]
+
+
+def _outcome(solve, b_s, c_s):
+    try:
+        return solve(b_s, c_s)
+    except ZeroEigenvalue:
+        return ZeroEigenvalue
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+BIG = 2**2000 // 3
+rationals = (
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
+    | st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+    | st.integers(-12, 12).map(F)
+)
+positive_rationals = rationals.map(abs).filter(bool)
+
+
+@st.composite
+def quadratics(draw):
+    """(b, c) of x^2 + b x + c, drawn to reach every branch of the solve."""
+    case = draw(
+        st.sampled_from(["any", "square", "double", "negative_c", "zero_b", "cosine", "tiny_c"])
+    )
+    b = draw(rationals)
+    if case == "any":
+        return b, draw(rationals)
+    if case == "square":  # disc = s^2
+        s = draw(rationals)
+        return b, (b * b - s * s) / 4
+    if case == "double":
+        return b, b * b / 4
+    if case == "negative_c":
+        return b, -draw(positive_rationals)
+    if case == "zero_b":
+        c = draw(rationals)
+        return F(0), draw(st.sampled_from([c, c * c, -c * c]))
+    if case == "cosine":  # |root| = r and cos = -+1/2, or near misses
+        r = draw(positive_rationals)
+        return draw(st.sampled_from([r, -r, 2 * r, r + 1])), r * r
+    return b, F(draw(st.sampled_from([1, -1])), 2 ** draw(st.integers(1000, 1200)))
+
+
+def _coefficient(x: F, form: str):
+    """``x`` as one of the exact forms a characteristic polynomial holds."""
+    if form == "fresh" and x:
+        # An argument equal to 0 or 1/2 that is not the shared constant.
+        return Scalar.polar(abs(x), F(1, 3)) * Scalar.polar(1, F(2, 3) if x > 0 else F(1, 6))
+    if form == "imaginary" and x:
+        return Scalar.exact(0, x)
+    return Scalar.exact(x)
+
+
+forms = st.sampled_from(["exact", "exact", "exact", "fresh", "imaginary"])
+
+
+@settings(max_examples=600)
+@given(quadratics(), forms, forms)
+@example((F(1), F(1)), "exact", "exact")  # e(1/3), e(2/3)
+@example((F(-3), F(9)), "exact", "exact")  # 3 e(1/6), 3 e(5/6)
+@example((F(0), F(-4)), "fresh", "fresh")
+@example((F(2**1100), F(1)), "exact", "exact")  # b's float overflows
+@example((F(1), F(1, 2**1100)), "exact", "exact")  # c's float underflows
+@example((F(3), F(0)), "exact", "exact")
+def test_exact_quadratic_matches_the_fraction_model(coeffs, b_form, c_form):
+    b_s, c_s = _coefficient(coeffs[0], b_form), _coefficient(coeffs[1], c_form)
+    got = _outcome(_exact_quadratic, b_s, c_s)
+    want = _outcome(_model_exact_quadratic, b_s, c_s)
+    if want is None or want is ZeroEigenvalue:
+        assert got is want
+        return
+    assert [m for _, m in got] == [m for _, m in want]
+    for g, w in ((g, w) for (g, _), (w, _) in zip(got, want)):
+        assert type(g) is type(w)
+        if type(w) is complex:
+            assert _bits(g) == _bits(w)
+            continue
+        assert g.is_exact and w.is_exact
+        assert g.r == w.r and type(g.r) is F
+        if any(w.q is t for t in _TURNS):
+            assert g.q is w.q
+        else:
+            assert g.q == w.q and type(g.q) is F
+        assert _bits(g.z) == _bits(w.z)
