@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import contextlib
 import io
@@ -183,6 +184,37 @@ class TestUsageErrors:
         )
 
 
+class TestParserReuse:
+    def test_no_state_carries_between_calls(self, capsys, golden_file):
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = run(["c1", golden_file])
+        assert first[0] == EXIT_OK
+        assert run(["c1", "--tol", "0.04", "--integrality-tol", "0.3", golden_file])[0] == EXIT_OK
+        assert run(["--bogus"])[0] == EXIT_ERROR
+        assert run(["classify", "--help"])[0] == EXIT_OK
+        assert run(["sweep"])[0] == EXIT_ERROR
+        assert run(["c1", golden_file]) == first
+
+    def test_parser_is_built_once(self, monkeypatch, golden_file):
+        main(["sweep", "--steps", "2"])
+        inits = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            inits.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["sweep", "--steps", "3"]) == EXIT_OK
+        assert main(["c1", golden_file]) == EXIT_OK
+        assert main(["bogus"]) == EXIT_ERROR
+        assert inits == []
+
+
 class TestC1:
     def test_golden(self, golden_file, capsys):
         assert main(["c1", golden_file]) == EXIT_OK
@@ -351,6 +383,22 @@ class _RowSink:
         self.rows_seen += 1
 
 
+class _LabelSink:
+    """Stdout that keeps the q0 label of each lattice row and the q1 labels
+    of row 0, and stops the sweep after ``rows`` rows."""
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.q0 = []
+
+    def write(self, text: str) -> None:
+        if not self.q0:
+            self.q1 = [line.split(",")[1] for line in text.split("\n")[:-1]]
+        self.q0.append(text[: text.index(",")])
+        if len(self.q0) == self.rows:
+            raise _StopSweep
+
+
 class TestSweep:
     def test_steps_two_rows(self, capsys):
         assert main(["sweep", "--steps", "2"]) == EXIT_OK
@@ -369,6 +417,28 @@ class TestSweep:
     def test_bounds(self, capsys):
         assert main(["sweep", "--steps", "0"]) == EXIT_ERROR
         assert main(["sweep", "--steps", "10001"]) == EXIT_ERROR
+
+    @staticmethod
+    def _labels(steps: int, rows: int) -> _LabelSink:
+        sink = _LabelSink(rows)
+        with pytest.raises(_StopSweep):
+            with contextlib.redirect_stdout(sink):
+                main(["sweep", "--steps", str(steps)])
+        return sink
+
+    def test_labels_are_reduced_fractions(self):
+        for steps in range(1, 301):
+            expected = [str(Fraction(i, steps)) for i in range(steps)]
+            sink = self._labels(steps, steps)
+            assert sink.q0 == expected and sink.q1 == expected, steps
+
+    @pytest.mark.parametrize("steps", [9973, 10000])
+    def test_labels_at_the_largest_steps(self, steps):
+        # Row 0 carries every q1 label; the rows before the stop carry
+        # their q0 label.
+        sink = self._labels(steps, 50)
+        assert sink.q1 == [str(Fraction(i, steps)) for i in range(steps)]
+        assert sink.q0 == sink.q1[:50]
 
     @staticmethod
     def _expected_row(i: int, j: int, steps: int) -> str:
