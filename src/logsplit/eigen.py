@@ -6,9 +6,10 @@ normalized argument q in [0, 1) of each value is the whole story.  Exactly
 specified inputs travel an exact route (triangular read-off, and for 2x2 a
 rational quadratic solve with recognition of the rational-cosine angles
 0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve works on reduced
-(numerator, denominator) int pairs, as scalar.py holds exact values, and
-so does the q-sum (``q_total``): no Fraction arithmetic on the exact
-route, a Fraction only where a q or a q-sum is returned.
+(numerator, denominator) int pairs, as scalar.py holds exact moduli and
+arguments, and builds its roots from them; the q-sum (``q_total``) adds
+such pairs with scalar's pair sum.  There is no Fraction arithmetic on
+the exact route, a Fraction only where a q or a q-sum is returned.
 Everything else is a floating root solve of
 the characteristic polynomial: a cancellation-free closed form for
 quadratics, and simultaneous Aberth-Ehrlich iteration started on the
@@ -45,7 +46,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
-from .scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, ZERO, Scalar
+from .scalar import ZERO, Scalar, _ratio_sum
 from .scalar import is_exact, modulus, real_ratio, real_scalar, same_value, value_of
 
 #: Default clustering, snapping and parallelism tolerance, of the library
@@ -63,9 +64,9 @@ _EPS = sys.float_info.epsilon
 _TWO_PI = 2.0 * math.pi
 
 #: The arguments of a complex root off the imaginary axis with a rational
-#: cosine (Niven: +-1/2), and of its conjugate.
-_SIXTHS = (Fraction(1, 6), Fraction(5, 6))
-_THIRDS = (Fraction(1, 3), Fraction(2, 3))
+#: cosine (Niven: +-1/2), and of its conjugate, as reduced pairs.
+_SIXTHS = ((1, 6), (5, 6))
+_THIRDS = ((1, 3), (2, 3))
 
 BRANCH_BOUNDARY = "BranchBoundary"
 EIGENVALUE_UNCERTAIN = "EigenvalueUncertain"
@@ -153,20 +154,19 @@ class EigenData:
 
 def q_total(terms: Iterable[tuple[int, Fraction | float]]) -> Fraction | float:
     """``sum(m * q for m, q in terms)`` as that left fold computes it: exact
-    q's add up as one int numerator over a common denominator; from the
-    first floating q on, the fold goes on in floats."""
-    n, d = 0, 1
+    q's add up as one reduced int pair; from the first floating q on, the
+    fold goes on in floats."""
+    exact = (0, 1)
     total = None
     for m, q in terms:
         if total is not None:
             total += m * q
         elif q.__class__ is Fraction:
             qn, qd = q.as_integer_ratio()
-            g = gcd(d, qd)
-            n, d = n * (qd // g) + m * qn * (d // g), d // g * qd
+            exact = _ratio_sum(exact, (m * qn, qd))
         else:
-            total = n / d + m * q  # float(Fraction(n, d)) + m * q
-    return Fraction(n, d) if total is None else total
+            total = exact[0] / exact[1] + m * q  # float(Fraction(*exact)) + m * q
+    return Fraction(*exact) if total is None else total
 
 
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
@@ -383,19 +383,19 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar | complex, i
         sign_hi = 1 if (bn <= 0 or cn < 0) else -1  # sign of (-b + sqrt(disc))/2
         sign_lo = 1 if (bn < 0 and cn > 0) else -1
         return [
-            (Scalar.polar(abs(hi), Q_ZERO if sign_hi > 0 else Q_HALF), 1),
-            (Scalar.polar(abs(lo), Q_ZERO if sign_lo > 0 else Q_HALF), 1),
+            (Scalar(None, abs(hi).as_integer_ratio(), (0, 1) if sign_hi > 0 else (1, 2)), 1),
+            (Scalar(None, abs(lo).as_integer_ratio(), (0, 1) if sign_lo > 0 else (1, 2)), 1),
         ]
     # Conjugate pair -b/2 +- iy with y > 0, and |root|^2 = c > 0, so
-    # |root| = a/e when c is a rational square.
+    # |root| = a/e when c is a rational square; on the imaginary axis it
+    # is otherwise the rounded sqrt(c).
     y = math.sqrt(-disc_f) / 2
     a, e = isqrt(cn), isqrt(cd)
     square = a * a == cn and e * e == cd
     if bn == 0:
         if not square:
-            r = math.sqrt(c_f)
-            return [(Scalar.polar(r, Q_QUARTER), 1), (Scalar.polar(r, Q_THREE_QUARTERS), 1)]
-        turns = (Q_QUARTER, Q_THREE_QUARTERS)
+            a, e = math.sqrt(c_f).as_integer_ratio()
+        turns = ((1, 4), (3, 4))
     elif square and -bn * e == a * bd:  # cos = -b / (2|root|) = 1/2
         turns = _SIXTHS
     elif square and bn * e == a * bd:  # cos = -1/2

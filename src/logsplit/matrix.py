@@ -289,7 +289,8 @@ def _hessenberg_char_poly(h: list[list[complex]]) -> list[complex]:
 
 
 def _is_zero(e: Scalar | complex) -> bool:
-    return e.is_zero if e.__class__ is Scalar else e == 0
+    # A floating entry is a complex, never a Scalar: _entry unboxes it.
+    return e is ZERO if e.__class__ is Scalar else e == 0
 
 
 def _entry(e) -> Scalar | complex:

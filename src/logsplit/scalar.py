@@ -4,44 +4,38 @@ The classification downstream is discontinuous in the normalized argument
 q of an eigenvalue (q = 0 versus q != 0 picks a different twisting sheaf),
 so floating noise on the positive real axis is fatal.  A :class:`Scalar`
 therefore carries, whenever its provenance allows, the exact value
-``r * exp(2*pi*i*q)``: a rational modulus ``r > 0`` times e(q), with
-``q`` a :class:`~fractions.Fraction` in [0, 1) (a float input is read as
-its exact dyadic value).  Arithmetic keeps the exact form alive through
-the operations that preserve it (products, reciprocals, negation,
-conjugation, addition of colinear values), so exact zero tests decide on
-exact data, and degrades to a plain ``complex`` otherwise: every floating
-result is a ``complex``, computed on the operands' complex values in the
-order they are written, and a ``complex`` operand is a floating value.
-The complex value of an exact scalar is derived when it is first read.
-One exact modulus is rounded: the irrational modulus of a root of a
-rational quadratic whose q is exact, which eigen._exact_quadratic rounds
-from ``numerator / denominator`` floats of its coefficients.
+``r * exp(2*pi*i*q)``: a rational modulus ``r > 0`` times e(q), with q
+rational in [0, 1) (a float input is read as its exact dyadic value).
+Arithmetic keeps the exact form alive through the operations that
+preserve it (products, reciprocals, negation, addition of colinear
+values), so exact zero tests decide on exact data, and degrades to a
+plain ``complex`` otherwise: every floating result is a ``complex``,
+computed on the operands' complex values in the order they are written,
+and a ``complex`` operand is a floating value.  The complex value of an
+exact scalar is derived when it is first read.  One exact modulus is
+rounded: the irrational modulus of a root of a rational quadratic whose
+q is exact, which eigen._exact_quadratic rounds from
+``numerator / denominator`` floats of its coefficients.
 
-The modulus is held as a reduced pair ``(numerator, denominator)`` of
-``int``s, taken from the input's ``as_integer_ratio()``; products,
-reciprocals and colinear sums and differences are done on the pair with
-``math.gcd``, not with Fraction arithmetic.  ``Scalar.r`` builds the
-Fraction on demand.  The float modulus is ``numerator / denominator``,
-which is how ``float(Fraction)`` rounds, and inf beyond the float range.
-Code outside this module reads an exact real as a signed pair with
-``real_ratio``, and builds a real from a signed pair with
-``real_scalar`` and a polar value from a reduced modulus pair with
-``Scalar(None, (n, d), q)``, as the exact quadratic solve does.
+Both r and q are held as reduced pairs ``(numerator, denominator)`` of
+``int``s, q with ``0 <= numerator < denominator``; products, reciprocals,
+negations and colinear sums and differences are done on the pairs with
+``math.gcd``, not with Fraction arithmetic.  ``Scalar.r`` and
+``Scalar.q`` build their Fractions when read; ``.q`` of a quarter turn
+is its shared constant (Q_ZERO, Q_QUARTER, Q_HALF or Q_THREE_QUARTERS).
+The float modulus is ``numerator / denominator``, which is how
+``float(Fraction)`` rounds, and inf beyond the float range.  Code
+outside this module reads an exact real as a signed pair with
+``real_ratio``, builds a real from a signed pair with ``real_scalar``
+and a polar value from a modulus pair and a turn pair with
+``Scalar(None, r, q)``, as the exact quadratic solve does, and adds
+pairs with ``_ratio_sum``, as the q-sum does.
 
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
 so that boundary warnings still fire for them.  A floating Scalar
 (``Scalar.inexact``) only boxes such a value where a Scalar is promised,
 as for an eigenvalue; arithmetic on it gives a ``complex`` too.
-
-Nearly every exact entry lies on an axis, so the four quarter turns
-q = 0, 1/4, 1/2, 3/4 are shared constants (Q_ZERO, Q_QUARTER, Q_HALF,
-Q_THREE_QUARTERS): ``Scalar.exact`` and ``Scalar.polar`` return them, and
-products, negations, reciprocals and sums of scalars carrying them add
-turns mod 4 instead of doing Fraction arithmetic, and return them again.
-Identity is only a shortcut: any other q, a Fraction equal to a quarter
-turn but not the shared object included, takes the Fraction path, and
-equality stays by value.
 """
 
 from __future__ import annotations
@@ -59,10 +53,8 @@ Q_QUARTER = Fraction(1, 4)
 Q_HALF = Fraction(1, 2)
 Q_THREE_QUARTERS = Fraction(3, 4)
 
-#: The shared quarter turns, in order, and the turn count of each by
-#: identity: the constants add mod 4 without Fraction arithmetic.
-_TURNS = (Q_ZERO, Q_QUARTER, Q_HALF, Q_THREE_QUARTERS)
-_TURN_OF = {id(q): k for k, q in enumerate(_TURNS)}
+#: The Fraction that ``Scalar.q`` returns for each quarter turn pair.
+_QUARTER_TURNS = {(0, 1): Q_ZERO, (1, 4): Q_QUARTER, (1, 2): Q_HALF, (3, 4): Q_THREE_QUARTERS}
 
 
 def _to_float(x: Fraction | int | float) -> float:
@@ -111,22 +103,24 @@ def _ratio_sum(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
     return n // g, b // g
 
 
-def _polar_to_complex(r: tuple[int, int], q: Fraction) -> complex:
+def _turn_sum(q: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
+    """``(q + p) mod 1`` of two turns, as a reduced pair."""
+    n, d = _ratio_sum(q, p)
+    return n % d, d
+
+
+def _polar_to_complex(r: tuple[int, int], q: tuple[int, int]) -> complex:
     # Quarter turns hit the axes exactly; sin/cos of their float angles do not.
     r_f = _ratio_float(r)
-    k = _TURN_OF.get(id(q))
-    if k is None:
-        if q not in _TURNS:
-            a = _TWO_PI * float(q)
-            return complex(r_f * math.cos(a), r_f * math.sin(a))
-        k = _TURNS.index(q)
-    if k == 0:
+    n, d = q
+    if d == 1:
         return complex(r_f, 0.0)
-    if k == 1:
-        return complex(0.0, r_f)
-    if k == 2:
+    if d == 2:
         return complex(-r_f, 0.0)
-    return complex(0.0, -r_f)
+    if d == 4:
+        return complex(0.0, r_f if n == 1 else -r_f)
+    a = _TWO_PI * (n / d)  # float(Fraction(n, d))
+    return complex(r_f * math.cos(a), r_f * math.sin(a))
 
 
 class Scalar:
@@ -134,16 +128,17 @@ class Scalar:
 
     States:
       * exact zero      -- the ``ZERO`` singleton, tested by identity
-      * exact polar     -- ``_r`` the modulus > 0 as a reduced int pair
-                           ``(numerator, denominator)`` (``.r`` builds its
-                           Fraction), ``_q`` a Fraction in [0, 1); ``_z`` is
-                           None until the complex value is read
+      * exact polar     -- ``_r`` the modulus > 0 and ``_q`` the argument in
+                           [0, 1), each a reduced int pair ``(numerator,
+                           denominator)`` (``.r`` and ``.q`` build their
+                           Fractions); ``_z`` is None until the complex
+                           value is read
       * inexact (float) -- ``_r`` and ``_q`` None, ``_z`` the complex value
     """
 
     __slots__ = ("_z", "_r", "_q")
 
-    def __init__(self, z: complex | None, r: tuple[int, int] | None, q: Fraction | None):
+    def __init__(self, z: complex | None, r: tuple[int, int] | None, q: tuple[int, int] | None):
         self._z = z
         self._r = r
         self._q = q
@@ -165,10 +160,10 @@ class Scalar:
             if re == 0:
                 return _ZERO
             n, d = _ratio(re)
-            return cls(None, (n, d), Q_ZERO) if n > 0 else cls(None, (-n, d), Q_HALF)
+            return cls(None, (n, d), (0, 1)) if n > 0 else cls(None, (-n, d), (1, 2))
         if re == 0:
             n, d = _ratio(im)
-            return cls(None, (n, d), Q_QUARTER) if n > 0 else cls(None, (-n, d), Q_THREE_QUARTERS)
+            return cls(None, (n, d), (1, 4)) if n > 0 else cls(None, (-n, d), (3, 4))
         try:
             return complex(re, im)
         except OverflowError:
@@ -176,16 +171,13 @@ class Scalar:
 
     @classmethod
     def polar(cls, r: float | int | Fraction, q: Fraction | int | str) -> "Scalar":
-        """Exact polar value ``r * exp(2*pi*i*q)`` with q rational in [0, 1);
-        a quarter turn becomes its shared constant."""
+        """Exact polar value ``r * exp(2*pi*i*q)`` with q rational in [0, 1)."""
         q_frac = q if q.__class__ is Fraction else Fraction(q)
         if not 0 <= q_frac < 1:
             raise OutOfBranch(f"polar argument q must lie in [0, 1), got {q_frac}")
         if isinstance(r, float) and not math.isfinite(r) or not r > 0:
             raise ValueError(f"polar modulus must be a finite positive real, got {r}")
-        if not 4 % q_frac.denominator:
-            q_frac = _TURNS[4 * q_frac.numerator // q_frac.denominator]
-        return cls(None, _ratio(r), q_frac)
+        return cls(None, _ratio(r), q_frac.as_integer_ratio())
 
     @classmethod
     def inexact(cls, z: complex) -> "Scalar":
@@ -204,14 +196,14 @@ class Scalar:
         return self is _ZERO
 
     @property
-    def is_zero(self) -> bool:
-        """Literal zero (exact or a float that is exactly 0.0)."""
-        return self._q is None and self._z == 0
-
-    @property
     def q(self) -> Fraction | None:
-        """Exact normalized argument, when known."""
-        return self._q
+        """Exact normalized argument as a Fraction, when known: the shared
+        constant for a quarter turn."""
+        q = self._q
+        if q is None:
+            return None
+        turn = _QUARTER_TURNS.get(q)
+        return Fraction(*q) if turn is None else turn
 
     @property
     def r(self) -> Fraction | None:
@@ -251,16 +243,9 @@ class Scalar:
         q, oq = self._q, o._q
         if q is None or oq is None:
             return self.z + o.z
-        k, ok = _TURN_OF.get(id(q)), _TURN_OF.get(id(oq))
-        if k is None or ok is None:
-            colinear = q == oq
-            opposite = not colinear and (oq - q) % 1 == Q_HALF
-        else:
-            colinear = k == ok
-            opposite = (ok - k) % 4 == 2
-        if colinear:
+        if q == oq:
             return Scalar(None, _ratio_sum(self._r, o._r), q)
-        if opposite:
+        if _turn_sum(q, (1, 2)) == oq:
             on, od = o._r
             n, d = _ratio_sum(self._r, (-on, od))
             if n > 0:
@@ -277,8 +262,7 @@ class Scalar:
             return self
         q = self._q
         if q is not None:
-            k = _TURN_OF.get(id(q))
-            return Scalar(None, self._r, (q + Q_HALF) % 1 if k is None else _TURNS[(k + 2) % 4])
+            return Scalar(None, self._r, _turn_sum(q, (1, 2)))
         return -self._z
 
     def __sub__(self, other) -> "Scalar | complex":
@@ -303,10 +287,7 @@ class Scalar:
             return self.z * o
         q, oq = self._q, o._q
         if q is not None and oq is not None:
-            k, ok = _TURN_OF.get(id(q)), _TURN_OF.get(id(oq))
-            if k is None or ok is None:
-                return Scalar(None, _ratio_product(self._r, o._r), (q + oq) % 1)
-            return Scalar(None, _ratio_product(self._r, o._r), _TURNS[(k + ok) % 4])
+            return Scalar(None, _ratio_product(self._r, o._r), _turn_sum(q, oq))
         return self.z * o.z
 
     __rmul__ = __mul__
@@ -316,9 +297,9 @@ class Scalar:
             raise ZeroDivisionError("reciprocal of exact zero")
         q = self._q
         if q is not None:
-            k = _TURN_OF.get(id(q))
             n, d = self._r
-            return Scalar(None, (d, n), (-q) % 1 if k is None else _TURNS[-k % 4])
+            qn, qd = q
+            return Scalar(None, (d, n), (-qn % qd, qd))
         return 1.0 / self._z
 
     def __truediv__(self, other) -> "Scalar | complex":
@@ -329,7 +310,7 @@ class Scalar:
 
     def __rtruediv__(self, other) -> "Scalar | complex":
         # A real 1 would coerce to a value equal to ONE in every field, its
-        # complex value 1+0j included; ONE saves building a Fraction.
+        # complex value 1+0j included; ONE saves a value_of call.
         real_one = isinstance(other, (int, float, Fraction)) and other == 1
         o = ONE if real_one else value_of(other)
         if o is None:
@@ -353,7 +334,7 @@ class Scalar:
         if self is _ZERO:
             return "Scalar(0)"
         if self._q is not None:
-            return f"Scalar({self.r}*e2pi({self._q}))"
+            return f"Scalar({self.r}*e2pi({self.q}))"
         return f"Scalar({self._z!r})"
 
 
@@ -386,9 +367,9 @@ def real_ratio(x: Scalar) -> tuple[int, int] | None:
     """The signed reduced ``(numerator, denominator)`` of an exact real
     Scalar, ``(0, 1)`` for the exact zero; None for any other value."""
     q = x._q
-    if x is _ZERO or q is Q_ZERO or q == 0:
+    if x is _ZERO or q == (0, 1):
         return x._r
-    if q is Q_HALF or q == Q_HALF:
+    if q == (1, 2):
         return -x._r[0], x._r[1]
     return None
 
@@ -398,8 +379,8 @@ def real_scalar(n: int, d: int) -> Scalar:
     ``Scalar.exact`` holds it."""
     g = gcd(n, d)
     if n > 0:
-        return Scalar(None, (n // g, d // g), Q_ZERO)
-    return Scalar(None, (-n // g, d // g), Q_HALF)
+        return Scalar(None, (n // g, d // g), (0, 1))
+    return Scalar(None, (-n // g, d // g), (1, 2))
 
 
 def same_value(x: Scalar | complex, y: Scalar | complex, tol: float) -> bool:

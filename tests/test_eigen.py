@@ -659,7 +659,7 @@ def quadratics(draw):
 def _coefficient(x: F, form: str):
     """``x`` as one of the exact forms a characteristic polynomial holds."""
     if form == "fresh" and x:
-        # An argument equal to 0 or 1/2 that is not the shared constant.
+        # An argument of 0 or 1/2 reached as a product of other turns.
         return Scalar.polar(abs(x), F(1, 3)) * Scalar.polar(1, F(2, 3) if x > 0 else F(1, 6))
     if form == "imaginary" and x:
         return Scalar.exact(0, x)

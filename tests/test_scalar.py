@@ -35,7 +35,7 @@ class TestConstruction:
 
     def test_zero_is_exact(self):
         z = Scalar.exact(0)
-        assert z.is_exact_zero and z.is_exact and z.is_zero
+        assert z is ZERO and z.is_exact_zero and z.is_exact
 
     def test_polar_roundtrip(self):
         s = Scalar.polar(2, F(2, 3))
@@ -162,15 +162,21 @@ class TestQuarterTurns:
         assert Scalar.polar(3, 0).q is Q_ZERO
         assert Scalar.polar(3, F(1, 3)).q == F(1, 3)
 
-    def test_an_equal_argument_that_is_not_shared_gives_equal_results(self):
-        # Products of non-quarter turns make such arguments.
-        fresh = Scalar.polar(2, F(1, 3)) * Scalar.polar(1, F(1, 6))
-        assert fresh.q == Q_HALF and fresh.q is not Q_HALF
-        for other in AXES:
-            assert fresh * other == Scalar.exact(-2) * other
-            assert fresh + other == Scalar.exact(-2) + other
-        assert -fresh == Scalar.exact(2) and fresh.reciprocal() == Scalar.exact(F(-1, 2))
-        assert fresh.z == -2 + 0j
+    def test_an_axis_reached_through_other_turns_is_the_axis(self):
+        for a, b, axis in (
+            (F(1, 3), F(1, 6), Q_HALF),
+            (F(5, 12), F(1, 12), Q_HALF),
+            (F(1, 8), F(1, 8), Q_QUARTER),
+        ):
+            reached = Scalar.polar(2, a) * Scalar.polar(1, b)
+            assert reached.q is axis
+            direct = Scalar.polar(2, axis)
+            for other in AXES:
+                assert reached * other == direct * other
+                assert reached + other == direct + other
+                assert reached - other == direct - other
+            assert -reached == -direct and reached.reciprocal() == direct.reciprocal()
+            assert reached.z == direct.z
 
 
 class TestEquality:
@@ -215,21 +221,16 @@ any_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 )
 floating = st.builds(lambda re, im: Scalar.inexact(complex(re, im)), any_float, any_float)
 moduli = st.fractions(min_value=F(1, 10**9), max_value=10**9)
-# Quarter turns are drawn often: as the shared constants, which take the
-# identity shortcut, and as equal Fractions that are not them, which take
-# the Fraction path.  Scalar.polar would map the latter onto the constants,
-# so they go to the constructor, as arithmetic on other arguments does.
-fresh_turns = st.sampled_from(
-    [lambda: F(2, 4), lambda: (F(1, 3) + F(2, 3)) % 1, lambda: F(1, 12) * 3, lambda: F(3, 4) * 1]
-).map(lambda make: make())
-polar = (
-    st.builds(
-        Scalar.polar,
-        moduli,
-        st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda q: q < 1)
-        | st.sampled_from(TURNS),
-    )
-    | st.builds(lambda r, q: Scalar(None, r.as_integer_ratio(), q), moduli, fresh_turns)
+# Small denominators make colinear and opposite sums likely, and quarter
+# turns are drawn often.  Values come from Scalar.polar and, as arithmetic
+# and the exact quadratic solve build them, from reduced pairs given to the
+# constructor.
+turns = (
+    st.fractions(min_value=0, max_value=1, max_denominator=12)
+    | st.fractions(min_value=0, max_value=1, max_denominator=10**12)
+).filter(lambda q: q < 1) | st.sampled_from(TURNS)
+polar = st.builds(Scalar.polar, moduli, turns) | st.builds(
+    lambda r, q: Scalar(None, r.as_integer_ratio(), q.as_integer_ratio()), moduli, turns
 )
 scalars = floating | polar | st.just(ZERO) | st.fractions().map(Scalar.exact)
 plain = (
@@ -295,15 +296,20 @@ def _model(op: str, x: Scalar, y: Scalar) -> Scalar:
     return _model_product(x, _model_reciprocal(y))
 
 
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
 def _assert_same(got: Scalar | complex, want: Scalar) -> None:
     if want is ZERO:
         assert got is ZERO
     elif want.is_exact:
         assert isinstance(got, Scalar)
         assert (got.r, got.q) == (want.r, want.q)
+        assert got == want and _bits(got.z) == _bits(want.z)
     else:
         assert type(got) is complex
-        assert (got.real.hex(), got.imag.hex()) == (want.z.real.hex(), want.z.imag.hex())
+        assert _bits(got) == _bits(want.z)
 
 
 @settings(max_examples=400)
