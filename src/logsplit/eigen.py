@@ -22,6 +22,12 @@ coefficient is not finite, or the solve overflows or diverges, the roots
 are solved once more for the matrix scaled by a power of two and scaled
 back.
 
+Singularity is decided here, once, on the route that solves for the
+values: a triangular matrix is singular iff a diagonal entry is exactly
+zero, an exact 2x2 one iff its exact determinant is zero, and a floating
+solve iff its constant term, the determinant up to sign, is
+below_singularity_threshold.
+
 The tolerance ``tol`` has its one default here, shared by the command
 line, and its bound TOL_BOUND, which keeps the BranchBoundary band of
 BOUNDARY_BAND tolerances on each side of the cut under half a turn.
@@ -50,7 +56,7 @@ from .scalar import ZERO, Scalar, _ratio_sum
 from .scalar import is_exact, modulus, real_ratio, real_scalar, same_value, value_of
 
 #: Default clustering, snapping and parallelism tolerance, of the library
-#: and the command line alike (mixed absolute-relative).
+#: and the command line alike.
 DEFAULT_CLUSTER_TOL = 1e-9
 
 #: Half-width of the BranchBoundary band around the cut, in tolerances.
@@ -172,9 +178,10 @@ def q_total(terms: Iterable[tuple[int, Fraction | float]]) -> Fraction | float:
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     """Eigenvalues of ``a`` clustered into multiplicity groups.
 
-    Raises ZeroEigenvalue when a root is (numerically) zero and
-    RootFindingDivergence when the iteration exhausts its budget without
-    reaching the residual noise floor, also for the scaled matrix.
+    Raises ZeroEigenvalue for an exactly zero or floating sub-``tol`` root,
+    SingularMatrix for a floating determinant below_singularity_threshold,
+    and RootFindingDivergence when the iteration exhausts its budget
+    without reaching the residual noise floor, also for the scaled matrix.
     """
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
@@ -186,6 +193,8 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
             return _eigen_data(exact, tol)
     coeffs_c = list(map(complex, coeffs))
     if all(map(cmath.isfinite, coeffs_c)):
+        if below_singularity_threshold(modulus(coeffs[-1]), a.max_abs(), n):
+            raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
         try:
             return _from_float_roots(coeffs_c, _aberth_roots(coeffs_c), tol, 0)
         except (OverflowError, RootFindingDivergence):
@@ -197,8 +206,8 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     exp = math.frexp(a.max_abs())[1]
     scaled = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a.rows])
     coeffs_c = list(map(complex, scaled.char_poly()))
-    # The singularity test of Representation, made at this scale: below it
-    # the smallest eigenvalues are not determined by the floating entries.
+    # The singularity test of the unscaled solve, made at this scale: below
+    # it the smallest eigenvalues are not determined by the floating entries.
     if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
         raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
     try:
@@ -258,12 +267,8 @@ def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenDat
     """EigenData of a triangular matrix's diagonal ``values``."""
     clusters: list[list[Scalar | complex]] = []
     for v in values:
-        if v is ZERO:
+        if v is ZERO or (v.__class__ is complex and v == 0):
             raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-        if not is_exact(v) and modulus(v) < tol:
-            raise ZeroEigenvalue(
-                f"eigenvalue of modulus {modulus(v):.3e} below tolerance {tol:.3e}"
-            )
         for group in clusters:
             if same_value(v, group[0], tol):
                 group.append(v)
@@ -423,26 +428,22 @@ def _poly_eval(coeffs: list[complex], x: complex) -> tuple[complex, complex, flo
 
 
 def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
-    """All roots of a monic polynomial.
+    """All roots of a monic polynomial of degree 2 or more whose constant
+    term ``eigenvalues`` has found nonzero.
 
-    A zero constant term is deflated as the root 0, and degree 2 takes
-    the closed form of :func:`_quadratic_roots`.  From degree 3 on the
-    roots come from simultaneous Aberth iteration (Aberth, Math. Comp. 27,
-    1973), started on the circle of radius |c_n|^(1/n), the geometric mean
-    of the root moduli.  Unless the roots then match Vieta's formulas
-    (:func:`_vieta_verdict`), a root may have been lost next to a
-    cluster, and the iteration restarts once from the circles of the
-    Newton polygon (Bini, Numer. Algorithms 13, 1996).  Deterministic.
+    Degree 2 takes the closed form of :func:`_quadratic_roots`.  From
+    degree 3 on the roots come from simultaneous Aberth iteration (Aberth,
+    Math. Comp. 27, 1973), started on the circle of radius |c_n|^(1/n), the
+    geometric mean of the root moduli.  Unless the roots then match
+    Vieta's formulas (:func:`_vieta_verdict`), a root may have been lost
+    next to a cluster, and the iteration restarts once from the circles of
+    the Newton polygon (Bini, Numer. Algorithms 13, 1996).  Deterministic.
     Raises RootFindingDivergence when the restart misses Vieta's formulas
     too, when the budget runs out above the noise floor or when a root is
     not finite (a coefficient beyond the float range, or Horner's scheme
     overflowing, and NaN passes every comparison).
     """
     n = len(coeffs) - 1
-    if n == 1:
-        return [-coeffs[1]]
-    if coeffs[-1] == 0:
-        return _aberth_roots(coeffs[:-1], budget) + [0j]
     if n == 2:
         return _finite_roots(_quadratic_roots(coeffs[1], coeffs[2]))
     radius = math.exp(math.log(abs(coeffs[-1])) / n)

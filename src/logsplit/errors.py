@@ -19,7 +19,7 @@ class DimensionMismatch(LogSplitError):
 
 
 class SingularMatrix(LogSplitError):
-    """|det| below the singularity tolerance where an inverse is required."""
+    """|det| below the singularity tolerance, in an inverse or a floating eigenvalue solve."""
 
 
 class RootFindingDivergence(LogSplitError):

@@ -27,7 +27,7 @@ from .scalar import ONE, ZERO, Scalar, is_exact, modulus, value_of
 
 MAX_DIM = 8
 
-#: Pivot magnitudes below ``tol * scale`` count as singular.
+#: |det| at most ``SINGULARITY_TOL * (1 + max|entry|) ** n`` counts as singular.
 SINGULARITY_TOL = 1e-12
 
 

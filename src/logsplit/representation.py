@@ -6,7 +6,8 @@ the local monodromies at all punctures multiply to the identity by
 construction.  Building a representation extracts the eigenvalue data at
 every puncture: at infinity these are the reciprocals of P's eigenvalues,
 so P is never inverted.  The infinity monodromy itself is computed only
-when it is asked for.
+when it is asked for.  Whether a generator is singular is decided where
+its eigenvalues are solved for, in ``eigen.eigenvalues``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, checked_tolerance, eigenvalues
 from .eigen import reciprocal_eigenvalues
-from .errors import DimensionMismatch, SingularMatrix
-from .matrix import Matrix, below_singularity_threshold
-from .scalar import modulus
+from .errors import DimensionMismatch
+from .matrix import Matrix
 
 SUPPORTED_PUNCTURES = (2, 3)
 
@@ -44,9 +44,6 @@ class Representation:
         dim = gens[0].n
         if any(g.n != dim for g in gens):
             raise DimensionMismatch("all generators must share one dimension")
-        for idx, g in enumerate(gens):
-            if below_singularity_threshold(modulus(g.det()), g.max_abs(), dim):
-                raise SingularMatrix(f"generator {idx} is singular")
 
     @property
     def dim(self) -> int:
@@ -102,7 +99,8 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
     The eigenvalues at infinity are the reciprocals of those of the
     generator product: at two punctures the product is the generator
     itself, whose data is reused; at three it is ``m0 @ m1``.  A ``tol``
-    outside (0, TOL_BOUND) raises InputFormatError.
+    outside (0, TOL_BOUND) raises InputFormatError, and ``eigenvalues``
+    raises for a singular generator or product.
     """
     checked_tolerance(tol, "tol", TOL_BOUND)
     gens = rep.generators

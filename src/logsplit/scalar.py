@@ -385,12 +385,11 @@ def real_scalar(n: int, d: int) -> Scalar:
 
 def same_value(x: Scalar | complex, y: Scalar | complex, tol: float) -> bool:
     """Equality test honoring exactness: exact pairs compare exactly,
-    anything touching a float compares within ``tol`` (mixed absolute and
-    relative)."""
+    anything touching a float compares within ``tol`` relative to the
+    larger modulus."""
     if is_exact(x) and is_exact(y):
         return x == y
-    scale = 1.0 + max(modulus(x), modulus(y))
-    return modulus(complex(x) - complex(y)) < tol * scale
+    return modulus(complex(x) - complex(y)) < tol * max(modulus(x), modulus(y))
 
 
 def quotient(x: Scalar | complex, y: Scalar | complex) -> Scalar | complex:

@@ -613,10 +613,58 @@ class TestNumericRobustness:
         out = json.loads(capsys.readouterr().out)
         assert (out["kind"], out["c1"], out["candidates"]) == ("Character", -1, [[-1]])
 
-    def test_extreme_diagonal_is_singular(self, tmp_path, capsys):
+    def test_extreme_diagonal_is_answered(self, tmp_path, capsys):
+        # Exact entries: the eigenvalues 1e-200 and 1e200 are read off the
+        # diagonal, so the scale of the determinant does not matter.
         doc = '{"punctures": 2, "dim": 2, "generators": [[[1e-200, 0], [0, 1e200]]]}'
-        assert self._run(tmp_path, doc) == EXIT_ERROR
-        assert "error[SingularMatrix]" in capsys.readouterr().err
+        assert self._run(tmp_path, doc) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["c1"], out["candidates"]) == ("TwoPunctureGeneral", 0, [[0, 0]])
+
+    def test_singular_conjugated_generators_exit_one(self, tmp_path, capsys):
+        # S D S^-1 at dims 2-8, D with one eigenvalue 0 or 1e-14.  S is a
+        # product of random unit-triangular factors, so det S = 1 while
+        # its condition number reaches 1e6; none of these is answered.
+        def matmul(a, b):
+            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+        def unit_triangular(n, scale, upper):
+            # I - N and its inverse sum_k N^k, N nilpotent.
+            nil = [[complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+                    if (j > i if upper else j < i) else 0j for j in range(n)] for i in range(n)]
+            eye = [[complex(i == j) for j in range(n)] for i in range(n)]
+            inv = power = eye
+            for _ in range(n - 1):
+                power = matmul(power, nil)
+                inv = [[x + y for x, y in zip(r, p)] for r, p in zip(inv, power)]
+            return [[x - y for x, y in zip(r, p)] for r, p in zip(eye, nil)], inv
+
+        def norm(a):
+            return max(sum(map(abs, row)) for row in a)
+
+        rng = random.Random(6)
+        kappas, answered = [], []
+        while len(kappas) < 200:
+            n = 2 + len(kappas) % 7
+            scale = 10 ** rng.uniform(-1, 1)
+            s = s_inv = [[complex(i == j) for j in range(n)] for i in range(n)]
+            for f in range(rng.randint(2, 4)):
+                t, t_inv = unit_triangular(n, scale, f % 2 == 1)
+                s, s_inv = matmul(s, t), matmul(t_inv, s_inv)
+            kappa = norm(s) * norm(s_inv)
+            if kappa > 1e6:
+                continue
+            d = [rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random()) for _ in range(n)]
+            d[rng.randrange(n)] = 0j if len(kappas) % 2 else 1e-14 + 0j
+            gen = matmul([[s[i][j] * d[j] for j in range(n)] for i in range(n)], s_inv)
+            kappas.append(kappa)
+            doc = json.dumps({"punctures": 2, "dim": n, "generators": [
+                [[{"re": z.real, "im": z.imag} for z in row] for row in gen]]})
+            if self._run(tmp_path, doc) != EXIT_ERROR:
+                answered.append(len(kappas))
+            capsys.readouterr()
+        assert max(kappas) > 5e5
+        assert answered == []
 
     def test_overflowing_generator_product(self, tmp_path, capsys):
         # The product at three punctures overflows to inf + inf*i; its

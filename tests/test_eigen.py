@@ -11,6 +11,7 @@ from logsplit import (
     BRANCH_BOUNDARY,
     Matrix,
     Scalar,
+    SingularMatrix,
     ZeroArgument,
     ZeroEigenvalue,
     eigenvalues,
@@ -138,9 +139,14 @@ class TestEigenvaluesExact:
 
 class TestEigenvaluesFloat:
     def test_near_zero_root_raises(self):
+        # A rotation of diag(1e-9, 1): not triangular, so its roots are
+        # solved for, and its determinant passes the singularity test.
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot = [[c, -s], [s, c]]
+        rows = [[sum(rot[i][k] * (1e-9, 1.0)[k] * rot[j][k] for k in range(2)) for j in range(2)]
+                for i in range(2)]
         with pytest.raises(ZeroEigenvalue):
-            eigenvalues(Matrix([[Scalar.inexact(1e-12 + 0j), Scalar.inexact(0j)],
-                                [Scalar.inexact(0j), Scalar.inexact(1 + 0j)]]), 1e-7)
+            eigenvalues(Matrix([[complex(x) for x in row] for row in rows]), 1e-7)
 
     def test_boundary_warning_near_positive_axis(self):
         m = Matrix([[Scalar.inexact(1 + 1e-11j), Scalar.inexact(0.5 + 0j)],
@@ -301,9 +307,11 @@ class TestAberthRange:
         assert abs(roots[0] - tiny) < 1e-14 * tiny
         assert abs(roots[1] - 1) < 1e-14 and abs(roots[2] - 2) < 1e-14
 
-    def test_zero_constant_term_is_a_zero_eigenvalue(self):
-        # det = 0 exactly: the root 0 is deflated, not taken a log of.
-        with pytest.raises(ZeroEigenvalue):
+    def test_zero_constant_term_is_singular(self):
+        # det = 0 exactly, in a constant term the polynomial route computes
+        # in floating point at n = 3: the singularity test rejects it before
+        # a root is solved for, as it rejects every determinant near 0.
+        with pytest.raises(SingularMatrix):
             eigenvalues(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
 
     def test_overflowed_roundoff_bound_is_not_convergence(self):

@@ -107,7 +107,9 @@ def test_stdout_is_pinned(tmp_path, capsys, name, command):
 # All-inexact documents: every entry a cartesian object with both parts
 # nonzero, so no entry is exact.  The documents are built here in plain
 # complex arithmetic, not by logsplit, and the digests were captured before
-# all-inexact matrices were stored as complex rows.
+# all-inexact matrices were stored as complex rows.  The inexact_dim8 ones
+# were captured again when the eigenvalue solve took over the singularity
+# test, for the new SingularMatrix message of its 7 singular documents.
 
 
 def _cartesian(gens) -> list:
@@ -181,8 +183,8 @@ INEXACT_SETS = {"inexact_3p": _inexact_3p_documents, "inexact_dim8": _inexact_di
 INEXACT_DIGESTS = {
     ("inexact_3p", "c1"): "a6d1d0e67b84d33392eb7d3e020088ef5cdc163ecce15e744a0d46f1723ec9d8",
     ("inexact_3p", "classify"): "2642517ea847d663299d05d1e8037f621474f22dcbc28f12d7bb894f07be22d7",
-    ("inexact_dim8", "c1"): "14ff0a4611a9f0591420cd7078479eaeb31f6bbcd2e6ee95c66e6118f3c536c5",
-    ("inexact_dim8", "classify"): "6162265568723d61ad759d157b817b196d527c0fda4ab4ff697ae873a5885f6b",
+    ("inexact_dim8", "c1"): "a16b3b232f700ef88dc54d2a8d8db9dfd8bd6994a1372439f45d1b6e9fbfb107",
+    ("inexact_dim8", "classify"): "9318b74bea169d542228ca0944f6e002764f440a900272da3f9db1bc7be6e01e",
 }
 
 

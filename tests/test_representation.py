@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from logsplit import (
     Representation,
     Scalar,
     SingularMatrix,
+    ZeroEigenvalue,
     build,
     classify,
     conjugate,
@@ -188,11 +190,60 @@ class TestValidation:
             Representation(4, (Matrix([[1]]), Matrix([[1]]), Matrix([[1]])))
 
     def test_singular_generator(self):
-        with pytest.raises(SingularMatrix):
-            Representation(2, (Matrix([[1, 1], [1, 1]]),))
+        # A representation checks shapes only; build decides singularity
+        # where it solves for the eigenvalues, here exactly.
+        rep = Representation(2, (Matrix([[1, 1], [1, 1]]),))
+        with pytest.raises(ZeroEigenvalue):
+            build(rep)
 
     def test_near_singular_float_generator(self):
         m = Matrix([[Scalar.inexact(1 + 0j), Scalar.inexact(1 + 0j)],
                     [Scalar.inexact(1 + 0j), Scalar.inexact(1 + 1e-15j)]])
+        rep = Representation(2, (m,))
         with pytest.raises(SingularMatrix):
-            Representation(2, (m,))
+            build(rep)
+
+
+class TestSingularityFromEigenvalues:
+    """A triangular generator is singular only where a diagonal entry is
+    exactly zero, whatever the scale of its determinant."""
+
+    @pytest.mark.parametrize(
+        "diagonal, kind, c1",
+        [
+            ([1e-50], "Character", 0),
+            ([1e8, 1, 1, 1, -1], "TwoPunctureGeneral", -1),
+            ([1e8, 1, 1, 1, 1], "TwoPunctureGeneral", 0),
+            ([1e-10 + 0j, 1 + 0j], "TwoPunctureGeneral", 0),
+        ],
+    )
+    def test_diagonal_generator_is_answered(self, diagonal, kind, c1):
+        # Exact numbers, except the floating diag(1e-10, 1), whose small
+        # entry lies below the clustering tolerance.
+        n = len(diagonal)
+        gen = Matrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        report = classify(Representation(2, (gen,)))
+        assert (report.kind.value, report.chern.c1) == (kind, c1)
+
+    def test_graded_triangular_corpus_is_answered_right(self):
+        # Floating upper-triangular generators whose diagonal moduli spread
+        # over 10^-100 .. 10^100, each entry on the positive real axis with
+        # probability 1/2: c1 counts the entries off that axis.
+        rng = random.Random(4)
+        wrong = []
+        for n in (2, 3, 5):
+            for k in range(100):
+                rows = [[0j] * n for _ in range(n)]
+                off_axis = 0
+                for i in range(n):
+                    r = 10 ** rng.uniform(-100, 100)
+                    if rng.random() < 0.5:
+                        rows[i][i] = complex(r, 0.0)
+                    else:
+                        rows[i][i] = r * cmath.exp(2j * math.pi * rng.uniform(0.05, 0.95))
+                        off_axis += 1
+                    for j in range(i + 1, n):
+                        rows[i][j] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                if classify(Representation(2, (Matrix(rows),))).chern.c1 != -off_axis:
+                    wrong.append((n, k))
+        assert wrong == []
