@@ -172,7 +172,8 @@ class Matrix:
         """The scalar c when this matrix equals c * I, else None.
 
         Fully exact matrices are tested exactly; otherwise deviation from
-        the mean diagonal entry is compared against ``tol * scale``.
+        the mean diagonal entry is compared against ``tol * max|entry|``,
+        purely relatively, so the answer does not depend on the scale.
         """
         n = self.n
         rows = self._rows
@@ -181,10 +182,9 @@ class Matrix:
             off_ok = all(rows[i][j].is_exact_zero for i in range(n) for j in range(n) if i != j)
             return diag[0] if off_ok and all(d == diag[0] for d in diag) else None
         mean = sum(map(complex, diag), 0j) / n
-        scale = 1.0 + self.max_abs()
         dev = max(abs(complex(e) - (mean if i == j else 0j))
                   for i, row in enumerate(rows) for j, e in enumerate(row))
-        return mean if dev <= tol * scale else None
+        return mean if dev <= tol * self.max_abs() else None
 
 
 # Kernels on plain complex values; the elimination also takes rows with

@@ -37,6 +37,16 @@ def stored_form(x) -> bool:
     return (type(x) is Scalar and x.is_exact) or type(x) is complex
 
 
+def matmul(a: list[list], b: list[list]) -> list[list]:
+    """Product of matrices given as nested lists of numbers."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def conjugated(s: list[list], s_inv: list[list], m: list[list]) -> list[list]:
+    """S M S^-1 on nested lists, with S^-1 given."""
+    return matmul(matmul(s, m), s_inv)
+
+
 def close_to(a: Matrix, b: Matrix, tol: float) -> bool:
     """Whether every entry of ``a`` lies within ``tol * scale`` of ``b``'s,
     ``scale`` being 1 plus the largest entry modulus of either."""

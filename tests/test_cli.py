@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_well_conditioned
+from conftest import conjugated, matmul, rand_well_conditioned
 from logsplit import Matrix, Representation, cli, selftest
 from logsplit.cli import (
     EXIT_ERROR,
@@ -625,9 +625,6 @@ class TestNumericRobustness:
         # S D S^-1 at dims 2-8, D with one eigenvalue 0 or 1e-14.  S is a
         # product of random unit-triangular factors, so det S = 1 while
         # its condition number reaches 1e6; none of these is answered.
-        def matmul(a, b):
-            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
         def unit_triangular(n, scale, upper):
             # I - N and its inverse sum_k N^k, N nilpotent.
             nil = [[complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
@@ -656,7 +653,8 @@ class TestNumericRobustness:
                 continue
             d = [rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random()) for _ in range(n)]
             d[rng.randrange(n)] = 0j if len(kappas) % 2 else 1e-14 + 0j
-            gen = matmul([[s[i][j] * d[j] for j in range(n)] for i in range(n)], s_inv)
+            diag = [[d[i] if i == j else 0j for j in range(n)] for i in range(n)]
+            gen = conjugated(s, s_inv, diag)
             kappas.append(kappa)
             doc = json.dumps({"punctures": 2, "dim": n, "generators": [
                 [[{"re": z.real, "im": z.imag} for z in row] for row in gen]]})

@@ -177,6 +177,14 @@ class TestStructure:
         assert m.scalar_value(1e-9) is not None
         assert m.scalar_value(1e-15) is None
 
+    def test_scalar_value_float_is_relative(self):
+        # diag(1, 2) is not scalar at any scale, however small its entries.
+        for scale in (1e-12, 1.0, 1e12):
+            m = Matrix([[scale + 0j, 0j], [0j, 2 * scale + 0j]])
+            assert m.scalar_value(1e-9) is None
+        assert Matrix([[1e-12 + 0j, 0j], [0j, 1e-12 + 0j]]).scalar_value(1e-9) == 1e-12
+        assert Matrix([[0j, 0j], [0j, 0j]]).scalar_value(1e-9) == 0
+
     def test_trace_and_det_small(self):
         m = Matrix([[1, 2], [3, 4]])
         assert m.det() == Scalar.exact(-2)

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from conftest import conjugated
 from logsplit.cli import EXIT_OK, main
 
 
@@ -135,14 +136,6 @@ def _inverse(a: list[list[complex]]) -> list[list[complex]]:
     return [row[n:] for row in w]
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def _conjugated(s, s_inv, m):
-    return _matmul(_matmul(s, m), s_inv)
-
-
 def _unit(rng: random.Random) -> complex:
     # Eigenvalue r e(q), q kept 0.05 away from the branch cut.
     return 10 ** rng.uniform(-1, 1) * cmath.exp(2j * math.pi * rng.uniform(0.05, 0.95))
@@ -160,9 +153,9 @@ def _inexact_3p_documents() -> list[str]:
         if k % 4 < 2:  # generic pair, irreducible
             gens = [[[gauss(), gauss()], [gauss(), gauss()]] for _ in range(2)]
         elif k % 4 == 2:  # common invariant line
-            gens = [_conjugated(s, s_inv, [[_unit(rng), gauss()], [0, _unit(rng)]]) for _ in range(2)]
+            gens = [conjugated(s, s_inv, [[_unit(rng), gauss()], [0, _unit(rng)]]) for _ in range(2)]
         else:  # two common lines
-            gens = [_conjugated(s, s_inv, [[_unit(rng), 0], [0, _unit(rng)]]) for _ in range(2)]
+            gens = [conjugated(s, s_inv, [[_unit(rng), 0], [0, _unit(rng)]]) for _ in range(2)]
         docs.append(json.dumps({"punctures": 3, "dim": 2, "generators": _cartesian(gens)}))
     return docs
 
@@ -173,7 +166,7 @@ def _inexact_dim8_documents() -> list[str]:
     for _ in range(40):
         s = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(8)] for _ in range(8)]
         d = [[_unit(rng) if i == j else 0j for j in range(8)] for i in range(8)]
-        gen = _conjugated(s, _inverse(s), d)
+        gen = conjugated(s, _inverse(s), d)
         docs.append(json.dumps({"punctures": 2, "dim": 8, "generators": _cartesian([gen])}))
     return docs
 

@@ -247,3 +247,38 @@ class TestSingularityFromEigenvalues:
                 if classify(Representation(2, (Matrix(rows),))).chern.c1 != -off_axis:
                     wrong.append((n, k))
         assert wrong == []
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-5, 1.0, 1e5, 1e10])
+    def test_tiny_three_puncture_pair_keeps_its_answer(self, scale):
+        # diag(1, 2) and [[1, 1], [0, 3]] share only the line e1.  At
+        # scale 1e-10 both are within an absolute 1e-9 of a scalar matrix,
+        # yet they are no more scalar than at scale 1.
+        m0 = Matrix([[scale + 0j, 0j], [0j, 2 * scale + 0j]])
+        m1 = Matrix([[scale + 0j, scale + 0j], [0j, 3 * scale + 0j]])
+        report = classify(Representation(3, (m0, m1)))
+        assert (report.kind.value, report.chern.c1) == ("ThreeDim2ReducibleSplit", 0)
+
+    def test_graded_three_puncture_corpus_keeps_its_answer(self):
+        # Floating upper-triangular pairs, diagonal for half of them, each
+        # generator scaled by 10^U(-50, 50): a positive factor moves no
+        # invariant line and no eigenvalue's argument, so the answer is
+        # the one at scale 1.
+        def answer(gens):
+            report = classify(Representation(3, tuple(map(Matrix, gens))))
+            return report.kind.value, report.chern.c1
+
+        rng = random.Random(4)
+        wrong = []
+        for k in range(300):
+            diagonal_only = rng.random() < 0.5
+            gens = []
+            for _ in range(2):
+                d = [cmath.exp(2j * math.pi * rng.uniform(0.05, 0.95)) if rng.random() < 0.5
+                     else complex(rng.uniform(0.5, 2.0), 0.0) for _ in range(2)]
+                b = 0j if diagonal_only else complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                gens.append([[d[0], b], [0j, d[1]]])
+            scales = [10 ** rng.uniform(-50, 50) for _ in gens]
+            scaled = [[[e * f for e in row] for row in g] for g, f in zip(gens, scales)]
+            if answer(scaled) != answer(gens):
+                wrong.append(k)
+        assert wrong == []
