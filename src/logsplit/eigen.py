@@ -22,6 +22,13 @@ coefficient is not finite, or the solve overflows or diverges, the roots
 are solved once more for the matrix scaled by a power of two and scaled
 back.
 
+Both the triangular and the polynomial route group coinciding values by
+one rule, ``_clusters``: exact values when equal, any other pair within
+``tol`` times the larger modulus.  A cluster is EigenvalueUncertain when
+its Newton radius exceeds ten times ``tol`` times its modulus.  So which
+values coincide, and which are uncertain, does not change with the scale
+of the input.
+
 Singularity is decided here, once, on the route that solves for the
 values: a triangular matrix is singular iff a diagonal entry is exactly
 zero, an exact 2x2 one iff its exact determinant is zero, and a floating
@@ -53,10 +60,11 @@ from .errors import (
 )
 from .matrix import Matrix, below_singularity_threshold
 from .scalar import ZERO, Scalar, _ratio_sum
-from .scalar import is_exact, modulus, real_ratio, real_scalar, same_value, value_of
+from .scalar import is_exact, modulus, real_ratio, real_scalar, value_of
 
 #: Default clustering, snapping and parallelism tolerance, of the library
-#: and the command line alike.
+#: and the command line alike.  Clustering and EigenvalueUncertain take it
+#: relative to each eigenvalue's modulus, snapping in turns of argument.
 DEFAULT_CLUSTER_TOL = 1e-9
 
 #: Half-width of the BranchBoundary band around the cut, in tolerances.
@@ -112,20 +120,22 @@ def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | 
     return q
 
 
-def _float_arg(z: complex, tol: float) -> tuple[float, bool]:
+def _float_arg(z: complex, tol: float, snap: bool | None = None) -> tuple[float, bool]:
     """(q, near_boundary) for a floating nonzero complex value.
 
     ``near_boundary`` is True when q lies within BOUNDARY_BAND * tol of
     the branch cut, including values that snapped to 0 — floating data
     that close to the positive real axis cannot certify its branch.
+    ``snap`` imposes a decision already taken, whether q snaps to 0;
+    None decides it here, from q's distance to the cut.
     """
     q = math.atan2(z.imag, z.real) / _TWO_PI
     if q < 0.0:
         q += 1.0
     boundary = not BOUNDARY_BAND * tol < q < 1.0 - BOUNDARY_BAND * tol
-    if q <= tol or q >= 1.0 - tol:
-        q = 0.0
-    return q, boundary
+    if snap is None:
+        snap = q <= tol or q >= 1.0 - tol
+    return (0.0 if snap else q), boundary
 
 
 @dataclass(frozen=True)
@@ -178,10 +188,12 @@ def q_total(terms: Iterable[tuple[int, Fraction | float]]) -> Fraction | float:
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     """Eigenvalues of ``a`` clustered into multiplicity groups.
 
-    Raises ZeroEigenvalue for an exactly zero or floating sub-``tol`` root,
-    SingularMatrix for a floating determinant below_singularity_threshold,
-    and RootFindingDivergence when the iteration exhausts its budget
-    without reaching the residual noise floor, also for the scaled matrix.
+    Raises ZeroEigenvalue for an exactly zero root (a triangular diagonal
+    entry or an exact 2x2 determinant), SingularMatrix for a floating
+    determinant below_singularity_threshold, the one zero test of a
+    floating root, and RootFindingDivergence when the iteration exhausts
+    its budget without reaching the residual noise floor, also for the
+    scaled matrix.
     """
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
@@ -221,25 +233,31 @@ def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) ->
     its multiplicity, so q -> (-q) mod 1 and ln r -> -ln r.
 
     Exact values stay exact, branch warnings are re-derived for the
-    reciprocals, and an EigenvalueUncertain warning carries over.  The
-    values already passed the zero test where they were solved for, so a
-    large λ gives a small 1/λ, not a ZeroEigenvalue.
+    reciprocals, and an EigenvalueUncertain warning carries over.  A
+    floating 1/λ snaps to the cut exactly where λ did, so the two cannot
+    be read on different sides of it; otherwise its q is its own raw
+    argument.  The values already passed the zero test where they were
+    solved for, so a large λ gives a small 1/λ, not a ZeroEigenvalue.
     """
     pairs = [(p.value.reciprocal(), p.multiplicity) for p in data.pairs]
-    return _eigen_data(pairs, tol, EIGENVALUE_UNCERTAIN in data.warnings)
+    snaps = [p.q == 0 for p in data.pairs]
+    return _eigen_data(pairs, tol, EIGENVALUE_UNCERTAIN in data.warnings, snaps)
 
 
 # ---------------------------------------------------------------------------
 # assembling EigenData
 
 
-def _eigen_data(clusters: list, tol: float, uncertain: bool = False) -> EigenData:
+def _eigen_data(
+    clusters: list, tol: float, uncertain: bool = False, snaps: list[bool] | None = None
+) -> EigenData:
     """EigenData of solved nonzero (value, multiplicity) pairs, a value an
     exact Scalar or a complex, which is boxed by ``Scalar.inexact`` as the
-    pair's value; ``uncertain`` adds EigenvalueUncertain."""
+    pair's value; ``uncertain`` adds EigenvalueUncertain, and ``snaps``
+    gives each floating value's snap decision (see :func:`_float_arg`)."""
     keyed = []
     warnings: list[str] = []
-    for value, mult in clusters:
+    for k, (value, mult) in enumerate(clusters):
         z = value if value.__class__ is complex else value.z
         if not cmath.isfinite(z):
             # A product of huge generators can overflow; NaN would pass
@@ -252,7 +270,7 @@ def _eigen_data(clusters: list, tol: float, uncertain: bool = False) -> EigenDat
         if is_exact(value):
             q: Fraction | float = value.q
         else:
-            q, boundary = _float_arg(z, tol)
+            q, boundary = _float_arg(z, tol, None if snaps is None else snaps[k])
             if boundary:
                 warnings.append(BRANCH_BOUNDARY)
             value = Scalar.inexact(z)
@@ -265,17 +283,9 @@ def _eigen_data(clusters: list, tol: float, uncertain: bool = False) -> EigenDat
 
 def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenData:
     """EigenData of a triangular matrix's diagonal ``values``."""
-    clusters: list[list[Scalar | complex]] = []
-    for v in values:
-        if v is ZERO or (v.__class__ is complex and v == 0):
-            raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-        for group in clusters:
-            if same_value(v, group[0], tol):
-                group.append(v)
-                break
-        else:
-            clusters.append([v])
-    return _eigen_data([(g[0], len(g)) for g in clusters], tol)
+    if any(v is ZERO or (v.__class__ is complex and v == 0) for v in values):
+        raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
+    return _eigen_data([(g[0], len(g)) for g in _clusters(values, tol)], tol)
 
 
 def _from_float_roots(
@@ -285,24 +295,18 @@ def _from_float_roots(
     polynomial ``coeffs_c`` with roots ``roots``."""
     if exp:
         roots = [_ldexp(r, exp) for r in roots]
-    max_abs = max(abs(r) for r in roots)
-    thresh = tol * (1.0 + max_abs)
-    clusters = _cluster_roots(roots, thresh)
     centroids: list[tuple[complex, int]] = []
     uncertain = False
-    for members in clusters:
+    for members in _clusters(roots, tol):
         centroid = sum(members, 0j) / len(members)
         # Newton inclusion radius: honest uncertainty for smeared (nearly
-        # multiple) roots that the fixed tolerance cannot merge.  The
+        # multiple) roots that the clustering tolerance cannot merge.  The
         # residual counts at least at its roundoff bound, so the verdict
         # depends on the polynomial, not on where the iteration stopped.
         p, dp, noise = _poly_eval(coeffs_c, _ldexp(centroid, -exp) if exp else centroid)
         radius = math.ldexp(len(coeffs_c) * max(abs(p), noise) / max(abs(dp), 1e-300), exp)
-        if radius > 10.0 * thresh:
+        if radius > 10.0 * tol * abs(centroid):
             uncertain = True
-        r = modulus(centroid)
-        if r < tol:
-            raise ZeroEigenvalue(f"eigenvalue of modulus {r:.3e} below tolerance {tol:.3e}")
         centroids.append((centroid, len(members)))
     return _eigen_data(centroids, tol, uncertain)
 
@@ -313,9 +317,18 @@ def _ldexp(z: complex, exp: int) -> complex:
     return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
 
 
-def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:
-    n = len(roots)
+def _clusters(values: list, tol: float) -> list[list]:
+    """``values`` grouped where they coincide, each group in input order
+    and the groups in order of their first member.  Two exact values
+    coincide when they are equal, any other pair within
+    ``tol * max(|x|, |y|)``, so that the grouping does not change with the
+    scale of the values; the groups close this relation transitively."""
+    n = len(values)
     parent = list(range(n))
+    exact = [is_exact(v) for v in values]
+    if not all(exact):  # read only for pairs touching a float
+        zs = [complex(v) for v in values]
+        scaled = [tol * modulus(v) for v in values]
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -325,11 +338,16 @@ def _cluster_roots(roots: list[complex], thresh: float) -> list[list[complex]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if modulus(roots[i] - roots[j]) < thresh:
+            if exact[i] and exact[j]:
+                match = values[i] == values[j]
+            else:
+                d = modulus(zs[i] - zs[j])
+                match = d < scaled[i] or d < scaled[j]
+            if match:
                 parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
+    groups: dict[int, list] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
+        groups.setdefault(find(i), []).append(values[i])
     return list(groups.values())
 
 

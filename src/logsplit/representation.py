@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, checked_tolerance, eigenvalues
 from .eigen import reciprocal_eigenvalues
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularMatrix, ZeroEigenvalue
 from .matrix import Matrix
 
 SUPPORTED_PUNCTURES = (2, 3)
@@ -100,15 +100,28 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
     generator product: at two punctures the product is the generator
     itself, whose data is reused; at three it is ``m0 @ m1``.  A ``tol``
     outside (0, TOL_BOUND) raises InputFormatError, and ``eigenvalues``
-    raises for a singular generator or product.
+    raises for a singular generator or product, which the message names.
     """
     checked_tolerance(tol, "tol", TOL_BOUND)
     gens = rep.generators
-    gen_eigen = tuple(eigenvalues(g, tol) for g in gens)
-    product_eigen = gen_eigen[0] if len(gens) == 1 else eigenvalues(gens[0] @ gens[1], tol)
+    gen_eigen = tuple(_named_eigenvalues(g, tol, f"generator {i}") for i, g in enumerate(gens))
+    product_eigen = (
+        gen_eigen[0]
+        if len(gens) == 1
+        else _named_eigenvalues(gens[0] @ gens[1], tol, "product m0·m1")
+    )
     eigen = gen_eigen + (reciprocal_eigenvalues(product_eigen, tol),)
 
     return PuncturedRepresentation(rep, eigen)
+
+
+def _named_eigenvalues(m: Matrix, tol: float, name: str) -> EigenData:
+    """``eigenvalues(m, tol)``, with ``name`` prefixed to the message of a
+    SingularMatrix or ZeroEigenvalue."""
+    try:
+        return eigenvalues(m, tol)
+    except (SingularMatrix, ZeroEigenvalue) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def conjugate(rep: Representation, s: Matrix) -> Representation:

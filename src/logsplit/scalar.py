@@ -383,15 +383,6 @@ def real_scalar(n: int, d: int) -> Scalar:
     return Scalar(None, (-n // g, d // g), (1, 2))
 
 
-def same_value(x: Scalar | complex, y: Scalar | complex, tol: float) -> bool:
-    """Equality test honoring exactness: exact pairs compare exactly,
-    anything touching a float compares within ``tol`` relative to the
-    larger modulus."""
-    if is_exact(x) and is_exact(y):
-        return x == y
-    return modulus(complex(x) - complex(y)) < tol * max(modulus(x), modulus(y))
-
-
 def quotient(x: Scalar | complex, y: Scalar | complex) -> Scalar | complex:
     """``x / y`` as Scalars divide: complex values as ``x * (1.0 / y)``."""
     return x * (1.0 / y) if x.__class__ is complex and y.__class__ is complex else x / y

@@ -47,6 +47,16 @@ def conjugated(s: list[list], s_inv: list[list], m: list[list]) -> list[list]:
     return matmul(matmul(s, m), s_inv)
 
 
+def rotated_diag(t: float, angle: float) -> Matrix:
+    """Floating R diag(t, 1) R^T for the rotation R through ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = [[c, -s], [s, c]]
+    return Matrix(
+        [[complex(sum(rot[i][k] * (t, 1.0)[k] * rot[j][k] for k in range(2))) for j in range(2)]
+         for i in range(2)]
+    )
+
+
 def close_to(a: Matrix, b: Matrix, tol: float) -> bool:
     """Whether every entry of ``a`` lies within ``tol * scale`` of ``b``'s,
     ``scale`` being 1 plus the largest entry modulus of either."""

@@ -134,9 +134,10 @@ class TestRootsFromC1:
         [
             # q0 + q1 = 1 + 1e-12: q at infinity is 1 - 1e-12 and snaps to 0.
             ([[[_e(0.6)]], [[_e(0.4 + 1e-12)]]], -1),
-            # q = 1.0000000001e-9 stays above tol = 1e-9, its reciprocal's
-            # 1 - q rounds onto 1 - tol and snaps to 0.
-            ([[[_e(1.0000000001e-9)]]], 0),
+            # q = 1.0000000001e-9 stays above tol = 1e-9, and so does its
+            # reciprocal's 1 - q, which rounds onto 1 - tol: a reciprocal
+            # snaps only where its eigenvalue did.
+            ([[[_e(1.0000000001e-9)]]], -1),
         ],
     )
     def test_boundary_character_answers(self, tmp_path, capsys, generators, c1):

@@ -11,9 +11,11 @@ from logsplit import (
     BRANCH_BOUNDARY,
     Matrix,
     Scalar,
+    Representation,
     SingularMatrix,
     ZeroArgument,
     ZeroEigenvalue,
+    classify,
     eigenvalues,
     normalized_arg,
 )
@@ -21,14 +23,14 @@ from logsplit.eigen import (
     _EPS,
     _aberth_iterate,
     _aberth_roots,
-    _cluster_roots,
+    _clusters,
     _exact_quadratic,
     _newton_polygon_starts,
     _poly_eval,
     _vieta_verdict,
 )
 from logsplit.scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO
-from conftest import rand_invertible, rand_well_conditioned
+from conftest import rand_invertible, rand_well_conditioned, rotated_diag
 
 try:
     import numpy
@@ -137,16 +139,60 @@ class TestEigenvaluesExact:
             eigenvalues(Matrix([[1, 1], [1, 1]]))
 
 
+class TestClusters:
+    def test_exact_values_compare_exactly_floating_ones_relatively(self):
+        a = Scalar.polar(1, F(1, 3))
+        b = Scalar.polar(1, F(1, 3))
+        assert len(_clusters([a, b], 0.0)) == 1
+        for c in (a.z + 1e-12, Scalar.inexact(a.z + 1e-12)):
+            assert len(_clusters([c, a], 1e-9)) == len(_clusters([a, c], 1e-9)) == 1
+            assert len(_clusters([c, a], 1e-15)) == 2
+        # A difference of finite values whose modulus leaves the float
+        # range compares as inf instead of raising.
+        assert len(_clusters([complex(1.3e308, 1e-300), complex(0, -1.3e308)], 1e-9)) == 2
+
+    def test_groups_do_not_change_with_scale(self):
+        values = [1 + 1j, 1 + 1j + 1e-10, 1 - 1j, 1 - 1j + 1e-8, 0.5j]
+        for k in range(-60, 61, 5):
+            groups = _clusters([v * 2.0**k for v in values], 1e-9)
+            assert [len(g) for g in groups] == [2, 1, 1, 1]
+
+    def test_groups_close_transitively(self):
+        # Each neighbour lies within tol of the next, the ends do not.
+        values = [complex(1.0), complex(1.0 + 0.8e-9), complex(1.0 + 1.6e-9)]
+        assert [len(g) for g in _clusters(values, 1e-9)] == [3]
+
+
 class TestEigenvaluesFloat:
-    def test_near_zero_root_raises(self):
-        # A rotation of diag(1e-9, 1): not triangular, so its roots are
-        # solved for, and its determinant passes the singularity test.
-        c, s = math.cos(0.3), math.sin(0.3)
-        rot = [[c, -s], [s, c]]
-        rows = [[sum(rot[i][k] * (1e-9, 1.0)[k] * rot[j][k] for k in range(2)) for j in range(2)]
-                for i in range(2)]
-        with pytest.raises(ZeroEigenvalue):
-            eigenvalues(Matrix([[complex(x) for x in row] for row in rows]), 1e-7)
+    @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11])
+    def test_small_eigenvalue_is_answered_in_every_basis(self, t):
+        # Triangular or not, the small eigenvalue is decided once, by the
+        # determinant test, and not by its modulus against tol.
+        for m in (Matrix([[complex(t), 0j], [0j, 1 + 0j]]),
+                  rotated_diag(t, 0.3), rotated_diag(t, 1.0)):
+            assert classify(Representation(2, (m,))).c1 == 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("gap", [5e-9, 3e-8])
+    def test_close_pair_decisions_do_not_change_with_scale(self, dim, gap):
+        # Eigenvalues lam and lam (1 + gap) of S D S^-1, scaled by 2^k:
+        # clustering and EigenvalueUncertain are relative to each
+        # eigenvalue, so every scale gets the same verdict.  dim 3 adds
+        # -0.7 + 0.2i and takes the Aberth route; below 2^-12 its
+        # determinant fails the singularity test, which is not
+        # scale-invariant.
+        lam = 1.3 * cmath.exp(2j * math.pi * 0.3)
+        spectrum = [lam, lam * (1 + gap), -0.7 + 0.2j][:dim]
+        s = Matrix([row[:dim] for row in [[1 + 1j, 0.5 + 0j, 0.2j],
+                                          [0.25 - 0.5j, 1 - 0.25j, 0.5 + 0j],
+                                          [0.5 + 0j, -0.25 + 0.5j, 1 + 0.5j]][:dim]])
+        d = Matrix([[spectrum[i] if i == j else 0j for j in range(dim)] for i in range(dim)])
+        a = s @ d @ s.inverse()
+        verdicts = set()
+        for k in range(-16 if dim == 2 else -12, 17):
+            e = eigenvalues(Matrix([[complex(x) * 2.0**k for x in row] for row in a.rows]))
+            verdicts.add((tuple(sorted(p.multiplicity for p in e.pairs)), e.warnings))
+        assert len(verdicts) == 1
 
     def test_boundary_warning_near_positive_axis(self):
         m = Matrix([[Scalar.inexact(1 + 1e-11j), Scalar.inexact(0.5 + 0j)],
@@ -213,7 +259,8 @@ class TestAberth:
         # (x - 2)^3 (x + 1): the triple root comes back as a tight cluster.
         coeffs = [1.0, -5.0, 6.0, 4.0, -8.0]
         roots = _aberth_roots([complex(c) for c in coeffs])
-        clusters = _cluster_roots(roots, 1e-4 * 3)
+        # 1.5e-4 times the modulus 2 of the triple root.
+        clusters = _clusters(roots, 1.5e-4)
         sizes = sorted(len(c) for c in clusters)
         assert sizes == [1, 3]
         triple = max(clusters, key=len)

@@ -110,7 +110,8 @@ def test_stdout_is_pinned(tmp_path, capsys, name, command):
 # complex arithmetic, not by logsplit, and the digests were captured before
 # all-inexact matrices were stored as complex rows.  The inexact_dim8 ones
 # were captured again when the eigenvalue solve took over the singularity
-# test, for the new SingularMatrix message of its 7 singular documents.
+# test, and when that SingularMatrix message was prefixed with the matrix
+# it names ("generator 0: "), for its 7 singular documents.
 
 
 def _cartesian(gens) -> list:
@@ -176,8 +177,8 @@ INEXACT_SETS = {"inexact_3p": _inexact_3p_documents, "inexact_dim8": _inexact_di
 INEXACT_DIGESTS = {
     ("inexact_3p", "c1"): "a6d1d0e67b84d33392eb7d3e020088ef5cdc163ecce15e744a0d46f1723ec9d8",
     ("inexact_3p", "classify"): "2642517ea847d663299d05d1e8037f621474f22dcbc28f12d7bb894f07be22d7",
-    ("inexact_dim8", "c1"): "a16b3b232f700ef88dc54d2a8d8db9dfd8bd6994a1372439f45d1b6e9fbfb107",
-    ("inexact_dim8", "classify"): "9318b74bea169d542228ca0944f6e002764f440a900272da3f9db1bc7be6e01e",
+    ("inexact_dim8", "c1"): "422140a121ffa4a5a7cda3af2f4b1c55df678d9968c75043e9149692884fad24",
+    ("inexact_dim8", "classify"): "4c1f007044fc0b304f369c8eac39a5ced95021289d9d71a75bf4db461c4fd8e8",
 }
 
 

@@ -23,7 +23,7 @@ from logsplit import (
 )
 from logsplit.eigen import TOL_BOUND
 from logsplit.scalar import ZERO
-from conftest import close_to, rand_invertible, rand_well_conditioned
+from conftest import close_to, rand_invertible, rand_well_conditioned, rotated_diag
 
 F = Fraction
 
@@ -202,6 +202,19 @@ class TestValidation:
         rep = Representation(2, (m,))
         with pytest.raises(SingularMatrix):
             build(rep)
+
+    def test_singular_error_names_the_matrix(self):
+        # R diag(1e-7, 1) R^T passes the singularity test; its square, the
+        # product m0·m1, with determinant 1e-14, does not.
+        near = rotated_diag(1e-7, 0.3)
+        singular = Matrix([[1, 1], [1, 1]])
+        for rep, error, name in [
+            (Representation(2, (singular,)), ZeroEigenvalue, "generator 0"),
+            (Representation(3, (near, singular)), ZeroEigenvalue, "generator 1"),
+            (Representation(3, (near, near)), SingularMatrix, "product m0·m1"),
+        ]:
+            with pytest.raises(error, match=f"^{name}: "):
+                build(rep)
 
 
 class TestSingularityFromEigenvalues:

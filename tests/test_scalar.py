@@ -15,7 +15,6 @@ from logsplit.scalar import (
     Q_ZERO,
     ZERO,
     is_exact,
-    same_value,
 )
 
 F = Fraction
@@ -183,17 +182,6 @@ class TestEquality:
     def test_exact_equality_is_structural(self):
         assert Scalar.polar(1, F(1, 2)) == Scalar.exact(-1)
         assert Scalar.polar(1, F(1, 3)) != Scalar.polar(1, F(2, 3))
-
-    def test_same_value_exact_vs_tolerance(self):
-        a = Scalar.polar(1, F(1, 3))
-        b = Scalar.polar(1, F(1, 3))
-        assert same_value(a, b, 0.0)
-        for c in (a.z + 1e-12, Scalar.inexact(a.z + 1e-12)):
-            assert same_value(c, a, 1e-9) and same_value(a, c, 1e-9)
-            assert not same_value(c, a, 1e-15)
-        # A difference of finite values whose modulus leaves the float
-        # range compares as inf instead of raising.
-        assert not same_value(complex(1.3e308, 1e-300), complex(0, -1.3e308), 1e-9)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
