@@ -8,8 +8,12 @@ rational quadratic solve with recognition of the rational-cosine angles
 0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve works on reduced
 (numerator, denominator) int pairs, as scalar.py holds exact moduli and
 arguments, and builds its roots from them; the q-sum (``q_total``) adds
-such pairs with scalar's pair sum.  There is no Fraction arithmetic on
-the exact route, a Fraction only where a q or a q-sum is returned.
+such pairs with scalar's pair sum.  Assembling the EigenData reads an
+exact value's pairs too: its float modulus is the rounded quotient of its
+modulus pair, its sort key the quotient of its q pair, and its complex
+value is built only to word a FloatRangeError.  There is no Fraction
+arithmetic on the exact route; a Fraction is built only where a q or a
+q-sum is returned, as ``EigenPair.q`` and ``EigenData.q_sum``.
 Everything else is a floating root solve of
 the characteristic polynomial: a cancellation-free closed form for
 quadratics, and simultaneous Aberth-Ehrlich iteration started on the
@@ -17,7 +21,9 @@ circle of the roots' geometric-mean modulus from degree 3 on, restarted
 from the Newton polygon's circles when the roots miss Vieta's formulas
 for the sums of the roots and of their reciprocals.  Whether a
 floating root is EigenvalueUncertain is decided by the polynomial's
-roundoff at the root, not by where the iteration stopped.  When a
+roundoff at the root, not by where the iteration stopped; for a root
+that clusters alone, the iteration's last evaluation at it is that of
+its centroid, and is not repeated.  When a
 coefficient is not finite, or the solve overflows or diverges, the roots
 are solved once more for the matrix scaled by a power of two and scaled
 back.
@@ -59,7 +65,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
-from .scalar import ZERO, Scalar, _ratio_sum
+from .scalar import ZERO, Scalar, _ratio_float, _ratio_sum
 from .scalar import is_exact, modulus, real_ratio, real_scalar, value_of
 
 #: Default clustering, snapping and parallelism tolerance, of the library
@@ -75,6 +81,7 @@ BOUNDARY_BAND = 10.0
 TOL_BOUND = 0.5 / BOUNDARY_BAND
 
 _EPS = sys.float_info.epsilon
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 _TWO_PI = 2.0 * math.pi
 
 #: The arguments of a complex root off the imaginary axis with a rational
@@ -135,7 +142,11 @@ def _float_arg(z: complex, tol: float, snap: bool | None = None) -> tuple[float,
     boundary = not BOUNDARY_BAND * tol < q < 1.0 - BOUNDARY_BAND * tol
     if snap is None:
         snap = q <= tol or q >= 1.0 - tol
-    return (0.0 if snap else q), boundary
+    if snap:
+        return 0.0, boundary
+    # A tiny negative argument rounds up to a full turn; only an imposed
+    # decision keeps it unsnapped, and q must stay below 1.
+    return (_BELOW_ONE if q == 1.0 else q), boundary
 
 
 @dataclass(frozen=True)
@@ -208,7 +219,7 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         if below_singularity_threshold(modulus(coeffs[-1]), a.max_abs(), n):
             raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
         try:
-            return _from_float_roots(coeffs_c, _aberth_roots(coeffs_c), tol, 0)
+            return _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol, 0)
         except (OverflowError, RootFindingDivergence):
             pass  # Horner's scheme may overflow where the scaled one does not
     # Solve for the roots of a * 2**-exp, whose entries are below 1 in
@@ -223,7 +234,7 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
         raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
     try:
-        return _from_float_roots(coeffs_c, _aberth_roots(coeffs_c), tol, exp)
+        return _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol, exp)
     except OverflowError as exc:  # abs() of a complex beyond the float range
         raise RootFindingDivergence("polynomial values overflow the floating-point range") from exc
 
@@ -240,7 +251,8 @@ def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) ->
     solved for, so a large λ gives a small 1/λ, not a ZeroEigenvalue.
     """
     pairs = [(p.value.reciprocal(), p.multiplicity) for p in data.pairs]
-    snaps = [p.q == 0 for p in data.pairs]
+    # Read only for floating values; an exact q is not compared.
+    snaps = [p.q.__class__ is not Fraction and p.q == 0 for p in data.pairs]
     return _eigen_data(pairs, tol, EIGENVALUE_UNCERTAIN in data.warnings, snaps)
 
 
@@ -258,27 +270,36 @@ def _eigen_data(
     keyed = []
     warnings: list[str] = []
     for k, (value, mult) in enumerate(clusters):
-        z = value if value.__class__ is complex else value.z
-        if not cmath.isfinite(z):
-            # A product of huge generators can overflow; NaN would pass
-            # every later comparison.
-            raise FloatRangeError(f"eigenvalue {z!r} outside the floating-point range")
-        r = modulus(value)
-        if r == 0.0:
-            # A nonzero exact value, or the reciprocal of a huge one.
-            raise FloatRangeError("eigenvalue modulus below the floating-point range")
         if is_exact(value):
+            # Read from the int pairs: the float modulus, and the sort key
+            # qn / qd, which is float(Fraction).  The complex value is only
+            # built to word the error.
+            r = _ratio_float(value._r)
+            if r == math.inf:
+                # A product of huge generators can overflow.
+                raise FloatRangeError(f"eigenvalue {value.z!r} outside the floating-point range")
+            qn, qd = value._q
+            key = qn / qd
             q: Fraction | float = value.q
         else:
+            z = value if value.__class__ is complex else value.z
+            if not cmath.isfinite(z):
+                # NaN would pass every later comparison.
+                raise FloatRangeError(f"eigenvalue {z!r} outside the floating-point range")
+            r = modulus(z)
             q, boundary = _float_arg(z, tol, None if snaps is None else snaps[k])
             if boundary:
                 warnings.append(BRANCH_BOUNDARY)
+            key = q
             value = Scalar.inexact(z)
-        keyed.append(((float(q), r), EigenPair(value, mult, q, math.log(r))))
-    keyed.sort(key=lambda k: k[0])
+        if r == 0.0:
+            # A nonzero exact value, or the reciprocal of a huge one.
+            raise FloatRangeError("eigenvalue modulus below the floating-point range")
+        keyed.append((key, r, k, EigenPair(value, mult, q, math.log(r))))
+    keyed.sort()  # by (q, r), ties in input order: k is unique
     if uncertain:
         warnings.append(EIGENVALUE_UNCERTAIN)
-    return EigenData(tuple(pair for _, pair in keyed), tuple(dict.fromkeys(warnings)))
+    return EigenData(tuple(e[3] for e in keyed), tuple(dict.fromkeys(warnings)))
 
 
 def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenData:
@@ -289,21 +310,32 @@ def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenDat
 
 
 def _from_float_roots(
-    coeffs_c: list[complex], roots: list[complex], tol: float, exp: int
+    coeffs_c: list[complex],
+    roots: list[complex],
+    evals: list[tuple[complex, complex, float]] | None,
+    tol: float,
+    exp: int,
 ) -> EigenData:
     """EigenData of the matrix whose scaling by 2**-exp has characteristic
-    polynomial ``coeffs_c`` with roots ``roots``."""
+    polynomial ``coeffs_c`` with roots ``roots``; ``evals``, when given,
+    holds the iteration's last ``_poly_eval`` at each root."""
     if exp:
         roots = [_ldexp(r, exp) for r in roots]
     centroids: list[tuple[complex, int]] = []
     uncertain = False
-    for members in _clusters(roots, tol):
+    for group in _cluster_indices(roots, tol):
+        members = [roots[i] for i in group]
         centroid = sum(members, 0j) / len(members)
         # Newton inclusion radius: honest uncertainty for smeared (nearly
         # multiple) roots that the clustering tolerance cannot merge.  The
         # residual counts at least at its roundoff bound, so the verdict
         # depends on the polynomial, not on where the iteration stopped.
-        p, dp, noise = _poly_eval(coeffs_c, _ldexp(centroid, -exp) if exp else centroid)
+        # A lone unscaled root is its own centroid (up to the sign of a
+        # zero part), so the iteration's last evaluation there stands.
+        if evals is not None and not exp and len(group) == 1:
+            p, dp, noise = evals[group[0]]
+        else:
+            p, dp, noise = _poly_eval(coeffs_c, _ldexp(centroid, -exp) if exp else centroid)
         radius = math.ldexp(len(coeffs_c) * max(abs(p), noise) / max(abs(dp), 1e-300), exp)
         if radius > 10.0 * tol * abs(centroid):
             uncertain = True
@@ -323,6 +355,11 @@ def _clusters(values: list, tol: float) -> list[list]:
     coincide when they are equal, any other pair within
     ``tol * max(|x|, |y|)``, so that the grouping does not change with the
     scale of the values; the groups close this relation transitively."""
+    return [[values[i] for i in group] for group in _cluster_indices(values, tol)]
+
+
+def _cluster_indices(values: list, tol: float) -> list[list[int]]:
+    """The groups of :func:`_clusters` as lists of indices into ``values``."""
     n = len(values)
     parent = list(range(n))
     exact = [is_exact(v) for v in values]
@@ -345,9 +382,9 @@ def _clusters(values: list, tol: float) -> list[list]:
                 match = d < scaled[i] or d < scaled[j]
             if match:
                 parent[find(i)] = find(j)
-    groups: dict[int, list] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(values[i])
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
@@ -461,26 +498,35 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
     not finite (a coefficient beyond the float range, or Horner's scheme
     overflowing, and NaN passes every comparison).
     """
+    return _aberth_solve(coeffs, budget)[0]
+
+
+def _aberth_solve(
+    coeffs: list[complex], budget: int = 200
+) -> tuple[list[complex], list[tuple[complex, complex, float]] | None]:
+    """:func:`_aberth_roots`, with the iteration's last ``_poly_eval`` at
+    each root (None for the closed form of degree 2)."""
     n = len(coeffs) - 1
     if n == 2:
-        return _finite_roots(_quadratic_roots(coeffs[1], coeffs[2]))
+        return _finite_roots(_quadratic_roots(coeffs[1], coeffs[2])), None
     radius = math.exp(math.log(abs(coeffs[-1])) / n)
-    z, radii = _aberth_iterate(
+    z, evals = _aberth_iterate(
         coeffs, [radius * cmath.exp(1j * (_TWO_PI * k / n + 0.4)) for k in range(n)], budget
     )
-    if _vieta_verdict(coeffs, z, radii):
-        return z
-    z, radii = _aberth_iterate(coeffs, _newton_polygon_starts(coeffs), budget)
-    if _vieta_verdict(coeffs, z, radii) is False:
+    if _vieta_verdict(coeffs, z, evals):
+        return z, evals
+    z, evals = _aberth_iterate(coeffs, _newton_polygon_starts(coeffs), budget)
+    if _vieta_verdict(coeffs, z, evals) is False:
         raise RootFindingDivergence("root iteration lost a root from both of its starts")
-    return z
+    return z, evals
 
 
 def _aberth_iterate(
     coeffs: list[complex], z: list[complex], budget: int
-) -> tuple[list[complex], list[float]]:
-    """Aberth iteration from the starting points ``z``: the roots and a
-    Newton inclusion radius ``n * max(|p|, noise) / |p'|`` for each.
+) -> tuple[list[complex], list[tuple[complex, complex, float]]]:
+    """Aberth iteration from the starting points ``z``: the roots and the
+    last ``_poly_eval`` at each, ``(p, p', noise)``, from which
+    :func:`_vieta_verdict` takes a Newton inclusion radius.
 
     A root is frozen once its residual reaches its roundoff bound, and
     counts as converged only while that bound is finite.  The iteration
@@ -490,20 +536,19 @@ def _aberth_iterate(
     """
     n = len(z)
     done = [False] * n
-    radii = [math.inf] * n
+    evals: list = [None] * n
     exhausted = True
     for _ in range(budget):
         moved = 0.0
         for i in range(n):
             if done[i]:
-                # Never moved again, so its radius stands.
+                # Never moved again, so its evaluation stands.
                 continue
             p, dp, noise = _poly_eval(coeffs, z[i])
             # An overflowed bound (noise = inf) certifies nothing.
             if abs(p) <= noise < math.inf:
                 done[i] = True
-                if dp:
-                    radii[i] = n * noise / abs(dp)
+                evals[i] = p, dp, noise
                 continue
             if dp == 0:
                 z[i] += (1.0 + abs(z[i])) * 1e-6 * (1 + 1j)
@@ -536,20 +581,22 @@ def _aberth_iterate(
         if not done[i]:
             # A frozen root had |p| <= noise, so only these can miss the
             # budget's bound.
-            p, dp, noise = _poly_eval(coeffs, z[i])
+            p, dp, noise = evals[i] = _poly_eval(coeffs, z[i])
             if exhausted and abs(p) > 1e3 * noise:
                 raise RootFindingDivergence(
                     f"root iteration exhausted {budget} iterations with residual {abs(p):.3e}"
                 )
-            if dp:
-                radii[i] = n * max(abs(p), noise) / abs(dp)
-    return z, radii
+    return z, evals
 
 
-def _vieta_verdict(coeffs: list[complex], z: list[complex], radii: list[float]) -> bool | None:
+def _vieta_verdict(
+    coeffs: list[complex], z: list[complex], evals: list[tuple[complex, complex, float]]
+) -> bool | None:
     """Whether the roots ``z`` of the monic ``coeffs`` match Vieta's
     formulas for the sum of the roots and for the sum of their
     reciprocals, within the inclusion radii and the roundoff of the sums.
+    Each root's Newton inclusion radius ``n * max(|p|, noise) / |p'|`` (inf
+    where p' = 0) comes from its last evaluation in ``evals``.
 
     A root lost to a cluster leaves a duplicate there: the sum misses it
     when it is large, the sum of reciprocals when it is small.  None when
@@ -560,7 +607,9 @@ def _vieta_verdict(coeffs: list[complex], z: list[complex], radii: list[float]) 
     total = recip_total = 0j
     size = bound = recip_size = recip_bound = 0.0
     certified = True
-    for x, rho in zip(z, radii):
+    n = len(z)
+    for x, (p, dp, noise) in zip(z, evals):
+        rho = n * max(abs(p), noise) / abs(dp) if dp else math.inf
         a = abs(x)
         total += x
         size += a

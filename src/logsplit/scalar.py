@@ -19,10 +19,14 @@ q is exact, which eigen._exact_quadratic rounds from
 
 Both r and q are held as reduced pairs ``(numerator, denominator)`` of
 ``int``s, q with ``0 <= numerator < denominator``; products, reciprocals,
-negations and colinear sums and differences are done on the pairs with
-``math.gcd``, not with Fraction arithmetic.  ``Scalar.r`` and
-``Scalar.q`` build their Fractions when read; ``.q`` of a quarter turn
-is its shared constant (Q_ZERO, Q_QUARTER, Q_HALF or Q_THREE_QUARTERS).
+negations and colinear sums and differences are done on the pairs, not
+with Fraction arithmetic: a product reduces with ``math.gcd``, and a
+negation, like the test whether two values of a sum are opposite, adds a
+half turn with no gcd at all (``_half_turn``).  ``Scalar.r`` and
+``Scalar.q`` build their Fractions when read, and no arithmetic here
+reads them; ``.q`` of a quarter turn is its shared constant (Q_ZERO,
+Q_QUARTER, Q_HALF or Q_THREE_QUARTERS).  Downstream a Fraction is built
+only for ``EigenPair.q`` and ``EigenData.q_sum`` (eigen.py).
 The float modulus is ``numerator / denominator``, which is how
 ``float(Fraction)`` rounds, and inf beyond the float range.  Code
 outside this module reads an exact real as a signed pair with
@@ -82,14 +86,6 @@ def _ratio_float(r: tuple[int, int]) -> float:
         return math.inf
 
 
-def _ratio_product(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
-    """``r * s``, reduced across: each numerator by the other denominator."""
-    a, b = r
-    c, d = s
-    g, h = gcd(a, d), gcd(c, b)
-    return (a // g) * (c // h), (b // h) * (d // g)
-
-
 def _ratio_sum(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
     """``r + s`` reduced; numerators of either sign (0 for a zero sum)."""
     a, b = r
@@ -103,10 +99,18 @@ def _ratio_sum(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
     return n // g, b // g
 
 
-def _turn_sum(q: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
-    """``(q + p) mod 1`` of two turns, as a reduced pair."""
-    n, d = _ratio_sum(q, p)
-    return n % d, d
+def _half_turn(q: tuple[int, int]) -> tuple[int, int]:
+    """``(q + 1/2) mod 1`` of a reduced turn ``q = n / d``, with no gcd:
+    for odd d, ``n / d + 1/2 = (2n + d) / 2d`` is reduced; for d = 2e with
+    e odd, ``(n + e) / 2e`` reduces by exactly 2 (n and e are odd); for e
+    even it is reduced (n + e is odd)."""
+    n, d = q
+    if d & 1:
+        return (2 * n + d) % (2 * d), 2 * d
+    e = d >> 1
+    if e & 1:
+        return ((n + e) >> 1) % e, e
+    return (n + e) % d, d
 
 
 def _polar_to_complex(r: tuple[int, int], q: tuple[int, int]) -> complex:
@@ -245,7 +249,7 @@ class Scalar:
             return self.z + o.z
         if q == oq:
             return Scalar(None, _ratio_sum(self._r, o._r), q)
-        if _turn_sum(q, (1, 2)) == oq:
+        if _half_turn(q) == oq:
             on, od = o._r
             n, d = _ratio_sum(self._r, (-on, od))
             if n > 0:
@@ -262,7 +266,7 @@ class Scalar:
             return self
         q = self._q
         if q is not None:
-            return Scalar(None, self._r, _turn_sum(q, (1, 2)))
+            return Scalar(None, self._r, _half_turn(q))
         return -self._z
 
     def __sub__(self, other) -> "Scalar | complex":
@@ -286,9 +290,23 @@ class Scalar:
         if o.__class__ is complex:
             return self.z * o
         q, oq = self._q, o._q
-        if q is not None and oq is not None:
-            return Scalar(None, _ratio_product(self._r, o._r), _turn_sum(q, oq))
-        return self.z * o.z
+        if q is None or oq is None:
+            return self.z * o.z
+        # The moduli's product reduced across (each numerator by the other
+        # denominator), and the turns' sum reduced mod 1.
+        a, b = self._r
+        c, d = o._r
+        g, h = gcd(a, d), gcd(c, b)
+        n, m = q
+        on, om = oq
+        if m == om:
+            n += on
+        else:
+            n = n * om + on * m
+            m *= om
+        k = gcd(n, m)
+        m //= k
+        return Scalar(None, ((a // g) * (c // h), (b // h) * (d // g)), (n // k % m, m))
 
     __rmul__ = __mul__
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsplit import (
@@ -212,6 +212,63 @@ def test_q_sums_match_the_fold(local, itol):
     assert chern.raw_q_sum.hex() == float(raw).hex()
     assert chern.integrality_defect.hex() == float(defect).hex()
     assert chern.exact is (type(raw) is F)
+
+
+# -- the int-pair integrality test against a Fraction reference --------------
+#
+# Exact q's only: ohtsuki_c1 rounds and compares their total on ints.  The
+# tolerance is dyadic, so a defect can sit exactly on it, just above it or
+# just below it.
+
+_DYADIC_STEP = F(1, 2**70)
+
+
+@st.composite
+def exact_punctures_at_tol(draw):
+    """(local (multiplicity, q) lists of 2 or 3 punctures, dyadic tol): the
+    last puncture gains a q that puts the total at an offset from an
+    integer, or keeps its random total."""
+    tol = F(1, 2 ** draw(st.integers(2, 50)))
+    local = draw(
+        st.lists(
+            st.lists(st.tuples(st.integers(1, 4), exact_q), min_size=1, max_size=4),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    offset = draw(
+        st.sampled_from([None, tol, -tol, tol + _DYADIC_STEP, -tol - _DYADIC_STEP, tol - _DYADIC_STEP])
+    )
+    if offset is not None:
+        total = sum(m * q for pairs in local for m, q in pairs)
+        local[-1].append((1, (offset - total) % 1))
+    return local, float(tol)
+
+
+@settings(max_examples=400)
+@given(exact_punctures_at_tol())
+@example(([[(1, F(3, 8))], [(1, F(5, 8)), (1, F(1, 1024))]], 2.0**-10))  # on the tolerance
+@example(([[(1, F(3, 8))], [(1, F(5, 8)), (1, F(1, 1024))]], 2.0**-11))  # beyond it
+def test_exact_integrality_matches_fractions(case):
+    local, itol = case
+    raw = sum(m * q for pairs in local for m, q in pairs)
+    nearest = round(raw)
+    defect = abs(raw - nearest)
+    rep = Representation(len(local), tuple(Matrix([[1]]) for _ in local[1:]))
+    prep = PuncturedRepresentation(rep, tuple(_eigen_data(pairs) for pairs in local))
+    if defect > F(itol):
+        with pytest.raises(NonIntegralChernClass) as info:
+            ohtsuki_c1(prep, itol)
+        assert str(info.value) == (
+            f"residue q-sum {float(raw)!r} is {float(defect):.3e} from an integer "
+            f"(tolerance {itol:.3e})"
+        )
+        return
+    chern = ohtsuki_c1(prep, itol)
+    assert type(chern.c1) is int and chern.c1 == -nearest
+    assert chern.raw_q_sum.hex() == float(raw).hex()
+    assert chern.integrality_defect.hex() == float(defect).hex()
+    assert chern.exact is True
 
 
 def test_non_integral_exact_sum_message():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from logsplit import (
     BRANCH_BOUNDARY,
+    FloatRangeError,
     Matrix,
     Scalar,
     Representation,
@@ -88,6 +89,17 @@ class TestEigenvaluesExact:
         e = eigenvalues(gen_s)
         assert [(p.q, p.multiplicity) for p in e.pairs] == [(F(0), 1), (F(1, 2), 1)]
         assert e.is_exact
+
+    def test_float_range_messages(self):
+        # The complex value of an exact eigenvalue is built only to word the
+        # first message.
+        huge = Matrix([[Scalar.polar(10**400, 0), 0], [0, 1]])
+        with pytest.raises(FloatRangeError) as info:
+            eigenvalues(huge)
+        assert str(info.value) == "eigenvalue (inf+0j) outside the floating-point range"
+        with pytest.raises(FloatRangeError) as info:
+            eigenvalues(Matrix([[F(1, 10**400)]]))
+        assert str(info.value) == "eigenvalue modulus below the floating-point range"
 
     def test_jordan_block_triangular_read(self):
         e = eigenvalues(Matrix([[5, 1, 0], [0, 5, 1], [0, 0, 5]]))

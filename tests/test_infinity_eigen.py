@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from logsplit import (
+    BRANCH_BOUNDARY,
     EIGENVALUE_UNCERTAIN,
     LogSplitError,
     Matrix,
@@ -23,6 +24,7 @@ from logsplit import (
     build,
     eigenvalues,
     monodromy_at_infinity,
+    ohtsuki_c1,
 )
 from logsplit.eigen import EigenData, reciprocal_eigenvalues
 from conftest import rand_invertible
@@ -125,6 +127,20 @@ class TestDerivedMatchesDirect:
 
 # ---------------------------------------------------------------------------
 # inputs the inverse-and-multiply closure check rejected
+
+
+def test_reciprocal_argument_rounding_to_a_full_turn_stays_below_one():
+    # At tol 1e-20, lambda = 1 + 6.28e-18i keeps its q of about 1e-18; the
+    # reciprocal's argument, a full turn less 1e-18, rounds to 1.0 and is
+    # stored as the float just below it.
+    prep = build(Representation(2, (Matrix([[1 + 6.28e-18j]]),)), 1e-20)
+    qs = [p.q for e in prep.local_eigen for p in e.pairs]
+    assert all(0.0 <= q < 1.0 for q in qs)
+    assert qs[1] == math.nextafter(1.0, 0.0)
+    chern = ohtsuki_c1(prep)
+    assert chern.c1 == -1
+    assert chern.raw_q_sum == math.nextafter(1.0, 0.0)
+    assert BRANCH_BOUNDARY in prep.warnings()
 
 
 def _extreme(seed: int) -> Representation:

@@ -14,6 +14,7 @@ from logsplit.scalar import (
     Q_THREE_QUARTERS,
     Q_ZERO,
     ZERO,
+    _half_turn,
     is_exact,
 )
 
@@ -316,6 +317,14 @@ def test_arithmetic_matches_the_model(op, s, other, scalar_left):
 @given(scalars)
 def test_negation_matches_the_model(s):
     _assert_same(-s, _model_neg(s))
+
+
+def test_half_turn_matches_fractions():
+    for d in range(1, 201):
+        for n in range(d):
+            if math.gcd(n, d) == 1:
+                want = ((F(n, d) + F(1, 2)) % 1).as_integer_ratio()
+                assert _half_turn((n, d)) == want, (n, d)
 
 
 # -- exact moduli against Fraction -------------------------------------------
