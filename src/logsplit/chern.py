@@ -8,19 +8,20 @@ monodromies multiply to the identity).  We therefore sum only the q parts
 and keep the ln-modulus closure defect as a diagnostic, never subtracting
 large cancelling reals.
 
-When every q is exact, the integrality test runs on ints: the q's of all
-punctures add up as one int pair, its nearest integer is found by
-``divmod``, rounding half to even as ``round(Fraction)`` does, and the
-defect is compared with the exact ratio of the tolerance.  Floats are
-made only for the ChernResult and the error message; no Fraction is
-built.  A floating q anywhere sends the sum down the puncture-by-puncture
-fold of ``q_total``.
+The q's add up by ``q_total``, puncture by puncture and then across the
+punctures: an unreduced int pair while every q is exact, a left-folded
+float from the first floating q on.  Either total enters the one
+integrality test as an int pair, a float by ``as_integer_ratio``, which is
+exact: the nearest integer is found by ``divmod``, rounding half to even
+as ``round`` does, and the defect is compared with the exact ratio of the
+tolerance.  Floats are made only for the ChernResult and the error
+message.  The ln|lambda| sums are left folds too, so that their bits do
+not depend on the Python version (``sum`` compensates from 3.12 on).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .eigen import checked_tolerance, q_total
 from .errors import NonIntegralChernClass, ProductNotIdentity
@@ -58,64 +59,28 @@ def ohtsuki_c1(
     which lies in (0, INTEGRALITY_TOL_BOUND) or raises InputFormatError.
     The ln-modulus closure is checked first (ProductNotIdentity).
     """
-    checked_tolerance(tol, "integrality_tol", INTEGRALITY_TOL_BOUND)
-    ln_sum = sum(e.ln_r_sum() for e in prep.local_eigen)
-    ln_scale = 1.0 + sum(
-        abs(p.ln_r) * p.multiplicity for e in prep.local_eigen for p in e.pairs
-    )
-    if abs(ln_sum) > CLOSURE_TOL * ln_scale:
+    tol = checked_tolerance(tol, "integrality_tol", INTEGRALITY_TOL_BOUND)
+    ln_sum = ln_size = 0
+    for e in prep.local_eigen:
+        ln_sum += e.ln_r_sum()
+        for p in e.pairs:
+            ln_size += abs(p.ln_r) * p.multiplicity
+    if abs(ln_sum) > CLOSURE_TOL * (1.0 + ln_size):
         raise ProductNotIdentity(
             f"determinant moduli do not close up: sum of ln|lambda| = {ln_sum:.3e}"
         )
 
-    exact = _exact_q_sum(prep)
-    if exact is not None:
-        return _exact_c1(*exact, tol, abs(ln_sum))
     # Summed puncture by puncture, so a floating total keeps its bits.
-    raw = q_total((1, e.q_sum()) for e in prep.local_eigen)
-    nearest = round(raw)
-    defect = abs(raw - nearest)
-    if defect > tol:
-        raise NonIntegralChernClass(
-            f"residue q-sum {float(raw)!r} is {float(defect):.3e} from an integer "
-            f"(tolerance {tol:.3e})"
-        )
-    return ChernResult(
-        c1=-int(nearest),
-        raw_q_sum=float(raw),
-        integrality_defect=float(defect),
-        ln_r_closure_defect=abs(ln_sum),
-        exact=isinstance(raw, Fraction),
+    total = q_total(
+        (1, q_total((p.multiplicity, p.q) for p in e.pairs)) for e in prep.local_eigen
     )
-
-
-def _exact_q_sum(prep: PuncturedRepresentation) -> tuple[int, int] | None:
-    """The q-sum over all punctures as an int pair ``(n, d)``, d > 0 and
-    not reduced, when every q is a Fraction; None otherwise."""
-    n, d = 0, 1
-    for e in prep.local_eigen:
-        for p in e.pairs:
-            q = p.q
-            if q.__class__ is not Fraction:
-                return None
-            qn, qd = q.as_integer_ratio()
-            if qd == d:
-                n += p.multiplicity * qn
-            else:
-                n = n * qd + p.multiplicity * qn * d
-                d *= qd
-    return n, d
-
-
-def _exact_c1(n: int, d: int, tol: float, ln_defect: float) -> ChernResult:
-    """``ohtsuki_c1`` of the exact q-sum ``n / d``, on ints: the nearest
-    integer k rounds half to even, as ``round(Fraction)`` does, and the
-    defect ``|n - k d| / d`` is compared with ``tol`` exactly.  Int true
-    division rounds correctly, so the floats match those of the Fraction
-    sum."""
+    exact = total.__class__ is tuple
+    n, d = total if exact else total.as_integer_ratio()
     k, rem = divmod(n, d)
     if 2 * rem > d or (2 * rem == d and k & 1):
         k += 1
+    # Int true division rounds correctly, so these floats are those of the
+    # exact total and defect.
     gap = abs(n - k * d)
     tn, td = tol.as_integer_ratio()
     if gap * td > tn * d:
@@ -127,6 +92,6 @@ def _exact_c1(n: int, d: int, tol: float, ln_defect: float) -> ChernResult:
         c1=-k,
         raw_q_sum=n / d,
         integrality_defect=gap / d,
-        ln_r_closure_defect=ln_defect,
-        exact=True,
+        ln_r_closure_defect=abs(ln_sum),
+        exact=exact,
     )

@@ -8,7 +8,7 @@ rational quadratic solve with recognition of the rational-cosine angles
 0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve works on reduced
 (numerator, denominator) int pairs, as scalar.py holds exact moduli and
 arguments, and builds its roots from them; the q-sum (``q_total``) adds
-such pairs with scalar's pair sum.  Assembling the EigenData reads an
+exact q's as one unreduced int pair.  Assembling the EigenData reads an
 exact value's pairs too: its float modulus is the rounded quotient of its
 modulus pair, its sort key the quotient of its q pair, and its complex
 value is built only to word a FloatRangeError.  There is no Fraction
@@ -29,11 +29,11 @@ are solved once more for the matrix scaled by a power of two and scaled
 back.
 
 Both the triangular and the polynomial route group coinciding values by
-one rule, ``_clusters``: exact values when equal, any other pair within
-``tol`` times the larger modulus.  A cluster is EigenvalueUncertain when
-its Newton radius exceeds ten times ``tol`` times its modulus.  So which
-values coincide, and which are uncertain, does not change with the scale
-of the input.
+one rule, ``_cluster_indices``: exact values when equal, any other pair
+within ``tol`` times the larger modulus.  A cluster is
+EigenvalueUncertain when its Newton radius exceeds ten times ``tol``
+times its modulus.  So which values coincide, and which are uncertain,
+does not change with the scale of the input.
 
 Singularity is decided here, once, on the route that solves for the
 values: a triangular matrix is singular iff a diagonal entry is exactly
@@ -44,6 +44,8 @@ below_singularity_threshold.
 The tolerance ``tol`` has its one default here, shared by the command
 line, and its bound TOL_BOUND, which keeps the BranchBoundary band of
 BOUNDARY_BAND tolerances on each side of the cut under half a turn.
+The public ``eigenvalues`` checks it; ``build`` checks it once and
+solves with the unchecked ``_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
-from .scalar import ZERO, Scalar, _ratio_float, _ratio_sum
+from .scalar import ZERO, Scalar, _ratio_float
 from .scalar import is_exact, modulus, real_ratio, real_scalar, value_of
 
 #: Default clustering, snapping and parallelism tolerance, of the library
@@ -168,36 +170,53 @@ class EigenData:
     def dim(self) -> int:
         return sum(p.multiplicity for p in self.pairs)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p.q, Fraction) for p in self.pairs)
-
     def q_sum(self) -> Fraction | float:
-        return q_total((p.multiplicity, p.q) for p in self.pairs)
+        """This puncture's q-sum: a Fraction while every q is exact."""
+        total = q_total((p.multiplicity, p.q) for p in self.pairs)
+        return total if total.__class__ is float else Fraction(*total)
 
     def ln_r_sum(self) -> float:
-        return sum(p.multiplicity * p.ln_r for p in self.pairs)
+        total = 0  # a left fold: ``sum`` compensates from Python 3.12 on
+        for p in self.pairs:
+            total += p.multiplicity * p.ln_r
+        return total
 
 
-def q_total(terms: Iterable[tuple[int, Fraction | float]]) -> Fraction | float:
-    """``sum(m * q for m, q in terms)`` as that left fold computes it: exact
-    q's add up as one reduced int pair; from the first floating q on, the
-    fold goes on in floats."""
-    exact = (0, 1)
+def q_total(
+    terms: Iterable[tuple[int, Fraction | tuple[int, int] | float]],
+) -> tuple[int, int] | float:
+    """The left fold ``0 + m * q + ...`` over ``terms``, each q exact (a
+    Fraction, or an int pair ``(n, d)`` with d > 0) or a float.  While
+    every q is exact the total is the unreduced int pair ``(n, d)``,
+    d > 0; from the first floating q on the fold goes on in floats, from
+    ``n / d``, which rounds as ``float(Fraction)`` does, and adds each
+    later exact ``m * q`` rounded the same way."""
+    n, d = 0, 1
     total = None
     for m, q in terms:
+        if q.__class__ is float:
+            total = (n / d if total is None else total) + m * q
+            continue
+        qn, qd = q if q.__class__ is tuple else q.as_integer_ratio()
         if total is not None:
-            total += m * q
-        elif q.__class__ is Fraction:
-            qn, qd = q.as_integer_ratio()
-            exact = _ratio_sum(exact, (m * qn, qd))
+            total += m * qn / qd
+        elif qd == d:
+            n += m * qn
         else:
-            total = exact[0] / exact[1] + m * q  # float(Fraction(*exact)) + m * q
-    return Fraction(*exact) if total is None else total
+            n = n * qd + m * qn * d
+            d *= qd
+    return (n, d) if total is None else total
 
 
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
-    """Eigenvalues of ``a`` clustered into multiplicity groups.
+    """Eigenvalues of ``a`` clustered into multiplicity groups; see
+    :func:`_eigenvalues`.  A ``tol`` outside (0, TOL_BOUND) raises
+    InputFormatError."""
+    return _eigenvalues(a, checked_tolerance(tol, "tol", TOL_BOUND))
+
+
+def _eigenvalues(a: Matrix, tol: float) -> EigenData:
+    """:func:`eigenvalues` at a ``tol`` already checked.
 
     Raises ZeroEigenvalue for an exactly zero root (a triangular diagonal
     entry or an exact 2x2 determinant), SingularMatrix for a floating
@@ -306,7 +325,7 @@ def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenDat
     """EigenData of a triangular matrix's diagonal ``values``."""
     if any(v is ZERO or (v.__class__ is complex and v == 0) for v in values):
         raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
-    return _eigen_data([(g[0], len(g)) for g in _clusters(values, tol)], tol)
+    return _eigen_data([(values[g[0]], len(g)) for g in _cluster_indices(values, tol)], tol)
 
 
 def _from_float_roots(
@@ -349,17 +368,13 @@ def _ldexp(z: complex, exp: int) -> complex:
     return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
 
 
-def _clusters(values: list, tol: float) -> list[list]:
-    """``values`` grouped where they coincide, each group in input order
-    and the groups in order of their first member.  Two exact values
-    coincide when they are equal, any other pair within
-    ``tol * max(|x|, |y|)``, so that the grouping does not change with the
-    scale of the values; the groups close this relation transitively."""
-    return [[values[i] for i in group] for group in _cluster_indices(values, tol)]
-
-
 def _cluster_indices(values: list, tol: float) -> list[list[int]]:
-    """The groups of :func:`_clusters` as lists of indices into ``values``."""
+    """``values`` grouped where they coincide, as lists of indices into
+    ``values``, each group in input order and the groups in order of their
+    first member.  Two exact values coincide when they are equal, any
+    other pair within ``tol * max(|x|, |y|)``, so that the grouping does
+    not change with the scale of the values; the groups close this
+    relation transitively."""
     n = len(values)
     parent = list(range(n))
     exact = [is_exact(v) for v in values]
@@ -482,9 +497,12 @@ def _poly_eval(coeffs: list[complex], x: complex) -> tuple[complex, complex, flo
     return b, d, err * _EPS
 
 
-def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
+def _aberth_solve(
+    coeffs: list[complex], budget: int = 200
+) -> tuple[list[complex], list[tuple[complex, complex, float]] | None]:
     """All roots of a monic polynomial of degree 2 or more whose constant
-    term ``eigenvalues`` has found nonzero.
+    term ``eigenvalues`` has found nonzero, with the iteration's last
+    ``_poly_eval`` at each root (None for the closed form of degree 2).
 
     Degree 2 takes the closed form of :func:`_quadratic_roots`.  From
     degree 3 on the roots come from simultaneous Aberth iteration (Aberth,
@@ -498,14 +516,6 @@ def _aberth_roots(coeffs: list[complex], budget: int = 200) -> list[complex]:
     not finite (a coefficient beyond the float range, or Horner's scheme
     overflowing, and NaN passes every comparison).
     """
-    return _aberth_solve(coeffs, budget)[0]
-
-
-def _aberth_solve(
-    coeffs: list[complex], budget: int = 200
-) -> tuple[list[complex], list[tuple[complex, complex, float]] | None]:
-    """:func:`_aberth_roots`, with the iteration's last ``_poly_eval`` at
-    each root (None for the closed form of degree 2)."""
     n = len(coeffs) - 1
     if n == 2:
         return _finite_roots(_quadratic_roots(coeffs[1], coeffs[2])), None

@@ -32,8 +32,7 @@ The float modulus is ``numerator / denominator``, which is how
 outside this module reads an exact real as a signed pair with
 ``real_ratio``, builds a real from a signed pair with ``real_scalar``
 and a polar value from a modulus pair and a turn pair with
-``Scalar(None, r, q)``, as the exact quadratic solve does, and adds
-pairs with ``_ratio_sum``, as the q-sum does.
+``Scalar(None, r, q)``, as the exact quadratic solve does.
 
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,

@@ -42,7 +42,8 @@ from enum import Enum, unique
 from fractions import Fraction
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ChernResult, ohtsuki_c1
-from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, normalized_arg
+from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, _eigenvalues, checked_tolerance
+from .eigen import normalized_arg
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -157,9 +158,10 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     ch. V): m0 on a tie, the other member when that one is scalar at
     ``tol``.  Eigenvalues are solved only when this branch is reached.
     Each line carries the eigenvalues of m0 and m1 on it, read at the
-    slot of v that holds the exact ONE, and the quotient det/lambda.
+    slot of v that holds the exact ONE, and the quotient det/lambda.  A
+    ``tol`` outside (0, TOL_BOUND) raises InputFormatError.
     """
-    return _invariant_lines(m0, m1, tol, None)
+    return _invariant_lines(m0, m1, checked_tolerance(tol, "tol", TOL_BOUND), None)
 
 
 def _invariant_lines(
@@ -182,7 +184,7 @@ def _invariant_lines(
         return InvariantLineReport((_line(m0, m1, v),), False)
 
     if eigen is None:
-        eigen = (eigenvalues(m0, tol), eigenvalues(m1, tol))
+        eigen = (_eigenvalues(m0, tol), _eigenvalues(m1, tol))
     # Relative eigenvalue gaps, 0 for a single cluster.
     gap0, gap1 = (modulus(data.pairs[0].value.z - data.pairs[-1].value.z) / m.max_abs()
                   for m, data in zip((m0, m1), eigen))

@@ -551,7 +551,7 @@ class TestNumericRobustness:
         # eigenvalues put none on the positive real axis, so c1 = -n.
         from logsplit import RootFindingDivergence
         from logsplit.documents import parse_input_document
-        from logsplit.eigen import _aberth_roots
+        from logsplit.eigen import _aberth_solve
 
         rng = random.Random(5)
         for _ in range(index + 1):
@@ -565,7 +565,7 @@ class TestNumericRobustness:
         assert dim == n
         coeffs = parse_input_document(doc).representation().generators[0].char_poly()
         with pytest.raises(RootFindingDivergence):
-            _aberth_roots(list(map(complex, coeffs)))
+            _aberth_solve(list(map(complex, coeffs)))
         assert self._run(tmp_path, doc) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert (out["kind"], out["c1"], out["candidates"], out["warnings"]) == (

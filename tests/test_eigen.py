@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from logsplit import (
     BRANCH_BOUNDARY,
     FloatRangeError,
+    InputFormatError,
     Matrix,
     Scalar,
     Representation,
@@ -18,13 +19,15 @@ from logsplit import (
     ZeroEigenvalue,
     classify,
     eigenvalues,
+    invariant_lines,
     normalized_arg,
 )
 from logsplit.eigen import (
+    TOL_BOUND,
     _EPS,
     _aberth_iterate,
-    _aberth_roots,
-    _clusters,
+    _aberth_solve,
+    _cluster_indices,
     _exact_quadratic,
     _newton_polygon_starts,
     _poly_eval,
@@ -88,7 +91,7 @@ class TestEigenvaluesExact:
         _, gen_s = golden_pair
         e = eigenvalues(gen_s)
         assert [(p.q, p.multiplicity) for p in e.pairs] == [(F(0), 1), (F(1, 2), 1)]
-        assert e.is_exact
+        assert all(type(p.q) is F for p in e.pairs)
 
     def test_float_range_messages(self):
         # The complex value of an exact eigenvalue is built only to word the
@@ -155,24 +158,47 @@ class TestClusters:
     def test_exact_values_compare_exactly_floating_ones_relatively(self):
         a = Scalar.polar(1, F(1, 3))
         b = Scalar.polar(1, F(1, 3))
-        assert len(_clusters([a, b], 0.0)) == 1
+        assert len(_cluster_indices([a, b], 0.0)) == 1
         for c in (a.z + 1e-12, Scalar.inexact(a.z + 1e-12)):
-            assert len(_clusters([c, a], 1e-9)) == len(_clusters([a, c], 1e-9)) == 1
-            assert len(_clusters([c, a], 1e-15)) == 2
+            assert len(_cluster_indices([c, a], 1e-9)) == 1
+            assert len(_cluster_indices([a, c], 1e-9)) == 1
+            assert len(_cluster_indices([c, a], 1e-15)) == 2
         # A difference of finite values whose modulus leaves the float
         # range compares as inf instead of raising.
-        assert len(_clusters([complex(1.3e308, 1e-300), complex(0, -1.3e308)], 1e-9)) == 2
+        assert len(_cluster_indices([complex(1.3e308, 1e-300), complex(0, -1.3e308)], 1e-9)) == 2
 
     def test_groups_do_not_change_with_scale(self):
         values = [1 + 1j, 1 + 1j + 1e-10, 1 - 1j, 1 - 1j + 1e-8, 0.5j]
         for k in range(-60, 61, 5):
-            groups = _clusters([v * 2.0**k for v in values], 1e-9)
+            groups = _cluster_indices([v * 2.0**k for v in values], 1e-9)
             assert [len(g) for g in groups] == [2, 1, 1, 1]
 
     def test_groups_close_transitively(self):
         # Each neighbour lies within tol of the next, the ends do not.
         values = [complex(1.0), complex(1.0 + 0.8e-9), complex(1.0 + 1.6e-9)]
-        assert [len(g) for g in _clusters(values, 1e-9)] == [3]
+        assert [len(g) for g in _cluster_indices(values, 1e-9)] == [3]
+
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        (math.nan, "tol: expected a finite number above zero, got nan"),
+        (-1.0, "tol: expected a finite number above zero, got -1.0"),
+        (0.0, "tol: expected a finite number above zero, got 0.0"),
+        (TOL_BOUND, "tol: expected a number below 0.05, got 0.05"),
+        ("x", "tol: expected a finite number above zero, got 'x'"),
+    ],
+)
+def test_public_solves_check_tol(tol, message):
+    # Unchecked, this pair's solve gave a spurious BranchBoundary at nan, a
+    # spurious EigenvalueUncertain at -1.0, and at 5.0 one double
+    # eigenvalue and a decomposable pair.
+    m0 = Matrix([[1.5 + 0.1j, 2], [3, 4]])
+    m1 = Matrix([[1, 0], [0, 2.5 + 0.5j]])
+    for solve in (lambda: eigenvalues(m0, tol), lambda: invariant_lines(m0, m1, tol)):
+        with pytest.raises(InputFormatError) as info:
+            solve()
+        assert str(info.value) == message
 
 
 class TestEigenvaluesFloat:
@@ -258,24 +284,24 @@ class TestEigenvaluesFloat:
         values = sorted((p.value.z for p in e.pairs), key=lambda z: z.real)
         assert abs(values[0] - (-1 + 1j)) < 1e-12
         assert abs(values[1] - (1 + 1j)) < 1e-12
-        assert not e.is_exact
+        assert not all(type(p.q) is F for p in e.pairs)
 
 
 class TestAberth:
     def test_known_integer_roots(self):
-        roots = sorted(_aberth_roots(_integer_roots_1_to_6()), key=lambda z: z.real)
+        roots = sorted(_aberth_solve(_integer_roots_1_to_6())[0], key=lambda z: z.real)
         for found, expected in zip(roots, range(1, 7)):
             assert abs(found - expected) < 1e-8
 
     def test_multiple_root_cluster(self):
         # (x - 2)^3 (x + 1): the triple root comes back as a tight cluster.
         coeffs = [1.0, -5.0, 6.0, 4.0, -8.0]
-        roots = _aberth_roots([complex(c) for c in coeffs])
+        roots = _aberth_solve([complex(c) for c in coeffs])[0]
         # 1.5e-4 times the modulus 2 of the triple root.
-        clusters = _clusters(roots, 1.5e-4)
+        clusters = _cluster_indices(roots, 1.5e-4)
         sizes = sorted(len(c) for c in clusters)
         assert sizes == [1, 3]
-        triple = max(clusters, key=len)
+        triple = [roots[i] for i in max(clusters, key=len)]
         centroid = sum(triple, 0j) / 3
         # A triple root is only conditioned to ~eps^(1/3); the centroid
         # recovers a few extra digits but no more.
@@ -294,14 +320,14 @@ class TestAberth:
 
     def test_deterministic(self):
         coeffs = [complex(1), complex(0.3, -1), complex(-2, 0.1), complex(0, 1.7)]
-        assert _aberth_roots(coeffs) == _aberth_roots(coeffs)
+        assert _aberth_solve(coeffs)[0] == _aberth_solve(coeffs)[0]
 
     def test_exhausted_budget_raises(self):
         from logsplit import RootFindingDivergence
 
         coeffs = [complex(1), complex(0.3, -1), complex(-2, 0.1), complex(0, 1.7)]
         with pytest.raises(RootFindingDivergence):
-            _aberth_roots(coeffs, budget=1)
+            _aberth_solve(coeffs, budget=1)
 
     @pytest.mark.parametrize(
         "starts",
@@ -341,7 +367,7 @@ class TestAberthRange:
         # sum_k (1e7)^k x^(8-k) has the roots 1e7 e(k/9), k = 1..8; the
         # start circle |c_8|^(1/8) = 1e7 keeps Horner's scheme in range.
         coeffs = [1 + 0j] + [complex(10.0 ** (7 * k), 0.0) for k in range(1, 9)]
-        roots = _aberth_roots(coeffs)
+        roots = _aberth_solve(coeffs)[0]
         for k in range(1, 9):
             expected = 1e7 * cmath.exp(2j * math.pi * k / 9)
             assert min(abs(r - expected) for r in roots) < 1e-14 * 1e7
@@ -355,14 +381,14 @@ class TestAberthRange:
         coeffs = [complex(1), complex(0.3, -1), complex(-2, 0.1), complex(0, 1.7)]
         coeffs[slot] = complex(bad, 0.0)
         with pytest.raises(RootFindingDivergence):
-            _aberth_roots(coeffs)
+            _aberth_solve(coeffs)
 
     @pytest.mark.parametrize("tiny", [1e-150, 1e-163, 1e-170])
     def test_root_near_the_bottom_of_the_float_range(self, tiny):
         # (x - tiny)(x - 1)(x - 2): |x| (|x| - radius) underflows in the
         # bound on the reciprocal of the tiny root.
         coeffs = [1 + 0j, -(3 + tiny) + 0j, (2 + 3 * tiny) + 0j, -(2 * tiny) + 0j]
-        roots = sorted(_aberth_roots(coeffs), key=abs)
+        roots = sorted(_aberth_solve(coeffs)[0], key=abs)
         assert abs(roots[0] - tiny) < 1e-14 * tiny
         assert abs(roots[1] - 1) < 1e-14 and abs(roots[2] - 2) < 1e-14
 
@@ -380,7 +406,7 @@ class TestAberthRange:
 
         coeffs = [1 + 0j, 1e8 + 0j, 1e16 + 0j, 1e24 + 0j, 1e32 + 0j, 1e39 + 0j, 1e45 + 0j, 1e51 + 0j]
         try:
-            roots = _aberth_roots(coeffs)
+            roots = _aberth_solve(coeffs)[0]
         except RootFindingDivergence:
             return
         for r in roots:
@@ -435,7 +461,7 @@ class TestFloatRootsOracle:
         # allowed here (k = 1 for a simple root, 2 for a near-double one).
         mpmath = pytest.importorskip("mpmath")
         coeffs = _expand(roots)
-        found = _aberth_roots(coeffs)
+        found = _aberth_solve(coeffs)[0]
         n = len(coeffs) - 1
         with mpmath.workdps(60):
             mp_coeffs = [mpmath.mpc(c.real, c.imag) for c in coeffs]
@@ -467,7 +493,7 @@ class TestFloatRootsOracle:
     def test_quadratic_roots_of_very_different_size_keep_full_accuracy(self):
         # x^2 - (1e8 + 1e-8) x + 1: the textbook formula loses every digit
         # of the small root to cancellation.
-        roots = sorted(_aberth_roots([1 + 0j, complex(-(1e8 + 1e-8)), 1 + 0j]), key=abs)
+        roots = sorted(_aberth_solve([1 + 0j, complex(-(1e8 + 1e-8)), 1 + 0j])[0], key=abs)
         assert abs(roots[0] - 1e-8) <= 1e-15 * 1e-8
         assert abs(roots[1] - 1e8) <= 1e-15 * 1e8
 
@@ -489,7 +515,7 @@ class TestLostRoots:
                     for _ in range(m)
                 ]
                 isolated = [1, 100, -3, 0.5j][: 8 - m]
-                found = _aberth_roots(_expand(cluster + isolated))
+                found = _aberth_solve(_expand(cluster + isolated))[0]
                 for w in isolated:
                     if min(abs(z - w) for z in found) > 1e-9 * abs(w):
                         missed.append((rho, w))
@@ -497,7 +523,7 @@ class TestLostRoots:
 
     def test_small_root_next_to_a_large_cluster_is_found(self):
         roots = [1e-5 + 2e-5j] + [2e5 - 9e5j] * 6 + [-2e5 + 3e5j]
-        found = _aberth_roots(_expand(roots))
+        found = _aberth_solve(_expand(roots))[0]
         assert min(abs(z - roots[0]) for z in found) < 1e-9 * abs(roots[0])
 
     @pytest.mark.parametrize(
@@ -514,7 +540,7 @@ class TestLostRoots:
     def test_roots_spread_over_fourteen_decades_are_found(self, roots):
         # Moduli from 3e-8 to 6e7: the sum of the residuals stops halving
         # for 30 steps before every root freezes, at step 31 and 34.
-        found = _aberth_roots(_expand(roots))
+        found = _aberth_solve(_expand(roots))[0]
         assert len(found) == len(roots)
         for w in roots:
             assert min(abs(z - w) for z in found) <= 1e-12 * abs(w)
@@ -601,7 +627,7 @@ class TestRootBits:
         ],
     )
     def test_roots_are_bit_for_bit(self, coeffs, expected):
-        assert [(z.real.hex(), z.imag.hex()) for z in _aberth_roots(coeffs)] == expected
+        assert [(z.real.hex(), z.imag.hex()) for z in _aberth_solve(coeffs)[0]] == expected
 
 
 # -- the exact quadratic route against a Fraction model -----------------------

@@ -169,7 +169,7 @@ class TestExactnessInEveryDimension:
         rng = random.Random(90 + n)
         for _ in range(3):
             gens = self._triangular_pair(rng, n)
-            assert eigenvalues(monodromy_at_infinity(gens)).is_exact
+            assert all(type(p.q) is F for p in eigenvalues(monodromy_at_infinity(gens)).pairs)
 
     def test_c1_of_a_triangular_dim3_pair_is_exact(self):
         m0, m1 = self._triangular_pair(random.Random(5), 3)

@@ -397,12 +397,12 @@ class TestOneSolvePerMonodromy:
 
         calls = []
 
-        def counting(a, tol=eigen.DEFAULT_CLUSTER_TOL):
+        def counting(a, tol):
             calls.append(a)
-            return eigen.eigenvalues(a, tol)
+            return eigen._eigenvalues(a, tol)
 
-        monkeypatch.setattr(representation, "eigenvalues", counting)
-        monkeypatch.setattr(splitting, "eigenvalues", counting)
+        monkeypatch.setattr(representation, "_eigenvalues", counting)
+        monkeypatch.setattr(splitting, "_eigenvalues", counting)
         return calls
 
     @staticmethod
