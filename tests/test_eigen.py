@@ -23,12 +23,16 @@ from logsplit import (
     normalized_arg,
 )
 from logsplit.eigen import (
+    EIGENVALUE_UNCERTAIN,
     TOL_BOUND,
     _EPS,
+    EigenData,
+    EigenPair,
     _aberth_iterate,
     _aberth_solve,
     _cluster_indices,
     _exact_quadratic,
+    _from_float_roots,
     _newton_polygon_starts,
     _poly_eval,
     _vieta_verdict,
@@ -177,6 +181,63 @@ class TestClusters:
         # Each neighbour lies within tol of the next, the ends do not.
         values = [complex(1.0), complex(1.0 + 0.8e-9), complex(1.0 + 1.6e-9)]
         assert [len(g) for g in _cluster_indices(values, 1e-9)] == [3]
+
+
+class TestValueTypes:
+    def test_pairs_and_data_refuse_assignment(self):
+        data = eigenvalues(Matrix([[2, 1], [0, 1.5 + 2j]]))
+        pair = data.pairs[0]
+        fields = {pair: ("value", "multiplicity", "q", "ln_r"), data: ("pairs", "warnings")}
+        for obj, names in fields.items():
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+
+    def test_pairs_and_data_compare_and_hash_by_value(self):
+        m = Matrix([[2, 1], [0, 1.5 + 2j]])
+        data, again = eigenvalues(m), eigenvalues(m)
+        assert data is not again and data == again and hash(data) == hash(again)
+        for pair in data.pairs:
+            fields = (pair.value, pair.multiplicity, pair.q, pair.ln_r)
+            assert EigenPair(*fields) == pair
+            assert hash(pair) == hash(EigenPair(*fields)) == hash(fields)
+            assert EigenPair(pair.value, pair.multiplicity + 1, pair.q, pair.ln_r) != pair
+        flagged = EigenData(data.pairs, (EIGENVALUE_UNCERTAIN,))
+        assert flagged != data and flagged.pairs == data.pairs
+        assert EigenData(data.pairs) == EigenData(data.pairs, ())
+
+    @pytest.mark.parametrize(
+        "coeffs, root, bits",
+        [
+            # The lone root's centroid is 0j + root: a negative zero part
+            # turns positive.
+            ([1 + 0j, 1 + 0j], complex(-1.0, -0.0), ("-0x1.0000000000000p+0", "0x0.0p+0")),
+            ([1 + 0j, -2j], complex(-0.0, 2.0), ("0x0.0p+0", "0x1.0000000000000p+1")),
+            ([1 + 0j, -3 + 0j], complex(3.0, -0.0), ("0x1.8000000000000p+1", "0x0.0p+0")),
+        ],
+    )
+    def test_lone_root_centroid_bits(self, coeffs, root, bits):
+        for evals in (None, [(0j, 1 + 0j, 0.0)]):
+            (pair,) = _from_float_roots(coeffs, [root], evals, 1e-9, 0).pairs
+            z = pair.value.z
+            assert (z.real.hex(), z.imag.hex()) == bits
+
+    def test_newton_radius_takes_the_first_of_residual_and_noise(self):
+        # Roots 1 and 3 of x^2 - 4x + 3, with crafted last evaluations:
+        # the radius 3 max(|p|, noise) / |p'| of the root 1 against the
+        # bound 10 tol.  max keeps its first argument on a tie and on NaN.
+        tol = 2.0**-30
+        bound = 10 * tol
+        verdicts = []
+        for p, noise in (
+            (bound, bound),  # a tie, on the bound: certain
+            (math.nextafter(bound, 1.0), bound),  # just above: uncertain
+            (math.nan, 1.0),  # a NaN residual gives a NaN radius: certain
+        ):
+            evals = [(complex(p, 0.0), 3 + 0j, noise), (0j, 1 + 0j, 0.0)]
+            data = _from_float_roots([1 + 0j, -4 + 0j, 3 + 0j], [1 + 0j, 3 + 0j], evals, tol, 0)
+            verdicts.append(EIGENVALUE_UNCERTAIN in data.warnings)
+        assert verdicts == [False, True, False]
 
 
 @pytest.mark.parametrize(
