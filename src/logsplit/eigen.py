@@ -8,12 +8,9 @@ rational quadratic solve with recognition of the rational-cosine angles
 0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve works on reduced
 (numerator, denominator) int pairs, as scalar.py holds exact moduli and
 arguments, and builds its roots from them; the q-sum (``q_total``) adds
-exact q's as one unreduced int pair.  Assembling the EigenData reads an
-exact value's pairs too: its float modulus is the rounded quotient of its
-modulus pair, its sort key the quotient of its q pair, and its complex
-value is built only to word a FloatRangeError.  There is no Fraction
-arithmetic on the exact route; a Fraction is built only where a q or a
-q-sum is returned, as ``EigenPair.q`` and ``EigenData.q_sum``.
+exact q's as one unreduced int pair.  There is no Fraction arithmetic on
+the exact route; a Fraction is built only where a q or a q-sum is
+returned, as ``EigenPair.q`` and ``EigenData.q_sum``.
 Everything else is a floating root solve of
 the characteristic polynomial: a cancellation-free closed form for
 quadratics, and simultaneous Aberth-Ehrlich iteration started on the
@@ -33,7 +30,20 @@ one rule, ``_cluster_indices``: exact values when equal, any other pair
 within ``tol`` times the larger modulus.  A cluster is
 EigenvalueUncertain when its Newton radius exceeds ten times ``tol``
 times its modulus.  So which values coincide, and which are uncertain,
-does not change with the scale of the input.
+does not change with the scale of the input.  A cluster of floating
+roots is represented by its mean, a left fold from 0j divided by its
+size.
+
+Every route, and the reciprocals at infinity, end in one assembly pass,
+``_eigen_data``, from (value, multiplicity) pairs to EigenData.  An exact
+value is read from its int pairs: its float modulus is the rounded
+quotient of its modulus pair, its sort key the quotient of its q pair,
+and its complex value is built only to word a FloatRangeError.  A
+floating value gets its q and BranchBoundary verdict from ``_float_arg``,
+the one definition of the snap and the boundary band, at bounds computed
+once per pass, and is boxed as a floating Scalar.  EigenPair and
+EigenData are named tuples: immutable, hashed and compared by their
+fields, and built at about the cost of a tuple.
 
 Singularity is decided here, once, on the route that solves for the
 values: a triangular matrix is singular iff a diagonal entry is exactly
@@ -54,9 +64,10 @@ import cmath
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     FloatRangeError,
@@ -125,12 +136,23 @@ def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | 
         raise ZeroArgument("the zero scalar has no argument")
     if v.__class__ is Scalar:
         return v.q
-    q, _ = _float_arg(v, tol)
+    q, _ = _float_arg(v, _arg_bounds(tol))
     return q
 
 
-def _float_arg(z: complex, tol: float, snap: bool | None = None) -> tuple[float, bool]:
-    """(q, near_boundary) for a floating nonzero complex value.
+def _arg_bounds(tol: float) -> tuple[float, float, float, float]:
+    """The bounds :func:`_float_arg` decides by at ``tol``: q snaps to 0
+    at or below the first or at or above the second, and lies near the
+    cut outside the open interval from the third to the fourth."""
+    band = BOUNDARY_BAND * tol
+    return tol, 1.0 - tol, band, 1.0 - band
+
+
+def _float_arg(
+    z: complex, bounds: tuple[float, float, float, float], snap: bool | None = None
+) -> tuple[float, bool]:
+    """(q, near_boundary) for a floating nonzero complex value, at the
+    ``_arg_bounds`` of a tolerance tol.
 
     ``near_boundary`` is True when q lies within BOUNDARY_BAND * tol of
     the branch cut, including values that snapped to 0 — floating data
@@ -141,9 +163,10 @@ def _float_arg(z: complex, tol: float, snap: bool | None = None) -> tuple[float,
     q = math.atan2(z.imag, z.real) / _TWO_PI
     if q < 0.0:
         q += 1.0
-    boundary = not BOUNDARY_BAND * tol < q < 1.0 - BOUNDARY_BAND * tol
+    snap_lo, snap_hi, band_lo, band_hi = bounds
+    boundary = not band_lo < q < band_hi
     if snap is None:
-        snap = q <= tol or q >= 1.0 - tol
+        snap = q <= snap_lo or q >= snap_hi
     if snap:
         return 0.0, boundary
     # A tiny negative argument rounds up to a full turn; only an imposed
@@ -151,20 +174,23 @@ def _float_arg(z: complex, tol: float, snap: bool | None = None) -> tuple[float,
     return (_BELOW_ONE if q == 1.0 else q), boundary
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
+    """One eigenvalue: its value, multiplicity, normalized argument q and
+    ln of its modulus.  A named tuple, so immutable, and hashed and
+    compared by its fields."""
+
     value: Scalar
     multiplicity: int
     q: Fraction | float
     ln_r: float
 
 
-@dataclass(frozen=True)
-class EigenData:
-    """Eigenvalue multiset of one local monodromy."""
+class EigenData(NamedTuple):
+    """Eigenvalue multiset of one local monodromy: its pairs sorted by
+    (q, modulus), and its warnings.  A named tuple, as EigenPair is."""
 
     pairs: tuple[EigenPair, ...]
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -279,17 +305,30 @@ def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) ->
 # assembling EigenData
 
 
+_PAIR = itemgetter(3)
+
+
 def _eigen_data(
     clusters: list, tol: float, uncertain: bool = False, snaps: list[bool] | None = None
 ) -> EigenData:
     """EigenData of solved nonzero (value, multiplicity) pairs, a value an
-    exact Scalar or a complex, which is boxed by ``Scalar.inexact`` as the
+    exact Scalar or a complex, which is boxed as a floating Scalar for the
     pair's value; ``uncertain`` adds EigenvalueUncertain, and ``snaps``
     gives each floating value's snap decision (see :func:`_float_arg`)."""
+    bounds = _arg_bounds(tol)
+    boundary = False
     keyed = []
-    warnings: list[str] = []
     for k, (value, mult) in enumerate(clusters):
-        if is_exact(value):
+        if value.__class__ is complex:
+            if not cmath.isfinite(value):
+                # NaN would pass every later comparison.
+                raise FloatRangeError(f"eigenvalue {value!r} outside the floating-point range")
+            r = modulus(value)
+            q, near = _float_arg(value, bounds, None if snaps is None else snaps[k])
+            boundary = boundary or near
+            key = q
+            value = Scalar(value, None, None)
+        else:
             # Read from the int pairs: the float modulus, and the sort key
             # qn / qd, which is float(Fraction).  The complex value is only
             # built to word the error.
@@ -299,26 +338,16 @@ def _eigen_data(
                 raise FloatRangeError(f"eigenvalue {value.z!r} outside the floating-point range")
             qn, qd = value._q
             key = qn / qd
-            q: Fraction | float = value.q
-        else:
-            z = value if value.__class__ is complex else value.z
-            if not cmath.isfinite(z):
-                # NaN would pass every later comparison.
-                raise FloatRangeError(f"eigenvalue {z!r} outside the floating-point range")
-            r = modulus(z)
-            q, boundary = _float_arg(z, tol, None if snaps is None else snaps[k])
-            if boundary:
-                warnings.append(BRANCH_BOUNDARY)
-            key = q
-            value = Scalar.inexact(z)
+            q = value.q
         if r == 0.0:
             # A nonzero exact value, or the reciprocal of a huge one.
             raise FloatRangeError("eigenvalue modulus below the floating-point range")
         keyed.append((key, r, k, EigenPair(value, mult, q, math.log(r))))
     keyed.sort()  # by (q, r), ties in input order: k is unique
+    warnings = (BRANCH_BOUNDARY,) if boundary else ()
     if uncertain:
-        warnings.append(EIGENVALUE_UNCERTAIN)
-    return EigenData(tuple(e[3] for e in keyed), tuple(dict.fromkeys(warnings)))
+        warnings += (EIGENVALUE_UNCERTAIN,)
+    return EigenData(tuple(map(_PAIR, keyed)), warnings)
 
 
 def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenData:
@@ -340,25 +369,36 @@ def _from_float_roots(
     holds the iteration's last ``_poly_eval`` at each root."""
     if exp:
         roots = [_ldexp(r, exp) for r in roots]
+        evals = None  # made at the other scale
+    terms = len(coeffs_c)
+    bound = 10.0 * tol
     centroids: list[tuple[complex, int]] = []
     uncertain = False
     for group in _cluster_indices(roots, tol):
-        members = [roots[i] for i in group]
-        centroid = sum(members, 0j) / len(members)
+        # The left fold from 0j: a lone root's negative zero part turns
+        # positive, as in the mean of a cluster.
+        centroid = 0j
+        for i in group:
+            centroid += roots[i]
+        size = len(group)
+        centroid /= size
         # Newton inclusion radius: honest uncertainty for smeared (nearly
         # multiple) roots that the clustering tolerance cannot merge.  The
         # residual counts at least at its roundoff bound, so the verdict
         # depends on the polynomial, not on where the iteration stopped.
         # A lone unscaled root is its own centroid (up to the sign of a
         # zero part), so the iteration's last evaluation there stands.
-        if evals is not None and not exp and len(group) == 1:
+        if evals is not None and size == 1:
             p, dp, noise = evals[group[0]]
         else:
             p, dp, noise = _poly_eval(coeffs_c, _ldexp(centroid, -exp) if exp else centroid)
-        radius = math.ldexp(len(coeffs_c) * max(abs(p), noise) / max(abs(dp), 1e-300), exp)
-        if radius > 10.0 * tol * abs(centroid):
+        # max keeps its first argument on a tie and on NaN.
+        radius = terms * max(abs(p), noise) / max(abs(dp), 1e-300)
+        if exp:
+            radius = math.ldexp(radius, exp)
+        if radius > bound * abs(centroid):
             uncertain = True
-        centroids.append((centroid, len(members)))
+        centroids.append((centroid, size))
     return _eigen_data(centroids, tol, uncertain)
 
 
@@ -374,33 +414,41 @@ def _cluster_indices(values: list, tol: float) -> list[list[int]]:
     first member.  Two exact values coincide when they are equal, any
     other pair within ``tol * max(|x|, |y|)``, so that the grouping does
     not change with the scale of the values; the groups close this
-    relation transitively."""
-    n = len(values)
-    parent = list(range(n))
-    exact = [is_exact(v) for v in values]
-    if not all(exact):  # read only for pairs touching a float
-        zs = [complex(v) for v in values]
-        scaled = [tol * modulus(v) for v in values]
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if exact[i] and exact[j]:
-                match = values[i] == values[j]
+    relation transitively.  Each value is compared with the members of
+    the groups built before it, and joins, or merges, every group it
+    coincides with, so at n = 2 there is one comparison."""
+    groups: list[list[int]] = []
+    sizes: list[float] = []  # tol * |x| of each value compared so far
+    for j, y in enumerate(values):
+        y_exact = is_exact(y)
+        y_size = tol * modulus(y)
+        home = None
+        for g in groups[:]:  # y may merge groups
+            for i in g:
+                x = values[i]
+                if y_exact and is_exact(x):
+                    if x == y:
+                        break
+                    continue
+                try:
+                    d = abs(complex(x) - complex(y))
+                except OverflowError:  # a distance beyond the float range
+                    continue
+                if d < sizes[i] or d < y_size:
+                    break
             else:
-                d = modulus(zs[i] - zs[j])
-                match = d < scaled[i] or d < scaled[j]
-            if match:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+                continue
+            if home is None:
+                g.append(j)
+                home = g
+            else:
+                home += g
+                home.sort()
+                groups.remove(g)
+        if home is None:
+            groups.append([j])
+        sizes.append(y_size)
+    return groups
 
 
 # ---------------------------------------------------------------------------

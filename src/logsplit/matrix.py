@@ -160,10 +160,18 @@ class Matrix:
     # -- structure probes -------------------------------------------------
 
     def is_upper_triangular(self) -> bool:
-        return all(_is_zero(e) for i, row in enumerate(self._rows) for e in row[:i])
+        for i, row in enumerate(self._rows):
+            for e in row[:i]:
+                if not _is_zero(e):
+                    return False
+        return True
 
     def is_lower_triangular(self) -> bool:
-        return all(_is_zero(e) for i, row in enumerate(self._rows) for e in row[i + 1:])
+        for i, row in enumerate(self._rows):
+            for e in row[i + 1:]:
+                if not _is_zero(e):
+                    return False
+        return True
 
     def diagonal(self) -> tuple[Scalar | complex, ...]:
         return tuple(self._rows[i][i] for i in range(self.n))
@@ -181,7 +189,10 @@ class Matrix:
         if all(map(is_exact, chain.from_iterable(rows))):
             off_ok = all(rows[i][j].is_exact_zero for i in range(n) for j in range(n) if i != j)
             return diag[0] if off_ok and all(d == diag[0] for d in diag) else None
-        mean = sum(map(complex, diag), 0j) / n
+        mean = 0j  # a left fold: the package adds no floats with ``sum``
+        for d in diag:
+            mean += complex(d)
+        mean /= n
         dev = max(abs(complex(e) - (mean if i == j else 0j))
                   for i, row in enumerate(rows) for j, e in enumerate(row))
         return mean if dev <= tol * self.max_abs() else None

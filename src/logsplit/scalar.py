@@ -36,9 +36,10 @@ and a polar value from a modulus pair and a turn pair with
 
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
-so that boundary warnings still fire for them.  A floating Scalar
-(``Scalar.inexact``) only boxes such a value where a Scalar is promised,
-as for an eigenvalue; arithmetic on it gives a ``complex`` too.
+so that boundary warnings still fire for them.  A floating Scalar only
+boxes such a value where a Scalar is promised, as for an eigenvalue
+(``Scalar.inexact``, or ``Scalar(z, None, None)`` for a ``complex`` z,
+as eigen.py builds one); arithmetic on it gives a ``complex`` too.
 """
 
 from __future__ import annotations

@@ -274,9 +274,18 @@ def classify_dim2(
 ) -> ClassificationReport:
     """Three punctures, dimension 2: the full reducibility case split.
     Like ``ohtsuki_c1``, it reads m0's and m1's eigenvalues from
-    ``prep.local_eigen``, solved at the build's tolerance."""
+    ``prep.local_eigen``, solved at the build's tolerance.  A ``tol``
+    outside (0, TOL_BOUND) raises InputFormatError."""
     if prep.punctures != 3 or prep.dim != 2:
         raise DimensionMismatch("classify_dim2 requires 3 punctures and dimension 2")
+    return _classify_dim2(prep, checked_tolerance(tol, "tol", TOL_BOUND), integrality_tol)
+
+
+def _classify_dim2(
+    prep: PuncturedRepresentation, tol: float, integrality_tol: float
+) -> ClassificationReport:
+    """:func:`classify_dim2` of a 3-puncture dimension-2 ``prep`` at a
+    ``tol`` already checked."""
     chern = ohtsuki_c1(prep, integrality_tol)
     zeta = chern.c1
     m0, m1 = prep.rep.generators
@@ -331,7 +340,7 @@ def classify(
         kind, roots = ClassificationKind.THREE_CHARACTER, SplittingType((chern.c1,))
         return ClassificationReport(kind, (roots,), prep.warnings(), chern)
     if prep.dim == 2:
-        return classify_dim2(prep, tol, integrality_tol)
+        return _classify_dim2(prep, tol, integrality_tol)
     raise UnsupportedCase(
         f"three punctures with dimension {prep.dim} >= 3 is outside the "
         "implemented classification"

@@ -17,7 +17,9 @@ from logsplit import (
     SingularMatrix,
     ZeroArgument,
     ZeroEigenvalue,
+    build,
     classify,
+    classify_dim2,
     eigenvalues,
     invariant_lines,
     normalized_arg,
@@ -247,16 +249,24 @@ class TestValueTypes:
         (-1.0, "tol: expected a finite number above zero, got -1.0"),
         (0.0, "tol: expected a finite number above zero, got 0.0"),
         (TOL_BOUND, "tol: expected a number below 0.05, got 0.05"),
+        (5.0, "tol: expected a number below 0.05, got 5.0"),
         ("x", "tol: expected a finite number above zero, got 'x'"),
     ],
 )
 def test_public_solves_check_tol(tol, message):
     # Unchecked, this pair's solve gave a spurious BranchBoundary at nan, a
     # spurious EigenvalueUncertain at -1.0, and at 5.0 one double
-    # eigenvalue and a decomposable pair.
+    # eigenvalue and a decomposable pair; classify_dim2, on the pair built
+    # at the default tol, raised InternalInconsistency at 5.0 and answered
+    # at nan and -1.0.
     m0 = Matrix([[1.5 + 0.1j, 2], [3, 4]])
     m1 = Matrix([[1, 0], [0, 2.5 + 0.5j]])
-    for solve in (lambda: eigenvalues(m0, tol), lambda: invariant_lines(m0, m1, tol)):
+    prep = build(Representation(3, (m0, m1)))
+    for solve in (
+        lambda: eigenvalues(m0, tol),
+        lambda: invariant_lines(m0, m1, tol),
+        lambda: classify_dim2(prep, tol),
+    ):
         with pytest.raises(InputFormatError) as info:
             solve()
         assert str(info.value) == message
