@@ -48,7 +48,6 @@ from .representation import (
     monodromy_at_infinity,
 )
 from .scalar import Scalar
-from .selftest import CheckResult, golden_representation, run_selftest
 from .splitting import (
     ClassificationKind,
     ClassificationReport,
@@ -63,6 +62,19 @@ from .splitting import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of ``selftest``, which is imported on first access (PEP 562) so
+#: that no other command pays for it.
+_SELFTEST_NAMES = ("CheckResult", "golden_representation", "run_selftest")
+
+
+def __getattr__(name: str):
+    if name in _SELFTEST_NAMES:
+        from . import selftest
+
+        return getattr(selftest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BRANCH_BOUNDARY",

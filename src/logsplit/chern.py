@@ -21,7 +21,7 @@ not depend on the Python version (``sum`` compensates from 3.12 on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .eigen import checked_tolerance, q_total
 from .errors import NonIntegralChernClass, ProductNotIdentity
@@ -40,13 +40,13 @@ DEFAULT_INTEGRALITY_TOL = 1e-6
 INTEGRALITY_TOL_BOUND = 0.5
 
 
-@dataclass(frozen=True)
-class ChernResult:
-    c1: int
-    raw_q_sum: float
-    integrality_defect: float
-    ln_r_closure_defect: float
-    exact: bool
+class ChernResult(
+    namedtuple("ChernResult", "c1 raw_q_sum integrality_defect ln_r_closure_defect exact")
+):
+    """c1 (int), the raw q-sum, its distance from the nearest integer and
+    the ln-modulus closure defect (floats), and whether every q was exact."""
+
+    __slots__ = ()
 
 
 def ohtsuki_c1(

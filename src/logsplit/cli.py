@@ -17,19 +17,16 @@ building it costs about five ``sweep --steps 64`` tables.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from math import gcd
-from pathlib import Path
 
 from .chern import DEFAULT_INTEGRALITY_TOL, INTEGRALITY_TOL_BOUND, ohtsuki_c1
 from .documents import parse_input_document, report_to_output
 from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, checked_tolerance
 from .errors import InputFormatError, LogSplitError, NonIntegralChernClass, UnsupportedCase
 from .representation import build
-from .selftest import run_selftest
 from .splitting import classify
 
 EXIT_OK = 0
@@ -55,7 +52,11 @@ def _exit_code(exc: LogSplitError) -> int:
 def _read_input(path: str) -> str:
     # Decoded here, not by sys.stdin: under a C locale that would hand
     # undecodable bytes on to the JSON decoder as lone surrogates.
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -87,7 +88,7 @@ def _cmd_classify(args) -> int:
 def _cmd_c1(args) -> int:
     rep, tol, itol = _document_and_tols(args)
     chern = ohtsuki_c1(build(rep, tol), itol)
-    print(json.dumps(dataclasses.asdict(chern)))
+    print(json.dumps(chern._asdict()))
     return EXIT_OK
 
 
@@ -115,6 +116,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # imported only for this command
+
     results = run_selftest()
     for res in results:
         print(f"PASS {res.name}" if res.passed else f"FAIL {res.name}: {res.detail}")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .eigen import checked_tolerance
@@ -53,13 +53,18 @@ _NUMBER_TYPES = (int, float)
 _TOLERANCE_FIELDS = ("tol", "integrality_tol")
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    punctures: int
-    dim: int
-    generators: tuple[Matrix, ...]
-    tol: float | None = None
-    integrality_tol: float | None = None
+class InputDocument(
+    namedtuple(
+        "InputDocument",
+        "punctures dim generators tol integrality_tol",
+        defaults=(None, None),
+    )
+):
+    """A parsed input document: ``punctures`` and ``dim`` (ints), the
+    ``generators`` (a tuple of Matrix), and the document's ``tol`` and
+    ``integrality_tol``, each a float or None where it gives none."""
+
+    __slots__ = ()
 
     def representation(self) -> Representation:
         return Representation(self.punctures, self.generators)
@@ -241,16 +246,17 @@ def _expect_int(raw: dict, key: str) -> int:
 # output
 
 
-@dataclass(frozen=True)
-class OutputDocument:
-    kind: str
-    c1: int
-    candidates: tuple[tuple[int, ...], ...]
-    ambiguous: bool
-    warnings: tuple[str, ...]
-    raw_q_sum: float
-    integrality_defect: float
-    ln_r_closure_defect: float
+class OutputDocument(
+    namedtuple(
+        "OutputDocument",
+        "kind c1 candidates ambiguous warnings raw_q_sum integrality_defect ln_r_closure_defect",
+    )
+):
+    """The fields of a JSON output document: ``kind`` (str), ``c1`` (int),
+    ``candidates`` (a tuple of root tuples), ``ambiguous`` (bool),
+    ``warnings`` (a tuple of str) and the three float diagnostics."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -63,11 +63,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import (
     FloatRangeError,
@@ -174,23 +174,21 @@ def _float_arg(
     return (_BELOW_ONE if q == 1.0 else q), boundary
 
 
-class EigenPair(NamedTuple):
-    """One eigenvalue: its value, multiplicity, normalized argument q and
-    ln of its modulus.  A named tuple, so immutable, and hashed and
+class EigenPair(namedtuple("EigenPair", "value multiplicity q ln_r")):
+    """One eigenvalue: its ``value`` (a Scalar), ``multiplicity`` (int),
+    normalized argument ``q`` (a Fraction or float) and ``ln_r``, the ln
+    of its modulus (float).  A named tuple, so immutable, and hashed and
     compared by its fields."""
 
-    value: Scalar
-    multiplicity: int
-    q: Fraction | float
-    ln_r: float
+    __slots__ = ()
 
 
-class EigenData(NamedTuple):
-    """Eigenvalue multiset of one local monodromy: its pairs sorted by
-    (q, modulus), and its warnings.  A named tuple, as EigenPair is."""
+class EigenData(namedtuple("EigenData", "pairs warnings", defaults=((),))):
+    """Eigenvalue multiset of one local monodromy: its ``pairs`` (a tuple
+    of EigenPair) sorted by (q, modulus), and its ``warnings`` (a tuple of
+    str).  A named tuple, as EigenPair is."""
 
-    pairs: tuple[EigenPair, ...]
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -17,10 +17,10 @@ return the values as stored or computed: exact Scalars and ``complex``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import chain
 from operator import add, mul
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 from .scalar import ONE, ZERO, Scalar, is_exact, modulus, value_of

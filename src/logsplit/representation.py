@@ -12,7 +12,7 @@ its eigenvalues are solved for, in ``eigen._eigenvalues``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, _eigenvalues, checked_tolerance
 from .eigen import reciprocal_eigenvalues
@@ -22,43 +22,45 @@ from .matrix import Matrix
 SUPPORTED_PUNCTURES = (2, 3)
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Images of the fundamental-group generators, one per finite puncture."""
+class Representation(namedtuple("Representation", "punctures generators")):
+    """Images of the fundamental-group generators, one per finite puncture:
+    ``punctures`` (2 or 3) and ``generators``, a tuple of ``punctures - 1``
+    Matrix of one dimension."""
 
-    punctures: int
-    generators: tuple[Matrix, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.punctures not in SUPPORTED_PUNCTURES:
+    def __new__(cls, punctures: int, generators):
+        if punctures not in SUPPORTED_PUNCTURES:
             raise DimensionMismatch(
-                f"punctures must be one of {SUPPORTED_PUNCTURES}, got {self.punctures}"
+                f"punctures must be one of {SUPPORTED_PUNCTURES}, got {punctures}"
             )
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
-        if len(gens) != self.punctures - 1:
+        gens = tuple(generators)
+        if len(gens) != punctures - 1:
             raise DimensionMismatch(
-                f"{self.punctures} punctures require {self.punctures - 1} generators, "
-                f"got {len(gens)}"
+                f"{punctures} punctures require {punctures - 1} generators, got {len(gens)}"
             )
         dim = gens[0].n
         if any(g.n != dim for g in gens):
             raise DimensionMismatch("all generators must share one dimension")
+        return tuple.__new__(cls, (punctures, gens))
+
+    @classmethod
+    def _make(cls, iterable):
+        # So that ``_replace`` validates too.
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
         return self.generators[0].n
 
 
-@dataclass(frozen=True)
-class PuncturedRepresentation:
-    """A representation together with its puncture-by-puncture residue data.
-
-    ``local_eigen`` is ordered like the punctures: 0, [1,] infinity.
+class PuncturedRepresentation(namedtuple("PuncturedRepresentation", "rep local_eigen")):
+    """A representation ``rep`` together with its puncture-by-puncture
+    residue data ``local_eigen``, a tuple of EigenData ordered like the
+    punctures: 0, [1,] infinity.
     """
 
-    rep: Representation
-    local_eigen: tuple[EigenData, ...]
+    __slots__ = ()
 
     @property
     def infinity_monodromy(self) -> Matrix:

@@ -9,7 +9,7 @@ run at the library's default tolerances, which no option changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chern import ohtsuki_c1
@@ -50,11 +50,11 @@ _GOLDEN_CHARACTER_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    """One golden check: its ``name``, whether it ``passed``, and the
+    ``detail`` of a failure ("" on a pass)."""
+
+    __slots__ = ()
 
 
 def run_selftest() -> list[CheckResult]:

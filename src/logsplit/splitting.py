@@ -37,7 +37,7 @@ family with this monodromy corroborates the argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum, unique
 from fractions import Fraction
 
@@ -66,16 +66,22 @@ class ClassificationKind(Enum):
     THREE_DIM2_IRREDUCIBLE = "ThreeDim2Irreducible"
 
 
-@dataclass(frozen=True)
-class SplittingType:
-    """Twisting parameters of the splitting, sorted descending."""
+class SplittingType(namedtuple("SplittingType", "roots")):
+    """Twisting parameters ``roots`` of the splitting, ints sorted
+    descending."""
 
-    roots: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(int(r) for r in self.roots))
-        if list(self.roots) != sorted(self.roots, reverse=True):
+    def __new__(cls, roots):
+        roots = tuple(int(r) for r in roots)
+        if list(roots) != sorted(roots, reverse=True):
             raise InternalInconsistency("splitting roots must be sorted descending")
+        return tuple.__new__(cls, (roots,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # So that ``_replace`` validates too.
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -87,32 +93,43 @@ class SplittingType:
 Pair = tuple[Scalar | complex, Scalar | complex]
 
 
-@dataclass(frozen=True)
-class InvariantLine:
-    direction: Pair
-    sub_eigen_pair: Pair
-    quotient_eigen_pair: Pair
+class InvariantLine(
+    namedtuple("InvariantLine", "direction sub_eigen_pair quotient_eigen_pair")
+):
+    """A line invariant under m0 and m1: its ``direction``, and the Pairs
+    of eigenvalues of m0 and m1 on the line and on the quotient."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvariantLineReport:
-    lines: tuple[InvariantLine, ...]
-    decomposable: bool
+class InvariantLineReport(namedtuple("InvariantLineReport", "lines decomposable")):
+    """The invariant ``lines`` (a tuple of InvariantLine) of a 2x2 pair,
+    and whether the pair is ``decomposable`` (a bool)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    kind: ClassificationKind
-    candidates: tuple[SplittingType, ...]
-    warnings: tuple[str, ...]
-    chern: ChernResult
+class ClassificationReport(
+    namedtuple("ClassificationReport", "kind candidates warnings chern")
+):
+    """The ClassificationKind, the candidate SplittingTypes (two exactly
+    when the kind is the ambiguous one), the warnings and the
+    ChernResult."""
 
-    def __post_init__(self):
-        ambiguous = self.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
-        if (len(self.candidates) == 2) != ambiguous:
+    __slots__ = ()
+
+    def __new__(cls, kind, candidates, warnings, chern):
+        ambiguous = kind is ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
+        if (len(candidates) == 2) != ambiguous:
             raise InternalInconsistency(
                 "exactly two candidates are allowed iff the report is ambiguous"
             )
+        return tuple.__new__(cls, (kind, candidates, warnings, chern))
+
+    @classmethod
+    def _make(cls, iterable):
+        # So that ``_replace`` validates too.
+        return cls(*iterable)
 
     @property
     def c1(self) -> int:
@@ -253,9 +270,11 @@ def split_two_punctures(
 ) -> ClassificationReport:
     """Splitting on two punctures, any dimension: one O(-1) per
     eigenvalue of the generator off the positive real axis, which c1
-    counts."""
+    counts.  The eigenvalues were solved at the build's tolerance; a
+    ``tol`` outside (0, TOL_BOUND) raises InputFormatError."""
     if prep.punctures != 2:
         raise DimensionMismatch("two-puncture splitting requires 2 punctures")
+    checked_tolerance(tol, "tol", TOL_BOUND)
     chern = ohtsuki_c1(prep, integrality_tol)
     n, k = prep.dim, -chern.c1
     if not 0 <= k <= n:

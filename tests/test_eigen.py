@@ -23,6 +23,7 @@ from logsplit import (
     eigenvalues,
     invariant_lines,
     normalized_arg,
+    split_two_punctures,
 )
 from logsplit.eigen import (
     EIGENVALUE_UNCERTAIN,
@@ -258,14 +259,16 @@ def test_public_solves_check_tol(tol, message):
     # spurious EigenvalueUncertain at -1.0, and at 5.0 one double
     # eigenvalue and a decomposable pair; classify_dim2, on the pair built
     # at the default tol, raised InternalInconsistency at 5.0 and answered
-    # at nan and -1.0.
+    # at nan and -1.0; split_two_punctures answered c1 -2 at every value.
     m0 = Matrix([[1.5 + 0.1j, 2], [3, 4]])
     m1 = Matrix([[1, 0], [0, 2.5 + 0.5j]])
     prep = build(Representation(3, (m0, m1)))
+    prep2 = build(Representation(2, (m0,)))
     for solve in (
         lambda: eigenvalues(m0, tol),
         lambda: invariant_lines(m0, m1, tol),
         lambda: classify_dim2(prep, tol),
+        lambda: split_two_punctures(prep2, tol),
     ):
         with pytest.raises(InputFormatError) as info:
             solve()

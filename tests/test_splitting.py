@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -449,7 +448,7 @@ class TestRootsFromC1:
 
         real = splitting.ohtsuki_c1
         monkeypatch.setattr(
-            splitting, "ohtsuki_c1", lambda prep, tol: dataclasses.replace(real(prep, tol), c1=c1)
+            splitting, "ohtsuki_c1", lambda prep, tol: real(prep, tol)._replace(c1=c1)
         )
 
     @staticmethod
