@@ -8,7 +8,7 @@ value ``.z`` exists for exact and floating eigenvalues alike.
 
 import pytest
 
-from logsplit import LogSplitError, Scalar, build, invariant_lines, parse_input_document
+from logsplit import LogSplitError, Matrix, Scalar, build, invariant_lines, parse_input_document
 from logsplit.eigen import DEFAULT_CLUSTER_TOL
 from conftest import stored_form
 from test_pinned_output import _inexact_3p_documents, _inexact_dim8_documents, _mixed_documents
@@ -37,6 +37,9 @@ def test_accessors_return_exact_scalars_or_complex(name):
         for m in gens:
             values = _matrix_values(m)
             assert all(map(stored_form, values)), (text, values)
+            # The checked constructor keeps each decoded entry as it is.
+            checked = Matrix(m.rows).rows
+            assert all(x is y for r, s in zip(checked, m.rows) for x, y in zip(r, s)), text
             floating_entries += sum(type(e) is complex for row in m.rows for e in row)
         try:
             prep = build(doc.representation())
