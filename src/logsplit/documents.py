@@ -8,7 +8,10 @@ cases: classification near q = 0 or q0 + q1 = 1 is discontinuous, and
 only exact rational q's make it decidable.
 
 Decode rules.  Each entry is decoded once, by one dispatch on its JSON
-type (object, number, anything else), and each check runs once:
+type (object, number, anything else), into the form a Matrix stores (an
+exact Scalar or a ``complex``), and each check runs once; the decoded
+rows become the generator as they are, without the Matrix constructor's
+coercion of every entry:
 
 * a number, or a cartesian object whose ``re`` or ``im`` is 0, lies on an
   axis and is exact: its q is 0, 1/4, 1/2 or 3/4 and its modulus is the
@@ -141,8 +144,8 @@ def _parse_matrix(raw, dim: int, path: str) -> Matrix:
                 entries.append(_parse_entry(entry))
         except (InputFormatError, OutOfBranch) as exc:
             raise type(exc)(f"{path}[{i}][{j}]: {exc}") from exc.__cause__
-        rows.append(entries)
-    return Matrix(rows)
+        rows.append(tuple(entries))
+    return Matrix._of_rows(tuple(rows))
 
 
 def _parse_entry(raw) -> Scalar | complex:

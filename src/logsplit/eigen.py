@@ -12,21 +12,25 @@ exact q's as one unreduced int pair.  There is no Fraction arithmetic on
 the exact route; a Fraction is built only where a q or a q-sum is
 returned, as ``EigenPair.q`` and ``EigenData.q_sum``.
 Everything else is a floating root solve of
-the characteristic polynomial: a cancellation-free closed form for
-quadratics, and simultaneous Aberth-Ehrlich iteration started on the
-circle of the roots' geometric-mean modulus from degree 3 on, restarted
-from the Newton polygon's circles when the roots miss Vieta's formulas
-for the sums of the roots and of their reciprocals.  Whether a
+the characteristic polynomial.  A quadratic, the floating 2x2 of every
+three-puncture document, takes one pass, ``_from_quadratic``: the
+cancellation-free closed form, then the clustering, centroids and Newton
+radii of the general route written out for two roots.  From degree 3 on
+the roots come from simultaneous Aberth-Ehrlich iteration started on the
+circle of the roots' geometric-mean modulus, restarted from the Newton
+polygon's circles when the roots miss Vieta's formulas for the sums of
+the roots and of their reciprocals.  Whether a
 floating root is EigenvalueUncertain is decided by the polynomial's
 roundoff at the root, not by where the iteration stopped; for a root
 that clusters alone, the iteration's last evaluation at it is that of
 its centroid, and is not repeated.  When a
 coefficient is not finite, or the solve overflows or diverges, the roots
-are solved once more for the matrix scaled by a power of two and scaled
-back.
+are solved once more, by the same pass or iteration, for the matrix
+scaled by a power of two, and scaled back.
 
-Both the triangular and the polynomial route group coinciding values by
-one rule, ``_cluster_indices``: exact values when equal, any other pair
+The triangular and the floating routes group coinciding values by one
+rule, ``_cluster_indices``, whose one comparison of two roots the
+quadratic pass makes in place: exact values when equal, any other pair
 within ``tol`` times the larger modulus.  A cluster is
 EigenvalueUncertain when its Newton radius exceeds ten times ``tol``
 times its modulus.  So which values coincide, and which are uncertain,
@@ -94,6 +98,7 @@ BOUNDARY_BAND = 10.0
 TOL_BOUND = 0.5 / BOUNDARY_BAND
 
 _EPS = sys.float_info.epsilon
+_ONE_J = 1 + 0j
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _TWO_PI = 2.0 * math.pi
 
@@ -262,9 +267,9 @@ def _eigenvalues(a: Matrix, tol: float) -> EigenData:
         if below_singularity_threshold(modulus(coeffs[-1]), a.max_abs(), n):
             raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
         try:
-            return _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol, 0)
+            return _from_float_polynomial(coeffs_c, tol, 0)
         except (OverflowError, RootFindingDivergence):
-            pass  # Horner's scheme may overflow where the scaled one does not
+            pass  # the closed form or Horner's scheme may overflow where the scaled one does not
     # Solve for the roots of a * 2**-exp, whose entries are below 1 in
     # modulus: scaling by a power of two is exact, and brings the
     # coefficients and their evaluation back into range when the
@@ -277,7 +282,7 @@ def _eigenvalues(a: Matrix, tol: float) -> EigenData:
     if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
         raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
     try:
-        return _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol, exp)
+        return _from_float_polynomial(coeffs_c, tol, exp)
     except OverflowError as exc:  # abs() of a complex beyond the float range
         raise RootFindingDivergence("polynomial values overflow the floating-point range") from exc
 
@@ -353,6 +358,68 @@ def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenDat
     if any(v is ZERO or (v.__class__ is complex and v == 0) for v in values):
         raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
     return _eigen_data([(values[g[0]], len(g)) for g in _cluster_indices(values, tol)], tol)
+
+
+def _from_float_polynomial(coeffs_c: list[complex], tol: float, exp: int) -> EigenData:
+    """EigenData of the matrix whose scaling by 2**-exp has the finite
+    characteristic polynomial ``coeffs_c``: a quadratic in the one pass of
+    :func:`_from_quadratic`, a higher degree by Aberth iteration."""
+    if len(coeffs_c) == 3:
+        return _from_quadratic(coeffs_c[1], coeffs_c[2], tol, exp)
+    return _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol, exp)
+
+
+def _from_quadratic(b: complex, c: complex, tol: float, exp: int) -> EigenData:
+    """EigenData of the 2x2 matrix whose scaling by 2**-exp has the
+    characteristic polynomial x^2 + b x + c, c != 0, in one pass.
+
+    The roots come without cancellation: the larger t = (-b -+ sqrt(b^2 -
+    4c)) / 2, with the sign that adds the square root to b, and the other
+    root c / t.  The rest is :func:`_from_float_roots` written out for two
+    roots, every float operation in the same order on the same operands:
+    the one comparison of :func:`_cluster_indices`, the centroids as left
+    folds from 0j divided by the size, and each centroid's Newton radius
+    from :func:`_poly_eval`'s Horner scheme on (1, b, c).  Raises
+    RootFindingDivergence for a root that is not finite, and OverflowError
+    where the scaled roots or a modulus overflow.
+    """
+    s = cmath.sqrt(b * b - 4.0 * c)
+    if abs(b - s) > abs(b + s):
+        s = -s
+    t = -0.5 * (b + s)
+    u = c / t
+    if not (cmath.isfinite(t) and cmath.isfinite(u)):
+        raise RootFindingDivergence("root iteration left the floating-point range")
+    if exp:
+        t, u = _ldexp(t, exp), _ldexp(u, exp)
+    try:
+        d = abs(t - u)
+    except OverflowError:  # a distance beyond the float range merges nothing
+        merged = False
+    else:
+        merged = d < tol * modulus(t) or d < tol * modulus(u)
+    if merged:
+        centroids = [((0j + t + u) / 2, 2)]
+    else:
+        # A lone root's negative zero part turns positive in the fold.
+        centroids = [((0j + t) / 1, 1), ((0j + u) / 1, 1)]
+    bound = 10.0 * tol
+    uncertain = False
+    for centroid, _ in centroids:
+        x = _ldexp(centroid, -exp) if exp else centroid
+        # Horner on (1, b, c) at x: p, p' and the roundoff bound on p.
+        ax = abs(x)
+        p = _ONE_J * x + b
+        dp = (0j * x + _ONE_J) * x + p
+        err = abs(p) + ax  # ax * abs(1)
+        p = p * x + c
+        noise = (abs(p) + ax * err) * _EPS
+        radius = 3 * max(abs(p), noise) / max(abs(dp), 1e-300)
+        if exp:
+            radius = math.ldexp(radius, exp)
+        if radius > bound * abs(centroid):
+            uncertain = True
+    return _eigen_data(centroids, tol, uncertain)
 
 
 def _from_float_roots(
@@ -545,14 +612,13 @@ def _poly_eval(coeffs: list[complex], x: complex) -> tuple[complex, complex, flo
 
 def _aberth_solve(
     coeffs: list[complex], budget: int = 200
-) -> tuple[list[complex], list[tuple[complex, complex, float]] | None]:
-    """All roots of a monic polynomial of degree 2 or more whose constant
+) -> tuple[list[complex], list[tuple[complex, complex, float]]]:
+    """All roots of a monic polynomial of degree 3 or more whose constant
     term ``eigenvalues`` has found nonzero, with the iteration's last
-    ``_poly_eval`` at each root (None for the closed form of degree 2).
+    ``_poly_eval`` at each root; a quadratic takes :func:`_from_quadratic`.
 
-    Degree 2 takes the closed form of :func:`_quadratic_roots`.  From
-    degree 3 on the roots come from simultaneous Aberth iteration (Aberth,
-    Math. Comp. 27, 1973), started on the circle of radius |c_n|^(1/n), the
+    The roots come from simultaneous Aberth iteration (Aberth, Math.
+    Comp. 27, 1973), started on the circle of radius |c_n|^(1/n), the
     geometric mean of the root moduli.  Unless the roots then match
     Vieta's formulas (:func:`_vieta_verdict`), a root may have been lost
     next to a cluster, and the iteration restarts once from the circles of
@@ -563,8 +629,6 @@ def _aberth_solve(
     overflowing, and NaN passes every comparison).
     """
     n = len(coeffs) - 1
-    if n == 2:
-        return _finite_roots(_quadratic_roots(coeffs[1], coeffs[2])), None
     radius = math.exp(math.log(abs(coeffs[-1])) / n)
     z, evals = _aberth_iterate(
         coeffs, [radius * cmath.exp(1j * (_TWO_PI * k / n + 0.4)) for k in range(n)], budget
@@ -632,7 +696,8 @@ def _aberth_iterate(
         if all(done) or moved < 64.0 * _EPS:
             exhausted = False
             break
-    _finite_roots(z)
+    if not all(map(cmath.isfinite, z)):
+        raise RootFindingDivergence("root iteration left the floating-point range")
     for i in range(n):
         if not done[i]:
             # A frozen root had |p| <= noise, so only these can miss the
@@ -711,20 +776,3 @@ def _newton_polygon_starts(coeffs: list[complex]) -> list[complex]:
         for j in range(width):
             starts.append(radius * cmath.exp(1j * (_TWO_PI * j / width + _TWO_PI * k0 / n + 0.7)))
     return starts
-
-
-def _quadratic_roots(b: complex, c: complex) -> list[complex]:
-    """Both roots of x^2 + b x + c, c != 0, without cancellation: the
-    larger t = (-b -+ sqrt(b^2 - 4c)) / 2, with the sign that adds the
-    square root to b, and the other root c / t."""
-    s = cmath.sqrt(b * b - 4.0 * c)
-    if abs(b - s) > abs(b + s):
-        s = -s
-    t = -0.5 * (b + s)
-    return [t, c / t]
-
-
-def _finite_roots(roots: list[complex]) -> list[complex]:
-    if not all(cmath.isfinite(r) for r in roots):
-        raise RootFindingDivergence("root iteration left the floating-point range")
-    return roots

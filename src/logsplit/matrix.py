@@ -60,6 +60,15 @@ class Matrix:
         self._rows = grid
 
     @classmethod
+    def _of_rows(cls, grid: tuple[tuple[Scalar | complex, ...], ...]) -> "Matrix":
+        """The Matrix of ``grid``, square row tuples of dimension 1 to
+        MAX_DIM whose entries are already held as stored (exact Scalars and
+        ``complex``), as a decoder builds them: kept as given, unchecked."""
+        m = cls.__new__(cls)
+        m._rows = grid
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 

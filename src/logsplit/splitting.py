@@ -198,7 +198,7 @@ def _invariant_lines(
         return InvariantLineReport((), False)
     if exact and not (c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero):
         v = _kernel_direction((c01, -c00), (c00, c10))
-        return InvariantLineReport((_line(m0, m1, v),), False)
+        return InvariantLineReport(_lines(m0, m1, (v,)), False)
 
     if eigen is None:
         eigen = (_eigenvalues(m0, tol), _eigenvalues(m1, tol))
@@ -211,10 +211,10 @@ def _invariant_lines(
             break
     else:
         axes = ((ONE, ZERO), (ZERO, ONE))
-        return InvariantLineReport(tuple(_line(m0, m1, v) for v in axes), True)
+        return InvariantLineReport(_lines(m0, m1, axes), True)
     directions = _eigendirections(source, source_eigen)
-    lines = tuple(_line(m0, m1, v) for v in directions if exact or _preserved(other, v, tol))
-    return InvariantLineReport(lines, len(lines) >= 2)
+    kept = [v for v in directions if exact or _preserved(other, v, tol)]
+    return InvariantLineReport(_lines(m0, m1, kept), len(kept) >= 2)
 
 
 def _preserved(m: Matrix, v: Pair, tol: float) -> bool:
@@ -225,11 +225,20 @@ def _preserved(m: Matrix, v: Pair, tol: float) -> bool:
     return modulus(cross) < tol * math.hypot(*map(modulus, v)) * math.hypot(*map(modulus, w))
 
 
-def _line(m0: Matrix, m1: Matrix, v: Pair) -> InvariantLine:
-    """The invariant line along the normalized direction v."""
-    i = 0 if v[0] is ONE else 1
-    lams = tuple(row[0] * v[0] + row[1] * v[1] for row in (m0.rows[i], m1.rows[i]))
-    return InvariantLine(v, lams, (quotient(m0.det(), lams[0]), quotient(m1.det(), lams[1])))
+def _lines(m0: Matrix, m1: Matrix, directions) -> tuple[InvariantLine, ...]:
+    """The invariant lines along the normalized ``directions``.  Each
+    carries the eigenvalues of m0 and m1 on it, read at the slot of the
+    direction that holds the exact ONE, and on the quotient det / lambda,
+    from determinants computed once for all the lines."""
+    if not directions:
+        return ()
+    det0, det1 = m0.det(), m1.det()
+    lines = []
+    for v in directions:
+        i = 0 if v[0] is ONE else 1
+        lams = tuple(row[0] * v[0] + row[1] * v[1] for row in (m0.rows[i], m1.rows[i]))
+        lines.append(InvariantLine(v, lams, (quotient(det0, lams[0]), quotient(det1, lams[1]))))
+    return tuple(lines)
 
 
 def _eigendirections(m: Matrix, eigen: EigenData) -> list[Pair]:
@@ -253,7 +262,7 @@ def _kernel_direction(u1: Pair, u2: Pair) -> Pair | None:
 def _normalize_direction(v: Pair) -> Pair:
     # Directions are projective: the leading slot becomes the literal exact
     # ONE (not v_i / v_i, which would inherit the scale factor's
-    # inexactness), which is how _line finds it.
+    # inexactness), which is how _lines finds it.
     if modulus(v[0]) >= modulus(v[1]):
         return (ONE, quotient(v[1], v[0]))
     return (quotient(v[0], v[1]), ONE)

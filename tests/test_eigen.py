@@ -36,6 +36,7 @@ from logsplit.eigen import (
     _cluster_indices,
     _exact_quadratic,
     _from_float_roots,
+    _from_quadratic,
     _newton_polygon_starts,
     _poly_eval,
     _vieta_verdict,
@@ -226,9 +227,10 @@ class TestValueTypes:
             assert (z.real.hex(), z.imag.hex()) == bits
 
     def test_newton_radius_takes_the_first_of_residual_and_noise(self):
-        # Roots 1 and 3 of x^2 - 4x + 3, with crafted last evaluations:
-        # the radius 3 max(|p|, noise) / |p'| of the root 1 against the
-        # bound 10 tol.  max keeps its first argument on a tie and on NaN.
+        # Roots 1, 3 and 5 of x^3 - 9x^2 + 23x - 15, with crafted last
+        # evaluations: the radius 4 max(|p|, noise) / |p'| of the root 1
+        # against the bound 10 tol.  max keeps its first argument on a tie
+        # and on NaN.
         tol = 2.0**-30
         bound = 10 * tol
         verdicts = []
@@ -237,8 +239,9 @@ class TestValueTypes:
             (math.nextafter(bound, 1.0), bound),  # just above: uncertain
             (math.nan, 1.0),  # a NaN residual gives a NaN radius: certain
         ):
-            evals = [(complex(p, 0.0), 3 + 0j, noise), (0j, 1 + 0j, 0.0)]
-            data = _from_float_roots([1 + 0j, -4 + 0j, 3 + 0j], [1 + 0j, 3 + 0j], evals, tol, 0)
+            evals = [(complex(p, 0.0), 4 + 0j, noise)] + [(0j, 1 + 0j, 0.0)] * 2
+            coeffs = [1 + 0j, -9 + 0j, 23 + 0j, -15 + 0j]
+            data = _from_float_roots(coeffs, [1 + 0j, 3 + 0j, 5 + 0j], evals, tol, 0)
             verdicts.append(EIGENVALUE_UNCERTAIN in data.warnings)
         assert verdicts == [False, True, False]
 
@@ -496,6 +499,15 @@ def _expand(roots):
     return coeffs
 
 
+def _float_roots(coeffs):
+    """The roots of the monic ``coeffs``: Aberth's from degree 3 on, and
+    at degree 2 the values of the one-pass quadratic, where tol 0 merges
+    no roots."""
+    if len(coeffs) == 3:
+        return [p.value.z for p in _from_quadratic(coeffs[1], coeffs[2], 0.0, 0).pairs]
+    return _aberth_solve(coeffs)[0]
+
+
 def _integer_roots_1_to_6():
     """(x-1)(x-2)...(x-6) expanded in real floats."""
     coeffs = [1.0]
@@ -535,7 +547,7 @@ class TestFloatRootsOracle:
         # allowed here (k = 1 for a simple root, 2 for a near-double one).
         mpmath = pytest.importorskip("mpmath")
         coeffs = _expand(roots)
-        found = _aberth_solve(coeffs)[0]
+        found = _float_roots(coeffs)
         n = len(coeffs) - 1
         with mpmath.workdps(60):
             mp_coeffs = [mpmath.mpc(c.real, c.imag) for c in coeffs]
@@ -567,7 +579,7 @@ class TestFloatRootsOracle:
     def test_quadratic_roots_of_very_different_size_keep_full_accuracy(self):
         # x^2 - (1e8 + 1e-8) x + 1: the textbook formula loses every digit
         # of the small root to cancellation.
-        roots = sorted(_aberth_solve([1 + 0j, complex(-(1e8 + 1e-8)), 1 + 0j])[0], key=abs)
+        roots = sorted(_float_roots([1 + 0j, complex(-(1e8 + 1e-8)), 1 + 0j]), key=abs)
         assert abs(roots[0] - 1e-8) <= 1e-15 * 1e-8
         assert abs(roots[1] - 1e8) <= 1e-15 * 1e8
 

@@ -6,15 +6,20 @@ of x^2 + b x + c, one clustering comparison, the centroids and the Newton
 radius, and, when that overflows, the same solve of the matrix scaled by
 a power of two.  Each case below pins the resulting EigenData (every
 float in ``float.hex``) and warnings, or the error, so that a rewrite of
-that route which moves one bit fails here.
+that route which moves one bit fails here.  A differential test holds the
+one pass, whose clustering comparison and Horner evaluation are written
+out, to the general ``_cluster_indices`` and ``_poly_eval`` that it
+replaces for two roots.
 """
 
+import cmath
 import math
+import random
 
 import pytest
 
-from logsplit import LogSplitError, Matrix
-from logsplit.eigen import eigenvalues
+from logsplit import LogSplitError, Matrix, RootFindingDivergence
+from logsplit.eigen import _from_float_roots, _from_quadratic, eigenvalues
 
 c = complex
 
@@ -226,3 +231,72 @@ def _outcome(rows, tol):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_float_quadratic_route_is_bit_for_bit(case):
     assert _outcome(*CASES[case]) == EXPECTED[case]
+
+
+def _quadratic_model(b, c, tol, exp):
+    """The general route for x^2 + b x + c: the closed-form roots, then
+    ``_from_float_roots``, which groups them with ``_cluster_indices`` and
+    takes each Newton radius from ``_poly_eval``."""
+    s = cmath.sqrt(b * b - 4.0 * c)
+    if abs(b - s) > abs(b + s):
+        s = -s
+    t = -0.5 * (b + s)
+    roots = [t, c / t]
+    if not all(map(cmath.isfinite, roots)):
+        raise RootFindingDivergence("root iteration left the floating-point range")
+    return _from_float_roots([1 + 0j, b, c], roots, None, tol, exp)
+
+
+def _bits(solve, b, c, tol, exp):
+    try:
+        data = solve(b, c, tol, exp)
+    except (ArithmeticError, LogSplitError) as exc:
+        return type(exc).__name__, str(exc)
+    pairs = [
+        (p.value.z.real.hex(), p.value.z.imag.hex(), p.multiplicity, p.q.hex(), p.ln_r.hex())
+        for p in data.pairs
+    ]
+    return pairs, data.warnings
+
+
+def _random_quadratics(rng, count):
+    """(b, c, tol, exp) of x^2 + b x + c with roots t and u: moduli from
+    1e-6 to 1e6 and near 1e154 and 1e307, u close to t or not, parts of
+    either sign of zero, and scaled solves that overflow on the way back."""
+    gaps = (0.0, 1e-15, 1e-10, 1e-9, 2e-9, 1e-6, 1e-3, 0.04, 1.0)
+    zeros = (0.0, -0.0)
+    for _ in range(count):
+        scale = rng.choice((1.0, 1.0, 1.0, 1e154, 1e307, 1e-150))
+        t = scale * 10.0 ** rng.uniform(-6, 6) * cmath.exp(2j * math.pi * rng.random())
+        if rng.random() < 0.4:
+            gap = rng.choice(gaps) * rng.uniform(0.5, 2.0)
+            u = t * (1.0 + gap * cmath.exp(2j * math.pi * rng.random()))
+        else:
+            u = scale * 10.0 ** rng.uniform(-6, 6) * cmath.exp(2j * math.pi * rng.random())
+        if rng.random() < 0.2:  # roots on an axis, with signed zero parts
+            t = complex(t.real, rng.choice(zeros)) if rng.random() < 0.5 else complex(rng.choice(zeros), t.imag)
+            u = complex(u.real, rng.choice(zeros)) if rng.random() < 0.5 else complex(rng.choice(zeros), u.imag)
+        b, c = -(t + u), t * u
+        if c == 0:
+            continue
+        tol = rng.choice((1e-9, 1e-9, 1e-6, 1e-3, 0.04))
+        exp = rng.choice((0, 0, 0, 3, -40, 600, 1020))
+        yield b, c, tol, exp
+
+
+def test_one_pass_matches_the_general_clustering_and_horner():
+    rng = random.Random(27)
+    outcomes = set()
+    for b, c, tol, exp in _random_quadratics(rng, 20000):
+        expected = _bits(_quadratic_model, b, c, tol, exp)
+        assert _bits(_from_quadratic, b, c, tol, exp) == expected, (b, c, tol, exp)
+        outcomes.add(expected[0] if isinstance(expected[0], str) else len(expected[0]))
+    # Both groupings, and each way the pass can fail, were reached.
+    assert outcomes >= {1, 2, "OverflowError", "RootFindingDivergence", "FloatRangeError"}
+
+
+@pytest.mark.parametrize("case", ["bound-split", "bound-merged"])
+def test_one_pass_matches_the_general_route_at_the_clustering_bound(case):
+    rows, tol = CASES[case]
+    _, b, c = map(complex, Matrix(rows).char_poly())
+    assert _bits(_from_quadratic, b, c, tol, 0) == _bits(_quadratic_model, b, c, tol, 0)
