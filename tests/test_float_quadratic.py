@@ -23,8 +23,8 @@ from logsplit.eigen import _from_float_roots, _from_quadratic, eigenvalues
 
 c = complex
 
-#: The tolerances either side of the clustering bound of the "bound" matrix:
-#: its two roots lie exactly tol * |larger root| apart at the last bit.
+#: The smallest tol at which the two roots of _BOUND merge, and the float
+#: below it, which keeps them apart.
 _MERGE_TOL = float.fromhex("0x1.7023987a94cb8p-7")
 _SPLIT_TOL = math.nextafter(_MERGE_TOL, 0.0)
 
@@ -259,12 +259,17 @@ def _bits(solve, b, c, tol, exp):
     return pairs, data.warnings
 
 
+def _on_axis(rng, z):
+    """``z`` moved onto an axis, its other part a zero of either sign."""
+    zero = rng.choice((0.0, -0.0))
+    return complex(z.real, zero) if rng.random() < 0.5 else complex(zero, z.imag)
+
+
 def _random_quadratics(rng, count):
     """(b, c, tol, exp) of x^2 + b x + c with roots t and u: moduli from
     1e-6 to 1e6 and near 1e154 and 1e307, u close to t or not, parts of
     either sign of zero, and scaled solves that overflow on the way back."""
     gaps = (0.0, 1e-15, 1e-10, 1e-9, 2e-9, 1e-6, 1e-3, 0.04, 1.0)
-    zeros = (0.0, -0.0)
     for _ in range(count):
         scale = rng.choice((1.0, 1.0, 1.0, 1e154, 1e307, 1e-150))
         t = scale * 10.0 ** rng.uniform(-6, 6) * cmath.exp(2j * math.pi * rng.random())
@@ -273,9 +278,8 @@ def _random_quadratics(rng, count):
             u = t * (1.0 + gap * cmath.exp(2j * math.pi * rng.random()))
         else:
             u = scale * 10.0 ** rng.uniform(-6, 6) * cmath.exp(2j * math.pi * rng.random())
-        if rng.random() < 0.2:  # roots on an axis, with signed zero parts
-            t = complex(t.real, rng.choice(zeros)) if rng.random() < 0.5 else complex(rng.choice(zeros), t.imag)
-            u = complex(u.real, rng.choice(zeros)) if rng.random() < 0.5 else complex(rng.choice(zeros), u.imag)
+        if rng.random() < 0.2:
+            t, u = _on_axis(rng, t), _on_axis(rng, u)
         b, c = -(t + u), t * u
         if c == 0:
             continue
@@ -285,7 +289,7 @@ def _random_quadratics(rng, count):
 
 
 def test_one_pass_matches_the_general_clustering_and_horner():
-    rng = random.Random(27)
+    rng = random.Random(5)
     outcomes = set()
     for b, c, tol, exp in _random_quadratics(rng, 20000):
         expected = _bits(_quadratic_model, b, c, tol, exp)
