@@ -26,7 +26,9 @@ that clusters alone, the iteration's last evaluation at it is that of
 its centroid, and is not repeated.  When a
 coefficient is not finite, or the solve overflows or diverges, the roots
 are solved once more, by the same pass or iteration, for the matrix
-scaled by a power of two, and scaled back.
+scaled by a power of two, and scaled back.  An infinite roundoff bound at
+a finite root certifies nothing, so it too sends the solve to that
+retry, and the EigenvalueUncertain verdict does not change with scale.
 
 The triangular and the floating routes group coinciding values by one
 rule, ``_cluster_indices``, whose one comparison of two roots the
@@ -381,7 +383,7 @@ def _from_quadratic(b: complex, c: complex, tol: float, exp: int) -> EigenData:
     folds from 0j divided by the size, and each centroid's Newton radius
     from :func:`_poly_eval`'s Horner scheme on (1, b, c).  Raises
     RootFindingDivergence for a root that is not finite, and OverflowError
-    where the scaled roots or a modulus overflow.
+    where the scaled roots, a modulus or a roundoff bound overflow.
     """
     s = cmath.sqrt(b * b - 4.0 * c)
     if abs(b - s) > abs(b + s):
@@ -414,6 +416,8 @@ def _from_quadratic(b: complex, c: complex, tol: float, exp: int) -> EigenData:
         err = abs(p) + ax  # ax * abs(1)
         p = p * x + c
         noise = (abs(p) + ax * err) * _EPS
+        if noise == math.inf:
+            raise OverflowError("roundoff bound beyond the float range")
         radius = 3 * max(abs(p), noise) / max(abs(dp), 1e-300)
         if exp:
             radius = math.ldexp(radius, exp)
@@ -431,7 +435,8 @@ def _from_float_roots(
 ) -> EigenData:
     """EigenData of the matrix whose scaling by 2**-exp has characteristic
     polynomial ``coeffs_c`` with roots ``roots``; ``evals``, when given,
-    holds the iteration's last ``_poly_eval`` at each root."""
+    holds the iteration's last ``_poly_eval`` at each root.  Raises
+    OverflowError where a roundoff bound overflows."""
     if exp:
         roots = [_ldexp(r, exp) for r in roots]
         evals = None  # made at the other scale
@@ -457,6 +462,8 @@ def _from_float_roots(
             p, dp, noise = evals[group[0]]
         else:
             p, dp, noise = _poly_eval(coeffs_c, _ldexp(centroid, -exp) if exp else centroid)
+        if noise == math.inf:
+            raise OverflowError("roundoff bound beyond the float range")
         # max keeps its first argument on a tie and on NaN.
         radius = terms * max(abs(p), noise) / max(abs(dp), 1e-300)
         if exp:

@@ -63,7 +63,8 @@ class Matrix:
     def _of_rows(cls, grid: tuple[tuple[Scalar | complex, ...], ...]) -> "Matrix":
         """The Matrix of ``grid``, square row tuples of dimension 1 to
         MAX_DIM whose entries are already held as stored (exact Scalars and
-        ``complex``), as a decoder builds them: kept as given, unchecked."""
+        ``complex``), as a decoder or a product builds them: kept as given,
+        unchecked."""
         m = cls.__new__(cls)
         m._rows = grid
         return m
@@ -112,7 +113,10 @@ class Matrix:
         if self.n != other.n:
             raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
         cols = tuple(zip(*other._rows))
-        return Matrix([[reduce(add, map(mul, row, col)) for col in cols] for row in self._rows])
+        # Scalar arithmetic yields stored values: exact Scalars and complex.
+        return Matrix._of_rows(
+            tuple([tuple([reduce(add, map(mul, row, col)) for col in cols]) for row in self._rows])
+        )
 
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.n:

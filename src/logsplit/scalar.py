@@ -22,17 +22,20 @@ Both r and q are held as reduced pairs ``(numerator, denominator)`` of
 negations and colinear sums and differences are done on the pairs, not
 with Fraction arithmetic: a product reduces with ``math.gcd``, and a
 negation, like the test whether two values of a sum are opposite, adds a
-half turn with no gcd at all (``_half_turn``).  ``Scalar.r`` and
-``Scalar.q`` build their Fractions when read, and no arithmetic here
-reads them; ``.q`` of a quarter turn is its shared constant (Q_ZERO,
-Q_QUARTER, Q_HALF or Q_THREE_QUARTERS).  Downstream a Fraction is built
-only for ``EigenPair.q`` and ``EigenData.q_sum`` (eigen.py).
+half turn with no gcd at all (``_half_turn``).  A difference of two exact
+values is one operation, like a sum: it builds no negated operand.
+``Scalar.r`` and ``Scalar.q`` build their Fractions when read, and no
+arithmetic here reads them; ``.q`` of a quarter turn is its shared
+constant (Q_ZERO, Q_QUARTER, Q_HALF or Q_THREE_QUARTERS).  Downstream a
+Fraction is built only for ``EigenPair.q`` and ``EigenData.q_sum``
+(eigen.py).
 The float modulus is ``numerator / denominator``, which is how
 ``float(Fraction)`` rounds, and inf beyond the float range.  Code
 outside this module reads an exact real as a signed pair with
 ``real_ratio``, builds a real from a signed pair with ``real_scalar``
 and a polar value from a modulus pair and a turn pair with
-``Scalar(None, r, q)``, as the exact quadratic solve does.
+``Scalar(None, r, q)``, as the exact quadratic solve does, and compares
+two moduli with ``modulus_at_least``, exactly when both values are exact.
 
 Exactness is provenance, not coincidence: values produced by the float
 root finder stay inexact even when their imaginary part happens to vanish,
@@ -273,7 +276,25 @@ class Scalar:
         o = other if other.__class__ is Scalar else value_of(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if o is _ZERO:
+            return self if self._r is not None else self._z
+        q = self._q
+        if q is None or o.__class__ is complex or o._q is None:
+            return self + (-o)
+        # Two exact polar values, in one step: self + (-o) without building -o.
+        oq = o._q
+        if q == oq:
+            on, od = o._r
+            n, d = _ratio_sum(self._r, (-on, od))
+            if n > 0:
+                return Scalar(None, (n, d), q)
+            if n < 0:
+                return Scalar(None, (-n, d), _half_turn(q))
+            return _ZERO
+        if _half_turn(q) == oq:
+            return Scalar(None, _ratio_sum(self._r, o._r), q)
+        # The complex value of -o, as self + (-o) reads it.
+        return self.z + Scalar(None, o._r, _half_turn(oq)).z
 
     def __rsub__(self, other) -> "Scalar | complex":
         o = value_of(other)
@@ -381,9 +402,21 @@ def is_exact(x: Scalar | complex) -> bool:
     return x.__class__ is Scalar and x._r is not None
 
 
-def real_ratio(x: Scalar) -> tuple[int, int] | None:
+def modulus_at_least(x: Scalar | complex, y: Scalar | complex) -> bool:
+    """``|x| >= |y|``, on the exact moduli when both values are exact (a
+    nonzero modulus whose float is 0.0 still counts), else on the float
+    moduli."""
+    if is_exact(x) and is_exact(y):
+        (a, b), (c, d) = x._r, y._r
+        return a * d >= c * b
+    return modulus(x) >= modulus(y)
+
+
+def real_ratio(x: Scalar | complex) -> tuple[int, int] | None:
     """The signed reduced ``(numerator, denominator)`` of an exact real
     Scalar, ``(0, 1)`` for the exact zero; None for any other value."""
+    if x.__class__ is not Scalar:
+        return None
     q = x._q
     if x is _ZERO or q == (0, 1):
         return x._r

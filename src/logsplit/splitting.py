@@ -10,6 +10,13 @@ line.  The only test per summand is the origin test (q0 = q1 = 0, root
 decides the diagonal q0 + q1 = 1.  A c1 that does not split this way is
 InternalInconsistency.
 
+Whether a 2x2 pair is reducible, and along which line, is decided by one
+of three routes, in this order: on integers when all eight entries are
+exact reals, by the commutator in Scalar arithmetic for other exact
+pairs, and by floating eigendirections for commuting or floating pairs.
+The first two give the same values, and both compare exact moduli
+exactly when they pick and normalize the kernel direction.
+
 Sub at -2 over a quotient at the origin is the (-2, 0) case.  Its answer
 is O(-1) + O(-1); it is not two-valued:
   * Let D = {0, 1, oo} and E the canonical extension.  E's sub line L is
@@ -52,7 +59,8 @@ from .errors import (
 )
 from .matrix import Matrix
 from .representation import PuncturedRepresentation, Representation, build
-from .scalar import ONE, ZERO, Scalar, is_exact, modulus, quotient, value_of
+from .scalar import ONE, ZERO, Scalar, is_exact, modulus, modulus_at_least, quotient
+from .scalar import real_ratio, real_scalar, value_of
 
 
 @unique
@@ -166,10 +174,14 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
 
     The pair shares an eigenvector iff C = m0 m1 - m1 m0 has det C = 0
     (Shemesh, Lin. Alg. Appl. 62, 1984); exact C and det C decide, and
-    C != 0 gives the line ker C.  A commuting pair, or floating data
-    (where a bound on det C is relative to C, not to the pair), keeps the
-    eigendirections v of a non-scalar member that the other maps to a w
-    with |v x w| < tol |v| |w|.  v comes from the member with the larger
+    C != 0 gives the line ker C.  They are worked out on integers when all
+    eight entries are exact reals, else in Scalar arithmetic.  ker C is
+    spanned by the candidate (c01, -c00) or (c00, c10) with the larger
+    entry, normalized at its larger slot, where two exact values compare
+    by their exact moduli and any other pair by float moduli.  A commuting
+    pair, or floating data (where a bound on det C is relative to C, not
+    to the pair), keeps the eigendirections v of a non-scalar member that
+    the other maps to a w with |v x w| < tol |v| |w|.  v comes from the member with the larger
     relative eigenvalue gap |lam1 - lam2| / max|entry|, whose eigenvectors
     are the better conditioned (Stewart & Sun, Matrix Perturbation Theory,
     ch. V): m0 on a tie, the other member when that one is scalar at
@@ -186,19 +198,13 @@ def _invariant_lines(
 ) -> InvariantLineReport:
     if m0.n != 2 or m1.n != 2:
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
-    (a, b), (c, d) = m0.rows
-    (e, f), (g, h) = m1.rows
-    a_d, e_h = a - d, e - h
-    c00 = b * g - f * c
-    c01 = f * a_d - b * e_h
-    c10 = c * e_h - g * a_d
-    det_c = c00 * c00 + c01 * c10  # det C = -det_c; C has trace 0.
-    exact = all(map(is_exact, (c00, c01, c10, det_c)))
-    if exact and not det_c.is_exact_zero:
-        return InvariantLineReport((), False)
-    if exact and not (c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero):
-        v = _kernel_direction((c01, -c00), (c00, c10))
-        return InvariantLineReport(_lines(m0, m1, (v,)), False)
+    ratios = list(map(real_ratio, m0.rows[0] + m0.rows[1] + m1.rows[0] + m1.rows[1]))
+    if None in ratios:
+        lines, exact = _commutator_lines(m0, m1)
+    else:
+        lines, exact = _integer_lines(*ratios), True
+    if lines is not None:
+        return InvariantLineReport(lines, False)
 
     if eigen is None:
         eigen = (_eigenvalues(m0, tol), _eigenvalues(m1, tol))
@@ -215,6 +221,74 @@ def _invariant_lines(
     directions = _eigendirections(source, source_eigen)
     kept = [v for v in directions if exact or _preserved(other, v, tol)]
     return InvariantLineReport(_lines(m0, m1, kept), len(kept) >= 2)
+
+
+def _integer_lines(a, b, c, d, e, f, g, h) -> tuple[InvariantLine, ...] | None:
+    """The commutator's decision for an exact real pair, from the signed
+    int pairs of m0's entries a..d and m1's e..h: no line when det C != 0,
+    the line ker C, or None when C = 0.
+
+    m0 = A / s and m1 = B / t with integer A and B, so C = (AB - BA) / st
+    has the zeros, the kernel and the ratios of entry moduli of K = AB -
+    BA.  Each value is built once, as Scalar arithmetic on the entries
+    would leave it: a reduced real, ZERO for 0, and ONE at the leading
+    slot of the direction.
+    """
+    s = math.lcm(a[1], b[1], c[1], d[1])
+    t = math.lcm(e[1], f[1], g[1], h[1])
+    a, b, c, d = (n * (s // m) for n, m in (a, b, c, d))
+    e, f, g, h = (n * (t // m) for n, m in (e, f, g, h))
+    a_d, e_h = a - d, e - h
+    k00 = b * g - f * c
+    k01 = f * a_d - b * e_h
+    k10 = c * e_h - g * a_d
+    if k00 * k00 + k01 * k10:
+        return ()
+    if not (k00 or k01 or k10):
+        return None
+    # _kernel_direction on integers: the candidate with the larger entry,
+    # whose larger slot is the leading one.
+    v0, v1 = (k01, -k00) if max(abs(k01), abs(k00)) >= max(abs(k00), abs(k10)) else (k00, k10)
+    if abs(v0) >= abs(v1):
+        lead, direction, rows = v0, (ONE, _real(v1, v0)), ((a, b), (e, f))
+    else:
+        lead, direction, rows = v1, (_real(v0, v1), ONE), ((c, d), (g, h))
+    # (m v)_i = lam v_i at the leading slot i: lam = (row_i . v) / (scale v_i),
+    # and the quotient det / lam.
+    l0, l1 = (p * v0 + q * v1 for p, q in rows)
+    sub = (_real(l0, s * lead), _real(l1, t * lead))
+    quotients = (_real((a * d - b * c) * lead, s * l0), _real((e * h - f * g) * lead, t * l1))
+    return (InvariantLine(direction, sub, quotients),)
+
+
+def _real(n: int, d: int) -> Scalar:
+    """The exact real n / d as Scalar arithmetic yields it: ZERO for 0, and
+    ZeroDivisionError for d = 0, as a Scalar division by ZERO raises."""
+    if not d:
+        raise ZeroDivisionError("reciprocal of exact zero")
+    if not n:
+        return ZERO
+    return real_scalar(n, d) if d > 0 else real_scalar(-n, -d)
+
+
+def _commutator_lines(m0: Matrix, m1: Matrix) -> tuple[tuple[InvariantLine, ...] | None, bool]:
+    """The commutator's decision in Scalar arithmetic, and whether C and
+    det C are exact: no line or the line ker C when they are and C != 0,
+    else None."""
+    (a, b), (c, d) = m0.rows
+    (e, f), (g, h) = m1.rows
+    a_d, e_h = a - d, e - h
+    c00 = b * g - f * c
+    c01 = f * a_d - b * e_h
+    c10 = c * e_h - g * a_d
+    det_c = c00 * c00 + c01 * c10  # det C = -det_c; C has trace 0.
+    exact = all(map(is_exact, (c00, c01, c10, det_c)))
+    if exact and not det_c.is_exact_zero:
+        return (), True
+    if exact and not (c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero):
+        v = _kernel_direction((c01, -c00), (c00, c10))
+        return _lines(m0, m1, (v,)), True
+    return None, exact
 
 
 def _preserved(m: Matrix, v: Pair, tol: float) -> bool:
@@ -251,19 +325,23 @@ def _eigendirections(m: Matrix, eigen: EigenData) -> list[Pair]:
 
 
 def _kernel_direction(u1: Pair, u2: Pair) -> Pair | None:
-    """The larger of two candidate kernel vectors, normalized; None when
-    both vanish."""
-    v = u1 if max(map(modulus, u1)) >= max(map(modulus, u2)) else u2
-    if max(map(modulus, v)) == 0.0:
+    """The candidate kernel vector with the larger entry, normalized; None
+    when both vanish.  Moduli compare as ``modulus_at_least`` compares
+    them, so an exact entry whose float modulus underflows to 0.0 is not
+    taken for zero."""
+    top1 = u1[0] if modulus_at_least(*u1) else u1[1]
+    top2 = u2[0] if modulus_at_least(*u2) else u2[1]
+    v, top = (u1, top1) if modulus_at_least(top1, top2) else (u2, top2)
+    if top == 0:
         return None
     return _normalize_direction(v)
 
 
 def _normalize_direction(v: Pair) -> Pair:
-    # Directions are projective: the leading slot becomes the literal exact
-    # ONE (not v_i / v_i, which would inherit the scale factor's
-    # inexactness), which is how _lines finds it.
-    if modulus(v[0]) >= modulus(v[1]):
+    # Directions are projective: the leading slot, the larger one, becomes
+    # the literal exact ONE (not v_i / v_i, which would inherit the scale
+    # factor's inexactness), which is how _lines finds it.
+    if modulus_at_least(*v):
         return (ONE, quotient(v[1], v[0]))
     return (quotient(v[0], v[1]), ONE)
 

@@ -22,11 +22,23 @@ commutator; their lines are those of (A, B), with the eigenvalues scaled
 by omega and eta.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
 
-from logsplit import Matrix, Scalar, invariant_lines
+import pytest
+
+from logsplit import (
+    ClassificationKind,
+    Matrix,
+    Representation,
+    Scalar,
+    SplittingType,
+    classify,
+    invariant_lines,
+)
+from logsplit.cli import EXIT_OK, main
 from logsplit.scalar import ONE, ZERO, is_exact
 
 F = Fraction
@@ -123,7 +135,8 @@ def _value_matches(x, expected, scale=ONE):
 
 def _line_matches(line, expected, scales=(ONE, ONE)):
     lead, v, lams, quotients = expected
-    if line.direction[lead] is not ONE or not _value_matches(line.direction[1 - lead], v[1 - lead]):
+    other = 1 - lead
+    if line.direction[lead] is not ONE or not _value_matches(line.direction[other], v[other]):
         return False
     return all(
         _value_matches(x, e, s)
@@ -300,3 +313,59 @@ def test_polar_pairs_take_the_scalar_commutator_with_the_same_lines():
         assert _report_matches(report, expected, (omega, eta)), (m0, m1, report)
         checked += 1
     assert checked >= 100
+
+
+# Entries 2^-500, 2^-500 (1 + 2^-52) and 2^-600: the commutator entry
+# f (a - d) = -2^-1152 is exactly nonzero, but its float modulus is 0.0.
+UNDERFLOW_DOCUMENT = (
+    '{"punctures": 3, "dim": 2, "generators": [[[3.054936363499605e-151, 0], '
+    '[0, 3.0549363634996054e-151]], [[1, 2.409919865102884e-181], [0, 2]]]}'
+)
+_UNDERFLOW = json.loads(UNDERFLOW_DOCUMENT)["generators"]
+
+#: A line (1, x) with x = 1 + 2^-60: |v0| and |v1| round to one float.
+_X = 1 + F(1, 2**60)
+_CLOSE_MODULI = (
+    [[F(2), F(1)], [F(0), F(3)]],
+    [[F(5), F(1)], [F(0), F(7)]],
+)
+
+
+def _close_moduli_pair():
+    s, s_inv = [[F(1), F(0)], [_X, F(1)]], [[F(1), F(0)], [-_X, F(1)]]
+    return [_mul(_mul(s, t), s_inv) for t in _CLOSE_MODULI]
+
+
+def _polar(m, omega):
+    return Matrix([[omega * Scalar.exact(x) for x in row] for row in m])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        [[[F(x) for x in row] for row in m] for m in _UNDERFLOW],
+        _close_moduli_pair(),
+    ],
+    ids=["underflow", "close-moduli"],
+)
+def test_kernel_directions_compare_exact_moduli(pair):
+    m0, m1 = pair
+    expected = model(m0, m1)
+    assert len(expected[0]) == 1
+    assert _report_matches(invariant_lines(Matrix(m0), Matrix(m1)), expected)
+    # The Scalar commutator, on the same pair turned by omega and eta.
+    omega, eta = Scalar.polar(1, F(1, 4)), Scalar.polar(2, F(1, 3))
+    report = invariant_lines(_polar(m0, omega), _polar(m1, eta))
+    assert _report_matches(report, expected, (omega, eta))
+
+
+def test_the_underflow_document_is_answered(tmp_path, capsys):
+    gens = tuple(Matrix(m) for m in _UNDERFLOW)
+    report = classify(Representation(3, gens))
+    assert report.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
+    assert (report.c1, report.candidates, report.warnings) == (0, (SplittingType((0, 0)),), ())
+    path = tmp_path / "underflow.json"
+    path.write_text(UNDERFLOW_DOCUMENT, encoding="utf-8")
+    assert main(["classify", str(path)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert (out["kind"], out["c1"], out["candidates"]) == ("ThreeDim2ReducibleSplit", 0, [[0, 0]])

@@ -31,8 +31,9 @@ _SPLIT_TOL = math.nextafter(_MERGE_TOL, 0.0)
 _BOUND = [[c(-0.6, 0.8), c(0.0025, 0.005)], [c(-0.00125, 0.000625), c(-0.61, 0.805)]]
 
 # The large eigenvalue's |t| (|t| + |u|) overflows Horner's roundoff bound to
-# inf, which flags it EigenvalueUncertain at this scale and not at 2^-100:
-# the warning is not scale-invariant.  Pinned as it stands.
+# inf at this scale.  An infinite bound certifies nothing, so the roots are
+# solved again at the scale 2^-512, and the warnings are those of the
+# matrix at every scale: BranchBoundary alone.
 _NOISE_OVERFLOW = [[c(1.34e154, 1.0), c(1.0, 1.0)], [c(1.0, -1.0), c(1.0, 3.3e153)]]
 
 CASES = {
@@ -175,7 +176,7 @@ EXPECTED = {
             ("0x1.81e9131abf0b8p-1", "0x1.f81083120dacdp+509", 1,
              "0x1.0000000000000p-2", "0x1.617d4c0d1007bp+8"),
         ],
-        ["BranchBoundary", "EigenvalueUncertain"],
+        ["BranchBoundary"],
     ),
     "horner-noise-overflow-scaled": (
         [
@@ -231,6 +232,12 @@ def _outcome(rows, tol):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_float_quadratic_route_is_bit_for_bit(case):
     assert _outcome(*CASES[case]) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("k", [0, -100, -200, 50])
+def test_an_overflowing_roundoff_bound_warns_at_no_scale(k):
+    rows = [[e * 2.0**k for e in row] for row in _NOISE_OVERFLOW]
+    assert eigenvalues(Matrix(rows), 1e-9).warnings == ("BranchBoundary",)
 
 
 def _quadratic_model(b, c, tol, exp):
@@ -295,8 +302,12 @@ def test_one_pass_matches_the_general_clustering_and_horner():
         expected = _bits(_quadratic_model, b, c, tol, exp)
         assert _bits(_from_quadratic, b, c, tol, exp) == expected, (b, c, tol, exp)
         outcomes.add(expected[0] if isinstance(expected[0], str) else len(expected[0]))
-    # Both groupings, and each way the pass can fail, were reached.
+        if expected[0] == "OverflowError":
+            outcomes.add(expected[1])
+    # Both groupings, and each way the pass can fail, were reached, an
+    # infinite roundoff bound at finite roots among them.
     assert outcomes >= {1, 2, "OverflowError", "RootFindingDivergence", "FloatRangeError"}
+    assert "roundoff bound beyond the float range" in outcomes
 
 
 @pytest.mark.parametrize("case", ["bound-split", "bound-merged"])

@@ -314,6 +314,15 @@ def test_arithmetic_matches_the_model(op, s, other, scalar_left):
     _assert_same(OPS[op](x, y), want)
 
 
+@settings(max_examples=400)
+@given(scalars, scalars | plain)
+def test_difference_is_the_sum_with_the_negated_operand(s, other):
+    # A difference of exact values is one operation; it must leave what
+    # adding the negated operand leaves, bit for bit.
+    want = s + (-_value(other))
+    _assert_same(s - other, want if isinstance(want, Scalar) else Scalar.inexact(want))
+
+
 @given(scalars)
 def test_negation_matches_the_model(s):
     _assert_same(-s, _model_neg(s))
