@@ -23,11 +23,12 @@ the roots and of their reciprocals.  Whether a
 floating root is EigenvalueUncertain is decided by the polynomial's
 roundoff at the root, not by where the iteration stopped; for a root
 that clusters alone, the iteration's last evaluation at it is that of
-its centroid, and is not repeated.  When a
-coefficient is not finite, or the solve overflows or diverges, the roots
-are solved once more, by the same pass or iteration, for the matrix
-scaled by a power of two, and scaled back.  An infinite roundoff bound at
-a finite root certifies nothing, so it too sends the solve to that
+its centroid, and is not repeated.  The roots are grouped, and their
+Newton radii tested, at the scale the polynomial is solved at.  When a
+coefficient is not finite, or the solve overflows or diverges, the
+matrix scaled by a power of two is solved once more, by the same pass or
+iteration, and only its eigenvalues are scaled back.  An infinite
+roundoff bound certifies nothing, so it too sends the solve to that
 retry, and the EigenvalueUncertain verdict does not change with scale.
 
 The triangular and the floating routes group coinciding values by one
@@ -134,8 +135,10 @@ def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | 
 
     Exact polar inputs return their stored rational q verbatim.  Floating
     inputs within ``tol`` of the branch cut (near 0 or near 1) snap to
-    exactly 0; the branch is half-open.
+    exactly 0; the branch is half-open.  A ``tol`` outside (0, TOL_BOUND)
+    raises InputFormatError.
     """
+    bounds = _arg_bounds(checked_tolerance(tol, "tol", TOL_BOUND))
     v = value_of(z)
     if v is None:
         raise TypeError(f"cannot take the argument of {type(z).__name__}")
@@ -143,7 +146,7 @@ def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | 
         raise ZeroArgument("the zero scalar has no argument")
     if v.__class__ is Scalar:
         return v.q
-    q, _ = _float_arg(v, _arg_bounds(tol))
+    q, _ = _float_arg(v, bounds)
     return q
 
 
@@ -252,41 +255,58 @@ def _eigenvalues(a: Matrix, tol: float) -> EigenData:
     Raises ZeroEigenvalue for an exactly zero root (a triangular diagonal
     entry or an exact 2x2 determinant), SingularMatrix for a floating
     determinant below_singularity_threshold, the one zero test of a
-    floating root, and RootFindingDivergence when the iteration exhausts
-    its budget without reaching the residual noise floor, also for the
-    scaled matrix.
+    floating root, RootFindingDivergence when the iteration exhausts its
+    budget without reaching the residual noise floor, also for the scaled
+    matrix, and FloatRangeError for an eigenvalue beyond the float range.
+    The floating block, the singularity test and the solve at one scale,
+    runs on ``a`` and at most once more, on ``a * 2**-exp``.
     """
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_diagonal(a.diagonal(), tol)
     coeffs = a.char_poly()
-    if n == 2 and is_exact(coeffs[1]) and is_exact(coeffs[2]):
+    if n == 2:
         exact = _exact_quadratic(coeffs[1], coeffs[2])
         if exact is not None:
             return _eigen_data(exact, tol)
-    coeffs_c = list(map(complex, coeffs))
-    if all(map(cmath.isfinite, coeffs_c)):
-        if below_singularity_threshold(modulus(coeffs[-1]), a.max_abs(), n):
-            raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
+    m, exp = a, 0
+    for retry in (False, True):
         try:
-            return _from_float_polynomial(coeffs_c, tol, 0)
-        except (OverflowError, RootFindingDivergence):
-            pass  # the closed form or Horner's scheme may overflow where the scaled one does not
-    # Solve for the roots of a * 2**-exp, whose entries are below 1 in
-    # modulus: scaling by a power of two is exact, and brings the
-    # coefficients and their evaluation back into range when the
-    # eigenvalues themselves are.
-    exp = math.frexp(a.max_abs())[1]
-    scaled = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a.rows])
-    coeffs_c = list(map(complex, scaled.char_poly()))
-    # The singularity test of the unscaled solve, made at this scale: below
-    # it the smallest eigenvalues are not determined by the floating entries.
-    if below_singularity_threshold(abs(coeffs_c[-1]), scaled.max_abs(), n):
-        raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
-    try:
-        return _from_float_polynomial(coeffs_c, tol, exp)
-    except OverflowError as exc:  # abs() of a complex beyond the float range
-        raise RootFindingDivergence("polynomial values overflow the floating-point range") from exc
+            coeffs_c = list(map(complex, coeffs))
+            if not all(map(cmath.isfinite, coeffs_c)):
+                raise OverflowError("coefficient beyond the float range")
+            if below_singularity_threshold(modulus(coeffs[-1]), m.max_abs(), n):
+                raise SingularMatrix(
+                    f"{n}x{n} determinant below tolerance at the scale of its entries"
+                )
+            if n == 2:
+                centroids, uncertain = _from_quadratic(coeffs_c[1], coeffs_c[2], tol)
+            else:
+                centroids, uncertain = _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol)
+            break
+        except RootFindingDivergence:
+            if retry:
+                raise
+        except OverflowError as exc:
+            if retry:
+                raise RootFindingDivergence(
+                    "polynomial values overflow the floating-point range"
+                ) from exc
+        # Entries below 1 in modulus: scaling by a power of two is exact, and
+        # brings the coefficients and their evaluation back into range when
+        # the eigenvalues themselves are.
+        exp = math.frexp(a.max_abs())[1]
+        m = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a.rows])
+        coeffs = m.char_poly()
+    if exp:
+        for k, (z, size) in enumerate(centroids):
+            try:
+                centroids[k] = _ldexp(z, exp), size
+            except OverflowError:
+                raise FloatRangeError(
+                    f"eigenvalue {z!r} * 2**{exp} outside the floating-point range"
+                ) from None
+    return _eigen_data(centroids, tol, uncertain)
 
 
 def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
@@ -362,18 +382,9 @@ def _from_diagonal(values: tuple[Scalar | complex, ...], tol: float) -> EigenDat
     return _eigen_data([(values[g[0]], len(g)) for g in _cluster_indices(values, tol)], tol)
 
 
-def _from_float_polynomial(coeffs_c: list[complex], tol: float, exp: int) -> EigenData:
-    """EigenData of the matrix whose scaling by 2**-exp has the finite
-    characteristic polynomial ``coeffs_c``: a quadratic in the one pass of
-    :func:`_from_quadratic`, a higher degree by Aberth iteration."""
-    if len(coeffs_c) == 3:
-        return _from_quadratic(coeffs_c[1], coeffs_c[2], tol, exp)
-    return _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol, exp)
-
-
-def _from_quadratic(b: complex, c: complex, tol: float, exp: int) -> EigenData:
-    """EigenData of the 2x2 matrix whose scaling by 2**-exp has the
-    characteristic polynomial x^2 + b x + c, c != 0, in one pass.
+def _from_quadratic(b: complex, c: complex, tol: float) -> tuple[list[tuple[complex, int]], bool]:
+    """(centroids, uncertain) of x^2 + b x + c, c != 0, in one pass, at
+    the scale of b and c.
 
     The roots come without cancellation: the larger t = (-b -+ sqrt(b^2 -
     4c)) / 2, with the sign that adds the square root to b, and the other
@@ -383,7 +394,7 @@ def _from_quadratic(b: complex, c: complex, tol: float, exp: int) -> EigenData:
     folds from 0j divided by the size, and each centroid's Newton radius
     from :func:`_poly_eval`'s Horner scheme on (1, b, c).  Raises
     RootFindingDivergence for a root that is not finite, and OverflowError
-    where the scaled roots, a modulus or a roundoff bound overflow.
+    for a distance, centroid or roundoff bound that is not.
     """
     s = cmath.sqrt(b * b - 4.0 * c)
     if abs(b - s) > abs(b + s):
@@ -392,23 +403,15 @@ def _from_quadratic(b: complex, c: complex, tol: float, exp: int) -> EigenData:
     u = c / t
     if not (cmath.isfinite(t) and cmath.isfinite(u)):
         raise RootFindingDivergence("root iteration left the floating-point range")
-    if exp:
-        t, u = _ldexp(t, exp), _ldexp(u, exp)
-    try:
-        d = abs(t - u)
-    except OverflowError:  # a distance beyond the float range merges nothing
-        merged = False
-    else:
-        merged = d < tol * modulus(t) or d < tol * modulus(u)
-    if merged:
+    d = abs(t - u)
+    if d < tol * modulus(t) or d < tol * modulus(u):
         centroids = [((0j + t + u) / 2, 2)]
     else:
         # A lone root's negative zero part turns positive in the fold.
         centroids = [((0j + t) / 1, 1), ((0j + u) / 1, 1)]
     bound = 10.0 * tol
     uncertain = False
-    for centroid, _ in centroids:
-        x = _ldexp(centroid, -exp) if exp else centroid
+    for x, _ in centroids:
         # Horner on (1, b, c) at x: p, p' and the roundoff bound on p.
         ax = abs(x)
         p = _ONE_J * x + b
@@ -416,30 +419,26 @@ def _from_quadratic(b: complex, c: complex, tol: float, exp: int) -> EigenData:
         err = abs(p) + ax  # ax * abs(1)
         p = p * x + c
         noise = (abs(p) + ax * err) * _EPS
-        if noise == math.inf:
+        if not noise < math.inf:  # NaN too, at a centroid that is not finite
             raise OverflowError("roundoff bound beyond the float range")
         radius = 3 * max(abs(p), noise) / max(abs(dp), 1e-300)
-        if exp:
-            radius = math.ldexp(radius, exp)
-        if radius > bound * abs(centroid):
+        if radius > bound * ax:
             uncertain = True
-    return _eigen_data(centroids, tol, uncertain)
+    return centroids, uncertain
 
 
 def _from_float_roots(
     coeffs_c: list[complex],
     roots: list[complex],
-    evals: list[tuple[complex, complex, float]] | None,
+    evals: list[tuple[complex, complex, float]],
     tol: float,
-    exp: int,
-) -> EigenData:
-    """EigenData of the matrix whose scaling by 2**-exp has characteristic
-    polynomial ``coeffs_c`` with roots ``roots``; ``evals``, when given,
-    holds the iteration's last ``_poly_eval`` at each root.  Raises
-    OverflowError where a roundoff bound overflows."""
-    if exp:
-        roots = [_ldexp(r, exp) for r in roots]
-        evals = None  # made at the other scale
+) -> tuple[list[tuple[complex, int]], bool]:
+    """(centroids, uncertain) of the roots ``roots`` of the characteristic
+    polynomial ``coeffs_c``, at its scale: each cluster's centroid with its
+    size, and whether a Newton radius exceeds ten times ``tol`` times its
+    centroid's modulus.  ``evals`` holds the last ``_poly_eval`` at each
+    root.  Raises OverflowError for a centroid or roundoff bound that is
+    not finite, as it is at a root whose distance to another is not."""
     terms = len(coeffs_c)
     bound = 10.0 * tol
     centroids: list[tuple[complex, int]] = []
@@ -456,22 +455,20 @@ def _from_float_roots(
         # multiple) roots that the clustering tolerance cannot merge.  The
         # residual counts at least at its roundoff bound, so the verdict
         # depends on the polynomial, not on where the iteration stopped.
-        # A lone unscaled root is its own centroid (up to the sign of a
-        # zero part), so the iteration's last evaluation there stands.
-        if evals is not None and size == 1:
+        # A lone root is its own centroid (up to the sign of a zero part),
+        # so the iteration's last evaluation there stands.
+        if size == 1:
             p, dp, noise = evals[group[0]]
         else:
-            p, dp, noise = _poly_eval(coeffs_c, _ldexp(centroid, -exp) if exp else centroid)
-        if noise == math.inf:
+            p, dp, noise = _poly_eval(coeffs_c, centroid)
+        if not noise < math.inf:  # NaN too, at a centroid that is not finite
             raise OverflowError("roundoff bound beyond the float range")
         # max keeps its first argument on a tie and on NaN.
         radius = terms * max(abs(p), noise) / max(abs(dp), 1e-300)
-        if exp:
-            radius = math.ldexp(radius, exp)
         if radius > bound * abs(centroid):
             uncertain = True
         centroids.append((centroid, size))
-    return _eigen_data(centroids, tol, uncertain)
+    return centroids, uncertain
 
 
 def _ldexp(z: complex, exp: int) -> complex:

@@ -50,7 +50,6 @@ from fractions import Fraction
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ChernResult, ohtsuki_c1
 from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, _eigenvalues, checked_tolerance
-from .eigen import normalized_arg
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -395,17 +394,18 @@ def _classify_dim2(
     chern = ohtsuki_c1(prep, integrality_tol)
     zeta = chern.c1
     m0, m1 = prep.rep.generators
-    report = _invariant_lines(m0, m1, tol, prep.local_eigen[:2])
+    eigen = prep.local_eigen[:2]
+    report = _invariant_lines(m0, m1, tol, eigen)
 
     if not report.lines:
         # Irreducible: the roots balance around c1 / 2.
         kind, roots = ClassificationKind.THREE_DIM2_IRREDUCIBLE, [(zeta + 1) // 2, zeta // 2]
     elif report.decomposable:
         kind = ClassificationKind.THREE_DIM2_DECOMPOSABLE
-        roots = _summand_roots([line.sub_eigen_pair for line in report.lines], zeta, tol)
+        roots = _summand_roots([line.sub_eigen_pair for line in report.lines], zeta, eigen)
     else:
         line = report.lines[0]
-        roots = _summand_roots([line.sub_eigen_pair, line.quotient_eigen_pair], zeta, tol)
+        roots = _summand_roots([line.sub_eigen_pair, line.quotient_eigen_pair], zeta, eigen)
         if roots == [-2, 0]:
             kind = ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
             candidates = (SplittingType((-1, -1)), SplittingType((0, -2)))
@@ -415,12 +415,19 @@ def _classify_dim2(
     return ClassificationReport(kind, candidates, prep.warnings(), chern)
 
 
-def _summand_roots(summands: list[Pair], zeta: int, tol: float) -> list[int]:
+def _summand_roots(
+    summands: list[Pair], zeta: int, eigen: tuple[EigenData, EigenData]
+) -> list[int]:
     """c1 split over line summands, given by their eigenvalue pairs at
     punctures 0 and 1: 0 for a summand at the origin (both q = 0), -1 or
-    -2 for each of the others.  Two of those are reported sorted, so which
-    one takes the -2 does not matter."""
-    at_origin = [all(normalized_arg(lam, tol) == 0 for lam in pair) for pair in summands]
+    -2 for each of the others.  Each q is the one the solve in ``eigen``,
+    m0's and m1's EigenData, decided for that eigenvalue, so the origin
+    test reads the branch decisions c1 was summed from.  Two of the
+    others are reported sorted, so which one takes the -2 does not
+    matter."""
+    at_origin = [
+        all(_solved_q(lam, data) == 0 for lam, data in zip(pair, eigen)) for pair in summands
+    ]
     off = at_origin.count(False)
     twos = -zeta - off
     if not 0 <= twos <= off:
@@ -429,6 +436,17 @@ def _summand_roots(summands: list[Pair], zeta: int, tol: float) -> list[int]:
         )
     roots = iter([-2] * twos + [-1] * (off - twos))
     return [0 if origin else next(roots) for origin in at_origin]
+
+
+def _solved_q(lam: Scalar | complex, data: EigenData) -> Fraction | float:
+    """The q of the EigenPair of ``data`` that is the eigenvalue ``lam``:
+    the equal pair when both values are exact, else the nearest."""
+    if is_exact(lam):
+        for p in data.pairs:
+            if is_exact(p.value) and p.value == lam:
+                return p.q
+    z = complex(lam)
+    return min(data.pairs, key=lambda p: modulus(p.value.z - z)).q
 
 
 def classify(

@@ -221,10 +221,9 @@ class TestValueTypes:
         ],
     )
     def test_lone_root_centroid_bits(self, coeffs, root, bits):
-        for evals in (None, [(0j, 1 + 0j, 0.0)]):
-            (pair,) = _from_float_roots(coeffs, [root], evals, 1e-9, 0).pairs
-            z = pair.value.z
-            assert (z.real.hex(), z.imag.hex()) == bits
+        for evals in ([_poly_eval(coeffs, root)], [(0j, 1 + 0j, 0.0)]):
+            ((z, size),), _ = _from_float_roots(coeffs, [root], evals, 1e-9)
+            assert (z.real.hex(), z.imag.hex(), size) == bits + (1,)
 
     def test_newton_radius_takes_the_first_of_residual_and_noise(self):
         # Roots 1, 3 and 5 of x^3 - 9x^2 + 23x - 15, with crafted last
@@ -241,8 +240,8 @@ class TestValueTypes:
         ):
             evals = [(complex(p, 0.0), 4 + 0j, noise)] + [(0j, 1 + 0j, 0.0)] * 2
             coeffs = [1 + 0j, -9 + 0j, 23 + 0j, -15 + 0j]
-            data = _from_float_roots(coeffs, [1 + 0j, 3 + 0j, 5 + 0j], evals, tol, 0)
-            verdicts.append(EIGENVALUE_UNCERTAIN in data.warnings)
+            _, uncertain = _from_float_roots(coeffs, [1 + 0j, 3 + 0j, 5 + 0j], evals, tol)
+            verdicts.append(uncertain)
         assert verdicts == [False, True, False]
 
 
@@ -262,7 +261,9 @@ def test_public_solves_check_tol(tol, message):
     # spurious EigenvalueUncertain at -1.0, and at 5.0 one double
     # eigenvalue and a decomposable pair; classify_dim2, on the pair built
     # at the default tol, raised InternalInconsistency at 5.0 and answered
-    # at nan and -1.0; split_two_punctures answered c1 -2 at every value.
+    # at nan and -1.0; split_two_punctures answered c1 -2 at every value;
+    # normalized_arg snapped every value to q = 0 at 5.0, and raised
+    # TypeError at "x".
     m0 = Matrix([[1.5 + 0.1j, 2], [3, 4]])
     m1 = Matrix([[1, 0], [0, 2.5 + 0.5j]])
     prep = build(Representation(3, (m0, m1)))
@@ -272,6 +273,7 @@ def test_public_solves_check_tol(tol, message):
         lambda: invariant_lines(m0, m1, tol),
         lambda: classify_dim2(prep, tol),
         lambda: split_two_punctures(prep2, tol),
+        lambda: normalized_arg(m0[0, 0], tol),
     ):
         with pytest.raises(InputFormatError) as info:
             solve()
@@ -504,7 +506,7 @@ def _float_roots(coeffs):
     at degree 2 the values of the one-pass quadratic, where tol 0 merges
     no roots."""
     if len(coeffs) == 3:
-        return [p.value.z for p in _from_quadratic(coeffs[1], coeffs[2], 0.0, 0).pairs]
+        return [z for z, _ in _from_quadratic(coeffs[1], coeffs[2], 0.0)[0]]
     return _aberth_solve(coeffs)[0]
 
 

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -304,6 +306,27 @@ class TestClassifyDim2:
             assert abs(r1 - r2) <= 1
             assert r1 + r2 == report.c1
             assert (report.c1 % 2 == 0) == (r1 == r2)
+
+
+    @pytest.mark.parametrize(
+        "build_tol, classify_tol, c1, roots, warnings",
+        [(1e-9, 1e-3, -3, (-1, -2), ()), (1e-3, 1e-9, -1, (0, -1), ("BranchBoundary",))],
+    )
+    def test_origin_test_reads_the_branch_decisions_of_the_build(
+        self, build_tol, classify_tol, c1, roots, warnings
+    ):
+        # e(0.0005) and e(0.9996) snap to q = 0 at 1e-3 and not at 1e-9.
+        # c1 sums the q's decided when the pair was built, and so does the
+        # origin test, whatever tol classify_dim2 is given: a second snap
+        # at the other tol split c1 over the wrong number of summands.
+        e = lambda q: cmath.exp(2j * math.pi * q)
+        m0 = Matrix([[e(0.0005), 0j], [0j, e(0.3)]])
+        m1 = Matrix([[e(0.9996), 0j], [0j, e(0.45)]])
+        report = classify_dim2(build(Representation(3, (m0, m1)), build_tol), classify_tol)
+        assert report.kind is ClassificationKind.THREE_DIM2_DECOMPOSABLE
+        assert report.c1 == c1
+        assert [c.roots for c in report.candidates] == [roots]
+        assert report.warnings == warnings
 
 
 class TestWarningsAndHighDimensions:
