@@ -22,6 +22,10 @@ coercion of every entry:
   [0, 1).  Float q's are refused, since they would be read as dyadic
   approximations.
 
+The matrix reader decodes the commonest entry, a cartesian object of two
+nonzero floats with a finite modulus, inline, to the ``complex`` that
+``_parse_entry`` gives it; every other entry takes ``_parse_entry``.
+
 Error contract.  Every malformed document raises InputFormatError, or
 OutOfBranch for a polar q outside [0, 1), and the command line exits 1
 with one ``error[...]`` line.  The message names the offending field
@@ -141,6 +145,20 @@ def _parse_matrix(raw, dim: int, path: str) -> Matrix:
         entries = []
         try:
             for j, entry in enumerate(row):
+                # A floating cartesian entry, decoded inline as _parse_entry
+                # decodes it; every other entry takes _parse_entry.
+                if entry.__class__ is dict and len(entry) == 2:
+                    re = entry.get("re")
+                    im = entry.get("im")
+                    if (
+                        re.__class__ is float
+                        and im.__class__ is float
+                        and re
+                        and im
+                        and math.hypot(re, im) < math.inf
+                    ):
+                        entries.append(complex(re, im))
+                        continue
                 entries.append(_parse_entry(entry))
         except (InputFormatError, OutOfBranch) as exc:
             raise type(exc)(f"{path}[{i}][{j}]: {exc}") from exc.__cause__

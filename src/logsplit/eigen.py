@@ -19,7 +19,11 @@ radii of the general route written out for two roots.  From degree 3 on
 the roots come from simultaneous Aberth-Ehrlich iteration started on the
 circle of the roots' geometric-mean modulus, restarted from the Newton
 polygon's circles when the roots miss Vieta's formulas for the sums of
-the roots and of their reciprocals.  Whether a
+the roots and of their reciprocals.  The iteration freezes a root once
+its residual |p| is within Horner's roundoff bound on p, and forms that
+bound only near convergence, where |p| is at most a ceiling the bound
+cannot exceed (``_roundoff_ceiling``); a |p| above the ceiling is above
+the bound too, so no freeze decision changes.  Whether a
 floating root is EigenvalueUncertain is decided by the polynomial's
 roundoff at the root, not by where the iteration stopped; for a root
 that clusters alone, the iteration's last evaluation at it is that of
@@ -27,9 +31,13 @@ its centroid, and is not repeated.  The roots are grouped, and their
 Newton radii tested, at the scale the polynomial is solved at.  When a
 coefficient is not finite, or the solve overflows or diverges, the
 matrix scaled by a power of two is solved once more, by the same pass or
-iteration, and only its eigenvalues are scaled back.  An infinite
+iteration, and only its eigenvalues are scaled back.  The scale is that
+of the largest entry modulus, or, where a modulus overflows although its
+parts are finite, of the largest part.  An infinite
 roundoff bound certifies nothing, so it too sends the solve to that
 retry, and the EigenvalueUncertain verdict does not change with scale.
+A floating eigenvalue whose modulus leaves the float range, its parts
+finite or not, is a FloatRangeError.
 
 The triangular and the floating routes group coinciding values by one
 rule, ``_cluster_indices``, whose one comparison of two roots the
@@ -294,8 +302,12 @@ def _eigenvalues(a: Matrix, tol: float) -> EigenData:
                 ) from exc
         # Entries below 1 in modulus: scaling by a power of two is exact, and
         # brings the coefficients and their evaluation back into range when
-        # the eigenvalues themselves are.
-        exp = math.frexp(a.max_abs())[1]
+        # the eigenvalues themselves are.  Where a modulus overflows, the
+        # largest real or imaginary part sets the scale: its parts are finite.
+        top = a.max_abs()
+        if top == math.inf:
+            top = max(max(abs(z.real), abs(z.imag)) for row in a.rows for z in map(complex, row))
+        exp = math.frexp(top)[1]
         m = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a.rows])
         coeffs = m.char_poly()
     if exp:
@@ -345,10 +357,11 @@ def _eigen_data(
     keyed = []
     for k, (value, mult) in enumerate(clusters):
         if value.__class__ is complex:
-            if not cmath.isfinite(value):
-                # NaN would pass every later comparison.
-                raise FloatRangeError(f"eigenvalue {value!r} outside the floating-point range")
             r = modulus(value)
+            if not r < math.inf:
+                # A part that is not finite, or finite parts whose modulus
+                # overflows; NaN would pass every later comparison.
+                raise FloatRangeError(f"eigenvalue {value!r} outside the floating-point range")
             q, near = _float_arg(value, bounds, None if snaps is None else snaps[k])
             boundary = boundary or near
             key = q
@@ -485,28 +498,42 @@ def _cluster_indices(values: list, tol: float) -> list[list[int]]:
     not change with the scale of the values; the groups close this
     relation transitively.  Each value is compared with the members of
     the groups built before it, and joins, or merges, every group it
-    coincides with, so at n = 2 there is one comparison."""
+    coincides with, so at n = 2 there is one comparison.  When every value
+    is a complex, as every floating root is, the comparison is the
+    distance test alone."""
+    floating = all(v.__class__ is complex for v in values)
     groups: list[list[int]] = []
     sizes: list[float] = []  # tol * |x| of each value compared so far
     for j, y in enumerate(values):
-        y_exact = is_exact(y)
+        y_exact = not floating and is_exact(y)
         y_size = tol * modulus(y)
         home = None
         for g in groups[:]:  # y may merge groups
-            for i in g:
-                x = values[i]
-                if y_exact and is_exact(x):
-                    if x == y:
+            if floating:
+                for i in g:
+                    try:
+                        d = abs(values[i] - y)
+                    except OverflowError:  # a distance beyond the float range
+                        continue
+                    if d < sizes[i] or d < y_size:
                         break
+                else:
                     continue
-                try:
-                    d = abs(complex(x) - complex(y))
-                except OverflowError:  # a distance beyond the float range
-                    continue
-                if d < sizes[i] or d < y_size:
-                    break
             else:
-                continue
+                for i in g:
+                    x = values[i]
+                    if y_exact and is_exact(x):
+                        if x == y:
+                            break
+                        continue
+                    try:
+                        d = abs(complex(x) - complex(y))
+                    except OverflowError:
+                        continue
+                    if d < sizes[i] or d < y_size:
+                        break
+                else:
+                    continue
             if home is None:
                 g.append(j)
                 home = g
@@ -645,6 +672,27 @@ def _aberth_solve(
     return z, evals
 
 
+def _roundoff_ceiling(coeffs: list[complex]) -> tuple[float, float]:
+    """(ceiling, reach) of a monic polynomial of degree n: at an x with
+    M = max(1, |x|) below ``reach``, the roundoff bound of
+    :func:`_poly_eval` is at most ``ceiling * M**n``.
+
+    With S = sum |c_j|, Horner's k-th value is at most S * M^k, so the
+    bound, eps times n + 1 such values each times |x|^(n-k), is at most
+    (n + 1) * eps * S * M^n, up to roundoff of relative order n * eps,
+    which the factor 4 of the ceiling covers.  Below ``reach``, where
+    S * M^n < 2^1000 and M < 1e30, no Horner value's modulus overflows
+    ``abs``, which raises OverflowError as the bound is formed, and M^n
+    (n <= MAX_DIM) does not overflow ``**``.  A coefficient whose modulus
+    overflows makes S infinite and ``reach`` 0.
+    """
+    degree = len(coeffs) - 1
+    total = 0.0  # a left fold: ``sum`` compensates from Python 3.12 on
+    for c in coeffs:
+        total += modulus(c)
+    return 4.0 * (degree + 1) * _EPS * total, min(1e30, (2.0**1000 / total) ** (1.0 / degree))
+
+
 def _aberth_iterate(
     coeffs: list[complex], z: list[complex], budget: int
 ) -> tuple[list[complex], list[tuple[complex, complex, float]]]:
@@ -657,8 +705,17 @@ def _aberth_iterate(
     stops when every root is frozen or no root moves; a root the budget
     leaves above 1e3 times its bound raises RootFindingDivergence.  A
     root the iteration loses to a cluster is the Vieta check's to catch.
+
+    Each sweep is fused: Horner's scheme for p and p' runs inline, every
+    float operation that of :func:`_poly_eval`, and the roundoff bound is
+    formed only where |p| is at most :func:`_roundoff_ceiling`, which the
+    bound cannot exceed.  A |p| above the ceiling is above the bound, so
+    the root is not frozen, as it would not be with the bound formed.
     """
     n = len(z)
+    head, tail = coeffs[0], coeffs[1:]
+    degree = len(tail)
+    ceiling, reach = _roundoff_ceiling(coeffs)
     done = [False] * n
     evals: list = [None] * n
     exhausted = True
@@ -668,35 +725,48 @@ def _aberth_iterate(
             if done[i]:
                 # Never moved again, so its evaluation stands.
                 continue
-            p, dp, noise = _poly_eval(coeffs, z[i])
-            # An overflowed bound (noise = inf) certifies nothing.
-            if abs(p) <= noise < math.inf:
-                done[i] = True
-                evals[i] = p, dp, noise
-                continue
+            x = z[i]
+            p, dp = head, 0j
+            for c in tail:
+                dp = dp * x + p
+                p = p * x + c
+            ap = abs(p)
+            ax = abs(x)
+            big = ax if ax > 1.0 else 1.0
+            if not (big < reach and ap > ceiling * big**degree):
+                err = abs(head)
+                b = head
+                for c in tail:
+                    b = b * x + c
+                    err = abs(b) + ax * err
+                noise = err * _EPS
+                # An overflowed bound (noise = inf) certifies nothing.
+                if ap <= noise < math.inf:
+                    done[i] = True
+                    evals[i] = p, dp, noise
+                    continue
             if dp == 0:
-                z[i] += (1.0 + abs(z[i])) * 1e-6 * (1 + 1j)
+                z[i] = x + (1.0 + ax) * 1e-6 * (1 + 1j)
                 moved = math.inf
                 continue
             newton = p / dp
             repulse = 0j
-            collided = False
-            for j in range(n):
-                if j == i:
-                    continue
-                dz = z[i] - z[j]
-                if dz == 0:
-                    collided = True
-                    break
-                repulse += 1.0 / dz
-            if collided:
-                z[i] += (1.0 + abs(z[i])) * 1e-6 * (1 - 1j)
+            try:
+                for y in z[:i]:
+                    repulse += 1.0 / (x - y)
+                for y in z[i + 1 :]:
+                    repulse += 1.0 / (x - y)
+            except ZeroDivisionError:  # x collides with another root
+                z[i] = x + (1.0 + ax) * 1e-6 * (1 - 1j)
                 moved = math.inf
                 continue
             denom = 1.0 - newton * repulse
             w = newton if denom == 0 else newton / denom
-            z[i] -= w
-            moved = max(moved, abs(w) / (1.0 + abs(z[i])))
+            z[i] = x = x - w
+            # A tie or a NaN step leaves ``moved`` as it is.
+            step = abs(w) / (1.0 + abs(x))
+            if step > moved:
+                moved = step
         if all(done) or moved < 64.0 * _EPS:
             exhausted = False
             break

@@ -1,5 +1,6 @@
 """The matrix-entry decoder: pinned rejection messages, the bound on polar
-q strings, and malformed entries through the command line."""
+q strings, malformed entries through the command line, and the inline
+decoding of floating cartesian entries held to ``_parse_entry``."""
 
 import contextlib
 import io
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from logsplit import InputFormatError, OutOfBranch, parse_input_document
 from logsplit.cli import EXIT_ERROR, main
+from logsplit.documents import _parse_entry, _parse_matrix
 
 HUGE = "1" + "0" * 399  # an integer literal beyond the float range
 AT = "generators[1][1][0]: "
@@ -190,3 +192,84 @@ def test_malformed_entry_exits_one_with_a_single_error_line(case):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(("error[InputFormatError]: " + path, "error[OutOfBranch]: " + path))
+
+
+# ---------------------------------------------------------------------------
+# the inline decoding of floating cartesian entries
+
+
+def _decoded(decode):
+    """``("value", form)`` of what ``decode()`` returns, every float as
+    ``float.hex``, or ``("error", type, message)``."""
+    try:
+        v = decode()
+    except (InputFormatError, OutOfBranch) as exc:
+        return "error", type(exc), str(exc)
+    if type(v) is complex:
+        return "value", complex, v.real.hex(), v.imag.hex()
+    return "value", type(v), v._z, v._r, v._q
+
+
+def _through_the_matrix(entry):
+    return _decoded(lambda: _parse_matrix([[entry]], 1, "g")[0, 0])
+
+
+def _through_the_entry(entry):
+    found = _decoded(lambda: _parse_entry(entry))
+    if found[0] == "error":
+        return found[:2] + ("g[0][0]: " + found[2],)
+    return found
+
+
+parts = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7e308, 5e-324, float("nan"), float("inf")]),
+    st.integers(-5, 5),
+    st.integers(min_value=10**309, max_value=10**310),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+entries = st.one_of(
+    parts,
+    st.builds(lambda re, im: {"re": re, "im": im}, parts, parts),
+    st.builds(lambda re: {"re": re}, parts),
+    st.builds(lambda im: {"im": im}, parts),
+    st.dictionaries(st.sampled_from(["re", "im", "r", "q", "x"]), parts, max_size=3),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries)
+def test_the_inline_cartesian_decoding_is_parse_entry(entry):
+    assert _through_the_matrix(entry) == _through_the_entry(entry)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"re": 0.5, "im": -0.25}',
+        '{"re": -0.0, "im": 0.5}',
+        '{"re": 0.5, "im": 0.0}',
+        '{"re": 1, "im": 0.5}',
+        '{"re": 1.5}',
+        "2.5",
+        "-0.0",
+        "3",
+        "NaN",
+        "Infinity",
+        '{"re": NaN, "im": 1.0}',
+        '{"re": 1.0, "im": Infinity}',
+        '{"re": 1e308, "im": 1e308}',
+        '{"re": 1.7e308, "im": 1.7e308}',
+        '{"re": 1.0, "im": 2.0, "x": 3.0}',
+        '{"re": 1.0, "x": 3.0}',
+        '{"re": true, "im": 1.0}',
+        '{"re": 1.0, "im": false}',
+        "true",
+        '{"r": 1.5, "q": "1/3"}',
+    ],
+)
+def test_each_entry_form_decodes_as_parse_entry_does(text):
+    entry = json.loads(text)
+    assert _through_the_matrix(entry) == _through_the_entry(entry)

@@ -281,6 +281,19 @@ def test_public_solves_check_tol(tol, message):
 
 
 class TestEigenvaluesFloat:
+    def test_an_overflowing_modulus_is_outside_the_float_range(self):
+        # Finite parts, a modulus beyond the float range: the eigenvalue is
+        # refused where it is read, naming the top of the range, not as its
+        # reciprocal's modulus below it at infinity.
+        m = Matrix([[1.3e308 + 1.3e308j, 0j], [0j, 1 + 0j]])
+        message = "eigenvalue (1.3e+308+1.3e+308j) outside the floating-point range"
+        with pytest.raises(FloatRangeError) as info:
+            eigenvalues(m)
+        assert str(info.value) == message
+        with pytest.raises(FloatRangeError) as info:
+            classify(Representation(2, (m,)))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11])
     def test_small_eigenvalue_is_answered_in_every_basis(self, t):
         # Triangular or not, the small eigenvalue is decided once, by the

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from logsplit import LogSplitError, Matrix, RootFindingDivergence
+from logsplit import FloatRangeError, LogSplitError, Matrix, RootFindingDivergence
 from logsplit.eigen import _from_float_roots, _from_quadratic, _poly_eval, eigenvalues
 
 c = complex
@@ -306,12 +306,18 @@ def test_every_scale_up_answers_the_scale_1_data_scaled(case):
 
 
 def test_the_retry_runs_once_at_exponent_0():
-    # Entries whose parts are finite and whose modulus is not: frexp of the
-    # largest modulus, inf, gives the exponent 0, and the retry at that
-    # scale fails as the first solve did, once, with no OverflowError.
+    # Entries whose parts are finite and whose modulus is not.  The retry
+    # takes its scale from the largest part, 0.81 * 2^1024, so it solves
+    # _BOUND itself at the exponent 1024 (frexp of the largest modulus,
+    # inf, gave 0, and a retry that failed as the first solve did).  Scaled
+    # back, the larger eigenvalue, 1.0104 * 2^1024, has finite parts and a
+    # modulus beyond the float range.
     rows = [[_ldexp(complex(e), 1024) for e in row] for row in _BOUND]
-    with pytest.raises(RootFindingDivergence, match="polynomial values overflow"):
+    larger = max((p.value.z for p in eigenvalues(Matrix(_BOUND), _SPLIT_TOL).pairs), key=abs)
+    message = f"eigenvalue {_ldexp(larger, 1024)!r} outside the floating-point range"
+    with pytest.raises(FloatRangeError) as info:
         eigenvalues(Matrix(rows), _SPLIT_TOL)
+    assert str(info.value) == message
 
 
 def _quadratic_model(b, c, tol):
