@@ -22,7 +22,6 @@ from .eigen import (
     EigenData,
     EigenPair,
     eigenvalues,
-    normalized_arg,
 )
 from .errors import (
     DimensionMismatch,
@@ -36,7 +35,6 @@ from .errors import (
     RootFindingDivergence,
     SingularMatrix,
     UnsupportedCase,
-    ZeroArgument,
     ZeroEigenvalue,
 )
 from .matrix import Matrix, char_poly, mat_inverse, mat_mul
@@ -63,23 +61,10 @@ from .splitting import (
 
 __version__ = "0.1.0"
 
-#: Names of ``selftest``, which is imported on first access (PEP 562) so
-#: that no other command pays for it.
-_SELFTEST_NAMES = ("CheckResult", "golden_representation", "run_selftest")
-
-
-def __getattr__(name: str):
-    if name in _SELFTEST_NAMES:
-        from . import selftest
-
-        return getattr(selftest, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BRANCH_BOUNDARY",
     "ChernResult",
-    "CheckResult",
     "ClassificationKind",
     "ClassificationReport",
     "DEFAULT_CLUSTER_TOL",
@@ -107,7 +92,6 @@ __all__ = [
     "SingularMatrix",
     "SplittingType",
     "UnsupportedCase",
-    "ZeroArgument",
     "ZeroEigenvalue",
     "build",
     "char_poly",
@@ -116,15 +100,12 @@ __all__ = [
     "classify_dim2",
     "conjugate",
     "eigenvalues",
-    "golden_representation",
     "invariant_lines",
     "mat_inverse",
     "mat_mul",
     "monodromy_at_infinity",
-    "normalized_arg",
     "ohtsuki_c1",
     "parse_input_document",
     "report_to_output",
-    "run_selftest",
     "split_two_punctures",
 ]

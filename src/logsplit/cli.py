@@ -1,11 +1,12 @@
 """Command line interface.
 
-Commands: ``classify`` (full pipeline), ``c1`` (Chern class only),
-``sweep`` (character region table as CSV), ``selftest`` (embedded golden
-checks).  Structured results go to stdout; human diagnostics to stderr.
+Commands: ``classify`` (full pipeline), ``c1`` (Chern class only) and
+``sweep`` (character region table as CSV).  Structured results go to
+stdout; human diagnostics to stderr.
 
 Exit codes: 0 ok, 1 usage, validation or numeric error, 2 unsupported
-case, 3 non-integral Chern class, 4 self-test failure.
+case, 3 non-integral Chern class.  Code 4, once a failed self-test, is
+retired and never returned.
 
 ``classify`` and ``c1`` check a tolerance given by a flag or the document
 against the library's bound, naming the flag or the ``tolerances.*`` field.
@@ -33,7 +34,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSUPPORTED = 2
 EXIT_NONINTEGRAL = 3
-EXIT_SELFTEST = 4
 
 #: The parallelism/clustering/snapping tolerance default, the library's.
 CLI_DEFAULT_TOL = DEFAULT_CLUSTER_TOL
@@ -115,15 +115,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest  # imported only for this command
-
-    results = run_selftest()
-    for res in results:
-        print(f"PASS {res.name}" if res.passed else f"FAIL {res.name}: {res.detail}")
-    return EXIT_OK if all(res.passed for res in results) else EXIT_SELFTEST
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on first call, not at import.  parse_args returns a fresh
@@ -165,9 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="character region table over a rational lattice, CSV")
     p_sweep.add_argument("--steps", type=int, required=True, help="lattice subdivisions per axis")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_self = sub.add_parser("selftest", help="run the embedded golden checks")
-    p_self.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -33,9 +33,11 @@ coefficient is not finite, or the solve overflows or diverges, the
 matrix scaled by a power of two is solved once more, by the same pass or
 iteration, and only its eigenvalues are scaled back.  The scale is that
 of the largest entry modulus, or, where a modulus overflows although its
-parts are finite, of the largest part.  An infinite
-roundoff bound certifies nothing, so it too sends the solve to that
-retry, and the EigenvalueUncertain verdict does not change with scale.
+parts are finite, of the largest part; an entry with a part that is not
+finite, as an exact entry beyond the float range has, is a
+FloatRangeError.  An infinite roundoff bound certifies nothing, so it
+too sends the solve to that retry, and the EigenvalueUncertain verdict
+does not change with scale.
 A floating eigenvalue whose modulus leaves the float range, its parts
 finite or not, is a FloatRangeError.
 
@@ -69,8 +71,7 @@ below_singularity_threshold.
 The tolerance ``tol`` has its one default here, shared by the command
 line, and its bound TOL_BOUND, which keeps the BranchBoundary band of
 BOUNDARY_BAND tolerances on each side of the cut under half a turn.
-The public ``eigenvalues`` checks it; ``build`` checks it once and
-solves with the unchecked ``_eigenvalues``.
+``eigenvalues`` checks it, also when ``build`` calls it.
 """
 
 from __future__ import annotations
@@ -89,12 +90,11 @@ from .errors import (
     InputFormatError,
     RootFindingDivergence,
     SingularMatrix,
-    ZeroArgument,
     ZeroEigenvalue,
 )
 from .matrix import Matrix, below_singularity_threshold
 from .scalar import ZERO, Scalar, _ratio_float
-from .scalar import is_exact, modulus, real_ratio, real_scalar, value_of
+from .scalar import is_exact, modulus, real_ratio, real_scalar
 
 #: Default clustering, snapping and parallelism tolerance, of the library
 #: and the command line alike.  Clustering and EigenvalueUncertain take it
@@ -135,27 +135,6 @@ def checked_tolerance(value, where: str, bound: float = math.inf) -> float:
     if not value < bound:
         raise InputFormatError(f"{where}: expected a number below {bound}, got {value!r}")
     return float(value)
-
-
-def normalized_arg(z: Scalar | complex | float | int, tol: float) -> Fraction | float:
-    """Normalized argument q in [0, 1) of a nonzero scalar, so that
-    z = |z| * exp(2*pi*i*q).
-
-    Exact polar inputs return their stored rational q verbatim.  Floating
-    inputs within ``tol`` of the branch cut (near 0 or near 1) snap to
-    exactly 0; the branch is half-open.  A ``tol`` outside (0, TOL_BOUND)
-    raises InputFormatError.
-    """
-    bounds = _arg_bounds(checked_tolerance(tol, "tol", TOL_BOUND))
-    v = value_of(z)
-    if v is None:
-        raise TypeError(f"cannot take the argument of {type(z).__name__}")
-    if v == 0:
-        raise ZeroArgument("the zero scalar has no argument")
-    if v.__class__ is Scalar:
-        return v.q
-    q, _ = _float_arg(v, bounds)
-    return q
 
 
 def _arg_bounds(tol: float) -> tuple[float, float, float, float]:
@@ -251,24 +230,20 @@ def q_total(
 
 
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
-    """Eigenvalues of ``a`` clustered into multiplicity groups; see
-    :func:`_eigenvalues`.  A ``tol`` outside (0, TOL_BOUND) raises
-    InputFormatError."""
-    return _eigenvalues(a, checked_tolerance(tol, "tol", TOL_BOUND))
+    """Eigenvalues of ``a`` clustered into multiplicity groups.
 
-
-def _eigenvalues(a: Matrix, tol: float) -> EigenData:
-    """:func:`eigenvalues` at a ``tol`` already checked.
-
-    Raises ZeroEigenvalue for an exactly zero root (a triangular diagonal
+    Raises InputFormatError for a ``tol`` outside (0, TOL_BOUND),
+    ZeroEigenvalue for an exactly zero root (a triangular diagonal
     entry or an exact 2x2 determinant), SingularMatrix for a floating
     determinant below_singularity_threshold, the one zero test of a
     floating root, RootFindingDivergence when the iteration exhausts its
     budget without reaching the residual noise floor, also for the scaled
-    matrix, and FloatRangeError for an eigenvalue beyond the float range.
-    The floating block, the singularity test and the solve at one scale,
-    runs on ``a`` and at most once more, on ``a * 2**-exp``.
+    matrix, and FloatRangeError for an eigenvalue, or a real or imaginary
+    part of an entry, beyond the float range.  The floating block, the
+    singularity test and the solve at one scale, runs on ``a`` and at most
+    once more, on ``a * 2**-exp``.
     """
+    tol = checked_tolerance(tol, "tol", TOL_BOUND)
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_diagonal(a.diagonal(), tol)
@@ -302,11 +277,16 @@ def _eigenvalues(a: Matrix, tol: float) -> EigenData:
                 ) from exc
         # Entries below 1 in modulus: scaling by a power of two is exact, and
         # brings the coefficients and their evaluation back into range when
-        # the eigenvalues themselves are.  Where a modulus overflows, the
-        # largest real or imaginary part sets the scale: its parts are finite.
+        # the eigenvalues themselves are.  A part that is not finite has no
+        # power of two to scale it by.  Where a modulus overflows, the
+        # largest real or imaginary part sets the scale.
+        parts = [complex(e) for row in a.rows for e in row]
+        for k, z in enumerate(parts):
+            if not cmath.isfinite(z):
+                raise FloatRangeError(f"entry ({k // n}, {k % n}) outside the floating-point range")
         top = a.max_abs()
         if top == math.inf:
-            top = max(max(abs(z.real), abs(z.imag)) for row in a.rows for z in map(complex, row))
+            top = max(max(abs(z.real), abs(z.imag)) for z in parts)
         exp = math.frexp(top)[1]
         m = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a.rows])
         coeffs = m.char_poly()

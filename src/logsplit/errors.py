@@ -34,10 +34,6 @@ class ZeroEigenvalue(LogSplitError):
     """An eigenvalue is numerically zero; monodromies must be invertible."""
 
 
-class ZeroArgument(LogSplitError):
-    """Normalized argument requested for the zero scalar."""
-
-
 class OutOfBranch(LogSplitError):
     """A branch datum q lies outside the half-open interval [0, 1)."""
 

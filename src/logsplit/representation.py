@@ -7,15 +7,14 @@ construction.  Building a representation extracts the eigenvalue data at
 every puncture: at infinity these are the reciprocals of P's eigenvalues,
 so P is never inverted.  The infinity monodromy itself is computed only
 when it is asked for.  Whether a generator is singular is decided where
-its eigenvalues are solved for, in ``eigen._eigenvalues``.
+its eigenvalues are solved for, in ``eigen.eigenvalues``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, _eigenvalues, checked_tolerance
-from .eigen import reciprocal_eigenvalues
+from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, reciprocal_eigenvalues
 from .errors import DimensionMismatch, SingularMatrix, ZeroEigenvalue
 from .matrix import Matrix
 
@@ -100,12 +99,10 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
 
     The eigenvalues at infinity are the reciprocals of those of the
     generator product: at two punctures the product is the generator
-    itself, whose data is reused; at three it is ``m0 @ m1``.  A ``tol``
-    outside (0, TOL_BOUND) raises InputFormatError; the solves, which do
-    not check it again, raise for a singular generator or product, which
-    the message names.
+    itself, whose data is reused; at three it is ``m0 @ m1``.  The solves
+    raise InputFormatError for a ``tol`` outside (0, TOL_BOUND), and raise
+    for a singular generator or product, which the message names.
     """
-    checked_tolerance(tol, "tol", TOL_BOUND)
     gens = rep.generators
     gen_eigen = tuple(_named_eigenvalues(g, tol, f"generator {i}") for i, g in enumerate(gens))
     product_eigen = (
@@ -119,10 +116,10 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
 
 
 def _named_eigenvalues(m: Matrix, tol: float, name: str) -> EigenData:
-    """``_eigenvalues(m, tol)``, with ``name`` prefixed to the message of a
+    """``eigenvalues(m, tol)``, with ``name`` prefixed to the message of a
     SingularMatrix or ZeroEigenvalue."""
     try:
-        return _eigenvalues(m, tol)
+        return eigenvalues(m, tol)
     except (SingularMatrix, ZeroEigenvalue) as exc:
         raise type(exc)(f"{name}: {exc}") from None
 

@@ -49,7 +49,7 @@ from enum import Enum, unique
 from fractions import Fraction
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ChernResult, ohtsuki_c1
-from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, _eigenvalues, checked_tolerance
+from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, checked_tolerance, eigenvalues
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -206,7 +206,7 @@ def _invariant_lines(
         return InvariantLineReport(lines, False)
 
     if eigen is None:
-        eigen = (_eigenvalues(m0, tol), _eigenvalues(m1, tol))
+        eigen = (eigenvalues(m0, tol), eigenvalues(m1, tol))
     # Relative eigenvalue gaps, 0 for a single cluster.
     gap0, gap1 = (modulus(data.pairs[0].value.z - data.pairs[-1].value.z) / m.max_abs()
                   for m, data in zip((m0, m1), eigen))
@@ -383,14 +383,7 @@ def classify_dim2(
     outside (0, TOL_BOUND) raises InputFormatError."""
     if prep.punctures != 3 or prep.dim != 2:
         raise DimensionMismatch("classify_dim2 requires 3 punctures and dimension 2")
-    return _classify_dim2(prep, checked_tolerance(tol, "tol", TOL_BOUND), integrality_tol)
-
-
-def _classify_dim2(
-    prep: PuncturedRepresentation, tol: float, integrality_tol: float
-) -> ClassificationReport:
-    """:func:`classify_dim2` of a 3-puncture dimension-2 ``prep`` at a
-    ``tol`` already checked."""
+    tol = checked_tolerance(tol, "tol", TOL_BOUND)
     chern = ohtsuki_c1(prep, integrality_tol)
     zeta = chern.c1
     m0, m1 = prep.rep.generators
@@ -464,7 +457,7 @@ def classify(
         kind, roots = ClassificationKind.THREE_CHARACTER, SplittingType((chern.c1,))
         return ClassificationReport(kind, (roots,), prep.warnings(), chern)
     if prep.dim == 2:
-        return _classify_dim2(prep, tol, integrality_tol)
+        return classify_dim2(prep, tol, integrality_tol)
     raise UnsupportedCase(
         f"three punctures with dimension {prep.dim} >= 3 is outside the "
         "implemented classification"

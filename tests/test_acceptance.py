@@ -59,7 +59,23 @@ def test_criterion_1_golden_modular_example():
         assert report.chern.exact and report.chern.integrality_defect == 0.0
         assert report.candidates[0].roots == (-1, -1)
         assert report.kind is ClassificationKind.THREE_DIM2_IRREDUCIBLE
+        assert not report.ambiguous
         assert elapsed < 1.0
+
+        # Every intermediate, exactly: the monodromy at infinity, each
+        # puncture's q multiset, and its residue trace.
+        m0, m1 = rep.generators
+        assert (m0 @ m1).inverse() == Matrix([[F(-1, 2), -1], [F(3, 4), F(-1, 2)]])
+        local = build(rep, 1e-9).local_eigen
+        q_multisets = tuple({p.q: p.multiplicity for p in e.pairs} for e in local)
+        assert q_multisets == (
+            {F(0): 1, F(1, 2): 1},
+            {F(0): 1, F(1, 2): 1},
+            {F(1, 3): 1, F(2, 3): 1},
+        )
+        assert all(type(p.q) is F for e in local for p in e.pairs)
+        traces = tuple(e.q_sum() for e in local)
+        assert traces == (F(1, 2), F(1, 2), F(1)) and all(type(t) is F for t in traces)
 
 
 def test_criterion_2_character_region_table():

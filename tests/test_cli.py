@@ -12,12 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugated, matmul, rand_well_conditioned
-from logsplit import Matrix, Representation, cli, selftest
+from logsplit import Matrix, cli
 from logsplit.cli import (
     EXIT_ERROR,
     EXIT_NONINTEGRAL,
     EXIT_OK,
-    EXIT_SELFTEST,
     EXIT_UNSUPPORTED,
     main,
 )
@@ -174,14 +173,15 @@ class TestUsageErrors:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: logsplit")
 
-    @pytest.mark.parametrize("value", ["0.05", "5"])
-    def test_selftest_takes_no_tol(self, capsys, value):
-        # The golden checks are exact, so no tolerance can change them.
-        assert main(["selftest", "--tol", value]) == EXIT_ERROR
+    def test_retired_selftest_is_an_invalid_choice(self, capsys):
+        # The golden checks it ran are tests now; its exit code 4 stays
+        # unused.
+        assert main(["selftest"]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            f"logsplit: error: unrecognized arguments: --tol {value}"
+            "logsplit: error: argument command: invalid choice: 'selftest' "
+            "(choose from 'classify', 'c1', 'sweep')"
         )
 
 
@@ -478,34 +478,6 @@ class TestSweep:
                 assert rows[j] == self._expected_row(i, j, steps)
 
 
-class TestSelftest:
-    def test_fresh_build_passes(self, capsys):
-        assert main(["selftest"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 6
-        assert "FAIL" not in out
-
-    @pytest.fixture
-    def corrupted(self, monkeypatch, golden_pair):
-        # The identity in place of the first generator: every later check
-        # sees different data and the self-test must notice.
-        _, gen_s = golden_pair
-        monkeypatch.setattr(
-            selftest, "golden_representation",
-            lambda: Representation(3, (Matrix.identity(2), gen_s)),
-        )
-
-    def test_corrupted_golden_data_fails(self, capsys, corrupted):
-        assert main(["selftest"]) == EXIT_SELFTEST
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_corrupt_hook_reports_specific_failures(self, corrupted):
-        results = selftest.run_selftest()
-        failed = {r.name for r in results if not r.passed}
-        assert "local-branch-data" in failed
-        assert "chern-class" in failed
-
-
 class TestNumericRobustness:
     """Inputs that used to end in a traceback exit with a documented code."""
 
@@ -739,9 +711,3 @@ class TestNumericRobustness:
         assert flag in capsys.readouterr().err
         path = tmp_path / "doc.json"
         assert main(["c1", str(path), f"{flag}={value}"]) == EXIT_ERROR
-
-    def test_nonpositive_selftest_tolerance(self, capsys):
-        # selftest takes no --tol at all.
-        assert main(["selftest", "--tol=-1"]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "logsplit: error: unrecognized arguments: --tol=-1"

@@ -15,14 +15,12 @@ from logsplit import (
     Scalar,
     Representation,
     SingularMatrix,
-    ZeroArgument,
     ZeroEigenvalue,
     build,
     classify,
     classify_dim2,
     eigenvalues,
     invariant_lines,
-    normalized_arg,
     split_two_punctures,
 )
 from logsplit.eigen import (
@@ -52,32 +50,38 @@ except ImportError:  # the package and its tests run without it
 F = Fraction
 
 
-class TestNormalizedArg:
+def _q(z, tol=1e-9):
+    """The q of the one eigenvalue of the 1x1 matrix [[z]]."""
+    (pair,) = eigenvalues(Matrix([[z]]), tol).pairs
+    return pair.q
+
+
+class TestOneByOneArgument:
     def test_positive_real_axis(self):
-        assert normalized_arg(Scalar.exact(5), 1e-9) == 0
+        assert _q(Scalar.exact(5)) == 0
 
     def test_negative_real_axis(self):
-        assert normalized_arg(Scalar.exact(-1), 1e-9) == F(1, 2)
+        assert _q(Scalar.exact(-1)) == F(1, 2)
 
     def test_polar_input_returns_stored_q_verbatim(self):
-        assert normalized_arg(Scalar.polar(1, F(2, 3)), 1e-9) == F(2, 3)
+        assert _q(Scalar.polar(1, F(2, 3))) == F(2, 3)
 
     def test_float_input_approximates(self):
         z = Scalar.inexact(cmath.exp(2j * math.pi * (2 / 3)))
-        q = normalized_arg(z, 1e-9)
+        q = _q(z)
         assert isinstance(q, float)
         assert abs(q - 2 / 3) < 1e-12
 
     def test_snap_to_branch_cut(self):
-        assert normalized_arg(Scalar.inexact(1 + 1e-12j), 1e-9) == 0.0
-        assert normalized_arg(Scalar.inexact(1 - 1e-12j), 1e-9) == 0.0
-        assert normalized_arg(Scalar.inexact(1 + 1e-6j), 1e-9) > 0.0
+        assert _q(Scalar.inexact(1 + 1e-12j)) == 0.0
+        assert _q(Scalar.inexact(1 - 1e-12j)) == 0.0
+        assert _q(Scalar.inexact(1 + 1e-6j)) > 0.0
 
     def test_zero_raises(self):
-        with pytest.raises(ZeroArgument):
-            normalized_arg(Scalar.exact(0), 1e-9)
-        with pytest.raises(ZeroArgument):
-            normalized_arg(Scalar.inexact(0j), 1e-9)
+        with pytest.raises(ZeroEigenvalue):
+            _q(Scalar.exact(0))
+        with pytest.raises(ZeroEigenvalue):
+            _q(Scalar.inexact(0j))
 
 
 finite_complex = st.complex_numbers(
@@ -88,9 +92,8 @@ finite_complex = st.complex_numbers(
 @given(finite_complex)
 def test_argument_complement_is_exact_after_snapping(z):
     # Snapped q(z) + q(conj z) lands on exactly 0 or exactly 1.
-    tol = 1e-9
-    q1 = normalized_arg(Scalar.inexact(z), tol)
-    q2 = normalized_arg(Scalar.inexact(z.conjugate()), tol)
+    q1 = _q(Scalar.inexact(z))
+    q2 = _q(Scalar.inexact(z.conjugate()))
     assert q1 + q2 in (0.0, 1.0)
 
 
@@ -261,9 +264,8 @@ def test_public_solves_check_tol(tol, message):
     # spurious EigenvalueUncertain at -1.0, and at 5.0 one double
     # eigenvalue and a decomposable pair; classify_dim2, on the pair built
     # at the default tol, raised InternalInconsistency at 5.0 and answered
-    # at nan and -1.0; split_two_punctures answered c1 -2 at every value;
-    # normalized_arg snapped every value to q = 0 at 5.0, and raised
-    # TypeError at "x".
+    # at nan and -1.0; split_two_punctures answered c1 -2 at every value.
+    # build checks it through the solves it makes.
     m0 = Matrix([[1.5 + 0.1j, 2], [3, 4]])
     m1 = Matrix([[1, 0], [0, 2.5 + 0.5j]])
     prep = build(Representation(3, (m0, m1)))
@@ -273,7 +275,7 @@ def test_public_solves_check_tol(tol, message):
         lambda: invariant_lines(m0, m1, tol),
         lambda: classify_dim2(prep, tol),
         lambda: split_two_punctures(prep2, tol),
-        lambda: normalized_arg(m0[0, 0], tol),
+        lambda: build(Representation(3, (m0, m1)), tol),
     ):
         with pytest.raises(InputFormatError) as info:
             solve()
@@ -292,6 +294,27 @@ class TestEigenvaluesFloat:
         assert str(info.value) == message
         with pytest.raises(FloatRangeError) as info:
             classify(Representation(2, (m,)))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[Scalar.polar(10**400, 0), 1, 0], [1, 1, 0], [0, 1, 2]],
+            [[Scalar.polar(10**400, 0), 1], [1, 1]],
+            [[1, Scalar.polar(10**400, F(1, 3))], [1, 1]],
+            [[1, 1], [complex(math.inf, 1.0), 1]],
+        ],
+    )
+    def test_an_entry_beyond_the_float_range_is_outside_it(self, rows):
+        # A real or imaginary part that is not finite as a float: no power
+        # of two scales it into range, so the failed solve is not made
+        # again, and the error names the entry, not the iteration.
+        m = Matrix(rows)
+        k = next(k for k, e in enumerate(e for row in rows for e in row)
+                 if not cmath.isfinite(complex(e)))
+        message = f"entry ({k // m.n}, {k % m.n}) outside the floating-point range"
+        with pytest.raises(FloatRangeError) as info:
+            eigenvalues(m)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11])

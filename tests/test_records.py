@@ -27,33 +27,28 @@ from logsplit import (
     ohtsuki_c1,
     parse_input_document,
     report_to_output,
-    run_selftest,
 )
 from logsplit.cli import EXIT_OK, main
 
 GOLDEN = '{"punctures": 3, "dim": 2, "generators": [[[1, 0], [0, -1]], [[-0.5, 1], [0.75, 0.5]]]}'
 
 #: Modules that ``import logsplit.cli`` must not load: class generation
-#: (dataclasses, which pulls in inspect), pathlib and typing, and the
-#: self-test, which only its own command needs.
-UNWANTED = ("dataclasses", "inspect", "pathlib", "typing", "logsplit.selftest")
+#: (dataclasses, which pulls in inspect), pathlib and typing.
+UNWANTED = ("dataclasses", "inspect", "pathlib", "typing")
 
 _FOOTPRINT = f"""
 import json, sys
 import logsplit, logsplit.cli
 loaded = [m for m in {UNWANTED!r} if m in sys.modules]
-resolved = [logsplit.run_selftest.__name__]
-from logsplit import CheckResult
-resolved.append(CheckResult.__name__)
 namespace = {{}}
 exec("from logsplit import *", namespace)
-resolved.append(sorted(set(logsplit.__all__) - set(namespace)))
-after = [m for m in {UNWANTED[:-1]!r} if m in sys.modules]
-print(json.dumps([loaded, resolved, after]))
+missing = sorted(set(logsplit.__all__) - set(namespace))
+after = [m for m in {UNWANTED!r} if m in sys.modules]
+print(json.dumps([loaded, missing, after]))
 """
 
 
-def test_import_loads_no_class_generation_pathlib_typing_or_selftest():
+def test_import_loads_no_class_generation_pathlib_or_typing():
     # -S: no site-packages, whose .pth files may import any of these first.
     src = os.path.dirname(os.path.dirname(os.path.abspath(logsplit.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -61,17 +56,25 @@ def test_import_loads_no_class_generation_pathlib_typing_or_selftest():
         [sys.executable, "-S", "-c", _FOOTPRINT],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    loaded, resolved, after = json.loads(proc.stdout)
+    loaded, missing, after = json.loads(proc.stdout)
     assert loaded == []
-    # The self-test's names resolve on access, and `import *` finds them
-    # all, still without loading the unwanted standard-library modules.
-    assert resolved == ["run_selftest", "CheckResult", []]
+    # `import *` finds every exported name, still without loading the
+    # unwanted standard-library modules.
+    assert missing == []
     assert after == []
 
 
-def test_unknown_attribute_still_raises():
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        logsplit.no_such_name  # noqa: B018
+@pytest.mark.parametrize(
+    "name",
+    # The last five were exported once: the self-test's three names,
+    # normalized_arg and its ZeroArgument.
+    ["no_such_name", "run_selftest", "CheckResult", "golden_representation",
+     "normalized_arg", "ZeroArgument"],
+)
+def test_unknown_attribute_raises(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(logsplit, name)
+    assert name not in logsplit.__all__
 
 
 def _records() -> dict:
@@ -101,7 +104,6 @@ def _records() -> dict:
             ("kind", "c1", "candidates", "ambiguous", "warnings",
              "raw_q_sum", "integrality_defect", "ln_r_closure_defect"),
         ),
-        "CheckResult": (run_selftest()[0], ("name", "passed", "detail")),
     }
 
 

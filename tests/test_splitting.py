@@ -421,10 +421,10 @@ class TestOneSolvePerMonodromy:
 
         def counting(a, tol):
             calls.append(a)
-            return eigen._eigenvalues(a, tol)
+            return eigen.eigenvalues(a, tol)
 
-        monkeypatch.setattr(representation, "_eigenvalues", counting)
-        monkeypatch.setattr(splitting, "_eigenvalues", counting)
+        monkeypatch.setattr(representation, "eigenvalues", counting)
+        monkeypatch.setattr(splitting, "eigenvalues", counting)
         return calls
 
     @staticmethod
