@@ -28,18 +28,16 @@ floating root is EigenvalueUncertain is decided by the polynomial's
 roundoff at the root, not by where the iteration stopped; for a root
 that clusters alone, the iteration's last evaluation at it is that of
 its centroid, and is not repeated.  The roots are grouped, and their
-Newton radii tested, at the scale the polynomial is solved at.  When a
-coefficient is not finite, or the solve overflows or diverges, the
-matrix scaled by a power of two is solved once more, by the same pass or
-iteration, and only its eigenvalues are scaled back.  The scale is that
-of the largest entry modulus, or, where a modulus overflows although its
-parts are finite, of the largest part; an entry with a part that is not
-finite, as an exact entry beyond the float range has, is a
-FloatRangeError.  An infinite roundoff bound certifies nothing, so it
-too sends the solve to that retry, and the EigenvalueUncertain verdict
-does not change with scale.
-A floating eigenvalue whose modulus leaves the float range, its parts
-finite or not, is a FloatRangeError.
+Newton radii tested, at the scale the polynomial is solved at, one scale
+per solve: a matrix whose largest entry modulus lies in [0.5, 2^100) as
+given, any other one scaled by a power of two, its largest real or
+imaginary part into [0.5, 1), and only its eigenvalues are scaled back.
+An entry with a part that is not finite, as an exact entry beyond the
+float range has, has no such scale and is a FloatRangeError.  So is a
+floating eigenvalue whose modulus leaves the float range, its parts
+finite or not, or falls below the normal range when scaled back.  Each
+solve is made once; an iteration whose values or roundoff bound leave
+the float range is a RootFindingDivergence.
 
 The triangular and the floating routes group coinciding values by one
 rule, ``_cluster_indices``, whose one comparison of two roots the
@@ -66,7 +64,8 @@ Singularity is decided here, once, on the route that solves for the
 values: a triangular matrix is singular iff a diagonal entry is exactly
 zero, an exact 2x2 one iff its exact determinant is zero, and a floating
 solve iff its constant term, the determinant up to sign, is
-below_singularity_threshold.
+below_singularity_threshold on the matrix solved, a test that scaling by
+a power of two does not change.
 
 The tolerance ``tol`` has its one default here, shared by the command
 line, and its bound TOL_BOUND, which keeps the BranchBoundary band of
@@ -109,6 +108,16 @@ BOUNDARY_BAND = 10.0
 TOL_BOUND = 0.5 / BOUNDARY_BAND
 
 _EPS = sys.float_info.epsilon
+
+#: The band of largest entry moduli M solved as given.  Below it the
+#: Aberth iteration's absolute tests (1 + |x|, the nudges) misread small
+#: roots; normalising every block instead puts roots below 1, where
+#: ``_roundoff_ceiling`` spares no Horner bound.  At its top, with n <= 8,
+#: every eigenvalue is at most n M < 2^103 and |c_j| <= C(n, j) (n M)^j, so
+#: at |x| <= n M Horner's k-th value is at most 2^n (n M)^k <= 2^832, and
+#: its roundoff bound, a sum of n + 1 of them, below 2^836: no coefficient,
+#: Horner value or bound of the solve comes near the top of the float range.
+_SOLVE_BOTTOM, _SOLVE_TOP = 0.5, 2.0**100
 _ONE_J = 1 + 0j
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _TWO_PI = 2.0 * math.pi
@@ -237,11 +246,12 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     entry or an exact 2x2 determinant), SingularMatrix for a floating
     determinant below_singularity_threshold, the one zero test of a
     floating root, RootFindingDivergence when the iteration exhausts its
-    budget without reaching the residual noise floor, also for the scaled
-    matrix, and FloatRangeError for an eigenvalue, or a real or imaginary
-    part of an entry, beyond the float range.  The floating block, the
-    singularity test and the solve at one scale, runs on ``a`` and at most
-    once more, on ``a * 2**-exp``.
+    budget without reaching the residual noise floor or leaves the float
+    range, and FloatRangeError for an eigenvalue, or a real or imaginary
+    part of an entry, beyond the float range, or an eigenvalue scaled back
+    below its normal range.  A floating block has one singularity test and
+    one solve, on ``a`` when max|entry| lies in [0.5, 2^100), else on
+    ``a * 2**-exp``.
     """
     tol = checked_tolerance(tol, "tol", TOL_BOUND)
     n = a.n
@@ -252,52 +262,41 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         exact = _exact_quadratic(coeffs[1], coeffs[2])
         if exact is not None:
             return _eigen_data(exact, tol)
-    m, exp = a, 0
-    for retry in (False, True):
-        try:
-            coeffs_c = list(map(complex, coeffs))
-            if not all(map(cmath.isfinite, coeffs_c)):
-                raise OverflowError("coefficient beyond the float range")
-            if below_singularity_threshold(modulus(coeffs[-1]), m.max_abs(), n):
-                raise SingularMatrix(
-                    f"{n}x{n} determinant below tolerance at the scale of its entries"
-                )
-            if n == 2:
-                centroids, uncertain = _from_quadratic(coeffs_c[1], coeffs_c[2], tol)
-            else:
-                centroids, uncertain = _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol)
-            break
-        except RootFindingDivergence:
-            if retry:
-                raise
-        except OverflowError as exc:
-            if retry:
-                raise RootFindingDivergence(
-                    "polynomial values overflow the floating-point range"
-                ) from exc
-        # Entries below 1 in modulus: scaling by a power of two is exact, and
-        # brings the coefficients and their evaluation back into range when
-        # the eigenvalues themselves are.  A part that is not finite has no
-        # power of two to scale it by.  Where a modulus overflows, the
-        # largest real or imaginary part sets the scale.
+    exp = 0
+    top = a.max_abs()
+    if not _SOLVE_BOTTOM <= top < _SOLVE_TOP:
+        # Scaling by a power of two is exact: only the eigenvalues change,
+        # and they scale back exactly.  A part that is not finite has no
+        # power of two to scale it by.
         parts = [complex(e) for row in a.rows for e in row]
         for k, z in enumerate(parts):
             if not cmath.isfinite(z):
                 raise FloatRangeError(f"entry ({k // n}, {k % n}) outside the floating-point range")
+        exp = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in parts))[1]
+        a = Matrix._of_rows(tuple(tuple(_ldexp(complex(e), -exp) for e in row) for row in a.rows))
         top = a.max_abs()
-        if top == math.inf:
-            top = max(max(abs(z.real), abs(z.imag)) for z in parts)
-        exp = math.frexp(top)[1]
-        m = Matrix([[_ldexp(complex(e), -exp) for e in row] for row in a.rows])
-        coeffs = m.char_poly()
+        coeffs = a.char_poly()
+    if below_singularity_threshold(modulus(coeffs[-1]), top, n):
+        raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
+    coeffs_c = list(map(complex, coeffs))
+    if n == 2:
+        centroids, uncertain = _from_quadratic(coeffs_c[1], coeffs_c[2], tol)
+    else:
+        try:
+            centroids, uncertain = _from_float_roots(coeffs_c, *_aberth_solve(coeffs_c), tol)
+        except OverflowError as exc:  # abs of an iterate's Horner value
+            raise RootFindingDivergence("root iteration left the floating-point range") from exc
     if exp:
         for k, (z, size) in enumerate(centroids):
             try:
-                centroids[k] = _ldexp(z, exp), size
+                w = _ldexp(z, exp)
             except OverflowError:
+                w = None
+            if w is None or modulus(w) < sys.float_info.min:
                 raise FloatRangeError(
                     f"eigenvalue {z!r} * 2**{exp} outside the floating-point range"
-                ) from None
+                )
+            centroids[k] = w, size
     return _eigen_data(centroids, tol, uncertain)
 
 
@@ -385,17 +384,15 @@ def _from_quadratic(b: complex, c: complex, tol: float) -> tuple[list[tuple[comp
     roots, every float operation in the same order on the same operands:
     the one comparison of :func:`_cluster_indices`, the centroids as left
     folds from 0j divided by the size, and each centroid's Newton radius
-    from :func:`_poly_eval`'s Horner scheme on (1, b, c).  Raises
-    RootFindingDivergence for a root that is not finite, and OverflowError
-    for a distance, centroid or roundoff bound that is not.
+    from :func:`_poly_eval`'s Horner scheme on (1, b, c).  b and c are
+    those of a matrix in the solve band of ``eigenvalues`` whose c passed
+    the singularity test, so every root, distance and bound is finite.
     """
     s = cmath.sqrt(b * b - 4.0 * c)
     if abs(b - s) > abs(b + s):
         s = -s
     t = -0.5 * (b + s)
     u = c / t
-    if not (cmath.isfinite(t) and cmath.isfinite(u)):
-        raise RootFindingDivergence("root iteration left the floating-point range")
     d = abs(t - u)
     if d < tol * modulus(t) or d < tol * modulus(u):
         centroids = [((0j + t + u) / 2, 2)]
@@ -412,8 +409,6 @@ def _from_quadratic(b: complex, c: complex, tol: float) -> tuple[list[tuple[comp
         err = abs(p) + ax  # ax * abs(1)
         p = p * x + c
         noise = (abs(p) + ax * err) * _EPS
-        if not noise < math.inf:  # NaN too, at a centroid that is not finite
-            raise OverflowError("roundoff bound beyond the float range")
         radius = 3 * max(abs(p), noise) / max(abs(dp), 1e-300)
         if radius > bound * ax:
             uncertain = True
@@ -430,8 +425,8 @@ def _from_float_roots(
     polynomial ``coeffs_c``, at its scale: each cluster's centroid with its
     size, and whether a Newton radius exceeds ten times ``tol`` times its
     centroid's modulus.  ``evals`` holds the last ``_poly_eval`` at each
-    root.  Raises OverflowError for a centroid or roundoff bound that is
-    not finite, as it is at a root whose distance to another is not."""
+    root.  Raises RootFindingDivergence for a roundoff bound that is not
+    finite, which certifies nothing."""
     terms = len(coeffs_c)
     bound = 10.0 * tol
     centroids: list[tuple[complex, int]] = []
@@ -455,7 +450,7 @@ def _from_float_roots(
         else:
             p, dp, noise = _poly_eval(coeffs_c, centroid)
         if not noise < math.inf:  # NaN too, at a centroid that is not finite
-            raise OverflowError("roundoff bound beyond the float range")
+            raise RootFindingDivergence("roundoff bound beyond the float range")
         # max keeps its first argument on a tie and on NaN.
         radius = terms * max(abs(p), noise) / max(abs(dp), 1e-300)
         if radius > bound * abs(centroid):

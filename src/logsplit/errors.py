@@ -19,7 +19,7 @@ class DimensionMismatch(LogSplitError):
 
 
 class SingularMatrix(LogSplitError):
-    """|det| below the singularity tolerance, in an inverse or a floating eigenvalue solve."""
+    """|det| at most SINGULARITY_TOL * max|entry|^n, in an inverse or a floating solve."""
 
 
 class RootFindingDivergence(LogSplitError):

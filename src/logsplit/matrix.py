@@ -27,24 +27,26 @@ from .scalar import ONE, ZERO, Scalar, is_exact, modulus, value_of
 
 MAX_DIM = 8
 
-#: |det| at most ``SINGULARITY_TOL * (1 + max|entry|) ** n`` counts as singular.
+#: |det| at most ``SINGULARITY_TOL * max|entry| ** n`` counts as singular.
 SINGULARITY_TOL = 1e-12
 
 
 def below_singularity_threshold(det_abs: float, max_abs: float, n: int) -> bool:
-    """Whether ``det_abs <= SINGULARITY_TOL * (1 + max_abs) ** n``.
+    """Whether ``det_abs <= SINGULARITY_TOL * max_abs ** n``.
 
-    Where the power overflows a float the same comparison is made between
-    logarithms, so huge entries give a decision instead of OverflowError.
+    Both sides are compared at the exponent of ``det_abs``, the power taken
+    of the mantissa of ``max_abs``, so the decision does not change when a
+    matrix is scaled by a power of two, and no power over- or underflows.
     A determinant beyond the float range is never below the threshold.
     """
     if det_abs == math.inf:
         return False
+    m, e = math.frexp(max_abs)
+    d, f = math.frexp(det_abs)
     try:
-        return det_abs <= SINGULARITY_TOL * (1.0 + max_abs) ** n
-    except OverflowError:
-        log_tol = math.log(SINGULARITY_TOL)
-        return det_abs == 0.0 or math.log(det_abs) <= log_tol + n * math.log1p(max_abs)
+        return d <= math.ldexp(SINGULARITY_TOL * m**n, n * e - f)
+    except OverflowError:  # a threshold beyond the float range, above d < 1
+        return True
 
 
 class Matrix:

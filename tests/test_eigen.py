@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from logsplit import (
     BRANCH_BOUNDARY,
     FloatRangeError,
     InputFormatError,
+    LogSplitError,
     Matrix,
     Scalar,
     Representation,
@@ -48,6 +50,12 @@ except ImportError:  # the package and its tests run without it
     numpy = None
 
 F = Fraction
+
+
+def _times_2_to(rows, k):
+    """The Matrix of ``rows`` times 2^k, each part scaled on its own."""
+    return Matrix([[complex(math.ldexp(complex(z).real, k), math.ldexp(complex(z).imag, k))
+                    for z in row] for row in rows])
 
 
 def _q(z, tol=1e-9):
@@ -307,8 +315,8 @@ class TestEigenvaluesFloat:
     )
     def test_an_entry_beyond_the_float_range_is_outside_it(self, rows):
         # A real or imaginary part that is not finite as a float: no power
-        # of two scales it into range, so the failed solve is not made
-        # again, and the error names the entry, not the iteration.
+        # of two scales it into range, so the error names the entry, not
+        # the iteration.
         m = Matrix(rows)
         k = next(k for k, e in enumerate(e for row in rows for e in row)
                  if not cmath.isfinite(complex(e)))
@@ -316,6 +324,44 @@ class TestEigenvaluesFloat:
         with pytest.raises(FloatRangeError) as info:
             eigenvalues(m)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows, k, message",
+        [
+            # Subnormal entries: solved at 2^1039, the smallest eigenvalue
+            # scales back to a few significant bits.
+            ([[0.5 + 0.3j, 1, 0.25], [0.5, -0.7 + 0.2j, 1], [0.125, 0.5, 1.5 - 0.4j]], -1040,
+             "eigenvalue (0.33230357168658625+0.0996967998178577j) * 2**-1039"),
+            # Normal entries, and an eigenvalue 3.6e-11 times the larger.
+            ([[1 + 0j, 2 + 0j], [1 + 0j, 2 + 1e-10 + 0j]], -1000,
+             "eigenvalue (8.33333402265124e-12+0j) * 2**-998"),
+        ],
+    )
+    def test_an_eigenvalue_below_the_normal_range_is_outside_it(self, rows, k, message):
+        with pytest.raises(FloatRangeError) as info:
+            eigenvalues(_times_2_to(rows, k))
+        assert str(info.value) == message + " outside the floating-point range"
+
+    @pytest.mark.parametrize(
+        "rows, values",
+        [
+            ([[1e-300, 1e-300], [1e-300, 2e-300]],
+             [1e-300 * (3 - math.sqrt(5)) / 2, 1e-300 * (3 + math.sqrt(5)) / 2]),
+            ([[1e-200, 3e-200], [2e-200, 1e-200]],
+             [1e-200 * (1 + math.sqrt(6)), 1e-200 * (1 - math.sqrt(6))]),
+        ],
+    )
+    def test_exact_pairs_beyond_the_exact_quadratic_are_answered(self, rows, values):
+        # Exact and invertible, with coefficients beyond _exact_quadratic's
+        # float range: the floating route answers them, no longer
+        # SingularMatrix, but not exactly, so with BranchBoundary.
+        e = eigenvalues(Matrix(rows))
+        assert e.warnings == (BRANCH_BOUNDARY,)
+        q_top = 0.0 if values[1] > 0 else 0.5
+        assert [(p.multiplicity, p.q) for p in e.pairs] == [(1, 0.0), (1, q_top)]
+        for p, v in zip(e.pairs, values):
+            assert type(p.q) is float
+            assert abs(p.value.z - v) < 1e-15 * abs(v)
 
     @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11])
     def test_small_eigenvalue_is_answered_in_every_basis(self, t):
@@ -329,11 +375,9 @@ class TestEigenvaluesFloat:
     @pytest.mark.parametrize("gap", [5e-9, 3e-8])
     def test_close_pair_decisions_do_not_change_with_scale(self, dim, gap):
         # Eigenvalues lam and lam (1 + gap) of S D S^-1, scaled by 2^k:
-        # clustering and EigenvalueUncertain are relative to each
-        # eigenvalue, so every scale gets the same verdict.  dim 3 adds
-        # -0.7 + 0.2i and takes the Aberth route; below 2^-12 its
-        # determinant fails the singularity test, which is not
-        # scale-invariant.
+        # clustering, EigenvalueUncertain and the singularity test are
+        # relative to the scale of the matrix, so every scale gets the same
+        # verdict.  dim 3 adds -0.7 + 0.2i and takes the Aberth route.
         lam = 1.3 * cmath.exp(2j * math.pi * 0.3)
         spectrum = [lam, lam * (1 + gap), -0.7 + 0.2j][:dim]
         s = Matrix([row[:dim] for row in [[1 + 1j, 0.5 + 0j, 0.2j],
@@ -342,10 +386,49 @@ class TestEigenvaluesFloat:
         d = Matrix([[spectrum[i] if i == j else 0j for j in range(dim)] for i in range(dim)])
         a = s @ d @ s.inverse()
         verdicts = set()
-        for k in range(-16 if dim == 2 else -12, 17):
+        for k in range(-60, 61):
             e = eigenvalues(Matrix([[complex(x) * 2.0**k for x in row] for row in a.rows]))
             verdicts.add((tuple(sorted(p.multiplicity for p in e.pairs)), e.warnings))
         assert len(verdicts) == 1
+
+    def test_scaling_by_a_power_of_two_changes_no_decision(self):
+        # Seeded complex Gaussian matrices at dims 2-8, a third of them with
+        # a last row within 1e-6 to 1e-12 of the first, near the singularity
+        # threshold.  Times 2^k, each gives the multiplicities, q's and
+        # warnings, or the error class, of its scale-1 solve, or a
+        # FloatRangeError where an eigenvalue times 2^k leaves the normal
+        # float range.
+        def solve(rows, k):
+            try:
+                return "answer", eigenvalues(_times_2_to(rows, k))
+            except LogSplitError as exc:
+                return type(exc).__name__, None
+
+        rng = random.Random(32)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+                    for _ in range(n)]
+            if rng.random() < 1 / 3:
+                gap = rng.choice((1e-6, 1e-9, 1e-12))
+                rows[-1] = [z + gap * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for z in rows[0]]
+            kind, base = solve(rows, 0)
+            outcomes.add(kind)
+            for k in range(-1000, 1001, 125):
+                other, data = solve(rows, k)
+                moduli = [math.ldexp(abs(p.value.z), k) for p in base.pairs] if base else []
+                if not all(sys.float_info.min <= r < math.inf for r in moduli):
+                    outcomes.add("out of range")
+                    assert other == "FloatRangeError", k
+                    continue
+                assert other == kind, k
+                if base is not None:
+                    assert data.warnings == base.warnings, k
+                    assert [p.multiplicity for p in data.pairs] == \
+                        [p.multiplicity for p in base.pairs], k
+                    assert all(abs(p.q - r.q) < 1e-8 for p, r in zip(data.pairs, base.pairs)), k
+        assert outcomes == {"answer", "SingularMatrix", "out of range"}
 
     def test_boundary_warning_near_positive_axis(self):
         m = Matrix([[Scalar.inexact(1 + 1e-11j), Scalar.inexact(0.5 + 0j)],

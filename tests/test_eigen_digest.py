@@ -35,7 +35,7 @@ FLOAT_PROBLEMS = 1000
 RATIONAL_PROBLEMS = 300
 POLAR_PROBLEMS = 200
 
-EIGEN_SHA256 = "dc97f36b43a62cb020ac21a860a281db7cde8371c21e844ec626e0ea9bca4ec1"
+EIGEN_SHA256 = "37f07ce6c17e69a0037f051e56f1065b98f1c78fb56e2707e872cbd68f426c7c"
 
 TOLS = (1e-9, 1e-9, 1e-9, 1e-6, 1e-12)
 GAPS = (0.0, 1e-13, 1e-10, 5e-10, 1e-9, 3e-9, 1e-7, 1e-5)

@@ -3,24 +3,26 @@
 A 2x2 matrix that is not triangular and whose characteristic polynomial
 is not an exact rational quadratic is solved in floats: the closed form
 of x^2 + b x + c, one clustering comparison, the centroids and the Newton
-radius, all at the scale the polynomial is solved at, and, when that
-overflows, the same solve of the matrix scaled by a power of two, whose
-eigenvalues alone are scaled back.  Each case below pins the resulting
-EigenData (every float in ``float.hex``) and warnings, or the error, so
-that a rewrite of that route which moves one bit fails here.  A sweep
-holds the answer of a matrix times 2^k to its scale-1 answer, scaled.  A
-differential test holds the one pass, whose clustering comparison and
-Horner evaluation are written out, to the general ``_cluster_indices``
-and ``_poly_eval`` that it replaces for two roots.
+radius, all at the scale the polynomial is solved at: the matrix's own
+when its largest entry modulus lies in [0.5, 2^100), else that of the
+matrix scaled once by a power of two, whose eigenvalues alone are scaled
+back.  Each case below pins the resulting EigenData (every float in
+``float.hex``) and warnings, or the error, so that a rewrite of that
+route which moves one bit fails here.  A sweep holds the answer of a
+matrix times 2^k to its scale-1 answer, scaled, and each solve is made
+once.  A differential test holds the one pass, whose clustering
+comparison and Horner evaluation are written out, to the general
+``_cluster_indices`` and ``_poly_eval`` that it replaces for two roots.
 """
 
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
-from logsplit import FloatRangeError, LogSplitError, Matrix, RootFindingDivergence
+from logsplit import FloatRangeError, LogSplitError, Matrix, eigen
 from logsplit.eigen import _from_float_roots, _from_quadratic, _poly_eval, eigenvalues
 
 c = complex
@@ -32,10 +34,10 @@ _SPLIT_TOL = math.nextafter(_MERGE_TOL, 0.0)
 
 _BOUND = [[c(-0.6, 0.8), c(0.0025, 0.005)], [c(-0.00125, 0.000625), c(-0.61, 0.805)]]
 
-# The large eigenvalue's |t| (|t| + |u|) overflows Horner's roundoff bound to
-# inf at this scale.  An infinite bound certifies nothing, so the roots are
-# solved again at the scale 2^-512, and the warnings are those of the
-# matrix at every scale: BranchBoundary alone.
+# The large eigenvalue's |t| (|t| + |u|) would overflow Horner's roundoff
+# bound to inf at this scale, and an infinite bound certifies nothing.
+# Entries above 2^100 are solved at the scale 2^-512 instead, and the
+# warnings are those of the matrix at every scale: BranchBoundary alone.
 _NOISE_OVERFLOW = [[c(1.34e154, 1.0), c(1.0, 1.0)], [c(1.0, -1.0), c(1.0, 3.3e153)]]
 
 CASES = {
@@ -53,29 +55,28 @@ CASES = {
     "negative-zero-imag": ([[c(3, -0.0), c(1, 0.0)], [c(2, 0.0), c(4, -0.0)]], 1e-9),
     "negative-zero-imag-left": ([[c(-3, -0.0), c(1, -0.0)], [c(2, -0.0), c(-4, -0.0)]], 1e-9),
     "negative-zero-real": ([[c(-0.0, -3), c(-0.0, 1)], [c(0.0, 2), c(-0.0, -4)]], 1e-9),
-    # Finite coefficients whose closed form overflows (4c here, b^2 in the
-    # next): the roots are solved again at the scale 2^-512.
-    "overflow-retry": (
+    # Finite coefficients whose closed form would overflow at scale 1 (4c
+    # here, b^2 in the next): the roots are solved at the scale 2^-512.
+    "closed-form-overflow": (
         [[c(1.2e154, 1e153), c(1e150, 1e150)], [c(1e150, -1e150), c(1.1e154, -1e153)]], 1e-9
     ),
-    "overflow-retry-disc": (
+    "closed-form-overflow-disc": (
         [[c(1.3e154, 1e150), c(1e150, 1e150)], [c(1e150, -1e150), c(-1.0e154, 1e150)]], 1e-9
     ),
     "horner-noise-overflow": (_NOISE_OVERFLOW, 1e-9),
     "horner-noise-overflow-scaled": (
         [[e * 2.0**-100 for e in row] for row in _NOISE_OVERFLOW], 1e-9
     ),
-    # A determinant beyond the float range: solved at the scale 2^-1024,
-    # and the distance of the roots, about 1.8e308, overflows, so they
-    # stay apart.
+    # A determinant beyond the float range, and roots about 1.8e308 apart:
+    # solved at the scale 2^-1024, where they lie apart.
     "distance-overflow": (
         [[c(1.3e308, 0.0), c(1e-300, 1e-300)], [c(1e-300, 1e-300), c(0.0, -1.3e308)]], 1e-9
     ),
     # Adjacent floats in one entry either side of below_singularity_threshold.
-    "singular": ([[c(1, 1), c(1, 2)], [c(1.4000000000024357, 0.200000000004), c(2, 1)]], 1e-9),
-    "not-singular": ([[c(1, 1), c(1, 2)], [c(1.400000000002436, 0.200000000004), c(2, 1)]], 1e-9),
-    # Merged roots whose sum overflows at scale 1: their centroid is taken
-    # at the scale 2^-1024, where it is finite, and scaled back.
+    "singular": ([[c(1, 1), c(1, 2)], [c(1.400000000001, 0.200000000002), c(2, 1)]], 1e-9),
+    "not-singular": ([[c(1, 1), c(1, 2)], [c(1.4000000000010002, 0.200000000002), c(2, 1)]], 1e-9),
+    # Merged roots whose sum would overflow at scale 1: their centroid is
+    # taken at the scale 2^-1024, where it is finite, and scaled back.
     "centroid-overflow": (
         [[c(1.7e308, 1.0), c(1e290, 1e290)], [c(-1e290, 1e290), c(1.7e308, 1.0)]], 1e-9
     ),
@@ -154,7 +155,7 @@ EXPECTED = {
         ],
         [],
     ),
-    "overflow-retry": (
+    "closed-form-overflow": (
         [
             ("0x1.ca3d8f6dc51c9p+511", "0x1.317e4eef66fabp+508", 1,
              "0x1.b198cdf8faac2p-7", "0x1.62c8acc2dec2fp+8"),
@@ -163,7 +164,7 @@ EXPECTED = {
         ],
         [],
     ),
-    "overflow-retry-disc": (
+    "closed-form-overflow-disc": (
         [
             ("0x1.f06d5a83abfd9p+511", "0x1.38d352e5096afp+498", 1,
              "0x1.9acbe33c5541bp-17", "0x1.62dc47ab7b9c6p+8"),
@@ -204,10 +205,10 @@ EXPECTED = {
     ),
     "not-singular": (
         [
-            ("0x1.80000000000b6p+1", "0x1.000000000198ap+1", 1,
-             "0x1.7f516f1bbee19p-4", "0x1.485042b319480p+0"),
-            ("-0x1.6c7627629a5b7p-44", "-0x1.989d89d89cb0ap-39", 1,
-             "0x1.7dbab1b8bcef3p-1", "-0x1.a9093c6079a9ep+4"),
+            ("0x1.7ffffffffff53p+1", "0x1.0000000000c2ep+1", 1,
+             "0x1.7f516f1bbdf7bp-4", "0x1.485042b318fc1p+0"),
+            ("0x1.59fffffff6d62p-44", "-0x1.85bfffffffb43p-40", 1,
+             "0x1.848442350e276p-1", "-0x1.b4dd4674cdf89p+4"),
         ],
         [],
     ),
@@ -250,19 +251,21 @@ def test_an_overflowing_roundoff_bound_warns_at_no_scale(k):
 
 
 def _ldexp(z, k):
-    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+    """``z * 2**k``; OverflowError where a nonzero part leaves the normal
+    float range, above or below, where the scaling stops being exact."""
+    w = complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+    if any(0.0 < abs(x) < sys.float_info.min for x in (w.real, w.imag)):
+        raise OverflowError("a part below the normal float range")
+    return w
 
 
 def _scaled(data, k):
     """Each value of ``data`` times 2^k, with its multiplicity and q, and
-    the warnings; None when a scaled value, or its modulus, leaves the
-    float range."""
-    try:
-        values = [_ldexp(p.value.z, k) for p in data.pairs]
-        for z in values:
-            abs(z)
-    except OverflowError:
-        return None
+    the warnings.  OverflowError when a scaled part leaves the normal float
+    range or a scaled modulus overflows."""
+    values = [_ldexp(p.value.z, k) for p in data.pairs]
+    for z in values:
+        abs(z)
     pairs = [
         (z.real.hex(), z.imag.hex(), p.multiplicity, p.q.hex())
         for z, p in zip(values, data.pairs)
@@ -282,42 +285,73 @@ def _scaled(data, k):
         "negative-zero-real",
     ],
 )
-def test_every_scale_up_answers_the_scale_1_data_scaled(case):
-    # From the scale-1 solve up to the last scale at which every entry and
-    # every eigenvalue is finite, past the scales where the unscaled solve
-    # overflows and the roots are solved again at a smaller one.  Below
-    # about 2^-20 the floating singularity test is not scale-invariant.
+def test_every_scale_answers_the_scale_1_data_scaled(case):
+    # From the scale-1 solve up and down to the last scale at which every
+    # entry and eigenvalue part is normal and every modulus finite, past
+    # the band of scales solved as given on both sides.
     rows, tol = CASES[case]
     base = eigenvalues(Matrix(rows), tol)
-    k = 0
-    while True:
-        expected = _scaled(base, k)
-        try:
-            # Each part scaled on its own keeps the sign of a zero part.
-            scaled_rows = [[_ldexp(complex(e), k) for e in row] for row in rows]
-        except OverflowError:
-            break
-        if expected is None:
-            break
-        actual = eigenvalues(Matrix(scaled_rows), tol)
-        assert _scaled(actual, 0) == expected, k
-        k += 1
-    assert k > 1000
+    for step in (1, -1):
+        k = 0
+        while True:
+            try:
+                expected = _scaled(base, k)
+                # Each part scaled on its own keeps the sign of a zero part.
+                scaled_rows = [[_ldexp(complex(e), k) for e in row] for row in rows]
+            except OverflowError:
+                break
+            actual = eigenvalues(Matrix(scaled_rows), tol)
+            assert _scaled(actual, 0) == expected, k
+            k += step
+        assert abs(k) > 1000
 
 
-def test_the_retry_runs_once_at_exponent_0():
-    # Entries whose parts are finite and whose modulus is not.  The retry
-    # takes its scale from the largest part, 0.81 * 2^1024, so it solves
-    # _BOUND itself at the exponent 1024 (frexp of the largest modulus,
-    # inf, gave 0, and a retry that failed as the first solve did).  Scaled
-    # back, the larger eigenvalue, 1.0104 * 2^1024, has finite parts and a
-    # modulus beyond the float range.
+def test_a_modulus_beyond_the_range_takes_its_scale_from_the_largest_part():
+    # Entries whose parts are finite and whose modulus is not.  The scale
+    # comes from the largest part, 0.81 * 2^1024, so _BOUND itself is
+    # solved, at the exponent 1024.  Scaled back, the larger eigenvalue,
+    # 1.0104 * 2^1024, has finite parts and a modulus beyond the float range.
     rows = [[_ldexp(complex(e), 1024) for e in row] for row in _BOUND]
     larger = max((p.value.z for p in eigenvalues(Matrix(_BOUND), _SPLIT_TOL).pairs), key=abs)
     message = f"eigenvalue {_ldexp(larger, 1024)!r} outside the floating-point range"
     with pytest.raises(FloatRangeError) as info:
         eigenvalues(Matrix(rows), _SPLIT_TOL)
     assert str(info.value) == message
+
+
+#: Matrices solved as given and once scaled: CI's Jordan block times 2^600,
+#: _BOUND times 2^1024, whose eigenvalue then leaves the float range, and
+#: at dimension 3 entries whose characteristic polynomial overflows.  The
+#: overflow cases and the 3x3 times 2^341 have finite coefficients on which
+#: a solve at scale 1 overflows, as the closed form or Horner's scheme.
+_DIM3 = [[c(0.5, 0.3), 1, 0.25], [0.5, c(-0.7, 0.2), 1], [0.125, 0.5, c(1.5, -0.4)]]
+_ONCE = {
+    "generic": CASES["generic"][0],
+    "jordan-2^600": [[complex(e) * 2.0**600 for e in row] for row in CASES["double"][0]],
+    "bound-2^1024": [[_ldexp(complex(e), 1024) for e in row] for row in _BOUND],
+    "closed-form-overflow": CASES["closed-form-overflow"][0],
+    "horner-noise-overflow": _NOISE_OVERFLOW,
+    "dim3": _DIM3,
+    "dim3-2^341": [[complex(e) * 2.0**341 for e in row] for row in _DIM3],
+    "dim3-1e120": [[1e120, 1, 0], [0, 2e120, 1], [1, 0, 3e120]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONCE))
+def test_each_floating_call_solves_once(monkeypatch, case):
+    calls = []
+    for name in ("_from_quadratic", "_aberth_solve"):
+
+        def counted(*args, _solve=getattr(eigen, name)):
+            calls.append(_solve)
+            return _solve(*args)
+
+        monkeypatch.setattr(eigen, name, counted)
+    try:
+        eigenvalues(Matrix(_ONCE[case]), _SPLIT_TOL)
+    except FloatRangeError:
+        assert case == "bound-2^1024"
+    assert len(calls) == 1
 
 
 def _quadratic_model(b, c, tol):
@@ -329,29 +363,13 @@ def _quadratic_model(b, c, tol):
         s = -s
     t = -0.5 * (b + s)
     roots = [t, c / t]
-    if not all(map(cmath.isfinite, roots)):
-        raise RootFindingDivergence("root iteration left the floating-point range")
     coeffs = [1 + 0j, b, c]
     return _from_float_roots(coeffs, roots, [_poly_eval(coeffs, r) for r in roots], tol)
 
 
 def _bits(solve, b, c, tol):
-    try:
-        centroids, uncertain = solve(b, c, tol)
-    except (ArithmeticError, LogSplitError) as exc:
-        return type(exc).__name__, str(exc)
+    centroids, uncertain = solve(b, c, tol)
     return [(z.real.hex(), z.imag.hex(), size) for z, size in centroids], uncertain
-
-
-def _agree(one_pass, model):
-    """Whether the one pass and the model give the same centroids and
-    verdict, or the same error.  Every OverflowError sends the solve to the
-    one retry, so only its type is compared: the one pass meets a distance
-    beyond the float range before the roundoff bound that the model
-    overflows at, for the same huge root."""
-    if one_pass[0] == model[0] == "OverflowError":
-        return True
-    return one_pass == model
 
 
 def _on_axis(rng, z):
@@ -361,12 +379,12 @@ def _on_axis(rng, z):
 
 
 def _random_quadratics(rng, count):
-    """(b, c, tol) of x^2 + b x + c with roots t and u: moduli from 1e-6
-    to 1e6 and near 1e154 and 1e307, u close to t or not, and parts of
-    either sign of zero."""
+    """(b, c, tol) of x^2 + b x + c with roots t and u: moduli from 1e-12
+    to 1e30, those of 2x2 matrices in the solve band of ``eigenvalues``, u
+    close to t or not, and parts of either sign of zero."""
     gaps = (0.0, 1e-15, 1e-10, 1e-9, 2e-9, 1e-6, 1e-3, 0.04, 1.0)
     for _ in range(count):
-        scale = rng.choice((1.0, 1.0, 1.0, 1e154, 1e307, 1e-150))
+        scale = rng.choice((1.0, 1.0, 1.0, 1e24, 1e-6))
         t = scale * 10.0 ** rng.uniform(-6, 6) * cmath.exp(2j * math.pi * rng.random())
         if rng.random() < 0.4:
             gap = rng.choice(gaps) * rng.uniform(0.5, 2.0)
@@ -383,17 +401,13 @@ def _random_quadratics(rng, count):
 
 def test_one_pass_matches_the_general_clustering_and_horner():
     rng = random.Random(5)
-    outcomes = set()
+    sizes = set()
     for b, c, tol in _random_quadratics(rng, 20000):
         expected = _bits(_quadratic_model, b, c, tol)
-        assert _agree(_bits(_from_quadratic, b, c, tol), expected), (b, c, tol)
-        outcomes.add(expected[0] if isinstance(expected[0], str) else len(expected[0]))
-        if expected[0] == "OverflowError":
-            outcomes.add(expected[1])
-    # Both groupings, and each way the pass can fail, were reached, an
-    # infinite roundoff bound at finite roots among them.
-    assert outcomes >= {1, 2, "OverflowError", "RootFindingDivergence"}
-    assert "roundoff bound beyond the float range" in outcomes
+        assert _bits(_from_quadratic, b, c, tol) == expected, (b, c, tol)
+        sizes.add(len(expected[0]))
+    # Both groupings were reached.
+    assert sizes == {1, 2}
 
 
 @pytest.mark.parametrize("case", ["bound-split", "bound-merged"])

@@ -7,6 +7,7 @@ operation with a complex result, and the kernels divide by multiplying with ``1.
 ``Scalar.__truediv__`` does, so the results must agree bit for bit.
 """
 
+import math
 import random
 from operator import mul
 
@@ -198,10 +199,30 @@ class TestSingularityThreshold:
             n = rng.randint(1, 8)
             max_abs = 10 ** rng.uniform(-5, 30)
             det_abs = 10 ** rng.uniform(-300, 200) if rng.random() < 0.9 else 0.0
-            direct = det_abs <= SINGULARITY_TOL * (1.0 + max_abs) ** n
+            direct = det_abs <= SINGULARITY_TOL * max_abs**n
             assert below_singularity_threshold(det_abs, max_abs, n) == direct
 
-    def test_overflowing_scale_decides_in_logarithms(self):
+    def test_same_decision_at_every_power_of_two(self):
+        # Scaling a matrix by 2^k scales max|entry| by 2^k and |det| by
+        # 2^(n k), exactly.  The threshold itself, and the float above it,
+        # keep their decisions too, also where max^n leaves the float range.
+        rng = random.Random(4)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            max_abs = rng.uniform(0.5, 1.0)
+            edge = SINGULARITY_TOL * max_abs**n
+            for det_abs in (edge, math.nextafter(edge, math.inf), edge * rng.uniform(0.5, 2.0)):
+                decision = below_singularity_threshold(det_abs, max_abs, n)
+                assert decision == (det_abs <= edge)
+                for k in range(-960 // n, 1000 // n, 7):  # det 2^(n k) stays normal
+                    scaled = below_singularity_threshold(
+                        math.ldexp(det_abs, n * k), math.ldexp(max_abs, k), n
+                    )
+                    assert scaled == decision, (det_abs, max_abs, n, k)
+
+    def test_a_power_beyond_the_float_range_still_decides(self):
         assert below_singularity_threshold(1.0, 1e200, 2)
         assert not below_singularity_threshold(1.4e300, 1.4e154, 2)
         assert below_singularity_threshold(0.0, 1e300, 8)
+        assert not below_singularity_threshold(5e-324, 1e-100, 4)
+        assert not below_singularity_threshold(math.inf, 1e300, 8)
