@@ -5,12 +5,22 @@ a full Jordan form; the eigenvalue multiset with multiplicities and the
 normalized argument q in [0, 1) of each value is the whole story.  Exactly
 specified inputs travel an exact route (triangular read-off, and for 2x2 a
 rational quadratic solve with recognition of the rational-cosine angles
-0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve works on reduced
-(numerator, denominator) int pairs, as scalar.py holds exact moduli and
-arguments, and builds its roots from them; the q-sum (``q_total``) adds
-exact q's as one unreduced int pair.  There is no Fraction arithmetic on
-the exact route; a Fraction is built only where a q or a q-sum is
-returned, as ``EigenPair.q`` and ``EigenData.q_sum``.
+0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve takes b = -trace and
+c = det as reduced (numerator, denominator) int pairs, as scalar.py holds
+exact moduli and arguments, and builds its roots from them.  When all four
+entries are exact reals, those pairs come from the entries' integers with
+their denominators ``cleared``, with no Scalar arithmetic; other exact
+entries, polar ones say, read them back from ``char_poly``.  The product
+m0 m1 at three punctures is not formed for an exact real pair
+(``product_eigenvalues``): its trace and determinant come from the cleared
+integers of m0 and m1, the Fricke trace coordinates of the loop around
+infinity.  An irrational root is rounded from floats of b, c and the
+discriminant, scaled by a power of two where one of them is not a normal
+float, and its modulus pair scaled back exactly, so an exact real solve is
+never handed to the floating route.  The q-sum (``q_total``) adds exact
+q's as one unreduced int pair.  There is no Fraction arithmetic on the
+exact route; a Fraction is built only where a q or a q-sum is returned,
+as ``EigenPair.q`` and ``EigenData.q_sum``.
 Everything else is a floating root solve of
 the characteristic polynomial.  A quadratic, the floating 2x2 of every
 three-puncture document, takes one pass, ``_from_quadratic``: the
@@ -93,7 +103,7 @@ from .errors import (
 )
 from .matrix import Matrix, below_singularity_threshold
 from .scalar import ZERO, Scalar, _ratio_float
-from .scalar import is_exact, modulus, real_ratio, real_scalar
+from .scalar import cleared, is_exact, modulus, real_ratio, real_scalar
 
 #: Default clustering, snapping and parallelism tolerance, of the library
 #: and the command line alike.  Clustering and EigenvalueUncertain take it
@@ -118,6 +128,7 @@ _EPS = sys.float_info.epsilon
 #: its roundoff bound, a sum of n + 1 of them, below 2^836: no coefficient,
 #: Horner value or bound of the solve comes near the top of the float range.
 _SOLVE_BOTTOM, _SOLVE_TOP = 0.5, 2.0**100
+_MIN_NORMAL = sys.float_info.min
 _ONE_J = 1 + 0j
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _TWO_PI = 2.0 * math.pi
@@ -257,11 +268,21 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_diagonal(a.diagonal(), tol)
-    coeffs = a.char_poly()
-    if n == 2:
-        exact = _exact_quadratic(coeffs[1], coeffs[2])
-        if exact is not None:
-            return _eigen_data(exact, tol)
+    if n == 2 and a.rows[0][0].__class__ is Scalar:
+        # A floating first entry makes the trace floating, so a floating
+        # matrix pays this one class check.
+        ints = cleared(a.rows[0] + a.rows[1])
+        if ints is not None:
+            s, (w, x, y, z) = ints
+            return _from_trace_det(w + z, w * z - x * y, s, tol)
+        # Other exact entries, polar ones say: real coefficients take the
+        # same solver.
+        coeffs = a.char_poly()
+        b, c = real_ratio(coeffs[1]), real_ratio(coeffs[2])
+        if b is not None and c is not None:
+            return _eigen_data(_exact_quadratic(b, c), tol)
+    else:
+        coeffs = a.char_poly()
     exp = 0
     top = a.max_abs()
     if not _SOLVE_BOTTOM <= top < _SOLVE_TOP:
@@ -287,17 +308,32 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         except OverflowError as exc:  # abs of an iterate's Horner value
             raise RootFindingDivergence("root iteration left the floating-point range") from exc
     if exp:
-        for k, (z, size) in enumerate(centroids):
-            try:
-                w = _ldexp(z, exp)
-            except OverflowError:
-                w = None
-            if w is None or modulus(w) < sys.float_info.min:
-                raise FloatRangeError(
-                    f"eigenvalue {z!r} * 2**{exp} outside the floating-point range"
-                )
-            centroids[k] = w, size
+        centroids = [(_scaled_back(z, exp), size) for z, size in centroids]
     return _eigen_data(centroids, tol, uncertain)
+
+
+def product_eigenvalues(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
+    """``eigenvalues(m0 @ m1, tol)``, the same EigenData and errors.
+
+    When m0 and m1 are 2x2 with exact real entries, m0 = A / s and m1 = B / t
+    with A and B integer, the product is not formed: its eigenvalues depend
+    only on its trace, (ae + bg + cf + dh) / st for A = [[a, b], [c, d]] and
+    B = [[e, f], [g, h]], and its determinant, det A det B / (st)^2, which
+    reach the exact quadratic as the reduced pairs ``eigenvalues`` would
+    read from m0 @ m1.  A triangular product has its diagonal read off, as
+    ``eigenvalues`` reads it.
+    """
+    x = cleared(m0.rows[0] + m0.rows[1]) if m0.n == m1.n == 2 else None
+    y = None if x is None else cleared(m1.rows[0] + m1.rows[1])
+    if y is None:
+        return eigenvalues(m0 @ m1, tol)
+    tol = checked_tolerance(tol, "tol", TOL_BOUND)
+    (s, (a, b, c, d)), (t, (e, f, g, h)) = x, y
+    st = s * t
+    p00, p11 = a * e + b * g, c * f + d * h
+    if not (a * f + b * h and c * e + d * g):
+        return _from_diagonal((real_scalar(p00, st), real_scalar(p11, st)), tol)
+    return _from_trace_det(p00 + p11, (a * d - b * c) * (e * h - f * g), st, tol)
 
 
 def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
@@ -465,6 +501,19 @@ def _ldexp(z: complex, exp: int) -> complex:
     return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
 
 
+def _scaled_back(z: complex, exp: int) -> complex:
+    """A floating eigenvalue ``z`` solved at the scale 2^-exp, scaled back;
+    FloatRangeError when its modulus leaves the float range or falls below
+    its normal range."""
+    try:
+        w = _ldexp(z, exp)
+    except OverflowError:
+        w = None
+    if w is None or modulus(w) < _MIN_NORMAL:
+        raise FloatRangeError(f"eigenvalue {z!r} * 2**{exp} outside the floating-point range")
+    return w
+
+
 def _cluster_indices(values: list, tol: float) -> list[list[int]]:
     """``values`` grouped where they coincide, as lists of indices into
     ``values``, each group in input order and the groups in order of their
@@ -526,28 +575,34 @@ def _cluster_indices(values: list, tol: float) -> list[list[int]]:
 # exact quadratic route
 
 
-def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar | complex, int]] | None:
-    """Roots of x^2 + b x + c for exact real-rational b, c.
+def _from_trace_det(trace: int, det: int, s: int, tol: float) -> EigenData:
+    """EigenData of an exact real 2x2 of trace ``trace / s`` and
+    determinant ``det / s**2``, s > 0."""
+    return _eigen_data(_exact_quadratic(_reduced(-trace, s), _reduced(det, s * s)), tol)
 
-    b, c and the discriminant are reduced int pairs (numerator,
-    denominator), so a sign is a numerator's sign and a rational square
-    root is the ``isqrt`` of both.  Real roots always carry an exact
-    argument (0 or 1/2: the sign is decided on the integers, never by the
-    float square root); an irrational modulus is rounded.
-    Complex pairs get an exact q only for the rational-cosine angles
-    (Niven: cos(2*pi*q) rational forces cos in {0, +-1/2, +-1}); other
-    angles are irrational and fall back to floats.
+
+def _exact_quadratic(
+    b: tuple[int, int], c: tuple[int, int]
+) -> list[tuple[Scalar | complex, int]]:
+    """Roots of x^2 + b x + c for exact real-rational b, c, each given as
+    its reduced signed int pair (numerator, denominator).
+
+    The discriminant is a reduced int pair too, so a sign is a numerator's
+    sign and a rational square root is the ``isqrt`` of both.  Real roots
+    always carry an exact argument (0 or 1/2: the sign is decided on the
+    integers, never by the float square root); an irrational modulus is
+    rounded.  Complex pairs get an exact q only for the rational-cosine
+    angles (Niven: cos(2*pi*q) rational forces cos in {0, +-1/2, +-1});
+    other angles are irrational and their roots are floating.  The
+    rounded roots come from floats of b, c and the discriminant, at the
+    scale ``_scaled_coefficients`` picks, and scale back exactly: a
+    modulus as its int pair, a floating root as ``_scaled_back`` has it.
     """
-    b, c = real_ratio(b_s), real_ratio(c_s)
-    if b is None or c is None:
-        return None
     (bn, bd), (cn, cd) = b, c
     if cn == 0:
         raise ZeroEigenvalue("exact zero eigenvalue; monodromy not invertible")
     # disc = b^2 - 4c = dn / dd, reduced.
-    dn, dd = bn * bn * cd - 4 * cn * bd * bd, bd * bd * cd
-    g = gcd(dn, dd)
-    dn, dd = dn // g, dd // g
+    dn, dd = _reduced(bn * bn * cd - 4 * cn * bd * bd, bd * bd * cd)
     if dn == 0:
         return [(real_scalar(-bn, 2 * bd), 2)]
     if dn > 0:
@@ -557,46 +612,91 @@ def _exact_quadratic(b_s: Scalar, c_s: Scalar) -> list[tuple[Scalar | complex, i
                 (real_scalar(s * bd - bn * t, 2 * bd * t), 1),
                 (real_scalar(-s * bd - bn * t, 2 * bd * t), 1),
             ]
-    # The remaining roots are computed in floats, rounded as float(Fraction)
-    # rounds.  Coefficients whose floats overflow or underflow take the
-    # float route, as inexact data does.
-    try:
-        b_f, c_f, disc_f = bn / bd, cn / cd, dn / dd
-    except OverflowError:
-        return None
-    if c_f == 0.0:
-        return None
+    k, b_f, c_f, disc_f = _scaled_coefficients(bn, bd, cn, cd, dn, dd)
     if dn > 0:
-        # Irrational real pair: exact signs, rounded moduli.
+        # Irrational real pair: exact signs, rounded moduli.  t is the
+        # root of larger modulus, the algebraically smaller one when b >= 0.
+        # The other is c / t, with c at its own scale 2^-j, in (1/2, 2):
+        # the bits of c_f / t where that is a normal float, and all of
+        # them where it is not.
         s_f = math.sqrt(disc_f)
         t = (-b_f - s_f) / 2 if bn >= 0 else (-b_f + s_f) / 2
-        other = c_f / t
-        hi, lo = max(t, other), min(t, other)
-        if not all(0.0 < abs(v) < math.inf for v in (hi, lo)):
-            return None
+        j = cn.bit_length() - cd.bit_length()
+        other = _scaled_float(cn, cd, -j) / t
+        hi, lo = _scaled_pair(other, j - k), _scaled_pair(t, k)
+        if bn < 0:
+            hi, lo = lo, hi
         sign_hi = 1 if (bn <= 0 or cn < 0) else -1  # sign of (-b + sqrt(disc))/2
         sign_lo = 1 if (bn < 0 and cn > 0) else -1
         return [
-            (Scalar(None, abs(hi).as_integer_ratio(), (0, 1) if sign_hi > 0 else (1, 2)), 1),
-            (Scalar(None, abs(lo).as_integer_ratio(), (0, 1) if sign_lo > 0 else (1, 2)), 1),
+            (Scalar(None, hi, (0, 1) if sign_hi > 0 else (1, 2)), 1),
+            (Scalar(None, lo, (0, 1) if sign_lo > 0 else (1, 2)), 1),
         ]
     # Conjugate pair -b/2 +- iy with y > 0, and |root|^2 = c > 0, so
     # |root| = a/e when c is a rational square; on the imaginary axis it
     # is otherwise the rounded sqrt(c).
-    y = math.sqrt(-disc_f) / 2
     a, e = isqrt(cn), isqrt(cd)
     square = a * a == cn and e * e == cd
     if bn == 0:
         if not square:
-            a, e = math.sqrt(c_f).as_integer_ratio()
+            a, e = _scaled_pair(math.sqrt(c_f), k)
         turns = ((1, 4), (3, 4))
     elif square and -bn * e == a * bd:  # cos = -b / (2|root|) = 1/2
         turns = _SIXTHS
     elif square and bn * e == a * bd:  # cos = -1/2
         turns = _THIRDS
     else:
-        return [(complex(-b_f / 2, y), 1), (complex(-b_f / 2, -y), 1)]
+        y = math.sqrt(-disc_f) / 2
+        return [(_scaled_back(complex(-b_f / 2, y), k), 1),
+                (_scaled_back(complex(-b_f / 2, -y), k), 1)]
     return [(Scalar(None, (a, e), turns[0]), 1), (Scalar(None, (a, e), turns[1]), 1)]
+
+
+def _scaled_coefficients(
+    bn: int, bd: int, cn: int, cd: int, dn: int, dd: int
+) -> tuple[int, float, float, float]:
+    """(k, b 2^-k, c 2^-2k, disc 2^-2k), each float rounded once, as
+    float(Fraction) rounds: the coefficients and discriminant of the
+    quadratic whose roots are those of x^2 + b x + c times 2^-k.  k = 0
+    while b (unless 0), c and disc are normal floats, so that those floats
+    are the coefficients' own.  Otherwise k is the binary exponent of
+    max(|b|, sqrt|disc|), within one, read off the pairs' bit lengths: the
+    scaled |b| and sqrt|disc| lie below 2 and one of them above 1/2, so
+    the larger real root lies in [1/4, 2], and a conjugate pair, whose
+    |root|^2 is (b^2 + |disc|) / 4, in [1/4, 3/2]."""
+    try:
+        b_f, c_f, disc_f = bn / bd, cn / cd, dn / dd
+        if (bn == 0 or abs(b_f) >= _MIN_NORMAL) and min(abs(c_f), abs(disc_f)) >= _MIN_NORMAL:
+            return 0, b_f, c_f, disc_f
+    except OverflowError:  # a ratio beyond the float range
+        pass
+    k = (dn.bit_length() - dd.bit_length()) // 2
+    if bn:
+        k = max(k, bn.bit_length() - bd.bit_length())
+    return (k, _scaled_float(bn, bd, -k), _scaled_float(cn, cd, -2 * k),
+            _scaled_float(dn, dd, -2 * k))
+
+
+def _scaled_float(n: int, d: int, e: int) -> float:
+    """``n / d * 2**e``, rounded once, as float(Fraction) rounds."""
+    return (n << e) / d if e >= 0 else n / (d << -e)
+
+
+def _scaled_pair(x: float, e: int) -> tuple[int, int]:
+    """The reduced int pair of ``|x| * 2**e``, exactly."""
+    n, d = abs(x).as_integer_ratio()
+    if e >= 0:
+        n <<= e
+    else:
+        d <<= -e
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """``n / d`` as a reduced signed pair, for d > 0: ``(0, 1)`` for 0."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 # ---------------------------------------------------------------------------

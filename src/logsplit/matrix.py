@@ -16,13 +16,14 @@ return the values as stored or computed: exact Scalars and ``complex``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import chain
 from operator import add, mul
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, FloatRangeError, SingularMatrix
 from .scalar import ONE, ZERO, Scalar, is_exact, modulus, value_of
 
 MAX_DIM = 8
@@ -139,7 +140,9 @@ class Matrix:
         """Inverse by Gauss-Jordan elimination of ``[A | I]`` in the stored
         values, with an exact I unless every entry is floating, so exact
         entries stay exact.  Raises SingularMatrix when |det| is
-        below_singularity_threshold."""
+        below_singularity_threshold, else FloatRangeError for an entry
+        that is not finite, as a pivot below about 2^-1024, whose
+        reciprocal overflows, leaves them."""
         n = self.n
         floating = all(e.__class__ is complex for e in chain.from_iterable(self._rows))
         one, zero = (1 + 0j, 0j) if floating else (ONE, ZERO)
@@ -147,7 +150,11 @@ class Matrix:
         det_abs = modulus(_det_by_elimination(w))
         if below_singularity_threshold(det_abs, self.max_abs(), n):
             raise SingularMatrix(f"{n}x{n} determinant {det_abs:.3e} below tolerance")
-        return Matrix(row[n:] for row in w)
+        inverse = Matrix(row[n:] for row in w)
+        for e in chain.from_iterable(inverse._rows):
+            if e.__class__ is complex and not cmath.isfinite(e):
+                raise FloatRangeError(f"{n}x{n} inverse outside the floating-point range")
+        return inverse
 
     def char_poly(self) -> tuple[Scalar | complex, ...]:
         """Monic characteristic polynomial det(xI - A), coefficients from

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, reciprocal_eigenvalues
+from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, product_eigenvalues
+from .eigen import reciprocal_eigenvalues
 from .errors import DimensionMismatch, SingularMatrix, ZeroEigenvalue
 from .matrix import Matrix
 
@@ -99,27 +100,29 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
 
     The eigenvalues at infinity are the reciprocals of those of the
     generator product: at two punctures the product is the generator
-    itself, whose data is reused; at three it is ``m0 @ m1``.  The solves
+    itself, whose data is reused; at three it is ``m0 @ m1``, whose
+    eigenvalues ``product_eigenvalues`` reads from the trace and
+    determinant of an exact real 2x2 pair without forming it.  The solves
     raise InputFormatError for a ``tol`` outside (0, TOL_BOUND), and raise
     for a singular generator or product, which the message names.
     """
     gens = rep.generators
-    gen_eigen = tuple(_named_eigenvalues(g, tol, f"generator {i}") for i, g in enumerate(gens))
+    gen_eigen = tuple(_named(f"generator {i}", eigenvalues, g, tol) for i, g in enumerate(gens))
     product_eigen = (
         gen_eigen[0]
         if len(gens) == 1
-        else _named_eigenvalues(gens[0] @ gens[1], tol, "product m0·m1")
+        else _named("product m0·m1", product_eigenvalues, gens[0], gens[1], tol)
     )
     eigen = gen_eigen + (reciprocal_eigenvalues(product_eigen, tol),)
 
     return PuncturedRepresentation(rep, eigen)
 
 
-def _named_eigenvalues(m: Matrix, tol: float, name: str) -> EigenData:
-    """``eigenvalues(m, tol)``, with ``name`` prefixed to the message of a
+def _named(name: str, solve, *args) -> EigenData:
+    """``solve(*args)``, with ``name`` prefixed to the message of a
     SingularMatrix or ZeroEigenvalue."""
     try:
-        return eigenvalues(m, tol)
+        return solve(*args)
     except (SingularMatrix, ZeroEigenvalue) as exc:
         raise type(exc)(f"{name}: {exc}") from None
 

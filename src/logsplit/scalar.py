@@ -15,7 +15,8 @@ and a ``complex`` operand is a floating value.  The complex value of an
 exact scalar is derived when it is first read.  One exact modulus is
 rounded: the irrational modulus of a root of a rational quadratic whose
 q is exact, which eigen._exact_quadratic rounds from
-``numerator / denominator`` floats of its coefficients.
+``numerator / denominator`` floats of its coefficients, scaled by a
+power of two when they leave the normal float range.
 
 Both r and q are held as reduced pairs ``(numerator, denominator)`` of
 ``int``s, q with ``0 <= numerator < denominator``; products, reciprocals,
@@ -32,7 +33,8 @@ Fraction is built only for ``EigenPair.q`` and ``EigenData.q_sum``
 The float modulus is ``numerator / denominator``, which is how
 ``float(Fraction)`` rounds, and inf beyond the float range.  Code
 outside this module reads an exact real as a signed pair with
-``real_ratio``, builds a real from a signed pair with ``real_scalar``
+``real_ratio``, clears the denominators of exact reals with
+``cleared``, builds a real from a signed pair with ``real_scalar``
 and a polar value from a modulus pair and a turn pair with
 ``Scalar(None, r, q)``, as the exact quadratic solve does, and compares
 two moduli with ``modulus_at_least``, exactly when both values are exact.
@@ -426,12 +428,29 @@ def real_ratio(x: Scalar | complex) -> tuple[int, int] | None:
 
 
 def real_scalar(n: int, d: int) -> Scalar:
-    """The exact real ``n / d``, for ``n != 0`` and ``d > 0``, as
-    ``Scalar.exact`` holds it."""
+    """The exact real ``n / d``, for ``d > 0``, as ``Scalar.exact`` holds
+    it: ZERO for ``n = 0``."""
+    if not n:
+        return _ZERO
     g = gcd(n, d)
     if n > 0:
         return Scalar(None, (n // g, d // g), (0, 1))
     return Scalar(None, (-n // g, d // g), (1, 2))
+
+
+def cleared(values) -> tuple[int, list[int]] | None:
+    """``(s, [s * x for x in values])`` for exact real ``values``, s the
+    lcm of their denominators, so that every ``s * x`` is an int; None when
+    a value is not an exact real.  A floating first value ends the probe at
+    its class check, the one cost a floating matrix pays."""
+    ratios = []
+    for x in values:
+        r = real_ratio(x)
+        if r is None:
+            return None
+        ratios.append(r)
+    s = math.lcm(*[d for _, d in ratios])
+    return s, [n * (s // d) for n, d in ratios]
 
 
 def quotient(x: Scalar | complex, y: Scalar | complex) -> Scalar | complex:

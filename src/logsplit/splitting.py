@@ -59,7 +59,7 @@ from .errors import (
 from .matrix import Matrix
 from .representation import PuncturedRepresentation, Representation, build
 from .scalar import ONE, ZERO, Scalar, is_exact, modulus, modulus_at_least, quotient
-from .scalar import real_ratio, real_scalar, value_of
+from .scalar import cleared, real_scalar, value_of
 
 
 @unique
@@ -197,11 +197,12 @@ def _invariant_lines(
 ) -> InvariantLineReport:
     if m0.n != 2 or m1.n != 2:
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
-    ratios = list(map(real_ratio, m0.rows[0] + m0.rows[1] + m1.rows[0] + m1.rows[1]))
-    if None in ratios:
+    x = cleared(m0.rows[0] + m0.rows[1])
+    y = None if x is None else cleared(m1.rows[0] + m1.rows[1])
+    if y is None:
         lines, exact = _commutator_lines(m0, m1)
     else:
-        lines, exact = _integer_lines(*ratios), True
+        lines, exact = _integer_lines(x, y), True
     if lines is not None:
         return InvariantLineReport(lines, False)
 
@@ -222,21 +223,20 @@ def _invariant_lines(
     return InvariantLineReport(_lines(m0, m1, kept), len(kept) >= 2)
 
 
-def _integer_lines(a, b, c, d, e, f, g, h) -> tuple[InvariantLine, ...] | None:
-    """The commutator's decision for an exact real pair, from the signed
-    int pairs of m0's entries a..d and m1's e..h: no line when det C != 0,
-    the line ker C, or None when C = 0.
+def _integer_lines(
+    x: tuple[int, list[int]], y: tuple[int, list[int]]
+) -> tuple[InvariantLine, ...] | None:
+    """The commutator's decision for an exact real pair, from m0 and m1
+    ``cleared``: no line when det C != 0, the line ker C, or None when
+    C = 0.
 
-    m0 = A / s and m1 = B / t with integer A and B, so C = (AB - BA) / st
-    has the zeros, the kernel and the ratios of entry moduli of K = AB -
-    BA.  Each value is built once, as Scalar arithmetic on the entries
-    would leave it: a reduced real, ZERO for 0, and ONE at the leading
-    slot of the direction.
+    m0 = A / s and m1 = B / t with integer A = [[a, b], [c, d]] and B =
+    [[e, f], [g, h]], so C = (AB - BA) / st has the zeros, the kernel and
+    the ratios of entry moduli of K = AB - BA.  Each value is built once,
+    as Scalar arithmetic on the entries would leave it: a reduced real,
+    ZERO for 0, and ONE at the leading slot of the direction.
     """
-    s = math.lcm(a[1], b[1], c[1], d[1])
-    t = math.lcm(e[1], f[1], g[1], h[1])
-    a, b, c, d = (n * (s // m) for n, m in (a, b, c, d))
-    e, f, g, h = (n * (t // m) for n, m in (e, f, g, h))
+    (s, (a, b, c, d)), (t, (e, f, g, h)) = x, y
     a_d, e_h = a - d, e - h
     k00 = b * g - f * c
     k01 = f * a_d - b * e_h
@@ -265,8 +265,6 @@ def _real(n: int, d: int) -> Scalar:
     ZeroDivisionError for d = 0, as a Scalar division by ZERO raises."""
     if not d:
         raise ZeroDivisionError("reciprocal of exact zero")
-    if not n:
-        return ZERO
     return real_scalar(n, d) if d > 0 else real_scalar(-n, -d)
 
 

@@ -37,11 +37,12 @@ from logsplit.eigen import (
     _exact_quadratic,
     _from_float_roots,
     _from_quadratic,
+    _ldexp,
     _newton_polygon_starts,
     _poly_eval,
     _vieta_verdict,
 )
-from logsplit.scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO
+from logsplit.scalar import Q_HALF, Q_QUARTER, Q_THREE_QUARTERS, Q_ZERO, real_ratio
 from conftest import rand_invertible, rand_well_conditioned, rotated_diag
 
 try:
@@ -308,7 +309,7 @@ class TestEigenvaluesFloat:
         "rows",
         [
             [[Scalar.polar(10**400, 0), 1, 0], [1, 1, 0], [0, 1, 2]],
-            [[Scalar.polar(10**400, 0), 1], [1, 1]],
+            [[Scalar.polar(10**400, 0), 1], [1j, 1]],
             [[1, Scalar.polar(10**400, F(1, 3))], [1, 1]],
             [[1, 1], [complex(math.inf, 1.0), 1]],
         ],
@@ -349,19 +350,61 @@ class TestEigenvaluesFloat:
              [1e-300 * (3 - math.sqrt(5)) / 2, 1e-300 * (3 + math.sqrt(5)) / 2]),
             ([[1e-200, 3e-200], [2e-200, 1e-200]],
              [1e-200 * (1 + math.sqrt(6)), 1e-200 * (1 - math.sqrt(6))]),
+            ([[1e200, 1e200], [1e200, 2e200]],
+             [1e200 * (3 - math.sqrt(5)) / 2, 1e200 * (3 + math.sqrt(5)) / 2]),
         ],
     )
     def test_exact_pairs_beyond_the_exact_quadratic_are_answered(self, rows, values):
-        # Exact and invertible, with coefficients beyond _exact_quadratic's
-        # float range: the floating route answers them, no longer
-        # SingularMatrix, but not exactly, so with BranchBoundary.
+        # Exact and invertible, with a determinant or discriminant beyond
+        # the float range: the exact quadratic rounds the roots at a power
+        # of two, so the q's are exact and nothing is warned.
         e = eigenvalues(Matrix(rows))
-        assert e.warnings == (BRANCH_BOUNDARY,)
-        q_top = 0.0 if values[1] > 0 else 0.5
-        assert [(p.multiplicity, p.q) for p in e.pairs] == [(1, 0.0), (1, q_top)]
+        assert e.warnings == ()
+        q_top = 0 if values[1] > 0 else F(1, 2)
+        assert [(p.multiplicity, p.q) for p in e.pairs] == [(1, 0), (1, q_top)]
         for p, v in zip(e.pairs, values):
-            assert type(p.q) is float
+            assert type(p.q) is F and p.value.is_exact
             assert abs(p.value.z - v) < 1e-15 * abs(v)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [1, 2]],  # (3 -+ sqrt 5) / 2
+            [[1, 3], [2, 1]],  # 1 -+ sqrt 6
+            [[1, -2], [1, 1]],  # 1 -+ i sqrt 2, floating
+        ],
+    )
+    def test_exact_pairs_answer_alike_at_every_scale(self, rows):
+        # rows times 2^k: the same q's and warnings, and values 2^k times
+        # those at k = 0, for every k whose eigenvalue moduli are normal
+        # floats.  Beyond the range, FloatRangeError; below the normal
+        # range an exact modulus may still be answered, alike.
+        base = eigenvalues(Matrix(rows))
+        # r 2^k, r = m 2^e with m in [0.5, 1), is normal iff e + k lies in
+        # [-1021, 1024], and its float is 0 below -1074.
+        exps = [math.frexp(abs(p.value.z))[1] for p in base.pairs]
+        for k in range(-1100, 1030):
+            m = Matrix([[F(x) * F(2) ** k for x in row] for row in rows])
+            normal = all(-1021 <= e + k <= 1024 for e in exps)
+            try:
+                e = eigenvalues(m)
+            except FloatRangeError:
+                assert not normal, k
+                continue
+            assert all(-1074 <= e + k <= 1024 for e in exps), k
+            assert normal or all(p.value.is_exact for p in e.pairs), k
+            assert e.warnings == base.warnings, k
+            assert [(p.multiplicity, p.q) for p in e.pairs] == [
+                (p.multiplicity, p.q) for p in base.pairs], k
+            for p, b in zip(e.pairs, base.pairs):
+                assert p.value.is_exact is b.value.is_exact
+                assert p.value.z == _ldexp(b.value.z, k), k
+
+    def test_an_exact_real_eigenvalue_beyond_the_float_range_is_outside_it(self):
+        # The exact quadratic answers it; its modulus has no float.
+        with pytest.raises(FloatRangeError) as info:
+            eigenvalues(Matrix([[Scalar.polar(10**400, 0), 1], [1, 1]]))
+        assert str(info.value) == "eigenvalue (inf+0j) outside the floating-point range"
 
     @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11])
     def test_small_eigenvalue_is_answered_in_every_basis(self, t):
@@ -882,16 +925,17 @@ def _model_exact_quadratic(b_s, c_s):
     try:
         b_f, c_f, disc_f = float(b), float(c), float(disc)
     except OverflowError:
-        return None
-    if c_f == 0.0:
-        return None
+        return BEYOND
+    smallest = sys.float_info.min
+    if not (b == 0 or abs(b_f) >= smallest) or min(abs(c_f), abs(disc_f)) < smallest:
+        return BEYOND
     if disc > 0:
         s_f = math.sqrt(disc_f)
         t = (-b_f - s_f) / 2 if b >= 0 else (-b_f + s_f) / 2
         other = c_f / t
         hi, lo = max(t, other), min(t, other)
-        if not all(0.0 < abs(v) < math.inf for v in (hi, lo)):
-            return None
+        if not all(sys.float_info.min <= abs(v) < math.inf for v in (hi, lo)):
+            return BEYOND
         sign_hi = 1 if (b <= 0 or c < 0) else -1
         sign_lo = 1 if (b < 0 and c > 0) else -1
         return [
@@ -911,11 +955,61 @@ def _model_exact_quadratic(b_s, c_s):
     return [(complex(-b_f / 2, y), 1), (complex(-b_f / 2, -y), 1)]
 
 
+#: The model's outcome where a coefficient, the discriminant or a rounded
+#: root is not a normal float: the solve scales them, which the model
+#: leaves to _assert_true_roots.
+BEYOND = "beyond the normal float range"
+
+
+def _pair_solve(b_s, c_s):
+    """The exact quadratic as ``eigenvalues`` feeds it char_poly's
+    coefficients: their real_ratio pairs, or None when one is not an exact
+    real."""
+    b, c = real_ratio(b_s), real_ratio(c_s)
+    if b is None or c is None:
+        return None
+    return _exact_quadratic(b, c)
+
+
 def _outcome(solve, b_s, c_s):
     try:
         return solve(b_s, c_s)
-    except ZeroEigenvalue:
-        return ZeroEigenvalue
+    except (ZeroEigenvalue, FloatRangeError) as exc:
+        return type(exc)
+
+
+def _sqrt(x: F) -> F:
+    """sqrt(x) for x > 0, to about 2^-200 relative."""
+    n, d = x.numerator, x.denominator
+    return F(math.isqrt(n * d << 400), d << 200)
+
+
+def _assert_true_roots(got, b: F, c: F):
+    """``got`` of x^2 + b x + c, c != 0, against its roots to 2^-200: each
+    exact root's sign and rounded modulus, each floating root's value, to
+    a few roundings; FloatRangeError only for a floating root whose
+    modulus is not a normal float."""
+    disc = b * b - 4 * c
+    if disc > 0:
+        sq = _sqrt(disc)
+        big = (-b - sq) / 2 if b >= 0 else (-b + sq) / 2
+        want = sorted([big, c / big])
+        values = sorted(g.r * (1 if g.q == 0 else -1) for g, _ in got)
+        assert all(g.is_exact and g.q in (0, Q_HALF) for g, _ in got)
+        for v, w in zip(values, want):
+            assert abs(v - w) <= abs(w) / 2**50
+        return
+    modulus = _sqrt(c)
+    if got is FloatRangeError:
+        assert not F(sys.float_info.min) * F(10001, 10000) <= modulus < 2**1024
+        return
+    y = _sqrt(-disc) / 2
+    for g, _ in got:
+        if type(g) is complex:
+            assert abs(F(g.real) + b / 2) <= modulus / 2**50
+            assert abs(abs(F(g.imag)) - y) <= modulus / 2**50
+        else:
+            assert g.q.denominator in (4, 6, 3) and abs(g.r - modulus) <= modulus / 2**50
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -976,11 +1070,17 @@ forms = st.sampled_from(["exact", "exact", "exact", "fresh", "imaginary"])
 @example((F(0), F(-4)), "fresh", "fresh")
 @example((F(2**1100), F(1)), "exact", "exact")  # b's float overflows
 @example((F(1), F(1, 2**1100)), "exact", "exact")  # c's float underflows
+@example((F(-3, 10**300), F(1, 10**600)), "exact", "exact")  # the exact 1e-300 matrix
+@example((F(2**1100), F(2**2300)), "exact", "exact")  # a conjugate pair beyond the range
+@example((F(0), F(3, 2**2100)), "exact", "exact")  # imaginary, irrational, below the range
 @example((F(3), F(0)), "exact", "exact")
 def test_exact_quadratic_matches_the_fraction_model(coeffs, b_form, c_form):
     b_s, c_s = _coefficient(coeffs[0], b_form), _coefficient(coeffs[1], c_form)
-    got = _outcome(_exact_quadratic, b_s, c_s)
+    got = _outcome(_pair_solve, b_s, c_s)
     want = _outcome(_model_exact_quadratic, b_s, c_s)
+    if want is BEYOND:
+        _assert_true_roots(got, *coeffs)
+        return
     if want is None or want is ZeroEigenvalue:
         assert got is want
         return

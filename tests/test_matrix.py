@@ -5,6 +5,7 @@ import pytest
 
 from logsplit import (
     DimensionMismatch,
+    FloatRangeError,
     Matrix,
     Scalar,
     SingularMatrix,
@@ -85,6 +86,25 @@ class TestInverse:
         for m in singular:
             with pytest.raises(SingularMatrix):
                 mat_inverse(m)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e-310 + 0j, 2e-310 + 0j], [3e-310 + 0j, 1e-310 + 0j]],
+            [[1e-310 + 0j, 2e-310, 0j], [3e-310 + 0j, 1e-310 + 0j, 0j], [0j, 0j, 1 + 0j]],
+        ],
+    )
+    def test_a_pivot_without_a_finite_reciprocal_is_outside_the_range(self, rows):
+        # 1 / pivot overflows, and the inverse was all NaN, with no error.
+        with pytest.raises(FloatRangeError) as info:
+            mat_inverse(Matrix(rows))
+        assert str(info.value) == f"{len(rows)}x{len(rows)} inverse outside the floating-point range"
+
+    def test_singularity_is_decided_before_the_range(self):
+        # The last pivot, 1e-320j, has no finite reciprocal, but the
+        # determinant is below the threshold.
+        with pytest.raises(SingularMatrix):
+            mat_inverse(Matrix([[1 + 0j, 2 + 0j], [1 + 0j, 2 + 1e-320j]]))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exact_rational_inverse_is_exact(self, n):

@@ -24,6 +24,7 @@ from logsplit import (
     invariant_lines,
     split_two_punctures,
 )
+from logsplit.eigen import eigenvalues, reciprocal_eigenvalues
 from logsplit.scalar import ZERO, is_exact
 from conftest import rand_invertible, rand_well_conditioned
 
@@ -415,6 +416,9 @@ class TestOneSolvePerMonodromy:
 
     @staticmethod
     def _counted(monkeypatch):
+        """The solves made, each one eigenvalues call, or, for the product at
+        three punctures, one product_eigenvalues call, which forms m0 @ m1
+        and solves it or reads its exact trace and determinant."""
         from logsplit import eigen, representation, splitting
 
         calls = []
@@ -423,7 +427,12 @@ class TestOneSolvePerMonodromy:
             calls.append(a)
             return eigen.eigenvalues(a, tol)
 
+        def counting_product(m0, m1, tol):
+            calls.append((m0, m1))
+            return eigen.product_eigenvalues(m0, m1, tol)
+
         monkeypatch.setattr(representation, "eigenvalues", counting)
+        monkeypatch.setattr(representation, "product_eigenvalues", counting_product)
         monkeypatch.setattr(splitting, "eigenvalues", counting)
         return calls
 
@@ -443,6 +452,25 @@ class TestOneSolvePerMonodromy:
         report = classify(Representation(3, (m0, m1)), 1e-9)
         assert report.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
         assert len(calls) == 3  # m0, m1 and m0 m1
+
+    def test_exact_real_pair_solves_three_times_without_the_product(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        products = []
+        matmul = Matrix.__matmul__
+
+        def counting_matmul(a, b):
+            products.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+        m0 = Matrix([[F(1, 2), 3], [F(-2, 7), 5]])
+        m1 = Matrix([[2, F(1, 3)], [1, F(-5, 4)]])
+        prep = build(Representation(3, (m0, m1)))
+        assert len(calls) == 3  # m0, m1 and m0 m1
+        assert products == []
+        monkeypatch.undo()
+        assert prep.local_eigen[2] == reciprocal_eigenvalues(eigenvalues(m0 @ m1))
+        assert all(type(p.q) is F for data in prep.local_eigen for p in data.pairs)
 
     def test_two_puncture_input_solves_once(self, monkeypatch):
         calls = self._counted(monkeypatch)
