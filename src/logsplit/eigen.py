@@ -132,6 +132,8 @@ _MIN_NORMAL = sys.float_info.min
 _ONE_J = 1 + 0j
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _TWO_PI = 2.0 * math.pi
+#: Sweeps of each Aberth iteration from one set of starts.
+_ABERTH_BUDGET = 200
 
 #: The arguments of a complex root off the imaginary axis with a rational
 #: cosine (Niven: +-1/2), and of its conjugate, as reduced pairs.
@@ -522,42 +524,28 @@ def _cluster_indices(values: list, tol: float) -> list[list[int]]:
     not change with the scale of the values; the groups close this
     relation transitively.  Each value is compared with the members of
     the groups built before it, and joins, or merges, every group it
-    coincides with, so at n = 2 there is one comparison.  When every value
-    is a complex, as every floating root is, the comparison is the
-    distance test alone."""
-    floating = all(v.__class__ is complex for v in values)
+    coincides with, so at n = 2 there is one comparison."""
     groups: list[list[int]] = []
     sizes: list[float] = []  # tol * |x| of each value compared so far
     for j, y in enumerate(values):
-        y_exact = not floating and is_exact(y)
+        y_exact = is_exact(y)
         y_size = tol * modulus(y)
         home = None
         for g in groups[:]:  # y may merge groups
-            if floating:
-                for i in g:
-                    try:
-                        d = abs(values[i] - y)
-                    except OverflowError:  # a distance beyond the float range
-                        continue
-                    if d < sizes[i] or d < y_size:
+            for i in g:
+                x = values[i]
+                if y_exact and is_exact(x):
+                    if x == y:
                         break
-                else:
                     continue
+                try:
+                    d = abs(complex(x) - complex(y))
+                except OverflowError:  # a distance beyond the float range
+                    continue
+                if d < sizes[i] or d < y_size:
+                    break
             else:
-                for i in g:
-                    x = values[i]
-                    if y_exact and is_exact(x):
-                        if x == y:
-                            break
-                        continue
-                    try:
-                        d = abs(complex(x) - complex(y))
-                    except OverflowError:
-                        continue
-                    if d < sizes[i] or d < y_size:
-                        break
-                else:
-                    continue
+                continue
             if home is None:
                 g.append(j)
                 home = g
@@ -717,7 +705,7 @@ def _poly_eval(coeffs: list[complex], x: complex) -> tuple[complex, complex, flo
 
 
 def _aberth_solve(
-    coeffs: list[complex], budget: int = 200
+    coeffs: list[complex],
 ) -> tuple[list[complex], list[tuple[complex, complex, float]]]:
     """All roots of a monic polynomial of degree 3 or more whose constant
     term ``eigenvalues`` has found nonzero, with the iteration's last
@@ -736,12 +724,11 @@ def _aberth_solve(
     """
     n = len(coeffs) - 1
     radius = math.exp(math.log(abs(coeffs[-1])) / n)
-    z, evals = _aberth_iterate(
-        coeffs, [radius * cmath.exp(1j * (_TWO_PI * k / n + 0.4)) for k in range(n)], budget
-    )
+    starts = [radius * cmath.exp(1j * (_TWO_PI * k / n + 0.4)) for k in range(n)]
+    z, evals = _aberth_iterate(coeffs, starts, _ABERTH_BUDGET)
     if _vieta_verdict(coeffs, z, evals):
         return z, evals
-    z, evals = _aberth_iterate(coeffs, _newton_polygon_starts(coeffs), budget)
+    z, evals = _aberth_iterate(coeffs, _newton_polygon_starts(coeffs), _ABERTH_BUDGET)
     if _vieta_verdict(coeffs, z, evals) is False:
         raise RootFindingDivergence("root iteration lost a root from both of its starts")
     return z, evals

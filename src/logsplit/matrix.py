@@ -5,10 +5,11 @@ are pure; a Matrix is immutable after construction.  Each entry is stored
 as given: an exact :class:`~logsplit.scalar.Scalar`, or a ``complex`` for
 a floating value (a floating Scalar is unboxed).  Arithmetic between the
 two is Scalar arithmetic, whose floating results are ``complex``, and
-every operation divides as a product with ``1.0 / x``.  Exact polar data
-survives any operation that only needs products, reciprocals and colinear
-sums (diagonal and triangular work in particular), and ``@`` and the
-inverse keep exact entries exact in every dimension.  ``det`` and
+every operation divides as a product with ``1.0 / x``, but ``det`` and
+``char_poly`` divide by a pivot whose reciprocal overflows.  Exact polar
+data survives any operation that only needs products, reciprocals and
+colinear sums (diagonal and triangular work in particular), and ``@`` and
+the inverse keep exact entries exact in every dimension.  ``det`` and
 ``char_poly`` run on ``complex`` values from dimension 3.  ``rows``,
 indexing, ``diagonal``, ``det``, ``char_poly`` and ``scalar_value``
 return the values as stored or computed: exact Scalars and ``complex``.
@@ -222,7 +223,10 @@ class Matrix:
 
 # Kernels on plain complex values; the elimination also takes rows with
 # exact Scalars, for the inverse of a matrix with exact entries.  Division
-# is a multiplication by ``1.0 / pivot``, as in Scalar.
+# is a multiplication by ``1.0 / pivot``, as in Scalar, except where a pivot
+# below about 2^-1024 has no finite reciprocal: the determinant-only
+# elimination and the Hessenberg reduction divide by that pivot.  The
+# inverse keeps the product; its entries leave the float range anyway.
 
 
 def _det_by_elimination(w: list[list]) -> complex | Scalar:
@@ -247,10 +251,14 @@ def _det_by_elimination(w: list[list]) -> complex | Scalar:
         row_c = w[col]
         if jordan:
             row_c = w[col] = [e * inv_pivot for e in row_c]
+        divide = not jordan and not cmath.isfinite(inv_pivot)
         for row_i in w[0 if jordan else col + 1:]:
             if row_i is row_c:
                 continue
-            factor = row_i[col] if jordan else row_i[col] * inv_pivot
+            if jordan:
+                factor = row_i[col]
+            else:
+                factor = row_i[col] / pivot if divide else row_i[col] * inv_pivot
             if factor == 0:
                 continue
             for j in range(col, width):
@@ -272,11 +280,13 @@ def _hessenberg(w: list[list[complex]]) -> list[list[complex]]:
             w[p], w[pivot_row] = w[pivot_row], w[p]
             for row in w:
                 row[p], row[pivot_row] = row[pivot_row], row[p]
-        inv_pivot = 1.0 / w[p][col]
         row_p = w[p]
+        pivot = row_p[col]
+        inv_pivot = 1.0 / pivot
+        divide = not cmath.isfinite(inv_pivot)
         for i in range(col + 2, n):
             row_i = w[i]
-            factor = row_i[col] * inv_pivot
+            factor = row_i[col] / pivot if divide else row_i[col] * inv_pivot
             if factor == 0:
                 continue
             for j in range(col, n):

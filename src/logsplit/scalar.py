@@ -20,11 +20,11 @@ power of two when they leave the normal float range.
 
 Both r and q are held as reduced pairs ``(numerator, denominator)`` of
 ``int``s, q with ``0 <= numerator < denominator``; products, reciprocals,
-negations and colinear sums and differences are done on the pairs, not
-with Fraction arithmetic: a product reduces with ``math.gcd``, and a
-negation, like the test whether two values of a sum are opposite, adds a
-half turn with no gcd at all (``_half_turn``).  A difference of two exact
-values is one operation, like a sum: it builds no negated operand.
+negations and colinear sums are done on the pairs, not with Fraction
+arithmetic: a product reduces with ``math.gcd``, and a negation, like the
+test whether two values of a sum are opposite, adds a half turn reduced
+by one gcd (``_half_turn``).  A difference is the sum with the negated
+operand.
 ``Scalar.r`` and ``Scalar.q`` build their Fractions when read, and no
 arithmetic here reads them; ``.q`` of a quarter turn is its shared
 constant (Q_ZERO, Q_QUARTER, Q_HALF or Q_THREE_QUARTERS).  Downstream a
@@ -105,17 +105,12 @@ def _ratio_sum(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
 
 
 def _half_turn(q: tuple[int, int]) -> tuple[int, int]:
-    """``(q + 1/2) mod 1`` of a reduced turn ``q = n / d``, with no gcd:
-    for odd d, ``n / d + 1/2 = (2n + d) / 2d`` is reduced; for d = 2e with
-    e odd, ``(n + e) / 2e`` reduces by exactly 2 (n and e are odd); for e
-    even it is reduced (n + e is odd)."""
+    """``(q + 1/2) mod 1`` of a reduced turn ``q = n / d``, reduced:
+    ``(2n + d) mod 2d`` over ``2d``."""
     n, d = q
-    if d & 1:
-        return (2 * n + d) % (2 * d), 2 * d
-    e = d >> 1
-    if e & 1:
-        return ((n + e) >> 1) % e, e
-    return (n + e) % d, d
+    n, d = (2 * n + d) % (2 * d), 2 * d
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _polar_to_complex(r: tuple[int, int], q: tuple[int, int]) -> complex:
@@ -278,25 +273,7 @@ class Scalar:
         o = other if other.__class__ is Scalar else value_of(other)
         if o is None:
             return NotImplemented
-        if o is _ZERO:
-            return self if self._r is not None else self._z
-        q = self._q
-        if q is None or o.__class__ is complex or o._q is None:
-            return self + (-o)
-        # Two exact polar values, in one step: self + (-o) without building -o.
-        oq = o._q
-        if q == oq:
-            on, od = o._r
-            n, d = _ratio_sum(self._r, (-on, od))
-            if n > 0:
-                return Scalar(None, (n, d), q)
-            if n < 0:
-                return Scalar(None, (-n, d), _half_turn(q))
-            return _ZERO
-        if _half_turn(q) == oq:
-            return Scalar(None, _ratio_sum(self._r, o._r), q)
-        # The complex value of -o, as self + (-o) reads it.
-        return self.z + Scalar(None, o._r, _half_turn(oq)).z
+        return self + (-o)
 
     def __rsub__(self, other) -> "Scalar | complex":
         o = value_of(other)
@@ -350,10 +327,7 @@ class Scalar:
         return self * (1.0 / o if o.__class__ is complex else o.reciprocal())
 
     def __rtruediv__(self, other) -> "Scalar | complex":
-        # A real 1 would coerce to a value equal to ONE in every field, its
-        # complex value 1+0j included; ONE saves a value_of call.
-        real_one = isinstance(other, (int, float, Fraction)) and other == 1
-        o = ONE if real_one else value_of(other)
+        o = value_of(other)
         if o is None:
             return NotImplemented
         return o * self.reciprocal()

@@ -563,12 +563,13 @@ class TestAberth:
         coeffs = [complex(1), complex(0.3, -1), complex(-2, 0.1), complex(0, 1.7)]
         assert _aberth_solve(coeffs)[0] == _aberth_solve(coeffs)[0]
 
-    def test_exhausted_budget_raises(self):
-        from logsplit import RootFindingDivergence
+    def test_exhausted_budget_raises(self, monkeypatch):
+        from logsplit import RootFindingDivergence, eigen
 
+        monkeypatch.setattr(eigen, "_ABERTH_BUDGET", 1)
         coeffs = [complex(1), complex(0.3, -1), complex(-2, 0.1), complex(0, 1.7)]
         with pytest.raises(RootFindingDivergence):
-            _aberth_solve(coeffs, budget=1)
+            _aberth_solve(coeffs)
 
     @pytest.mark.parametrize(
         "starts",
@@ -639,6 +640,17 @@ class TestAberthRange:
         # a root is solved for, as it rejects every determinant near 0.
         with pytest.raises(SingularMatrix):
             eigenvalues(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+
+    @pytest.mark.parametrize("entry", [lambda e: e, complex], ids=["exact", "complex"])
+    def test_hessenberg_pivot_below_the_float_range(self, entry):
+        # The subdiagonal pivot 1e-310 has no finite reciprocal; multiplied
+        # by, it made the polynomial NaN and the iteration diverge.
+        rows = [[1, 1, 1], [1e-310, 2, 1], [1e-310, 1e-300, 3]]
+        e = eigenvalues(Matrix([[entry(x) for x in row] for row in rows]))
+        assert [p.multiplicity for p in e.pairs] == [1, 1, 1]
+        for p, want in zip(e.pairs, (1, 2, 3)):
+            assert abs(complex(p.value) - want) < 1e-14 * want
+        assert e.warnings == (BRANCH_BOUNDARY,)
 
     def test_overflowed_roundoff_bound_is_not_convergence(self):
         # At z ~ 1e51 the residual and its bound are both inf; inf <= inf

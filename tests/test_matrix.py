@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -170,6 +171,29 @@ class TestCharPoly:
             coeffs = char_poly(a)
             sign = 1 if n % 2 == 0 else -1
             assert abs(coeffs[-1] - sign * a.det()) < 1e-9 * (1 + abs(a.det()))
+
+
+class TestSubnormalPivots:
+    """A pivot below about 2^-1024 has no finite reciprocal; det and
+    char_poly divide by it, where multiplying left NaN."""
+
+    TINY = [[1e-310 + 0j, 2e-310 + 0j, 0j], [3e-310 + 0j, 1e-310 + 0j, 0j], [0j, 0j, 1e-310 + 0j]]
+
+    def test_determinant(self):
+        # About -5e-930, below the float range.
+        assert Matrix(self.TINY).det() == 0j
+
+    def test_characteristic_polynomial(self):
+        coeffs = Matrix(self.TINY).char_poly()
+        assert all(cmath.isfinite(c) for c in coeffs)
+        assert coeffs[1] == -3e-310 + 0j  # minus the trace
+
+    def test_hessenberg_pivot_among_larger_entries(self):
+        # The subdiagonal pivot 1e-310 sits next to entries of order 1.
+        rows = [[1, 1, 1], [1e-310, 2, 1], [1e-310, 1e-300, 3]]
+        coeffs = Matrix([[complex(e) for e in row] for row in rows]).char_poly()
+        for got, want in zip(coeffs, (1, -6, 11, -6)):
+            assert abs(got - want) < 1e-14 * 11
 
 
 class TestStructure:

@@ -317,7 +317,7 @@ def test_arithmetic_matches_the_model(op, s, other, scalar_left):
 @settings(max_examples=400)
 @given(scalars, scalars | plain)
 def test_difference_is_the_sum_with_the_negated_operand(s, other):
-    # A difference of exact values is one operation; it must leave what
+    # A difference is the sum with the negated operand: it must leave what
     # adding the negated operand leaves, bit for bit.
     want = s + (-_value(other))
     _assert_same(s - other, want if isinstance(want, Scalar) else Scalar.inexact(want))

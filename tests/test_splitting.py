@@ -488,6 +488,67 @@ class TestOneSolvePerMonodromy:
         assert len(calls) == 2
 
 
+class TestExactRealPairsMakeNoScalarArithmetic:
+    """classify decides an exact real 3-puncture pair on cleared integers:
+    it makes no Scalar sum, difference, product or negation.  Only exact
+    polar entries reach Scalar arithmetic."""
+
+    OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__")
+
+    @classmethod
+    def _counted(cls, monkeypatch):
+        calls = []
+        for name in cls.OPERATIONS:
+            method = getattr(Scalar, name)
+
+            def counting(*args, name=name, method=method):
+                calls.append(name)
+                return method(*args)
+
+            monkeypatch.setattr(Scalar, name, counting)
+        return calls
+
+    @staticmethod
+    def _irreducible_pairs(count):
+        """Seeded rational pairs whose commutator has a nonzero determinant."""
+        def det(m):
+            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+        def mul(a, b):
+            return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+        rng = random.Random(34)
+        pairs = []
+        while len(pairs) < count:
+            a, b = ([[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)] for _ in range(2)]
+                    for _ in range(2))
+            commutator = [[x - y for x, y in zip(r, t)] for r, t in zip(mul(a, b), mul(b, a))]
+            if 0 not in (det(a), det(b), det(commutator)):
+                pairs.append((Matrix(a), Matrix(b)))
+        return pairs
+
+    def test_exact_real_pairs(self, monkeypatch, golden_pair):
+        kinds = ClassificationKind
+        triangular = (Matrix([[F(1, 2), 3], [0, 5]]), Matrix([[2, F(1, 3)], [0, F(-5, 4)]]))
+        cases = [
+            (kinds.THREE_DIM2_IRREDUCIBLE, Representation(3, golden_pair)),
+            (kinds.THREE_DIM2_REDUCIBLE_SPLIT, Representation(3, triangular)),
+            (kinds.THREE_DIM2_REDUCIBLE_SPLIT,
+             conjugate(Representation(3, triangular), Matrix([[F(2, 3), 1], [F(-1, 4), 3]]))),
+        ] + [(kinds.THREE_DIM2_IRREDUCIBLE, Representation(3, pair))
+             for pair in self._irreducible_pairs(5)]
+        calls = self._counted(monkeypatch)
+        for kind, rep in cases:
+            assert classify(rep).kind is kind
+            assert calls == []
+
+    def test_a_polar_pair_is_counted(self, monkeypatch):
+        lam = Scalar.polar(2, F(1, 3))
+        rep = Representation(3, (Matrix([[lam, 0], [0, 1]]), Matrix([[lam, 1], [0, 3]])))
+        calls = self._counted(monkeypatch)
+        classify(rep)
+        assert calls
+
 
 class TestRootsFromC1:
     """Every root is c1 split over the summands; a c1 that does not split
