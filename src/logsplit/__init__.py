@@ -31,7 +31,6 @@ from .errors import (
     LogSplitError,
     NonIntegralChernClass,
     OutOfBranch,
-    ProductNotIdentity,
     RootFindingDivergence,
     SingularMatrix,
     UnsupportedCase,
@@ -84,7 +83,6 @@ __all__ = [
     "NonIntegralChernClass",
     "OutOfBranch",
     "OutputDocument",
-    "ProductNotIdentity",
     "PuncturedRepresentation",
     "Representation",
     "RootFindingDivergence",

@@ -101,7 +101,7 @@ from .errors import (
     SingularMatrix,
     ZeroEigenvalue,
 )
-from .matrix import Matrix, below_singularity_threshold
+from .matrix import Matrix, _ldexp, below_singularity_threshold
 from .scalar import ZERO, Scalar, _ratio_float
 from .scalar import cleared, is_exact, modulus, real_ratio, real_scalar
 
@@ -262,14 +262,15 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     budget without reaching the residual noise floor or leaves the float
     range, and FloatRangeError for an eigenvalue, or a real or imaginary
     part of an entry, beyond the float range, or an eigenvalue scaled back
-    below its normal range.  A floating block has one singularity test and
-    one solve, on ``a`` when max|entry| lies in [0.5, 2^100), else on
-    ``a * 2**-exp``.
+    below its normal range.  A floating block has one characteristic
+    polynomial, one singularity test and one solve, on ``a`` when
+    max|entry| lies in [0.5, 2^100), else on ``a * 2**-exp``.
     """
     tol = checked_tolerance(tol, "tol", TOL_BOUND)
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_diagonal(a.diagonal(), tol)
+    coeffs = None
     if n == 2 and a.rows[0][0].__class__ is Scalar:
         # A floating first entry makes the trace floating, so a floating
         # matrix pays this one class check.
@@ -283,8 +284,6 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         b, c = real_ratio(coeffs[1]), real_ratio(coeffs[2])
         if b is not None and c is not None:
             return _eigen_data(_exact_quadratic(b, c), tol)
-    else:
-        coeffs = a.char_poly()
     exp = 0
     top = a.max_abs()
     if not _SOLVE_BOTTOM <= top < _SOLVE_TOP:
@@ -298,6 +297,8 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
         exp = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in parts))[1]
         a = Matrix._of_rows(tuple(tuple(_ldexp(complex(e), -exp) for e in row) for row in a.rows))
         top = a.max_abs()
+        coeffs = a.char_poly()
+    elif coeffs is None:  # else the exact polynomial above, at this scale
         coeffs = a.char_poly()
     if below_singularity_threshold(modulus(coeffs[-1]), top, n):
         raise SingularMatrix(f"{n}x{n} determinant below tolerance at the scale of its entries")
@@ -495,12 +496,6 @@ def _from_float_roots(
             uncertain = True
         centroids.append((centroid, size))
     return centroids, uncertain
-
-
-def _ldexp(z: complex, exp: int) -> complex:
-    """``z * 2**exp``, exact unless a part falls below the normal float
-    range; OverflowError above it."""
-    return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
 
 
 def _scaled_back(z: complex, exp: int) -> complex:

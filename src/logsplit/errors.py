@@ -38,10 +38,6 @@ class OutOfBranch(LogSplitError):
     """A branch datum q lies outside the half-open interval [0, 1)."""
 
 
-class ProductNotIdentity(LogSplitError):
-    """Local monodromies fail to multiply to the identity within tolerance."""
-
-
 class NonIntegralChernClass(LogSplitError):
     """The residue-trace sum is farther from an integer than tolerated."""
 

@@ -25,7 +25,7 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import DimensionMismatch, FloatRangeError, SingularMatrix
-from .scalar import ONE, ZERO, Scalar, is_exact, modulus, value_of
+from .scalar import ONE, ZERO, Scalar, is_exact, modulus, real_scalar, value_of
 
 MAX_DIM = 8
 
@@ -138,24 +138,30 @@ class Matrix:
         return _det_by_elimination([list(map(complex, row)) for row in r])
 
     def inverse(self) -> "Matrix":
-        """Inverse by Gauss-Jordan elimination of ``[A | I]`` in the stored
-        values, with an exact I unless every entry is floating, so exact
-        entries stay exact.  Raises SingularMatrix when |det| is
-        below_singularity_threshold, else FloatRangeError for an entry
-        that is not finite, as a pivot below about 2^-1024, whose
-        reciprocal overflows, leaves them."""
+        """Inverse by Gauss-Jordan elimination of ``[A * 2^-exp | I]``, whose
+        max|entry| lies in [0.5, 1), in the stored values, with an exact I
+        unless every entry is floating, so exact entries stay exact and
+        scaling A by a power of two changes no decision.  Raises
+        SingularMatrix when that block's |det| is below_singularity_threshold,
+        else FloatRangeError for an entry of the inverse beyond the float
+        range."""
         n = self.n
         floating = all(e.__class__ is complex for e in chain.from_iterable(self._rows))
         one, zero = (1 + 0j, 0j) if floating else (ONE, ZERO)
-        w = [list(self._rows[i]) + [zero] * i + [one] + [zero] * (n - i - 1) for i in range(n)]
+        top, exp = math.frexp(self.max_abs())
+        w = [[_ldexp(e, -exp) for e in row] + [zero] * i + [one] + [zero] * (n - i - 1)
+             for i, row in enumerate(self._rows)]
         det_abs = modulus(_det_by_elimination(w))
-        if below_singularity_threshold(det_abs, self.max_abs(), n):
+        if below_singularity_threshold(det_abs, top, n):
             raise SingularMatrix(f"{n}x{n} determinant {det_abs:.3e} below tolerance")
-        inverse = Matrix(row[n:] for row in w)
-        for e in chain.from_iterable(inverse._rows):
-            if e.__class__ is complex and not cmath.isfinite(e):
-                raise FloatRangeError(f"{n}x{n} inverse outside the floating-point range")
-        return inverse
+        try:
+            inverse = tuple(tuple(_ldexp(e, -exp) for e in row[n:]) for row in w)
+            for e in chain.from_iterable(inverse):
+                if e.__class__ is complex and not cmath.isfinite(e):
+                    raise OverflowError
+        except OverflowError:
+            raise FloatRangeError(f"{n}x{n} inverse outside the floating-point range") from None
+        return Matrix._of_rows(inverse)
 
     def char_poly(self) -> tuple[Scalar | complex, ...]:
         """Monic characteristic polynomial det(xI - A), coefficients from
@@ -329,6 +335,15 @@ def _hessenberg_char_poly(h: list[list[complex]]) -> list[complex]:
                 cur[offset + idx] = cur[offset + idx] - term * c
         polys.append(cur)
     return polys[n]
+
+
+def _ldexp(e: Scalar | complex, exp: int) -> Scalar | complex:
+    """``e * 2**exp``: exact for an exact Scalar, and for a ``complex``
+    unless a part falls below the normal float range; OverflowError above
+    it."""
+    if e.__class__ is complex:
+        return complex(math.ldexp(e.real, exp), math.ldexp(e.imag, exp))
+    return e * (real_scalar(1 << exp, 1) if exp >= 0 else real_scalar(1, 1 << -exp))
 
 
 def _is_zero(e: Scalar | complex) -> bool:

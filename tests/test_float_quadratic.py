@@ -19,10 +19,11 @@ import cmath
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
-from logsplit import FloatRangeError, LogSplitError, Matrix, eigen
+from logsplit import FloatRangeError, LogSplitError, Matrix, Scalar, eigen
 from logsplit.eigen import _from_float_roots, _from_quadratic, _poly_eval, eigenvalues
 
 c = complex
@@ -324,6 +325,8 @@ def test_a_modulus_beyond_the_range_takes_its_scale_from_the_largest_part():
 #: at dimension 3 entries whose characteristic polynomial overflows.  The
 #: overflow cases and the 3x3 times 2^341 have finite coefficients on which
 #: a solve at scale 1 overflows, as the closed form or Horner's scheme.
+#: The polar one is exact with a non-real trace: its exact polynomial,
+#: formed to test for real coefficients, is the one solved.
 _DIM3 = [[c(0.5, 0.3), 1, 0.25], [0.5, c(-0.7, 0.2), 1], [0.125, 0.5, c(1.5, -0.4)]]
 _ONCE = {
     "generic": CASES["generic"][0],
@@ -334,24 +337,29 @@ _ONCE = {
     "dim3": _DIM3,
     "dim3-2^341": [[complex(e) * 2.0**341 for e in row] for row in _DIM3],
     "dim3-1e120": [[1e120, 1, 0], [0, 2e120, 1], [1, 0, 3e120]],
+    "polar": [[Scalar.polar(1, Fraction(1, 5)), 1], [1, Scalar.polar(1, Fraction(1, 3))]],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ONCE))
 def test_each_floating_call_solves_once(monkeypatch, case):
-    calls = []
-    for name in ("_from_quadratic", "_aberth_solve"):
+    # One characteristic polynomial, formed after the scale is chosen, and
+    # one solve of it.
+    calls = {}
+    hooks = ((eigen, "_from_quadratic"), (eigen, "_aberth_solve"), (Matrix, "char_poly"))
+    for owner, name in hooks:
 
-        def counted(*args, _solve=getattr(eigen, name)):
-            calls.append(_solve)
+        def counted(*args, _solve=getattr(owner, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
             return _solve(*args)
 
-        monkeypatch.setattr(eigen, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     try:
         eigenvalues(Matrix(_ONCE[case]), _SPLIT_TOL)
     except FloatRangeError:
         assert case == "bound-2^1024"
-    assert len(calls) == 1
+    assert calls.pop("char_poly") == 1
+    assert list(calls.values()) == [1]
 
 
 def _quadratic_model(b, c, tol):

@@ -107,6 +107,29 @@ class TestInverse:
         with pytest.raises(SingularMatrix):
             mat_inverse(Matrix([[1 + 0j, 2 + 0j], [1 + 0j, 2 + 1e-320j]]))
 
+    def test_a_determinant_below_the_float_range_is_not_singular(self):
+        # The determinants, about 1e-400, underflow to 0.0, yet the entries
+        # are far from singular at their own scale.
+        tiny = Matrix([[1e-200 + 1e-201j, 2e-200 + 0j], [3e-200 + 0j, 1e-200 + 0j]])
+        assert close_to(tiny @ tiny.inverse(), Matrix.identity(2), 1e-12)
+        exact = Matrix([[F(k, 10**200) for k in row] for row in ((1, 2), (3, 1))])
+        assert exact @ exact.inverse() == Matrix.identity(2)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_power_of_two_scale_changes_no_decision(self, exact):
+        # A * 2^k is inverted at the scale of A: the decision, and the
+        # inverse scaled back by 2^k, are those of A.
+        rows = ((1, 2), (3, 1)) if exact else ((1 + 0.1j, 2 + 0j), (3 + 0j, 1 + 0j))
+        scale = (lambda k: F(2) ** k) if exact else (lambda k: 2.0**k)
+        ref = Matrix(rows).inverse()
+        for k in range(-1000, 1001, 25):
+            inv = Matrix([[e * scale(k) for e in row] for row in rows]).inverse()
+            assert Matrix([[e * scale(k) for e in row] for row in inv.rows]) == ref, k
+        for m in (Matrix([[1, 2], [2, 4]]), Matrix([[1 + 0j, 2 + 0j], [1 + 0j, 2 + 1e-13j]])):
+            for k in range(-1000, 1001, 25):
+                with pytest.raises(SingularMatrix):
+                    Matrix([[e * scale(k) for e in row] for row in m.rows]).inverse()
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exact_rational_inverse_is_exact(self, n):
         rng = random.Random(40 + n)
