@@ -25,7 +25,8 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import DimensionMismatch, FloatRangeError, SingularMatrix
-from .scalar import ONE, ZERO, Scalar, is_exact, modulus, real_scalar, value_of
+from .scalar import ONE, ZERO, Scalar, is_exact, modulus, modulus_at_least, modulus_frexp
+from .scalar import real_scalar, value_of
 
 MAX_DIM = 8
 
@@ -141,14 +142,21 @@ class Matrix:
         """Inverse by Gauss-Jordan elimination of ``[A * 2^-exp | I]``, whose
         max|entry| lies in [0.5, 1), in the stored values, with an exact I
         unless every entry is floating, so exact entries stay exact and
-        scaling A by a power of two changes no decision.  Raises
+        scaling A by a power of two changes no decision.  ``exp`` is read
+        from the exact moduli when every entry is exact, so an exact
+        entry whose float under- or overflows still sets it.  Raises
         SingularMatrix when that block's |det| is below_singularity_threshold,
         else FloatRangeError for an entry of the inverse beyond the float
         range."""
         n = self.n
-        floating = all(e.__class__ is complex for e in chain.from_iterable(self._rows))
+        entries = tuple(chain.from_iterable(self._rows))
+        floating = all(e.__class__ is complex for e in entries)
         one, zero = (1 + 0j, 0j) if floating else (ONE, ZERO)
-        top, exp = math.frexp(self.max_abs())
+        if all(map(is_exact, entries)):
+            largest = reduce(lambda x, y: x if modulus_at_least(x, y) else y, entries)
+            top, exp = modulus_frexp(largest)
+        else:
+            top, exp = math.frexp(self.max_abs())
         w = [[_ldexp(e, -exp) for e in row] + [zero] * i + [one] + [zero] * (n - i - 1)
              for i, row in enumerate(self._rows)]
         det_abs = modulus(_det_by_elimination(w))

@@ -388,6 +388,22 @@ def modulus_at_least(x: Scalar | complex, y: Scalar | complex) -> bool:
     return modulus(x) >= modulus(y)
 
 
+def modulus_frexp(x: Scalar) -> tuple[float, int]:
+    """``math.frexp`` of the modulus of an exact Scalar, taken on its int
+    pair, so that a modulus whose float under- or overflows keeps its
+    exponent: the mantissa in [0.5, 1) (rounded, so possibly 1.0) and the
+    exponent; (0.0, 0) for the exact zero."""
+    n, d = x._r
+    if not n:
+        return 0.0, 0
+    exp = n.bit_length() - d.bit_length()
+    # n / d lies in (2^(exp - 1), 2^(exp + 1)), so num / den in (0.5, 2).
+    num, den = (n, d << exp) if exp >= 0 else (n << -exp, d)
+    if num >= den:
+        return num / (den << 1), exp + 1
+    return num / den, exp
+
+
 def real_ratio(x: Scalar | complex) -> tuple[int, int] | None:
     """The signed reduced ``(numerator, denominator)`` of an exact real
     Scalar, ``(0, 1)`` for the exact zero; None for any other value."""

@@ -10,12 +10,15 @@ line.  The only test per summand is the origin test (q0 = q1 = 0, root
 decides the diagonal q0 + q1 = 1.  A c1 that does not split this way is
 InternalInconsistency.
 
-Whether a 2x2 pair is reducible, and along which line, is decided by one
-of three routes, in this order: on integers when all eight entries are
-exact reals, by the commutator in Scalar arithmetic for other exact
-pairs, and by floating eigendirections for commuting or floating pairs.
-The first two give the same values, and both compare exact moduli
-exactly when they pick and normalize the kernel direction.
+Whether a 2x2 pair is reducible, and along which line, is decided from
+the commutator C = m0 m1 - m1 m0 by one of three routes, in this order:
+on integers when all eight entries are exact reals; in Scalar arithmetic
+for other pairs, where an exact C and det C decide exactly and a floating
+C that is not zero at tol keeps its one candidate line, ker C, when both
+members preserve it at tol; and by floating eigendirections for pairs
+that commute, exactly or at tol.  The first two give the same values on
+exact pairs, and every route compares exact moduli exactly when it picks
+and normalizes a kernel direction.
 
 Sub at -2 over a quotient at the origin is the (-2, 0) case.  Its answer
 is O(-1) + O(-1); it is not two-valued:
@@ -44,6 +47,7 @@ family with this monodromy corroborates the argument.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from enum import Enum, unique
 from fractions import Fraction
@@ -166,28 +170,35 @@ def character_root(q0: Fraction | float | int, q1: Fraction | float | int) -> in
 # ---------------------------------------------------------------------------
 # invariant lines of a 2x2 pair
 
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_MAX = 1 / _NORMAL_MIN
+
 
 def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> InvariantLineReport:
     """Common eigendirections of an invertible 2x2 pair: none when it is
     irreducible, two when it decomposes into characters.
 
     The pair shares an eigenvector iff C = m0 m1 - m1 m0 has det C = 0
-    (Shemesh, Lin. Alg. Appl. 62, 1984); exact C and det C decide, and
-    C != 0 gives the line ker C.  They are worked out on integers when all
-    eight entries are exact reals, else in Scalar arithmetic.  ker C is
-    spanned by the candidate (c01, -c00) or (c00, c10) with the larger
-    entry, normalized at its larger slot, where two exact values compare
-    by their exact moduli and any other pair by float moduli.  A commuting
-    pair, or floating data (where a bound on det C is relative to C, not
-    to the pair), keeps the eigendirections v of a non-scalar member that
-    the other maps to a w with |v x w| < tol |v| |w|.  v comes from the member with the larger
-    relative eigenvalue gap |lam1 - lam2| / max|entry|, whose eigenvectors
-    are the better conditioned (Stewart & Sun, Matrix Perturbation Theory,
-    ch. V): m0 on a tie, the other member when that one is scalar at
-    ``tol``.  Eigenvalues are solved only when this branch is reached.
-    Each line carries the eigenvalues of m0 and m1 on it, read at the
-    slot of v that holds the exact ONE, and the quotient det/lambda.  A
-    ``tol`` outside (0, TOL_BOUND) raises InputFormatError.
+    (Shemesh, Lin. Alg. Appl. 62, 1984), and a pair with C != 0 shares at
+    most the line ker C.  C is worked out on integers when all eight
+    entries are exact reals, else in Scalar arithmetic, and an exact C and
+    det C decide alone.  ker C is spanned by the candidate (c01, -c00) or
+    (c00, c10) with the larger entry, normalized at its larger slot, where
+    two exact values compare by their exact moduli and any other pair by
+    float moduli.  A floating C with max|c_ij| > tol max|m0| max|m1| makes
+    ker C the one candidate v: a line when each member maps v to a w with
+    |v x w| < tol |v| |w|, else none (a bound on det C would be relative
+    to C, not to the pair).  A pair that commutes, exactly or at ``tol``,
+    or whose C or bound leaves the normal float range, keeps the
+    eigendirections v of a non-scalar member that the other maps to such a
+    w.  v comes from the member with the larger relative eigenvalue gap
+    |lam1 - lam2| / max|entry|, whose eigenvectors are the better
+    conditioned (Stewart & Sun, Matrix Perturbation Theory, ch. V): m0 on
+    a tie, the other member when that one is scalar at ``tol``.
+    Eigenvalues are solved only when this branch is reached.  Each line
+    carries the eigenvalues of m0 and m1 on it, read at the slot of v that
+    holds the exact ONE, and the quotient det/lambda.  A ``tol`` outside
+    (0, TOL_BOUND) raises InputFormatError.
     """
     return _invariant_lines(m0, m1, checked_tolerance(tol, "tol", TOL_BOUND), None)
 
@@ -199,12 +210,37 @@ def _invariant_lines(
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
     x = cleared(m0.rows[0] + m0.rows[1])
     y = None if x is None else cleared(m1.rows[0] + m1.rows[1])
-    if y is None:
-        lines, exact = _commutator_lines(m0, m1)
-    else:
+    if y is not None:
         lines, exact = _integer_lines(x, y), True
-    if lines is not None:
-        return InvariantLineReport(lines, False)
+        if lines is not None:
+            return InvariantLineReport(lines, False)
+    else:
+        # The commutator C = m0 m1 - m1 m0 in Scalar arithmetic; C has trace 0.
+        (a, b), (c, d) = m0.rows
+        (e, f), (g, h) = m1.rows
+        a_d, e_h = a - d, e - h
+        c00 = b * g - f * c
+        c01 = f * a_d - b * e_h
+        c10 = c * e_h - g * a_d
+        det_c = c00 * c00 + c01 * c10  # det C = -det_c
+        exact = all(map(is_exact, (c00, c01, c10, det_c)))
+        if exact:
+            if not det_c.is_exact_zero:
+                return InvariantLineReport((), False)
+            commuting = c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero
+        else:
+            # Non-commuting relative to the pair.  A bound or a C whose
+            # reciprocal leaves the normal float range leaves the decision to
+            # the eigendirections.
+            sizes = [modulus(c00), modulus(c01), modulus(c10)]
+            bound = tol * m0.max_abs() * m1.max_abs()
+            commuting = not (_NORMAL_MIN <= bound < max(sizes)
+                             and all(s <= _NORMAL_MAX for s in sizes))
+        if not commuting:
+            # A non-commuting pair shares at most the line ker C.
+            v = _kernel_direction((c01, -c00), (c00, c10))
+            kept = exact or _preserved(m0, v, tol) and _preserved(m1, v, tol)
+            return InvariantLineReport(_lines(m0, m1, (v,) if kept else ()), False)
 
     if eigen is None:
         eigen = (eigenvalues(m0, tol), eigenvalues(m1, tol))
@@ -266,26 +302,6 @@ def _real(n: int, d: int) -> Scalar:
     if not d:
         raise ZeroDivisionError("reciprocal of exact zero")
     return real_scalar(n, d) if d > 0 else real_scalar(-n, -d)
-
-
-def _commutator_lines(m0: Matrix, m1: Matrix) -> tuple[tuple[InvariantLine, ...] | None, bool]:
-    """The commutator's decision in Scalar arithmetic, and whether C and
-    det C are exact: no line or the line ker C when they are and C != 0,
-    else None."""
-    (a, b), (c, d) = m0.rows
-    (e, f), (g, h) = m1.rows
-    a_d, e_h = a - d, e - h
-    c00 = b * g - f * c
-    c01 = f * a_d - b * e_h
-    c10 = c * e_h - g * a_d
-    det_c = c00 * c00 + c01 * c10  # det C = -det_c; C has trace 0.
-    exact = all(map(is_exact, (c00, c01, c10, det_c)))
-    if exact and not det_c.is_exact_zero:
-        return (), True
-    if exact and not (c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero):
-        v = _kernel_direction((c01, -c00), (c00, c10))
-        return _lines(m0, m1, (v,)), True
-    return None, exact
 
 
 def _preserved(m: Matrix, v: Pair, tol: float) -> bool:

@@ -115,6 +115,16 @@ class TestInverse:
         exact = Matrix([[F(k, 10**200) for k in row] for row in ((1, 2), (3, 1))])
         assert exact @ exact.inverse() == Matrix.identity(2)
 
+    def test_an_exact_modulus_below_the_float_range_sets_the_scale(self):
+        # Every float modulus reads 0.0, so the scale comes from the exact
+        # moduli; the inverse, about 10^400, is exact.
+        m = Matrix([[F(k, 10**400) for k in row] for row in ((1, 2), (3, 1))])
+        inv = m.inverse()
+        assert inv == Matrix([[F(-(10**400), 5), F(2 * 10**400, 5)],
+                              [F(3 * 10**400, 5), F(-(10**400), 5)]])
+        assert all(is_exact(e) for row in inv.rows for e in row)
+        assert m @ inv == Matrix.identity(2)
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_a_power_of_two_scale_changes_no_decision(self, exact):
         # A * 2^k is inverted at the scale of A: the decision, and the

@@ -137,6 +137,28 @@ class TestInvariantLines:
         assert abs(sub[0] - 2) < 1e-6
         assert abs(sub[1] + 1) < 1e-6
 
+    def test_a_scale_changes_no_line(self):
+        # m0 and m1 times t have the commutator t^2 C.  Near the ends of the
+        # float range C, its reciprocal or the bound tol max|m0| max|m1|
+        # leaves the normal range, and the eigendirections decide instead;
+        # the eighth powers of 2 step through those ends finely.
+        rng = random.Random(29)
+        answers = {"triangular": (1, False), "diagonal": (2, True), "full": (0, False)}
+        ks = [*range(-8 * 990, 8 * 991, 40), *range(8 * -530, 8 * -505), *range(8 * 500, 8 * 515)]
+        for shape in list(answers) * 3:
+            s = rand_well_conditioned(rng, 2, 1e2)
+            s_inv = s.inverse()
+            ts = []
+            for _ in range(2):
+                a, b, c, d = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4))
+                ts.append(Matrix([[a, 0 if shape == "diagonal" else b],
+                                  [c if shape == "full" else 0, d]]))
+            pair = [s @ t @ s_inv for t in ts]
+            for k in ks:
+                scaled = (Matrix([[z * 2.0 ** (k / 8) for z in row] for row in m.rows]) for m in pair)
+                report = invariant_lines(*scaled, 1e-9)
+                assert (len(report.lines), report.decomposable) == answers[shape], k
+
     def test_reported_directions_are_invariant_under_both(self):
         # Every reported line must actually be preserved by both matrices,
         # with the reported eigenvalues acting on it.
@@ -437,12 +459,12 @@ class TestOneSolvePerMonodromy:
         return calls
 
     @staticmethod
-    def _float_pair():
+    def _float_pair(t0=((2, 1), (0, 3)), t1=((-1, 4), (0, 7))):
         rng = random.Random(71)
         s = rand_well_conditioned(rng, 2)
         s_inv = s.inverse()
-        m0 = s @ Matrix([[2, 1], [0, 3]]) @ s_inv
-        m1 = s @ Matrix([[-1, 4], [0, 7]]) @ s_inv
+        m0 = s @ Matrix(t0) @ s_inv
+        m1 = s @ Matrix(t1) @ s_inv
         assert not any(is_exact(e) for m in (m0, m1) for row in m.rows for e in row)
         return m0, m1
 
@@ -485,7 +507,11 @@ class TestOneSolvePerMonodromy:
         assert calls == []  # decided by the exact commutator
         m0, m1 = self._float_pair()
         assert len(invariant_lines(m0, m1, 1e-9).lines) == 1
-        assert len(calls) == 2
+        assert calls == []  # non-commuting: the one candidate is ker C
+        m0, m1 = self._float_pair(((2, 0), (0, 3)), ((-1, 0), (0, 7)))
+        report = invariant_lines(m0, m1, 1e-9)
+        assert report.decomposable and len(report.lines) == 2
+        assert len(calls) == 2  # commuting within rounding: eigendirections
 
 
 class TestExactRealPairsMakeNoScalarArithmetic:
