@@ -8,13 +8,17 @@ rational quadratic solve with recognition of the rational-cosine angles
 0, 1/6, 1/4, 1/3, 1/2, ...).  The quadratic solve takes b = -trace and
 c = det as reduced (numerator, denominator) int pairs, as scalar.py holds
 exact moduli and arguments, and builds its roots from them.  When all four
-entries are exact reals, those pairs come from the entries' integers with
-their denominators ``cleared``, with no Scalar arithmetic; other exact
-entries, polar ones say, read them back from ``char_poly``.  The product
-m0 m1 at three punctures is not formed for an exact real pair
-(``product_eigenvalues``): its trace and determinant come from the cleared
-integers of m0 and m1, the Fricke trace coordinates of the loop around
-infinity.  An irrational root is rounded from floats of b, c and the
+entries are exact reals, those pairs come from the matrix's
+``integer_form``, its entries' integers with their denominators
+``cleared``, with no Scalar arithmetic; other exact entries, polar ones
+say, read them back from ``char_poly``.  ``build`` makes the integer form
+of each generator once and hands it to the generator solves, to the
+product solve and to the invariant-line analysis; a public entry point
+that is given none clears its matrices itself and runs the same core.
+The product m0 m1 at three punctures is not formed for an exact real pair
+(``product_eigenvalues``): its trace and determinant come from the
+integer forms of m0 and m1, the Fricke trace coordinates of the loop
+around infinity.  An irrational root is rounded from floats of b, c and the
 discriminant, scaled by a power of two where one of them is not a normal
 float, and its modulus pair scaled back exactly, so an exact real solve is
 never handed to the floating route.  The q-sum (``q_total``) adds exact
@@ -80,7 +84,7 @@ a power of two does not change.
 The tolerance ``tol`` has its one default here, shared by the command
 line, and its bound TOL_BOUND, which keeps the BranchBoundary band of
 BOUNDARY_BAND tolerances on each side of the cut under half a turn.
-``eigenvalues`` checks it, also when ``build`` calls it.
+Every solve checks it, also the ones ``build`` makes.
 """
 
 from __future__ import annotations
@@ -251,6 +255,23 @@ def q_total(
     return (n, d) if total is None else total
 
 
+#: A 2x2 matrix of exact reals as ``(s, (a, b, c, d))``: the matrix is
+#: [[a, b], [c, d]] / s with int entries and s > 0 the lcm of the
+#: denominators.
+IntegerForm = tuple[int, tuple[int, ...]]
+
+
+def integer_form(m: Matrix) -> IntegerForm | None:
+    """The IntegerForm of ``m`` when it is 2x2 with four exact real
+    entries, from ``cleared``; None for any other matrix.  A matrix of
+    another dimension costs one length check and a floating first entry
+    one class check: neither is cleared."""
+    rows = m.rows
+    if len(rows) == 2 and rows[0][0].__class__ is Scalar:
+        return cleared(rows[0] + rows[1])
+    return None
+
+
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     """Eigenvalues of ``a`` clustered into multiplicity groups.
 
@@ -266,20 +287,22 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     polynomial, one singularity test and one solve, on ``a`` when
     max|entry| lies in [0.5, 2^100), else on ``a * 2**-exp``.
     """
+    return _solve(a, tol, integer_form(a))
+
+
+def _solve(a: Matrix, tol: float, form: IntegerForm | None) -> EigenData:
+    """``eigenvalues(a, tol)``, given ``integer_form(a)``."""
     tol = checked_tolerance(tol, "tol", TOL_BOUND)
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_diagonal(a.diagonal(), tol)
+    if form is not None:
+        s, (w, x, y, z) = form
+        return _from_trace_det(w + z, w * z - x * y, s, tol)
     coeffs = None
     if n == 2 and a.rows[0][0].__class__ is Scalar:
-        # A floating first entry makes the trace floating, so a floating
-        # matrix pays this one class check.
-        ints = cleared(a.rows[0] + a.rows[1])
-        if ints is not None:
-            s, (w, x, y, z) = ints
-            return _from_trace_det(w + z, w * z - x * y, s, tol)
         # Other exact entries, polar ones say: real coefficients take the
-        # same solver.
+        # same solver.  A floating first entry makes the trace floating.
         coeffs = a.char_poly()
         b, c = real_ratio(coeffs[1]), real_ratio(coeffs[2])
         if b is not None and c is not None:
@@ -324,12 +347,23 @@ def product_eigenvalues(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL
     B = [[e, f], [g, h]], and its determinant, det A det B / (st)^2, which
     reach the exact quadratic as the reduced pairs ``eigenvalues`` would
     read from m0 @ m1.  A triangular product has its diagonal read off, as
-    ``eigenvalues`` reads it.
+    ``eigenvalues`` reads it.  A and B are the IntegerForms of m0 and m1:
+    ``build`` hands over the ones it made, and a call of this function
+    clears m0 and m1 itself.
     """
-    x = cleared(m0.rows[0] + m0.rows[1]) if m0.n == m1.n == 2 else None
-    y = None if x is None else cleared(m1.rows[0] + m1.rows[1])
-    if y is None:
-        return eigenvalues(m0 @ m1, tol)
+    return _solve_product(m0, m1, tol, (integer_form(m0), integer_form(m1)))
+
+
+def _solve_product(
+    m0: Matrix, m1: Matrix, tol: float, forms: tuple[IntegerForm | None, IntegerForm | None]
+) -> EigenData:
+    """``product_eigenvalues(m0, m1, tol)``, given the IntegerForms of m0
+    and m1."""
+    x, y = forms
+    if x is None or y is None:
+        # Not cleared: an exact real product of other exact factors reaches
+        # the same exact quadratic through char_poly.
+        return _solve(m0 @ m1, tol, None)
     tol = checked_tolerance(tol, "tol", TOL_BOUND)
     (s, (a, b, c, d)), (t, (e, f, g, h)) = x, y
     st = s * t

@@ -5,8 +5,9 @@ are pure; a Matrix is immutable after construction.  Each entry is stored
 as given: an exact :class:`~logsplit.scalar.Scalar`, or a ``complex`` for
 a floating value (a floating Scalar is unboxed).  Arithmetic between the
 two is Scalar arithmetic, whose floating results are ``complex``, and
-every operation divides as a product with ``1.0 / x``, but ``det`` and
-``char_poly`` divide by a pivot whose reciprocal overflows.  Exact polar
+every operation divides as a product with ``1.0 / x``, but ``det``,
+``char_poly`` and the singularity test of ``inverse`` divide by a pivot
+whose reciprocal overflows.  Exact polar
 data survives any operation that only needs products, reciprocals and
 colinear sums (diagonal and triangular work in particular), and ``@`` and
 the inverse keep exact entries exact in every dimension.  ``det`` and
@@ -147,7 +148,9 @@ class Matrix:
         entry whose float under- or overflows still sets it.  Raises
         SingularMatrix when that block's |det| is below_singularity_threshold,
         else FloatRangeError for an entry of the inverse beyond the float
-        range."""
+        range.  The determinant comes from the determinant-only elimination
+        of the block, which divides by a pivot without a finite reciprocal,
+        so no NaN decides; Gauss-Jordan runs only on a block that passed."""
         n = self.n
         entries = tuple(chain.from_iterable(self._rows))
         floating = all(e.__class__ is complex for e in entries)
@@ -157,11 +160,12 @@ class Matrix:
             top, exp = modulus_frexp(largest)
         else:
             top, exp = math.frexp(self.max_abs())
-        w = [[_ldexp(e, -exp) for e in row] + [zero] * i + [one] + [zero] * (n - i - 1)
-             for i, row in enumerate(self._rows)]
-        det_abs = modulus(_det_by_elimination(w))
+        block = [[_ldexp(e, -exp) for e in row] for row in self._rows]
+        det_abs = modulus(_det_by_elimination([row[:] for row in block]))
         if below_singularity_threshold(det_abs, top, n):
             raise SingularMatrix(f"{n}x{n} determinant {det_abs:.3e} below tolerance")
+        w = [row + [zero] * i + [one] + [zero] * (n - i - 1) for i, row in enumerate(block)]
+        _det_by_elimination(w)  # Gauss-Jordan: leaves the inverse in the right block
         try:
             inverse = tuple(tuple(_ldexp(e, -exp) for e in row[n:]) for row in w)
             for e in chain.from_iterable(inverse):
@@ -240,7 +244,10 @@ class Matrix:
 # is a multiplication by ``1.0 / pivot``, as in Scalar, except where a pivot
 # below about 2^-1024 has no finite reciprocal: the determinant-only
 # elimination and the Hessenberg reduction divide by that pivot.  The
-# inverse keeps the product; its entries leave the float range anyway.
+# inverse decides singularity on the determinant-only elimination first,
+# and its Gauss-Jordan pass keeps the product: with partial pivoting every
+# pivot of a block whose max|entry| lies in [0.5, 1) is at most 2^(n-1), so
+# a pivot that small puts |det| far below the singularity threshold.
 
 
 def _det_by_elimination(w: list[list]) -> complex | Scalar:

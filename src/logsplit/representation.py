@@ -7,14 +7,18 @@ construction.  Building a representation extracts the eigenvalue data at
 every puncture: at infinity these are the reciprocals of P's eigenvalues,
 so P is never inverted.  The infinity monodromy itself is computed only
 when it is asked for.  Whether a generator is singular is decided where
-its eigenvalues are solved for, in ``eigen.eigenvalues``.
+its eigenvalues are solved for, in ``eigen.eigenvalues``.  Building also
+clears each exact real 2x2 generator once into its integer form
+(``eigen.integer_form``), which the generator and product solves and the
+invariant-line analysis read; a generator of another dimension is not
+cleared.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .eigen import DEFAULT_CLUSTER_TOL, EigenData, eigenvalues, product_eigenvalues
+from .eigen import DEFAULT_CLUSTER_TOL, EigenData, _solve, _solve_product, integer_form
 from .eigen import reciprocal_eigenvalues
 from .errors import DimensionMismatch, SingularMatrix, ZeroEigenvalue
 from .matrix import Matrix
@@ -54,10 +58,15 @@ class Representation(namedtuple("Representation", "punctures generators")):
         return self.generators[0].n
 
 
-class PuncturedRepresentation(namedtuple("PuncturedRepresentation", "rep local_eigen")):
+class PuncturedRepresentation(
+    namedtuple("PuncturedRepresentation", "rep local_eigen integer_forms", defaults=(None,))
+):
     """A representation ``rep`` together with its puncture-by-puncture
     residue data ``local_eigen``, a tuple of EigenData ordered like the
-    punctures: 0, [1,] infinity.
+    punctures: 0, [1,] infinity, and ``integer_forms``, one
+    ``eigen.integer_form`` per generator (None for a generator that is not
+    an exact real 2x2), or None, the default, when they were not made;
+    consumers then clear the generators themselves.
     """
 
     __slots__ = ()
@@ -98,24 +107,32 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
     """Complete a representation with the eigenvalue data of its local
     monodromies.
 
-    The eigenvalues at infinity are the reciprocals of those of the
-    generator product: at two punctures the product is the generator
-    itself, whose data is reused; at three it is ``m0 @ m1``, whose
-    eigenvalues ``product_eigenvalues`` reads from the trace and
-    determinant of an exact real 2x2 pair without forming it.  The solves
-    raise InputFormatError for a ``tol`` outside (0, TOL_BOUND), and raise
-    for a singular generator or product, which the message names.
+    Each exact real 2x2 generator is cleared once, into the integer form
+    that is kept as ``integer_forms`` and that every exact consumer reads:
+    its own solve, the product's and the invariant-line analysis.  The
+    eigenvalues at infinity are the reciprocals of those of the generator
+    product: at two punctures the product is the generator itself, whose
+    data is reused; at three it is ``m0 @ m1``, whose eigenvalues
+    ``product_eigenvalues`` reads from the trace and determinant of the
+    integer forms of an exact real 2x2 pair, without forming it.  The
+    solves raise InputFormatError for a ``tol`` outside (0, TOL_BOUND),
+    and raise for a singular generator or product, which the message
+    names.
     """
     gens = rep.generators
-    gen_eigen = tuple(_named(f"generator {i}", eigenvalues, g, tol) for i, g in enumerate(gens))
+    forms = tuple(map(integer_form, gens))
+    gen_eigen = tuple(
+        _named(f"generator {i}", _solve, g, tol, form)
+        for i, (g, form) in enumerate(zip(gens, forms))
+    )
     product_eigen = (
         gen_eigen[0]
         if len(gens) == 1
-        else _named("product m0·m1", product_eigenvalues, gens[0], gens[1], tol)
+        else _named("product m0·m1", _solve_product, gens[0], gens[1], tol, forms)
     )
     eigen = gen_eigen + (reciprocal_eigenvalues(product_eigen, tol),)
 
-    return PuncturedRepresentation(rep, eigen)
+    return PuncturedRepresentation(rep, eigen, forms)
 
 
 def _named(name: str, solve, *args) -> EigenData:

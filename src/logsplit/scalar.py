@@ -428,11 +428,11 @@ def real_scalar(n: int, d: int) -> Scalar:
     return Scalar(None, (-n // g, d // g), (1, 2))
 
 
-def cleared(values) -> tuple[int, list[int]] | None:
-    """``(s, [s * x for x in values])`` for exact real ``values``, s the
-    lcm of their denominators, so that every ``s * x`` is an int; None when
-    a value is not an exact real.  A floating first value ends the probe at
-    its class check, the one cost a floating matrix pays."""
+def cleared(values) -> tuple[int, tuple[int, ...]] | None:
+    """``(s, ints)`` for exact real ``values``: s the lcm of their
+    denominators and ``ints`` the tuple of the ints ``s * x``; None when a
+    value is not an exact real.  A floating first value ends the probe at
+    its class check."""
     ratios = []
     for x in values:
         r = real_ratio(x)
@@ -440,7 +440,7 @@ def cleared(values) -> tuple[int, list[int]] | None:
             return None
         ratios.append(r)
     s = math.lcm(*[d for _, d in ratios])
-    return s, [n * (s // d) for n, d in ratios]
+    return s, tuple([n * (s // d) for n, d in ratios])
 
 
 def quotient(x: Scalar | complex, y: Scalar | complex) -> Scalar | complex:

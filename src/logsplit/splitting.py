@@ -12,7 +12,10 @@ InternalInconsistency.
 
 Whether a 2x2 pair is reducible, and along which line, is decided from
 the commutator C = m0 m1 - m1 m0 by one of three routes, in this order:
-on integers when all eight entries are exact reals; in Scalar arithmetic
+on integers when all eight entries are exact reals, read from the
+generators' integer forms that ``build`` made (a hand-built
+PuncturedRepresentation, or a pair handed to ``invariant_lines``, is
+cleared here, for the same core); in Scalar arithmetic
 for other pairs, where an exact C and det C decide exactly and a floating
 C that is not zero at tol keeps its one candidate line, ker C, when both
 members preserve it at tol; and by floating eigendirections for pairs
@@ -53,7 +56,8 @@ from enum import Enum, unique
 from fractions import Fraction
 
 from .chern import DEFAULT_INTEGRALITY_TOL, ChernResult, ohtsuki_c1
-from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, checked_tolerance, eigenvalues
+from .eigen import DEFAULT_CLUSTER_TOL, TOL_BOUND, EigenData, IntegerForm, _solve
+from .eigen import checked_tolerance, integer_form
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -63,7 +67,7 @@ from .errors import (
 from .matrix import Matrix
 from .representation import PuncturedRepresentation, Representation, build
 from .scalar import ONE, ZERO, Scalar, is_exact, modulus, modulus_at_least, quotient
-from .scalar import cleared, real_scalar, value_of
+from .scalar import real_scalar, value_of
 
 
 @unique
@@ -200,17 +204,25 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     holds the exact ONE, and the quotient det/lambda.  A ``tol`` outside
     (0, TOL_BOUND) raises InputFormatError.
     """
-    return _invariant_lines(m0, m1, checked_tolerance(tol, "tol", TOL_BOUND), None)
+    return _invariant_lines(m0, m1, checked_tolerance(tol, "tol", TOL_BOUND), None, None)
 
 
 def _invariant_lines(
-    m0: Matrix, m1: Matrix, tol: float, eigen: tuple[EigenData, EigenData] | None
+    m0: Matrix,
+    m1: Matrix,
+    tol: float,
+    eigen: tuple[EigenData, EigenData] | None,
+    forms: tuple[IntegerForm | None, IntegerForm | None] | None,
 ) -> InvariantLineReport:
+    """``invariant_lines`` at a checked ``tol``, given the eigenvalues and
+    the integer forms of m0 and m1 where they were made: when None, the
+    eigenvalues are solved on demand and the pair is cleared here."""
     if m0.n != 2 or m1.n != 2:
         raise DimensionMismatch("invariant-line analysis requires 2x2 matrices")
-    x = cleared(m0.rows[0] + m0.rows[1])
-    y = None if x is None else cleared(m1.rows[0] + m1.rows[1])
-    if y is not None:
+    if forms is None:
+        forms = (integer_form(m0), integer_form(m1))
+    x, y = forms
+    if x is not None and y is not None:
         lines, exact = _integer_lines(x, y), True
         if lines is not None:
             return InvariantLineReport(lines, False)
@@ -243,7 +255,7 @@ def _invariant_lines(
             return InvariantLineReport(_lines(m0, m1, (v,) if kept else ()), False)
 
     if eigen is None:
-        eigen = (eigenvalues(m0, tol), eigenvalues(m1, tol))
+        eigen = (_solve(m0, tol, x), _solve(m1, tol, y))
     # Relative eigenvalue gaps, 0 for a single cluster.
     gap0, gap1 = (modulus(data.pairs[0].value.z - data.pairs[-1].value.z) / m.max_abs()
                   for m, data in zip((m0, m1), eigen))
@@ -260,11 +272,11 @@ def _invariant_lines(
 
 
 def _integer_lines(
-    x: tuple[int, list[int]], y: tuple[int, list[int]]
+    x: IntegerForm, y: IntegerForm
 ) -> tuple[InvariantLine, ...] | None:
-    """The commutator's decision for an exact real pair, from m0 and m1
-    ``cleared``: no line when det C != 0, the line ker C, or None when
-    C = 0.
+    """The commutator's decision for an exact real pair, from the integer
+    forms of m0 and m1: no line when det C != 0, the line ker C, or None
+    when C = 0.
 
     m0 = A / s and m1 = B / t with integer A = [[a, b], [c, d]] and B =
     [[e, f], [g, h]], so C = (AB - BA) / st has the zeros, the kernel and
@@ -393,8 +405,9 @@ def classify_dim2(
 ) -> ClassificationReport:
     """Three punctures, dimension 2: the full reducibility case split.
     Like ``ohtsuki_c1``, it reads m0's and m1's eigenvalues from
-    ``prep.local_eigen``, solved at the build's tolerance.  A ``tol``
-    outside (0, TOL_BOUND) raises InputFormatError."""
+    ``prep.local_eigen``, solved at the build's tolerance, and their
+    integer forms from ``prep.integer_forms``, or clears them when it is
+    None.  A ``tol`` outside (0, TOL_BOUND) raises InputFormatError."""
     if prep.punctures != 3 or prep.dim != 2:
         raise DimensionMismatch("classify_dim2 requires 3 punctures and dimension 2")
     tol = checked_tolerance(tol, "tol", TOL_BOUND)
@@ -402,7 +415,7 @@ def classify_dim2(
     zeta = chern.c1
     m0, m1 = prep.rep.generators
     eigen = prep.local_eigen[:2]
-    report = _invariant_lines(m0, m1, tol, eigen)
+    report = _invariant_lines(m0, m1, tol, eigen, prep.integer_forms)
 
     if not report.lines:
         # Irreducible: the roots balance around c1 / 2.

@@ -294,3 +294,18 @@ def test_a_triangular_product_is_read_off_its_diagonal():
     got = _outcome(product_eigenvalues, m0, m1)
     assert got == _outcome(_reference_eigenvalues, product)
     assert [r for _, r, *_ in got[0]] == [(1, 1), (2**60 + 1, 2**60)]
+
+
+def test_an_exact_real_product_of_imaginary_factors_matches_the_integer_route():
+    # i A times -i B is the exact real A B, but neither factor is real, so
+    # the product is formed and solved from its char_poly: the EigenData
+    # and errors are those of the integer route on A and B.
+    i = Scalar.exact(0, 1)
+    seen = 0
+    for a, b in seeded_pairs(37, 500):
+        m0 = Matrix([[i * e for e in row] for row in a.rows])
+        m1 = Matrix([[-i * e for e in row] for row in b.rows])
+        assert m0 @ m1 == a @ b
+        assert _outcome(product_eigenvalues, m0, m1) == _outcome(product_eigenvalues, a, b)
+        seen += not a.is_upper_triangular() and not b.is_upper_triangular()
+    assert seen >= 200

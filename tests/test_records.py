@@ -87,7 +87,7 @@ def _records() -> dict:
     eigen = prep.local_eigen[0]
     return {
         "Representation": (rep, ("punctures", "generators")),
-        "PuncturedRepresentation": (prep, ("rep", "local_eigen")),
+        "PuncturedRepresentation": (prep, ("rep", "local_eigen", "integer_forms")),
         "EigenData": (eigen, ("pairs", "warnings")),
         "EigenPair": (eigen.pairs[0], ("value", "multiplicity", "q", "ln_r")),
         "ChernResult": (
@@ -154,7 +154,7 @@ def test_reprs_are_pinned():
         "EigenPair(value=Scalar(2*e2pi(0)), multiplicity=1, q=Fraction(0, 1), "
         "ln_r=0.6931471805599453),), warnings=()), EigenData(pairs=(EigenPair("
         "value=Scalar(1/2*e2pi(0)), multiplicity=1, q=Fraction(0, 1), "
-        "ln_r=-0.6931471805599453),), warnings=())))"
+        "ln_r=-0.6931471805599453),), warnings=())), integer_forms=(None,))"
     )
 
 

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from logsplit import (
     ClassificationKind,
+    ClassificationReport,
     InternalInconsistency,
+    LogSplitError,
     Matrix,
     OutOfBranch,
+    PuncturedRepresentation,
     Representation,
     Scalar,
     SplittingType,
@@ -438,24 +441,26 @@ class TestOneSolvePerMonodromy:
 
     @staticmethod
     def _counted(monkeypatch):
-        """The solves made, each one eigenvalues call, or, for the product at
-        three punctures, one product_eigenvalues call, which forms m0 @ m1
-        and solves it or reads its exact trace and determinant."""
+        """The solves made, each one call of the eigenvalue core, or, for the
+        product at three punctures, one call of the product core, which
+        forms m0 @ m1 and solves it or reads its exact trace and
+        determinant.  Both cores take the integer forms of their matrices,
+        which build makes and invariant_lines makes itself."""
         from logsplit import eigen, representation, splitting
 
         calls = []
 
-        def counting(a, tol):
+        def counting(a, tol, form):
             calls.append(a)
-            return eigen.eigenvalues(a, tol)
+            return eigen._solve(a, tol, form)
 
-        def counting_product(m0, m1, tol):
+        def counting_product(m0, m1, tol, forms):
             calls.append((m0, m1))
-            return eigen.product_eigenvalues(m0, m1, tol)
+            return eigen._solve_product(m0, m1, tol, forms)
 
-        monkeypatch.setattr(representation, "eigenvalues", counting)
-        monkeypatch.setattr(representation, "product_eigenvalues", counting_product)
-        monkeypatch.setattr(splitting, "eigenvalues", counting)
+        monkeypatch.setattr(representation, "_solve", counting)
+        monkeypatch.setattr(representation, "_solve_product", counting_product)
+        monkeypatch.setattr(splitting, "_solve", counting)
         return calls
 
     @staticmethod
@@ -574,6 +579,123 @@ class TestExactRealPairsMakeNoScalarArithmetic:
         calls = self._counted(monkeypatch)
         classify(rep)
         assert calls
+
+
+class TestClearOnce:
+    """build clears each exact real 2x2 generator once, into the integer
+    form it keeps in the PuncturedRepresentation, and the generator solves,
+    the product solve and the invariant-line analysis read it.  A
+    hand-built PuncturedRepresentation, which has none, and the public
+    invariant_lines clear for themselves and reach the same answers."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        from logsplit import eigen, matrix, representation, scalar, splitting
+
+        counts = {"cleared": 0, "real_ratio": 0}
+        for name in counts:
+            real = getattr(scalar, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            for module in (scalar, eigen, matrix, representation, splitting):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        return counts
+
+    def test_an_exact_real_pair_is_cleared_once_per_generator(self, monkeypatch, golden_pair):
+        found = (Matrix([[F(1, 2), 3], [F(-2, 7), 5]]), Matrix([[2, F(1, 3)], [1, F(-5, 4)]]))
+        counts = self._counted(monkeypatch)
+        for pair in (found, golden_pair):
+            counts.update(cleared=0, real_ratio=0)
+            classify(Representation(3, pair))
+            assert counts == {"cleared": 2, "real_ratio": 8}
+
+    def test_floating_and_larger_input_is_not_cleared(self, monkeypatch):
+        m0, m1 = TestOneSolvePerMonodromy._float_pair()
+        dim3 = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, -1]])
+        counts = self._counted(monkeypatch)
+        for rep in (Representation(3, (m0, m1)), Representation(2, (dim3,))):
+            classify(rep)
+            assert counts == {"cleared": 0, "real_ratio": 0}
+
+    def test_build_keeps_one_form_per_generator(self):
+        m0 = Matrix([[F(1, 2), 3], [F(-2, 7), 5]])
+        m1 = Matrix([[1 + 0j, 2 + 0j], [0j, 3 + 0j]])
+        assert build(Representation(3, (m0, m1))).integer_forms == ((14, (7, 42, -4, 70)), None)
+        dim3 = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, -1]])
+        assert build(Representation(2, (dim3,))).integer_forms == (None,)
+
+    @staticmethod
+    def _pairs():
+        """Seeded pairs of each kind: exact real (irreducible, and
+        reducible as a conjugated triangular pair), exact triangular,
+        exact polar, floating, and mixed (m0 exact real, m1 floating)."""
+        rng = random.Random(37)
+
+        def ratio():
+            return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+        def exact(triangular=False):
+            return Matrix([[ratio(), ratio()], [0 if triangular else ratio(), ratio()]])
+
+        def polar():
+            return Scalar.polar(rng.choice((F(1, 2), 1, 2)), F(rng.randrange(12), 12))
+
+        s = Matrix([[F(2, 3), 1], [F(-1, 4), 3]])
+        s_inv = s.inverse()
+        pairs = []
+        for _ in range(4):
+            pairs.append((exact(), exact()))
+            t0, t1 = exact(True), exact(True)
+            pairs.append((t0, t1))
+            pairs.append((s @ t0 @ s_inv, s @ t1 @ s_inv))
+            pairs.append((Matrix([[polar(), 0], [0, polar()]]),
+                          Matrix([[polar(), polar()], [0, polar()]])))
+            w = rand_well_conditioned(rng, 2)
+            w_inv = w.inverse()
+            pairs.append((w @ Matrix(((2, 1), (0, 3))) @ w_inv,
+                          w @ Matrix(((-1, 4), (0, 7))) @ w_inv))
+            pairs.append((rand_invertible(rng, 2), rand_invertible(rng, 2)))
+            pairs.append((exact(), rand_invertible(rng, 2)))
+            pairs.append((Matrix([[2, 0], [0, 3]]), Matrix([[1 + 0j, 0.5 + 0j], [0j, 3 + 0j]])))
+        return pairs
+
+    @staticmethod
+    def _outcome(solve, *args):
+        try:
+            return solve(*args)
+        except LogSplitError as exc:
+            return type(exc), str(exc)
+
+    def test_a_prep_without_forms_gives_the_same_answers(self, monkeypatch):
+        from logsplit import splitting
+
+        used = []
+        core = splitting._invariant_lines
+
+        def recording(*args):
+            used.append(core(*args))
+            return used[-1]
+
+        monkeypatch.setattr(splitting, "_invariant_lines", recording)
+        kinds = set()
+        for m0, m1 in self._pairs():
+            rep = Representation(3, (m0, m1))
+            used.clear()
+            report = self._outcome(classify, rep)
+            prep = build(rep)
+            assert prep.integer_forms is not None
+            hand_built = PuncturedRepresentation(prep.rep, prep.local_eigen)
+            assert hand_built.integer_forms is None
+            assert self._outcome(classify_dim2, hand_built) == report
+            if isinstance(report, ClassificationReport):
+                kinds.add(report.kind)
+                assert used and invariant_lines(m0, m1) == used[0]
+        assert {ClassificationKind.THREE_DIM2_IRREDUCIBLE,
+                ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT} <= kinds
 
 
 class TestRootsFromC1:
