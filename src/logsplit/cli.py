@@ -12,7 +12,7 @@ retired and never returned.
 against the library's bound, naming the flag or the ``tolerances.*`` field.
 
 The argument parser is built once per process, on the first ``main`` call:
-building it costs about five ``sweep --steps 64`` tables.
+building it costs several ``sweep --steps 64`` tables.
 """
 
 from __future__ import annotations
@@ -98,20 +98,25 @@ def _cmd_sweep(args) -> int:
         print(f"error: --steps must lie in 1..{MAX_SWEEP_STEPS}", file=sys.stderr)
         return EXIT_ERROR
     # character_root on the lattice point (i/steps, j/steps), in integers:
-    # 0 at the origin, -1 while i + j <= steps, -2 beyond.  So row i is a
-    # prefix of the -1 cells and a suffix of the -2 cells.  Each label is
+    # 0 at the origin, -1 while i + j <= steps, -2 beyond.  Each label is
     # i/steps in lowest terms, as str(Fraction(i, steps)) prints it.
     labels = ["0"]
     for i in range(1, steps):
         g = gcd(i, steps)
         labels.append(f"{i // g}/{steps // g}")
-    below = [f",{label},-1\n" for label in labels]
-    above = [f",{label},-2\n" for label in labels]
+    # cells[j + 1] is column j's ",q1,root\n"; the leading "" makes
+    # label.join(cells) the whole row, label first.  Row i is row i - 1
+    # with one cell changed: the origin turns -1 at row 1, and from row 2
+    # on column steps + 1 - i, the first past the diagonal, turns -2.
+    cells = ["", ",0,0\n", *[f",{label},-1\n" for label in labels[1:]]]
     out = sys.stdout
-    for i, label in enumerate(labels):
-        cut = steps + 1 - i
-        cells = below[:cut] + above[cut:] if i else [",0,0\n", *below[1:]]
-        out.write(label + label.join(cells))
+    out.write("0".join(cells))
+    cells[1] = ",0,-1\n"
+    for i in range(1, steps):
+        j = steps + 1 - i
+        if j < steps:
+            cells[j + 1] = f",{labels[j]},-2\n"
+        out.write(labels[i].join(cells))
     return EXIT_OK
 
 

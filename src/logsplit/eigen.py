@@ -14,7 +14,9 @@ entries are exact reals, those pairs come from the matrix's
 say, read them back from ``char_poly``.  ``build`` makes the integer form
 of each generator once and hands it to the generator solves, to the
 product solve and to the invariant-line analysis; a public entry point
-that is given none clears its matrices itself and runs the same core.
+that is given none clears its matrices itself and runs the same core
+(``eigenvalues`` only past the triangular read-off, which never reads
+the form).
 The product m0 m1 at three punctures is not formed for an exact real pair
 (``product_eigenvalues``): its trace and determinant come from the
 integer forms of m0 and m1, the Fricke trace coordinates of the loop
@@ -272,6 +274,11 @@ def integer_form(m: Matrix) -> IntegerForm | None:
     return None
 
 
+#: ``_solve``'s form for a matrix not yet cleared: it is cleared there only
+#: when the triangular read-off does not answer.
+_UNCLEARED = object()
+
+
 def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     """Eigenvalues of ``a`` clustered into multiplicity groups.
 
@@ -287,15 +294,18 @@ def eigenvalues(a: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:
     polynomial, one singularity test and one solve, on ``a`` when
     max|entry| lies in [0.5, 2^100), else on ``a * 2**-exp``.
     """
-    return _solve(a, tol, integer_form(a))
+    return _solve(a, tol, _UNCLEARED)
 
 
-def _solve(a: Matrix, tol: float, form: IntegerForm | None) -> EigenData:
-    """``eigenvalues(a, tol)``, given ``integer_form(a)``."""
+def _solve(a: Matrix, tol: float, form) -> EigenData:
+    """``eigenvalues(a, tol)``, given ``integer_form(a)`` (an IntegerForm or
+    None), or ``_UNCLEARED`` to clear ``a`` past the triangular read-off."""
     tol = checked_tolerance(tol, "tol", TOL_BOUND)
     n = a.n
     if a.is_upper_triangular() or a.is_lower_triangular():
         return _from_diagonal(a.diagonal(), tol)
+    if form is _UNCLEARED:
+        form = integer_form(a)
     if form is not None:
         s, (w, x, y, z) = form
         return _from_trace_det(w + z, w * z - x * y, s, tol)

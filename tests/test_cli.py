@@ -400,6 +400,16 @@ class _LabelSink:
             raise _StopSweep
 
 
+class _WriteLog:
+    """Stdout that keeps the text of every write call."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text: str) -> None:
+        self.chunks.append(text)
+
+
 class TestSweep:
     def test_steps_two_rows(self, capsys):
         assert main(["sweep", "--steps", "2"]) == EXIT_OK
@@ -454,6 +464,18 @@ class TestSweep:
             assert rows == [
                 self._expected_row(i, j, steps) for i in range(steps) for j in range(steps)
             ]
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 64, 97])
+    def test_each_row_is_one_write(self, steps):
+        # The streaming contract that _RowSink and _LabelSink rely on: row i
+        # is written whole, in the i-th of exactly `steps` write calls.
+        sink = _WriteLog()
+        with contextlib.redirect_stdout(sink):
+            assert main(["sweep", "--steps", str(steps)]) == EXIT_OK
+        assert len(sink.chunks) == steps
+        for i, chunk in enumerate(sink.chunks):
+            expected = "".join(self._expected_row(i, j, steps) + "\n" for j in range(steps))
+            assert chunk == expected, (steps, i)
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -309,3 +309,28 @@ def test_an_exact_real_product_of_imaginary_factors_matches_the_integer_route():
         assert _outcome(product_eigenvalues, m0, m1) == _outcome(product_eigenvalues, a, b)
         seen += not a.is_upper_triangular() and not b.is_upper_triangular()
     assert seen >= 200
+
+
+@pytest.mark.parametrize(
+    "rows, calls",
+    [
+        ([[F(1, 2), 3], [0, 5]], 0),
+        ([[F(1, 2), 0], [3, 5]], 0),
+        ([[F(1, 2), 1], [3, 5]], 1),
+    ],
+)
+def test_eigenvalues_clears_only_past_the_triangular_read_off(monkeypatch, rows, calls):
+    # A triangular matrix is read off its diagonal, which never reads the
+    # integer form, so the public eigenvalues does not clear it.
+    from logsplit import eigen
+
+    seen = []
+    real = eigen.cleared
+
+    def counting(entries):
+        seen.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(eigen, "cleared", counting)
+    eigenvalues(Matrix(rows))
+    assert len(seen) == calls
