@@ -46,6 +46,7 @@ from .representation import (
 )
 from .scalar import Scalar
 from .splitting import (
+    REDUCIBILITY_UNCERTAIN,
     ClassificationKind,
     ClassificationReport,
     InvariantLine,
@@ -84,6 +85,7 @@ __all__ = [
     "OutOfBranch",
     "OutputDocument",
     "PuncturedRepresentation",
+    "REDUCIBILITY_UNCERTAIN",
     "Representation",
     "RootFindingDivergence",
     "Scalar",

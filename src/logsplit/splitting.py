@@ -16,12 +16,13 @@ on integers when all eight entries are exact reals, read from the
 generators' integer forms that ``build`` made (a hand-built
 PuncturedRepresentation, or a pair handed to ``invariant_lines``, is
 cleared here, for the same core); in Scalar arithmetic
-for other pairs, where an exact C and det C decide exactly and a floating
-C that is not zero at tol keeps its one candidate line, ker C, when both
-members preserve it at tol; and by floating eigendirections for pairs
-that commute, exactly or at tol.  The first two give the same values on
-exact pairs, and every route compares exact moduli exactly when it picks
-and normalizes a kernel direction.
+for other pairs, where an exact det C decides exactly and a floating one
+decides inside a rounding enclosure, against tol relative to the pair,
+and warns ReducibilityUncertain when the enclosure meets that threshold;
+and by eigendirections for pairs whose C is zero, exactly or within
+rounding.  The first two give the same values on exact pairs, and every
+route compares exact moduli exactly when it picks and normalizes a kernel
+direction.
 
 Sub at -2 over a quotient at the origin is the (-2, 0) case.  Its answer
 is O(-1) + O(-1); it is not two-valued:
@@ -64,10 +65,10 @@ from .errors import (
     OutOfBranch,
     UnsupportedCase,
 )
-from .matrix import Matrix
+from .matrix import Matrix, _is_zero, _ldexp
 from .representation import PuncturedRepresentation, Representation, build
-from .scalar import ONE, ZERO, Scalar, is_exact, modulus, modulus_at_least, quotient
-from .scalar import real_scalar, value_of
+from .scalar import ONE, ZERO, Scalar, is_exact, modulus, modulus_at_least, modulus_frexp
+from .scalar import quotient, real_scalar, value_of
 
 
 @unique
@@ -117,9 +118,12 @@ class InvariantLine(
     __slots__ = ()
 
 
-class InvariantLineReport(namedtuple("InvariantLineReport", "lines decomposable")):
+class InvariantLineReport(
+    namedtuple("InvariantLineReport", "lines decomposable warnings", defaults=((),))
+):
     """The invariant ``lines`` (a tuple of InvariantLine) of a 2x2 pair,
-    and whether the pair is ``decomposable`` (a bool)."""
+    whether the pair is ``decomposable`` (a bool), and the ``warnings`` of
+    the decision (a tuple of str: ReducibilityUncertain or none)."""
 
     __slots__ = ()
 
@@ -174,8 +178,33 @@ def character_root(q0: Fraction | float | int, q1: Fraction | float | int) -> in
 # ---------------------------------------------------------------------------
 # invariant lines of a 2x2 pair
 
-_NORMAL_MIN = sys.float_info.min
-_NORMAL_MAX = 1 / _NORMAL_MIN
+#: The warning that a floating pair's reducibility is within rounding of
+#: the threshold: the enclosure of det C meets tol |det m0 det m1|, or C is
+#: zero within rounding but not at tol.
+REDUCIBILITY_UNCERTAIN = "ReducibilityUncertain"
+
+# The rounding enclosure of the commutator (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., section 3.1 and Lemma 3.5; u = eps / 2).
+# A complex product has a relative error below 2^(1/2) gamma_2 < 2.9u, a
+# sum or a difference one below u, so a floating entry of C, a difference
+# of two products of entries or differences of entries, lies within 5u of
+# the sum of its terms' moduli, and so does det C's own rounding; _ROUNDING,
+# 8 eps = 16u, bounds both.  An exact value enters floating arithmetic
+# through its rounded complex value: a real one within u, one off the axes
+# within 23u (the angle 2 pi q, its cosine and its sine), so an exact
+# value's modulus counts _EXACT_WEIGHT times.  A product in the subnormal
+# range loses up to 2^-1075 per real rounding, which _UNDERFLOW covers.
+_ROUNDING = 8 * sys.float_info.epsilon
+_EXACT_WEIGHT = 4.0
+_UNDERFLOW = 2.0 ** -1060
+#: A pair whose members' max|entry| lie in [2^-200, 2^200] is decided as
+#: given: no entry of C, det C or the threshold leaves the float range.
+#: Another is decided with each member scaled by a power of two to
+#: max|entry| in [1/4, 1].
+_SCALE_BOTTOM = 2.0 ** -200
+_SCALE_TOP = 2.0 ** 200
+
+_AXES = ((ONE, ZERO), (ZERO, ONE))
 
 
 def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> InvariantLineReport:
@@ -185,24 +214,28 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     The pair shares an eigenvector iff C = m0 m1 - m1 m0 has det C = 0
     (Shemesh, Lin. Alg. Appl. 62, 1984), and a pair with C != 0 shares at
     most the line ker C.  C is worked out on integers when all eight
-    entries are exact reals, else in Scalar arithmetic, and an exact C and
-    det C decide alone.  ker C is spanned by the candidate (c01, -c00) or
-    (c00, c10) with the larger entry, normalized at its larger slot, where
-    two exact values compare by their exact moduli and any other pair by
-    float moduli.  A floating C with max|c_ij| > tol max|m0| max|m1| makes
-    ker C the one candidate v: a line when each member maps v to a w with
-    |v x w| < tol |v| |w|, else none (a bound on det C would be relative
-    to C, not to the pair).  A pair that commutes, exactly or at ``tol``,
-    or whose C or bound leaves the normal float range, keeps the
-    eigendirections v of a non-scalar member that the other maps to such a
-    w.  v comes from the member with the larger relative eigenvalue gap
-    |lam1 - lam2| / max|entry|, whose eigenvectors are the better
-    conditioned (Stewart & Sun, Matrix Perturbation Theory, ch. V): m0 on
-    a tie, the other member when that one is scalar at ``tol``.
-    Eigenvalues are solved only when this branch is reached.  Each line
-    carries the eigenvalues of m0 and m1 on it, read at the slot of v that
-    holds the exact ONE, and the quotient det/lambda.  A ``tol`` outside
-    (0, TOL_BOUND) raises InputFormatError.
+    entries are exact reals, else in Scalar arithmetic, with an entrywise
+    rounding bound dC <= 8 eps (|m0| |m1| + |m1| |m0|) on a floating entry
+    and from it an enclosure of det C.  An exact det C decides alone.  A
+    floating one is compared with tol |det m0 det m1|, that is, |tr(m0 m1
+    m0^-1 m1^-1) - 2| <= tol, which no conjugation or scaling changes, and
+    with tol max|c_ij|^2, under which C is within tol of rank one, so that
+    ker C is the line: irreducible when the whole enclosure lies above
+    either, else the line ker C, with the warning ReducibilityUncertain (in
+    ``warnings``) when the enclosure meets the first.  A pair near one with
+    a scalar member has a det C small against the pair but not against C,
+    and no line.  ker C is spanned by the candidate (c01,
+    -c00) or (c00, c10) with the larger entry, normalized at its larger
+    slot, where two exact values compare by their exact moduli and any
+    other pair by float moduli.  A pair whose C is zero within dC takes the
+    eigendirections of m0, or of m1 when m0 is scalar at ``tol``, the axes
+    when both are: two make it decomposable.  Eigenvalues are solved only
+    when this branch is reached.  It warns ReducibilityUncertain unless
+    max|c_ij| <= tol max|m0| max|m1|.  A pair with max|entry| outside
+    [2^-200, 2^200] is decided at a power-of-two scale.  Each line carries
+    the eigenvalues of m0 and m1 on it, read at the slot of the direction
+    that holds the exact ONE, and the quotient det/lambda.  A ``tol``
+    outside (0, TOL_BOUND) raises InputFormatError.
     """
     return _invariant_lines(m0, m1, checked_tolerance(tol, "tol", TOL_BOUND), None, None)
 
@@ -223,52 +256,127 @@ def _invariant_lines(
         forms = (integer_form(m0), integer_form(m1))
     x, y = forms
     if x is not None and y is not None:
-        lines, exact = _integer_lines(x, y), True
+        lines = _integer_lines(x, y)
         if lines is not None:
             return InvariantLineReport(lines, False)
+        warnings, dets = (), (m0.det(), m1.det())
     else:
-        # The commutator C = m0 m1 - m1 m0 in Scalar arithmetic; C has trace 0.
-        (a, b), (c, d) = m0.rows
-        (e, f), (g, h) = m1.rows
-        a_d, e_h = a - d, e - h
-        c00 = b * g - f * c
-        c01 = f * a_d - b * e_h
-        c10 = c * e_h - g * a_d
-        det_c = c00 * c00 + c01 * c10  # det C = -det_c
-        exact = all(map(is_exact, (c00, c01, c10, det_c)))
-        if exact:
-            if not det_c.is_exact_zero:
-                return InvariantLineReport((), False)
-            commuting = c00.is_exact_zero and c01.is_exact_zero and c10.is_exact_zero
-        else:
-            # Non-commuting relative to the pair.  A bound or a C whose
-            # reciprocal leaves the normal float range leaves the decision to
-            # the eigendirections.
-            sizes = [modulus(c00), modulus(c01), modulus(c10)]
-            bound = tol * m0.max_abs() * m1.max_abs()
-            commuting = not (_NORMAL_MIN <= bound < max(sizes)
-                             and all(s <= _NORMAL_MAX for s in sizes))
-        if not commuting:
+        pair, pair_dets, c, mods, radii, det_c, det_radius, sizes = _commutator(m0, m1)
+        # The lines need the dets of the pair as given, not at its scale.
+        dets = pair_dets if pair[0] is m0 else (m0.det(), m1.det())
+        (n00, n01, n10), (r00, r01, r10) = mods, radii
+        # C is not zero when an entry exceeds its radius, or is an exact
+        # value other than ZERO, whose float modulus may underflow to 0.0.
+        if n00 > r00 or n01 > r01 or n10 > r10 or any(
+                not r and z is not ZERO for z, r in zip(c, radii)):
             # A non-commuting pair shares at most the line ker C.
+            kept, warnings = _kept(det_c, det_radius, max(mods), pair_dets, tol)
+            if not kept:
+                return InvariantLineReport((), False, warnings)
+            c00, c01, c10 = c
             v = _kernel_direction((c01, -c00), (c00, c10))
-            kept = exact or _preserved(m0, v, tol) and _preserved(m1, v, tol)
-            return InvariantLineReport(_lines(m0, m1, (v,) if kept else ()), False)
+            return InvariantLineReport(_lines(m0, m1, (v,), dets), False, warnings)
+        warnings = () if max(mods) <= tol * sizes[0] * sizes[1] else (REDUCIBILITY_UNCERTAIN,)
 
-    if eigen is None:
-        eigen = (_solve(m0, tol, x), _solve(m1, tol, y))
-    # Relative eigenvalue gaps, 0 for a single cluster.
-    gap0, gap1 = (modulus(data.pairs[0].value.z - data.pairs[-1].value.z) / m.max_abs()
-                  for m, data in zip((m0, m1), eigen))
-    members = ((m0, eigen[0], m1), (m1, eigen[1], m0))
-    for source, source_eigen, other in members[::-1] if gap1 > gap0 else members:
+    # C = 0: eigendirections of a member that is not scalar at tol.
+    for i, source in enumerate((m0, m1)):
         if source.scalar_value(tol) is None:
             break
     else:
-        axes = ((ONE, ZERO), (ZERO, ONE))
-        return InvariantLineReport(_lines(m0, m1, axes), True)
-    directions = _eigendirections(source, source_eigen)
-    kept = [v for v in directions if exact or _preserved(other, v, tol)]
-    return InvariantLineReport(_lines(m0, m1, kept), len(kept) >= 2)
+        return InvariantLineReport(_lines(m0, m1, _AXES, dets), True, warnings)
+    data = _solve(source, tol, forms[i]) if eigen is None else eigen[i]
+    directions = _eigendirections(source, data)
+    return InvariantLineReport(_lines(m0, m1, directions, dets), len(directions) >= 2, warnings)
+
+
+def _kept(det_c: Scalar | complex, radius: float, top: float, dets: Pair, tol: float):
+    """Whether a pair whose C is not zero keeps its line ker C, and the
+    warnings: an exact det C decides alone.  A floating one, within
+    ``radius`` of the exact value, is compared with tol |det m0 det m1|
+    (``dets``), and with tol max|c_ij|^2 (``top``), under which C is
+    within tol of rank one, so that ker C is the line: above either the
+    pair is irreducible, else it keeps the line, with ReducibilityUncertain
+    when the enclosure of det C meets the first threshold."""
+    if not radius:
+        return det_c is ZERO, ()
+    size = abs(det_c)
+    threshold = tol * abs(dets[0]) * abs(dets[1])
+    if size - radius > min(threshold, tol * top * top):
+        return False, ()
+    return True, (REDUCIBILITY_UNCERTAIN,) if size + radius > threshold else ()
+
+
+def _commutator(m0: Matrix, m1: Matrix, scaled: bool = False):
+    """The commutator C = m0 m1 - m1 m0 of a 2x2 pair, with its rounding
+    enclosure.  Returns ``(pair, dets, (c00, c01, c10), moduli, radii,
+    det_c, det_radius, sizes)``: the pair it was computed on, (m0, m1) or,
+    unless ``scaled`` already, when a max|entry| lies outside [2^-200,
+    2^200], both scaled exactly by powers of two to max|entry| in [1/4, 1],
+    so that no value below leaves the float range; the pair's
+    determinants; C's entries in Scalar arithmetic (C has trace 0), their
+    moduli and their radii; det_c = c00^2 + c01 c10 = -det C and its
+    radius; and the pair's max|entry|.  Each entry of C and det_c lies
+    within its radius of the exact value of the same expression on the
+    pair's entries, and an exact value has radius 0."""
+    (a, b), (c, d) = m0.rows
+    (e, f), (g, h) = m1.rows
+    entries = (a, b, c, d, e, f, g, h)
+    try:
+        mods = list(map(abs, entries))
+    except OverflowError:  # a complex modulus beyond the float range
+        mods = list(map(modulus, entries))
+    sizes = (max(mods[:4]), max(mods[4:]))
+    if not (scaled or all(_SCALE_BOTTOM <= size <= _SCALE_TOP for size in sizes)):
+        return _commutator(_normalized(m0), _normalized(m1), True)
+    if Scalar in map(type, entries):
+        mods = list(map(_weight, entries, mods))
+    wa, wb, wc, wd, we, wf, wg, wh = mods
+    a_d, e_h = a - d, e - h
+    c00 = b * g - f * c
+    c01 = f * a_d - b * e_h
+    c10 = c * e_h - g * a_d
+    det_c = c00 * c00 + c01 * c10
+    # Each radius sums the moduli of its entry's terms, (|m0| |m1| + |m1|
+    # |m0|)_ij; an exact entry of C is a Scalar, a floating one a complex.
+    r00 = r01 = r10 = 0.0
+    if c00.__class__ is complex:
+        r00 = _ROUNDING * (2 * wa * we + wb * wg + wf * wc) + _UNDERFLOW
+    if c01.__class__ is complex:
+        r01 = _ROUNDING * (wf * (wa + wd) + wb * (we + wh)) + _UNDERFLOW
+    if c10.__class__ is complex:
+        r10 = _ROUNDING * (wc * (we + wh) + wg * (wa + wd)) + _UNDERFLOW
+    n00, n01, n10 = abs(c00), abs(c01), abs(c10)
+    det_radius = 0.0
+    if det_c.__class__ is complex:
+        v00, v01, v10 = _weight(c00, n00), _weight(c01, n01), _weight(c10, n10)
+        det_radius = ((2 * n00 + r00) * r00 + n01 * r10 + (n10 + r10) * r01
+                      + _ROUNDING * (v00 * v00 + v01 * v10) + _UNDERFLOW)
+    # The determinants as Matrix.det forms them.
+    dets = (a * d - b * c, e * h - f * g)
+    return ((m0, m1), dets, (c00, c01, c10), (n00, n01, n10), (r00, r01, r10), det_c,
+            det_radius, sizes)
+
+
+def _weight(z: Scalar | complex, size: float) -> float:
+    """The modulus ``size`` of z as the enclosure counts it: _EXACT_WEIGHT
+    times for an exact z, whose complex value is rounded."""
+    return size if z.__class__ is complex else _EXACT_WEIGHT * size
+
+
+def _normalized(m: Matrix) -> Matrix:
+    """``m * 2^-k`` with max|entry| in [1/4, 1], exactly but for the
+    rounding of a part that falls into the subnormal range; an exact
+    modulus whose float under- or overflows still sets k."""
+    k = max((_exponent(z) for row in m.rows for z in row if not _is_zero(z)), default=0)
+    return Matrix._of_rows(tuple(tuple(_ldexp(z, -k) for z in row) for row in m.rows))
+
+
+def _exponent(z: Scalar | complex) -> int:
+    """An exponent k with |z| in [2^(k-2), 2^k]: an exact z's is read from
+    its exact modulus, a complex one's from its larger part."""
+    if is_exact(z):
+        return modulus_frexp(z)[1]
+    return math.frexp(max(abs(z.real), abs(z.imag)))[1] + 1
 
 
 def _integer_lines(
@@ -316,22 +424,14 @@ def _real(n: int, d: int) -> Scalar:
     return real_scalar(n, d) if d > 0 else real_scalar(-n, -d)
 
 
-def _preserved(m: Matrix, v: Pair, tol: float) -> bool:
-    w = m.apply(v)
-    cross = v[0] * w[1] - v[1] * w[0]
-    if is_exact(cross):
-        return cross.is_exact_zero
-    return modulus(cross) < tol * math.hypot(*map(modulus, v)) * math.hypot(*map(modulus, w))
-
-
-def _lines(m0: Matrix, m1: Matrix, directions) -> tuple[InvariantLine, ...]:
+def _lines(m0: Matrix, m1: Matrix, directions, dets: Pair) -> tuple[InvariantLine, ...]:
     """The invariant lines along the normalized ``directions``.  Each
     carries the eigenvalues of m0 and m1 on it, read at the slot of the
     direction that holds the exact ONE, and on the quotient det / lambda,
-    from determinants computed once for all the lines."""
+    from ``dets``, the determinants of m0 and m1."""
     if not directions:
         return ()
-    det0, det1 = m0.det(), m1.det()
+    det0, det1 = dets
     lines = []
     for v in directions:
         i = 0 if v[0] is ONE else 1
@@ -416,6 +516,7 @@ def classify_dim2(
     m0, m1 = prep.rep.generators
     eigen = prep.local_eigen[:2]
     report = _invariant_lines(m0, m1, tol, eigen, prep.integer_forms)
+    warnings = prep.warnings() + report.warnings
 
     if not report.lines:
         # Irreducible: the roots balance around c1 / 2.
@@ -429,10 +530,10 @@ def classify_dim2(
         if roots == [-2, 0]:
             kind = ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
             candidates = (SplittingType((-1, -1)), SplittingType((0, -2)))
-            return ClassificationReport(kind, candidates, prep.warnings(), chern)
+            return ClassificationReport(kind, candidates, warnings, chern)
         kind = ClassificationKind.THREE_DIM2_REDUCIBLE_SPLIT
     candidates = (SplittingType(tuple(sorted(roots, reverse=True))),)
-    return ClassificationReport(kind, candidates, prep.warnings(), chern)
+    return ClassificationReport(kind, candidates, warnings, chern)
 
 
 def _summand_roots(

@@ -19,6 +19,7 @@ from logsplit import (
     DimensionMismatch,
     InternalInconsistency,
     Matrix,
+    PuncturedRepresentation,
     Representation,
     SplittingType,
     build,
@@ -96,7 +97,7 @@ def _records() -> dict:
         ),
         "SplittingType": (report.candidates[0], ("roots",)),
         "InvariantLine": (lines.lines[0], ("direction", "sub_eigen_pair", "quotient_eigen_pair")),
-        "InvariantLineReport": (lines, ("lines", "decomposable")),
+        "InvariantLineReport": (lines, ("lines", "decomposable", "warnings")),
         "ClassificationReport": (report, ("kind", "candidates", "warnings", "chern")),
         "InputDocument": (doc, ("punctures", "dim", "generators", "tol", "integrality_tol")),
         "OutputDocument": (
@@ -124,12 +125,22 @@ def test_records_compare_and_hash_by_fields(name):
     obj, fields = RECORDS[name]
     values = tuple(getattr(obj, f) for f in fields)
     again = type(obj)(*values)
-    assert again is not obj and again == obj and hash(again) == hash(obj) == hash(values)
+    # A PuncturedRepresentation's integer_forms are derived from its rep.
+    compared = values[:2] if name == "PuncturedRepresentation" else values
+    assert again is not obj and again == obj and hash(again) == hash(obj) == hash(compared)
     assert type(obj)(**dict(zip(fields, values))) == obj
     assert pickle.loads(pickle.dumps(obj)) == obj
     # The repr names every field, in order, with its value's repr.
     inner = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
     assert repr(obj) == f"{name}({inner})"
+
+
+def test_a_punctured_representation_compares_without_its_integer_forms():
+    prep, _ = RECORDS["PuncturedRepresentation"]
+    bare = PuncturedRepresentation(prep.rep, prep.local_eigen)
+    assert bare.integer_forms is None and prep.integer_forms is not None
+    assert prep == bare and bare == prep and not prep != bare and hash(prep) == hash(bare)
+    assert prep != PuncturedRepresentation(prep.rep, prep.local_eigen[::-1], prep.integer_forms)
 
 
 def test_records_differ_when_a_field_differs():
