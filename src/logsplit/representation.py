@@ -66,17 +66,19 @@ class PuncturedRepresentation(
     punctures: 0, [1,] infinity, and ``integer_forms``, one
     ``eigen.integer_form`` per generator (None for a generator that is not
     an exact real 2x2), or None, the default, when they were not made;
-    consumers then clear the generators themselves.  Two compare and hash
-    by ``rep`` and ``local_eigen`` alone: ``integer_forms`` is derived from
-    ``rep``.
+    consumers then clear the generators themselves.  It compares and
+    hashes as the pair (``rep``, ``local_eigen``): ``integer_forms`` is
+    derived from ``rep``.
     """
 
     __slots__ = ()
 
     def __eq__(self, other) -> bool:
+        # A plain tuple compares as (rep, local_eigen) too, so that equal
+        # values hash equal.
         if isinstance(other, PuncturedRepresentation):
-            return self[:2] == other[:2]
-        return tuple.__eq__(self, other)
+            other = other[:2]
+        return self[:2] == other
 
     def __ne__(self, other) -> bool:
         return not self == other

@@ -17,8 +17,10 @@ generators' integer forms that ``build`` made (a hand-built
 PuncturedRepresentation, or a pair handed to ``invariant_lines``, is
 cleared here, for the same core); in Scalar arithmetic
 for other pairs, where an exact det C decides exactly and a floating one
-decides inside a rounding enclosure, against tol relative to the pair,
-and warns ReducibilityUncertain when the enclosure meets that threshold;
+against tol relative to the pair, inside a rounding enclosure or, when
+that meets the threshold, recomputed from the exact values of the
+entries, and warns ReducibilityUncertain where the rounding of the
+entries themselves can carry det C across the threshold;
 and by eigendirections for pairs whose C is zero, exactly or within
 rounding.  The first two give the same values on exact pairs, and every
 route compares exact moduli exactly when it picks and normalizes a kernel
@@ -68,7 +70,7 @@ from .errors import (
 from .matrix import Matrix, _is_zero, _ldexp
 from .representation import PuncturedRepresentation, Representation, build
 from .scalar import ONE, ZERO, Scalar, is_exact, modulus, modulus_at_least, modulus_frexp
-from .scalar import quotient, real_scalar, value_of
+from .scalar import Q_QUARTER, Q_THREE_QUARTERS, quotient, real_ratio, real_scalar, value_of
 
 
 @unique
@@ -179,8 +181,9 @@ def character_root(q0: Fraction | float | int, q1: Fraction | float | int) -> in
 # invariant lines of a 2x2 pair
 
 #: The warning that a floating pair's reducibility is within rounding of
-#: the threshold: the enclosure of det C meets tol |det m0 det m1|, or C is
-#: zero within rounding but not at tol.
+#: its threshold: the rounding of its floating entries can carry det C
+#: across it, or the enclosure of det C meets it and an entry is an exact
+#: value off the axes, or C is zero within rounding but not at tol.
 REDUCIBILITY_UNCERTAIN = "ReducibilityUncertain"
 
 # The rounding enclosure of the commutator (Higham, Accuracy and Stability
@@ -188,15 +191,17 @@ REDUCIBILITY_UNCERTAIN = "ReducibilityUncertain"
 # A complex product has a relative error below 2^(1/2) gamma_2 < 2.9u, a
 # sum or a difference one below u, so a floating entry of C, a difference
 # of two products of entries or differences of entries, lies within 5u of
-# the sum of its terms' moduli, and so does det C's own rounding; _ROUNDING,
-# 8 eps = 16u, bounds both.  An exact value enters floating arithmetic
-# through its rounded complex value: a real one within u, one off the axes
-# within 23u (the angle 2 pi q, its cosine and its sine), so an exact
-# value's modulus counts _EXACT_WEIGHT times.  A product in the subnormal
-# range loses up to 2^-1075 per real rounding, which _UNDERFLOW covers.
+# the sum of its terms' moduli, and so do det C's and a member's det's own
+# rounding, and their moduli within 6u; _ROUNDING, 8 eps = 16u, bounds
+# them all.  An exact value enters floating arithmetic through its rounded
+# complex value: a real one within u, one off the axes within 23u (the
+# angle 2 pi q, its cosine and its sine), so an exact value's modulus
+# counts _EXACT_WEIGHT times.  A product in the subnormal range loses up to
+# 2^-1075 per real rounding, which _UNDERFLOW covers.
 _ROUNDING = 8 * sys.float_info.epsilon
 _EXACT_WEIGHT = 4.0
 _UNDERFLOW = 2.0 ** -1060
+_DET_ROUNDING = 2 * _ROUNDING * _EXACT_WEIGHT ** 2
 #: A pair whose members' max|entry| lie in [2^-200, 2^200] is decided as
 #: given: no entry of C, det C or the threshold leaves the float range.
 #: Another is decided with each member scaled by a power of two to
@@ -217,25 +222,32 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     entries are exact reals, else in Scalar arithmetic, with an entrywise
     rounding bound dC <= 8 eps (|m0| |m1| + |m1| |m0|) on a floating entry
     and from it an enclosure of det C.  An exact det C decides alone.  A
-    floating one is compared with tol |det m0 det m1|, that is, |tr(m0 m1
-    m0^-1 m1^-1) - 2| <= tol, which no conjugation or scaling changes, and
-    with tol max|c_ij|^2, under which C is within tol of rank one, so that
-    ker C is the line: irreducible when the whole enclosure lies above
-    either, else the line ker C, with the warning ReducibilityUncertain (in
-    ``warnings``) when the enclosure meets the first.  A pair near one with
-    a scalar member has a det C small against the pair but not against C,
-    and no line.  ker C is spanned by the candidate (c01,
-    -c00) or (c00, c10) with the larger entry, normalized at its larger
-    slot, where two exact values compare by their exact moduli and any
-    other pair by float moduli.  A pair whose C is zero within dC takes the
-    eigendirections of m0, or of m1 when m0 is scalar at ``tol``, the axes
-    when both are: two make it decomposable.  Eigenvalues are solved only
-    when this branch is reached.  It warns ReducibilityUncertain unless
-    max|c_ij| <= tol max|m0| max|m1|.  A pair with max|entry| outside
-    [2^-200, 2^200] is decided at a power-of-two scale.  Each line carries
-    the eigenvalues of m0 and m1 on it, read at the slot of the direction
-    that holds the exact ONE, and the quotient det/lambda.  A ``tol``
-    outside (0, TOL_BOUND) raises InputFormatError.
+    floating pair keeps the line ker C when |det C| <= min(tol |det m0 det
+    m1|, top (tol top + R)), top = max|c_ij| and R the largest dC, else it
+    is irreducible.  The first bound is |tr(m0 m1 m0^-1 m1^-1) - 2| <=
+    tol, which no conjugation or scaling changes; under the second C is
+    within tol of rank one, or within its rounding of it, so that ker C is
+    the line (a pair near one with a scalar member has a det C small
+    against the pair but not against C, and no line).  A floating entry
+    is known only to its own rounding; where that can carry det C across
+    the threshold, the pair keeps the line with the warning
+    ReducibilityUncertain (in ``warnings``).  The enclosure decides when
+    it lies clear of the threshold and that band; otherwise det C, the
+    threshold and the band are recomputed from the exact values of the
+    entries, on Gaussian integers, and a pair with an exact entry off the
+    axes, which has no rational value, keeps the line with the warning.
+    ker C is spanned by the candidate (c01, -c00) or (c00, c10) with the
+    larger entry, normalized at its larger slot, where two exact values
+    compare by their exact moduli and any other pair by float moduli.  A
+    pair whose C is zero within dC takes the eigendirections of m0, or of
+    m1 when m0 is scalar at ``tol``, the axes when both are: two make it
+    decomposable.  Eigenvalues are solved only when this branch is
+    reached.  It warns ReducibilityUncertain unless max|c_ij| <= tol
+    max|m0| max|m1|.  A pair with max|entry| outside [2^-200, 2^200] is
+    decided at a power-of-two scale.  Each line carries the eigenvalues of
+    m0 and m1 on it, read at the slot of the direction that holds the
+    exact ONE, and the quotient det/lambda.  A ``tol`` outside (0,
+    TOL_BOUND) raises InputFormatError.
     """
     return _invariant_lines(m0, m1, checked_tolerance(tol, "tol", TOL_BOUND), None, None)
 
@@ -255,22 +267,37 @@ def _invariant_lines(
     if forms is None:
         forms = (integer_form(m0), integer_form(m1))
     x, y = forms
+    dets = None
     if x is not None and y is not None:
         lines = _integer_lines(x, y)
         if lines is not None:
             return InvariantLineReport(lines, False)
-        warnings, dets = (), (m0.det(), m1.det())
+        warnings = ()
     else:
-        pair, pair_dets, c, mods, radii, det_c, det_radius, sizes = _commutator(m0, m1)
-        # The lines need the dets of the pair as given, not at its scale.
-        dets = pair_dets if pair[0] is m0 else (m0.det(), m1.det())
+        pair, entries = (m0, m1), m0.rows[0] + m0.rows[1] + m1.rows[0] + m1.rows[1]
+        moduli = _moduli(entries)
+        sizes = (max(moduli[:4]), max(moduli[4:]))
+        a, b, c, d, e, f, g, h = entries
+        dets = pair_dets = (a * d - b * c, e * h - f * g)
+        if not (_SCALE_BOTTOM <= sizes[0] <= _SCALE_TOP and _SCALE_BOTTOM <= sizes[1] <= _SCALE_TOP):
+            # Both members scaled exactly by powers of two, so that no value
+            # below leaves the float range; the lines keep the given dets.
+            pair = (_normalized(m0), _normalized(m1))
+            entries = pair[0].rows[0] + pair[0].rows[1] + pair[1].rows[0] + pair[1].rows[1]
+            moduli = _moduli(entries)
+            sizes = (max(moduli[:4]), max(moduli[4:]))
+            pair_dets = (pair[0].det(), pair[1].det())
+        c, mods, radii, det_c, det_radius = _commutator(entries, moduli)
         (n00, n01, n10), (r00, r01, r10) = mods, radii
         # C is not zero when an entry exceeds its radius, or is an exact
         # value other than ZERO, whose float modulus may underflow to 0.0.
         if n00 > r00 or n01 > r01 or n10 > r10 or any(
                 not r and z is not ZERO for z, r in zip(c, radii)):
             # A non-commuting pair shares at most the line ker C.
-            kept, warnings = _kept(det_c, det_radius, max(mods), pair_dets, tol)
+            if not det_radius:
+                kept, warnings = det_c is ZERO, ()
+            else:
+                kept, warnings = _kept(abs(det_c), det_radius, pair, pair_dets, sizes, mods, radii, tol)
             if not kept:
                 return InvariantLineReport((), False, warnings)
             c00, c01, c10 = c
@@ -279,6 +306,8 @@ def _invariant_lines(
         warnings = () if max(mods) <= tol * sizes[0] * sizes[1] else (REDUCIBILITY_UNCERTAIN,)
 
     # C = 0: eigendirections of a member that is not scalar at tol.
+    if dets is None:
+        dets = (m0.det(), m1.det())
     for i, source in enumerate((m0, m1)):
         if source.scalar_value(tol) is None:
             break
@@ -289,48 +318,29 @@ def _invariant_lines(
     return InvariantLineReport(_lines(m0, m1, directions, dets), len(directions) >= 2, warnings)
 
 
-def _kept(det_c: Scalar | complex, radius: float, top: float, dets: Pair, tol: float):
-    """Whether a pair whose C is not zero keeps its line ker C, and the
-    warnings: an exact det C decides alone.  A floating one, within
-    ``radius`` of the exact value, is compared with tol |det m0 det m1|
-    (``dets``), and with tol max|c_ij|^2 (``top``), under which C is
-    within tol of rank one, so that ker C is the line: above either the
-    pair is irreducible, else it keeps the line, with ReducibilityUncertain
-    when the enclosure of det C meets the first threshold."""
-    if not radius:
-        return det_c is ZERO, ()
-    size = abs(det_c)
-    threshold = tol * abs(dets[0]) * abs(dets[1])
-    if size - radius > min(threshold, tol * top * top):
-        return False, ()
-    return True, (REDUCIBILITY_UNCERTAIN,) if size + radius > threshold else ()
-
-
-def _commutator(m0: Matrix, m1: Matrix, scaled: bool = False):
-    """The commutator C = m0 m1 - m1 m0 of a 2x2 pair, with its rounding
-    enclosure.  Returns ``(pair, dets, (c00, c01, c10), moduli, radii,
-    det_c, det_radius, sizes)``: the pair it was computed on, (m0, m1) or,
-    unless ``scaled`` already, when a max|entry| lies outside [2^-200,
-    2^200], both scaled exactly by powers of two to max|entry| in [1/4, 1],
-    so that no value below leaves the float range; the pair's
-    determinants; C's entries in Scalar arithmetic (C has trace 0), their
-    moduli and their radii; det_c = c00^2 + c01 c10 = -det C and its
-    radius; and the pair's max|entry|.  Each entry of C and det_c lies
-    within its radius of the exact value of the same expression on the
-    pair's entries, and an exact value has radius 0."""
-    (a, b), (c, d) = m0.rows
-    (e, f), (g, h) = m1.rows
-    entries = (a, b, c, d, e, f, g, h)
+def _moduli(entries) -> list[float]:
+    """The float moduli of ``entries``; inf for a complex modulus beyond
+    the float range."""
     try:
-        mods = list(map(abs, entries))
-    except OverflowError:  # a complex modulus beyond the float range
-        mods = list(map(modulus, entries))
-    sizes = (max(mods[:4]), max(mods[4:]))
-    if not (scaled or all(_SCALE_BOTTOM <= size <= _SCALE_TOP for size in sizes)):
-        return _commutator(_normalized(m0), _normalized(m1), True)
+        return list(map(abs, entries))
+    except OverflowError:
+        return list(map(modulus, entries))
+
+
+def _commutator(entries, moduli: list[float]):
+    """The commutator C = m0 m1 - m1 m0 of a 2x2 pair whose values stay in
+    the float range, from its eight ``entries`` (m0's rows, then m1's) and
+    their float ``moduli``, with its rounding enclosure: ``((c00, c01,
+    c10), moduli, radii, det_c, det_radius)``, C's entries in Scalar
+    arithmetic (C has trace 0), their float moduli and their radii, and
+    det_c = c00^2 + c01 c10 = -det C and its radius.  Each entry of C and
+    det_c lies within its radius of the exact value of the same
+    expression on the pair's entries, and an exact value has radius 0."""
+    a, b, c, d, e, f, g, h = entries
+    ws = moduli
     if Scalar in map(type, entries):
-        mods = list(map(_weight, entries, mods))
-    wa, wb, wc, wd, we, wf, wg, wh = mods
+        ws = list(map(_weight, entries, moduli))
+    wa, wb, wc, wd, we, wf, wg, wh = ws
     a_d, e_h = a - d, e - h
     c00 = b * g - f * c
     c01 = f * a_d - b * e_h
@@ -348,19 +358,149 @@ def _commutator(m0: Matrix, m1: Matrix, scaled: bool = False):
     n00, n01, n10 = abs(c00), abs(c01), abs(c10)
     det_radius = 0.0
     if det_c.__class__ is complex:
-        v00, v01, v10 = _weight(c00, n00), _weight(c01, n01), _weight(c10, n10)
+        # An exact entry of C enters det C through its rounded value.
+        v00 = n00 if r00 else _EXACT_WEIGHT * n00
+        v01 = n01 if r01 else _EXACT_WEIGHT * n01
+        v10 = n10 if r10 else _EXACT_WEIGHT * n10
         det_radius = ((2 * n00 + r00) * r00 + n01 * r10 + (n10 + r10) * r01
                       + _ROUNDING * (v00 * v00 + v01 * v10) + _UNDERFLOW)
-    # The determinants as Matrix.det forms them.
-    dets = (a * d - b * c, e * h - f * g)
-    return ((m0, m1), dets, (c00, c01, c10), (n00, n01, n10), (r00, r01, r10), det_c,
-            det_radius, sizes)
+    return (c00, c01, c10), (n00, n01, n10), (r00, r01, r10), det_c, det_radius
 
 
 def _weight(z: Scalar | complex, size: float) -> float:
     """The modulus ``size`` of z as the enclosure counts it: _EXACT_WEIGHT
     times for an exact z, whose complex value is rounded."""
     return size if z.__class__ is complex else _EXACT_WEIGHT * size
+
+
+def _threshold(dets: Pair, sizes: tuple[float, float], mods, radii, tol: float):
+    """An enclosure ``(lo, hi)`` of the exact min(tol |det m0 det m1|, top
+    (tol top + R)) of a pair with determinants ``dets`` and max|entry|
+    ``sizes``, whose C has the entry moduli ``mods`` within ``radii``, top
+    = max|c_ij| and R = max(radii).  A det lies within _DET_ROUNDING
+    max|entry|^2 of its exact value."""
+    d0, d1 = abs(dets[0]), abs(dets[1])
+    e0 = _DET_ROUNDING * sizes[0] * sizes[0] + _UNDERFLOW
+    e1 = _DET_ROUNDING * sizes[1] * sizes[1] + _UNDERFLOW
+    top, rounding = max(mods), max(radii)
+    top_lo = top - rounding if top > rounding else 0.0
+    top_hi = top + rounding
+    lo = tol * (d0 - e0 if d0 > e0 else 0.0) * (d1 - e1 if d1 > e1 else 0.0)
+    lo2 = top_lo * (tol * top_lo + rounding)
+    hi = tol * (d0 + e0) * (d1 + e1)
+    hi2 = top_hi * (tol * top_hi + rounding)
+    lo = lo if lo < lo2 else lo2
+    hi = hi if hi < hi2 else hi2
+    return lo * (1 - _ROUNDING), hi * (1 + _ROUNDING) + _UNDERFLOW
+
+
+def _kept(size: float, radius: float, pair: tuple[Matrix, Matrix], dets: Pair,
+          sizes: tuple[float, float], mods, radii, tol: float):
+    """Whether a non-commuting pair whose floating det C has the modulus
+    ``size`` within ``radius`` keeps its line ker C, and the warnings; the
+    other arguments are ``_threshold``'s, for ``pair``.  A floating entry
+    is known only to its own rounding, u of its modulus, and within the
+    band that this moves det C and the threshold by, the pair keeps the
+    line with ReducibilityUncertain.  An eighth of each enclosure bounds
+    that band (2u a product term against _ROUNDING's 16u), so the
+    enclosures decide when they lie apart by more than it.  Else det C,
+    the threshold and the band are recomputed from the exact values of
+    the entries of ``pair`` (``_recomputed``), or, when an entry has none,
+    the pair keeps the line with ReducibilityUncertain."""
+    reach = radius + radius / 8
+    # |det m| <= 2 max|entry|^2, so the threshold and its band lie below
+    # 5 tol (max|m0| max|m1|)^2.
+    product = sizes[0] * sizes[1]
+    if size - reach > 5 * tol * product * product + _UNDERFLOW:
+        return False, ()
+    lo, hi = _threshold(dets, sizes, mods, radii, tol)
+    spread = (hi - lo) / 8
+    if size - reach - spread > hi:
+        return False, ()
+    if size + reach + spread <= lo:
+        return True, ()
+    values = _recomputed(*pair, tol, max(radii))
+    if values is None:
+        return True, (REDUCIBILITY_UNCERTAIN,)
+    size, limit, band = values
+    band += spread
+    if size - band > limit:
+        return False, ()
+    return True, (REDUCIBILITY_UNCERTAIN,) if size + band > limit else ()
+
+
+def _recomputed(m0: Matrix, m1: Matrix, tol: float, rounding: float):
+    """``(|det C|, min(tol |det m0 det m1|, top (tol top + rounding)),
+    band)``, top = max|c_ij|, from the exact values of the entries, worked
+    out on Gaussian integers over each member's common denominator and
+    rounded once to floats, within 2^-60 of them; None when an entry is
+    an exact value off the axes.  ``band`` is the first-order change of
+    det C when each floating entry x moves by u |x|: det C changes by
+    tr(C [dm0, m1] + C [m0, dm1]), so x in m0 at (i, j) weighs |[C,
+    m1]_ji|, and x in m1 |[C, m0]_ji|."""
+    members, scales = [], []
+    for m in (m0, m1):
+        parts = []
+        for z in m.rows[0] + m.rows[1]:
+            part = _rational_parts(z)
+            if part is None:
+                return None
+            parts += part
+        s = math.lcm(*[den for _, den in parts])
+        ints = [num * (s // den) for num, den in parts]
+        members.append(list(zip(ints[::2], ints[1::2])))
+        scales.append(s)
+    (a, b, c, d), (e, f, g, h) = members
+    s0, s1 = scales
+    a_d, e_h = _gsub(a, d), _gsub(e, h)
+    c00 = _gsub(_gmul(b, g), _gmul(f, c))
+    c01 = _gsub(_gmul(f, a_d), _gmul(b, e_h))
+    c10 = _gsub(_gmul(c, e_h), _gmul(g, a_d))
+    square, product = _gmul(c00, c00), _gmul(c01, c10)
+    det_c = _root((square[0] + product[0], square[1] + product[1]), (s0 * s1) ** 2)
+    det0 = _root(_gsub(_gmul(a, d), _gmul(b, c)), s0 * s0)
+    det1 = _root(_gsub(_gmul(e, h), _gmul(f, g)), s1 * s1)
+    top = max(_root(z, s0 * s1) for z in (c00, c01, c10))
+    band = 0.0
+    for m, (p, q, r, t), den in ((m0, (e, f, g, h), s0 * s1 * s1), (m1, (a, b, c, d), s0 * s0 * s1)):
+        # [C, other]: entries 00 (and -11), 01 and 10.
+        k00 = _gsub(_gmul(c01, r), _gmul(q, c10))
+        k01 = _gsub(_gmul((2, 0), _gmul(c00, q)), _gmul(c01, _gsub(p, t)))
+        k10 = _gsub(_gmul(c10, _gsub(p, t)), _gmul((2, 0), _gmul(c00, r)))
+        (x, y), (z, w) = ([abs(v) if v.__class__ is complex else 0.0 for v in row] for row in m.rows)
+        band += _root(k00, den) * (x + w) + _root(k10, den) * y + _root(k01, den) * z
+    band *= sys.float_info.epsilon / 2
+    return det_c, min(tol * det0 * det1, top * (tol * top + rounding)), band
+
+
+def _root(z: tuple[int, int], den: int) -> float:
+    """|z| / den for a Gaussian integer z, within 2^-60 as a float."""
+    return float(Fraction(math.isqrt((z[0] * z[0] + z[1] * z[1]) << 128), den << 64))
+
+
+def _rational_parts(z: Scalar | complex):
+    """The exact real and imaginary parts of z as int ratios (numerator,
+    denominator); None for an exact value off the axes."""
+    if z.__class__ is complex:
+        return z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    real = real_ratio(z)
+    if real is not None:
+        return real, (0, 1)
+    n, d = z.r.as_integer_ratio()
+    q = z.q
+    if q == Q_QUARTER:
+        return (0, 1), (n, d)
+    if q == Q_THREE_QUARTERS:
+        return (0, 1), (-n, d)
+    return None
+
+
+def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gsub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] - y[0], x[1] - y[1]
 
 
 def _normalized(m: Matrix) -> Matrix:

@@ -141,6 +141,11 @@ def test_a_punctured_representation_compares_without_its_integer_forms():
     assert bare.integer_forms is None and prep.integer_forms is not None
     assert prep == bare and bare == prep and not prep != bare and hash(prep) == hash(bare)
     assert prep != PuncturedRepresentation(prep.rep, prep.local_eigen[::-1], prep.integer_forms)
+    # A plain tuple compares as the two compared fields, so equal values
+    # hash equal, and the three fields are not that tuple.
+    pair = (prep.rep, prep.local_eigen)
+    assert prep == pair and pair == prep and hash(prep) == hash(pair)
+    assert prep != tuple(prep) and tuple(prep) != prep
 
 
 def test_records_differ_when_a_field_differs():

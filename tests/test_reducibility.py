@@ -393,7 +393,9 @@ def _reducibility_corpus(corpus: str, kappa: float):
     upper triangular, each with a relative diagonal gap of 10^U(-12, -5),
     so the pair has one line.  "near-irr": a triangular pair whose T1 gets
     a lower-left entry of size 10^U(-8, -3), irreducible at that distance
-    from a reducible pair.  Every q, m0·m1's too, lies in (0.05, 0.95).
+    from a reducible pair.  "triangular": T0 and T1 upper triangular with
+    unrelated diagonals, one line.  "generic-irr": T1 gets a lower-left
+    entry of order 1.  Every q, m0·m1's too, lies in (0.05, 0.95).
     Yields the pair and the answer read off the construction."""
     rng = random.Random(4)
 
@@ -466,25 +468,27 @@ def _reducibility_corpus(corpus: str, kappa: float):
     ("corpus", "kappa", "ceiling", "floor"),
     [
         ("bnj", 1.0, 0, 12), ("bnj", 1e3, 0, 265),
-        ("near-irr", 1.0, 0, 300), ("near-irr", 1e3, 1, 231),
-        ("triangular", 1.0, 0, 300), ("triangular", 1e3, 0, 55),
+        ("near-irr", 1.0, 0, 300), ("near-irr", 1e3, 2, 298),
+        ("triangular", 1.0, 0, 300), ("triangular", 1e3, 0, 293),
         ("generic-irr", 1.0, 0, 300), ("generic-irr", 1e3, 0, 300),
     ],
 )
 def test_reducibility_corpus_wrong_and_silent_ceiling(corpus, kappa, ceiling, floor):
     # A wrong answer without a warning is silent.  A floating pair is
-    # decided by C and det C alone, inside their rounding enclosure: a cross
-    # test of ker C against both members left 0, 162, 0 and 86 of the bnj
-    # and near-irr pairs silent here, eigenvectors of near-Jordan members
-    # before it 12, 265, 1 and 116.  The one near-irr pair left at
-    # kappa = 1e3 has |tr(m0 m1 m0^-1 m1^-1) - 2| = 6.6e-10, below tol
-    # itself, so at tol it is reducible, and det C is small against C: its
-    # twin at kappa = 1 is irreducible because det C is large against C.
-    # Where the enclosure meets the threshold (245 triangular pairs and 68
-    # near-irr ones at kappa = 1e3) the pair keeps ker C and warns
-    # ReducibilityUncertain.  The floor counts the right answers without a
-    # warning, so a bound loose enough to warn on every pair fails it.  The
-    # ceilings are never to be raised, nor the floors lowered.
+    # decided by C and det C alone: a cross test of ker C against both
+    # members left 0, 162, 0 and 86 of the bnj and near-irr pairs silent
+    # here, eigenvectors of near-Jordan members before it 12, 265, 1 and
+    # 116.  The near-irr ceiling at kappa = 1e3 is 2, not 0: pairs 56 and
+    # 117 have |tr(m0 m1 m0^-1 m1^-1) - 2| = 6.6e-10 and 4.8e-10 on the
+    # exact values of their entries, below tol and 900 times farther from
+    # it than the rounding of those entries can move it, so at tol they are
+    # reducible.  Their twins at kappa = 1 answer irreducible only because
+    # C there is not within tol of rank one.  ReducibilityUncertain marks
+    # the pairs whose det C the rounding of their entries can carry across
+    # the threshold: 7 triangular pairs at kappa = 1e3, which keep their
+    # line.  The floor counts the right answers without a warning, so a
+    # bound loose enough to warn on every pair fails it.  The ceilings are
+    # never to be raised, nor the floors lowered.
     silent_kinds = set()
     silent = right = 0
     for rep, answer in _reducibility_corpus(corpus, kappa):
@@ -526,44 +530,52 @@ def test_commuting_within_rounding_warns_below_its_tolerance():
 # ---------------------------------------------------------------------------
 # the rounding enclosure of the commutator, against exact arithmetic
 
+#: Bits at which the exact values are worked out: every sum of products of
+#: entries below is exact at this precision for float entries, and within
+#: 2^-2000 of its value for exact thirds and for exact values off the axes.
+_EXACT_PREC = 2400
+_U = 2.0 ** -53
 
-def _exact_value(z) -> tuple[Fraction, Fraction]:
-    """The exact (re, im) of a complex, or of an exact Scalar on an axis."""
+_OFF_AXIS_TURNS = tuple(F(n, d) for n, d in ((1, 3), (1, 5), (1, 8), (3, 7), (5, 12), (7, 10)))
+
+
+def _exact_value(z):
+    """The exact value of an entry as an mpmath mpc."""
     if isinstance(z, complex):
-        return F(z.real), F(z.imag)
+        return mpmath.mpc(z.real, z.imag)
+    if z is ZERO:
+        return mpmath.mpc(0)
     r, q = z.r, z.q
-    if not r:
-        return F(0), F(0)
-    return {F(0): (r, F(0)), F(1, 4): (F(0), r), F(1, 2): (-r, F(0)), F(3, 4): (F(0), -r)}[q]
+    return mpmath.mpf(r.numerator) / r.denominator * mpmath.expjpi(
+        2 * mpmath.mpf(q.numerator) / q.denominator)
 
 
-def _cmul(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _csub(x, y):
-    return x[0] - y[0], x[1] - y[1]
-
-
-def _within(computed, exact, radius) -> bool:
-    """|computed - exact| <= radius, in exact arithmetic."""
-    dre, dim = _csub(_exact_value(computed), exact)
-    return dre * dre + dim * dim <= F(radius) ** 2
+def _commutator_values(entries):
+    """C's entries c00, c01, c10 and c00^2 + c01 c10 on the eight entries."""
+    a, b, c, d, e, f, g, h = entries
+    c00 = b * g - f * c
+    c01 = f * (a - d) - b * (e - h)
+    c10 = c * (e - h) - g * (a - d)
+    return c00, c01, c10, c00 * c00 + c01 * c10
 
 
 @st.composite
 def _enclosure_entry(draw, exponent):
     """A float entry at 2^exponent, spread over 40 binades below it (its
-    mantissa may be subnormal), or an exact real or imaginary dyadic or
-    third, or the exact zero."""
-    kind = draw(st.sampled_from(("float", "float", "float", "real", "imaginary", "zero")))
+    mantissa may be subnormal), an exact real or imaginary dyadic or
+    third, an exact value r e(q) off the axes, or the exact zero."""
+    kind = draw(st.sampled_from(
+        ("float", "float", "float", "real", "imaginary", "polar", "zero")))
     if kind == "zero":
         return 0
     scale = 2.0 ** (exponent - draw(st.integers(0, 40)))
     if kind == "float":
         re, im = (draw(st.floats(-1, 1, allow_nan=False)) for _ in range(2))
         return complex(re * scale, im * scale)
-    value = F(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3, 4)))) * F(scale)
+    value = F(draw(st.integers(1, 9)), draw(st.sampled_from((1, 2, 3, 4)))) * F(scale)
+    if kind == "polar":
+        return Scalar.polar(value, draw(st.sampled_from(_OFF_AXIS_TURNS)))
+    value *= draw(st.sampled_from((-1, 1)))
     return Scalar.exact(value) if kind == "real" else Scalar.exact(0, value)
 
 
@@ -589,69 +601,106 @@ def _enclosure_pairs(draw):
     return Matrix(m0), Matrix(m1)
 
 
-def _scale_of(given: Matrix, scaled: Matrix) -> Fraction:
+def _scale_of(given: Matrix, scaled: Matrix):
     """The power of two by which ``scaled`` is ``given``: read at the
-    largest part, and met by every part of a floating entry within
-    2^-1074, the rounding of a part scaled into the subnormal range, and
-    by every exact entry exactly."""
+    largest entry, and met by every floating entry within 2^-1074 a part,
+    the rounding of a part scaled into the subnormal range, and by every
+    exact entry exactly (within 2^-2000 of its modulus)."""
     pairs = [(_exact_value(x), _exact_value(y), isinstance(x, complex))
              for x, y in zip(given.rows[0] + given.rows[1], scaled.rows[0] + scaled.rows[1])]
-    x, y = max(((x[p], y[p]) for x, y, _ in pairs for p in (0, 1)), key=lambda xy: abs(xy[0]))
-    rho = y / x if x else F(1)
-    assert rho.numerator & (rho.numerator - 1) == 0 and rho.denominator & (rho.denominator - 1) == 0
+    x, y, _ = max(pairs, key=lambda p: abs(p[0]))
+    exponent = int(mpmath.nint(mpmath.log(abs(y) / abs(x), 2))) if x else 0
+    rho = mpmath.ldexp(1, exponent)
     for x, y, floating in pairs:
-        for p in (0, 1):
-            assert abs(y[p] - rho * x[p]) <= (F(1, 2 ** 1074) if floating else 0)
+        slack = mpmath.ldexp(1, -1073) if floating else abs(x) * mpmath.ldexp(1, -2000)
+        assert abs(y - rho * x) <= slack
     return rho
 
 
 @settings(max_examples=400, deadline=None)
 @given(_enclosure_pairs(), st.sampled_from((1e-16, 1e-12, 1e-9, 1e-6)))
 def test_commutator_enclosure_holds_and_decides_the_warning(pair, tol):
-    # C and det C are recomputed in Fractions from the exact values of the
-    # given pair, and scaled by the powers of two at which _commutator
-    # worked.  Every computed entry, and det C, lies within its radius of
-    # them; an exact value has radius 0 and is the exact value.
-    from logsplit.splitting import _commutator
+    # C, det C and the determinants are worked out from the exact values of
+    # the given entries and scaled by the powers of two at which the pair
+    # is decided.  Every computed entry of C, and det C, lies within its
+    # radius of them; an exact value has radius 0 and is the exact value.
+    # The decision is then read against the exact det C: a floating entry
+    # is known to its own rounding, u of its modulus, and the band that
+    # moves the exact det C by (to first order, taken here by differences)
+    # is where a warning may fall.  A silent answer is right and lies
+    # outside that band of the threshold; a warning keeps the line and
+    # lies within the band (and the threshold's own enclosure) when every
+    # entry has a rational value, else within the reach of the enclosure.
+    mpmath = pytest.importorskip("mpmath")
+    globals()["mpmath"] = mpmath
+    from logsplit.splitting import _SCALE_BOTTOM, _SCALE_TOP, _commutator, _moduli, _normalized
+    from logsplit.splitting import _threshold
 
     m0, m1 = pair
-    # Members that build would take: |det| above 1e-12 max|entry|^2.
-    for m in pair:
-        det = _csub(_cmul(*map(_exact_value, (m[0, 0], m[1, 1]))),
-                    _cmul(*map(_exact_value, (m[0, 1], m[1, 0]))))
-        largest = max(x[0] ** 2 + x[1] ** 2 for x in map(_exact_value, m.rows[0] + m.rows[1]))
-        assume(det[0] ** 2 + det[1] ** 2 > F(1, 10**24) * largest**2)
-    scaled, dets, c, mods, radii, det_c, det_radius, sizes = _commutator(m0, m1)
-    rho = _scale_of(m0, scaled[0]) * _scale_of(m1, scaled[1])
-    (a, b), (cc, d) = (tuple(map(_exact_value, row)) for row in m0.rows)
-    (e, f), (g, h) = (tuple(map(_exact_value, row)) for row in m1.rows)
-    x00 = _csub(_cmul(b, g), _cmul(f, cc))
-    x01 = _csub(_cmul(f, _csub(a, d)), _cmul(b, _csub(e, h)))
-    x10 = _csub(_cmul(cc, _csub(e, h)), _cmul(g, _csub(a, d)))
-    square, product = _cmul(x00, x00), _cmul(x01, x10)
-    xdet = (square[0] + product[0], square[1] + product[1])
-    exact = [(rho * x[0], rho * x[1]) for x in (x00, x01, x10)]
-    exact.append((rho**2 * xdet[0], rho**2 * xdet[1]))
-    for z, x, r in zip(c + (det_c,), exact, radii + (det_radius,)):
-        assert math.isfinite(r) and _within(z, x, r)
-        if not r:
-            assert isinstance(z, Scalar) and _exact_value(z) == x
+    with mpmath.workprec(_EXACT_PREC):
+        given = [_exact_value(z) for m in pair for z in m.rows[0] + m.rows[1]]
+        # An exact value enters floating arithmetic within 23u of its
+        # modulus, which _EXACT_WEIGHT covers.
+        for z, x in zip(m0.rows[0] + m0.rows[1] + m1.rows[0] + m1.rows[1], given):
+            if isinstance(z, Scalar):
+                assert abs(mpmath.mpc(z.z) - x) <= 23 * _U * abs(x)
+        # Members that build would take: |det| above 1e-12 max|entry|^2.
+        for values in (given[:4], given[4:]):
+            det = values[0] * values[3] - values[1] * values[2]
+            assume(abs(det) > mpmath.mpf(10) ** -12 * max(map(abs, values)) ** 2)
+        scaled = pair
+        if not all(_SCALE_BOTTOM <= m.max_abs() <= _SCALE_TOP for m in pair):
+            scaled = (_normalized(m0), _normalized(m1))
+        rho0, rho1 = _scale_of(m0, scaled[0]), _scale_of(m1, scaled[1])
+        entries = [rho0 * z for z in given[:4]] + [rho1 * z for z in given[4:]]
+        scaled_entries = scaled[0].rows[0] + scaled[0].rows[1] + scaled[1].rows[0] + scaled[1].rows[1]
+        c, mods, radii, det_c, det_radius = _commutator(scaled_entries, _moduli(scaled_entries))
+        exact = _commutator_values(entries)
+        for z, x, r in zip(c + (det_c,), exact, radii + (det_radius,)):
+            assert math.isfinite(r)
+            if r:
+                assert abs(_exact_value(z) - x) <= r
+            else:
+                assert isinstance(z, Scalar)
+                assert abs(_exact_value(z) - x) <= abs(x) * mpmath.ldexp(1, -1900)
 
-    # The warning: C zero within its radii takes the commuting branch, which
-    # warns unless max|c_ij| <= tol max|m0| max|m1|.  Otherwise an exact
-    # det C warns never, and a floating one exactly when the pair keeps
-    # its line and the enclosure meets tol |det m0 det m1|.
-    report = invariant_lines(m0, m1, tol)
-    top = max(mods)
-    commuting = all(n <= r if r else z is ZERO for z, n, r in zip(c, mods, radii))
-    if commuting:
-        warned = top > tol * sizes[0] * sizes[1]
-    elif not det_radius:
-        warned = False
-        assert bool(report.lines) == (det_c is ZERO)
-    else:
-        size, threshold = abs(det_c), tol * abs(dets[0]) * abs(dets[1])
-        kept = size - det_radius <= min(threshold, tol * top * top)
-        assert bool(report.lines) == kept
-        warned = kept and size + det_radius > threshold
-    assert report.warnings == ((REDUCIBILITY_UNCERTAIN,) if warned else ())
+        report = invariant_lines(m0, m1, tol)
+        lines, warned = bool(report.lines), bool(report.warnings)
+        assert report.warnings in ((), (REDUCIBILITY_UNCERTAIN,))
+        sizes = tuple(m.max_abs() for m in scaled)
+        if all(n <= r if r else z is ZERO for z, n, r in zip(c, mods, radii)):
+            # C zero within its radii: the commuting branch, which warns
+            # unless max|c_ij| <= tol max|m0| max|m1|.
+            assert warned == (max(mods) > tol * sizes[0] * sizes[1])
+            return
+        if not det_radius:
+            # An exact det C decides alone, and exactly.
+            assert not warned and lines == (det_c is ZERO)
+            return
+        size = abs(exact[3])
+        dets = [entries[0] * entries[3] - entries[1] * entries[2],
+                entries[4] * entries[7] - entries[5] * entries[6]]
+        top = max(map(abs, exact[:3]))
+        limit = min(tol * abs(dets[0]) * abs(dets[1]), top * (tol * top + max(radii)))
+        band = 0
+        for k, z in enumerate(m0.rows[0] + m0.rows[1] + m1.rows[0] + m1.rows[1]):
+            if isinstance(z, complex) and z:
+                step = abs(entries[k]) * mpmath.ldexp(1, -1200)
+                moved = list(entries)
+                moved[k] += step
+                band += abs(_commutator_values(moved)[3] - exact[3]) / step * _U * abs(entries[k])
+        lo, hi = _threshold([scaled[0].det(), scaled[1].det()], sizes, mods, radii, tol)
+        assert lo <= limit <= hi
+        slack = (size + limit) * 2.0 ** -55 + band * 1e-9
+        if not warned:
+            if lines:
+                assert size + band <= limit + slack
+            else:
+                assert size - band > limit - slack
+            return
+        assert lines
+        rational = not any(isinstance(z, Scalar) and z.q not in (0, F(1, 4), F(1, 2), F(3, 4))
+                           for m in pair for z in m.rows[0] + m.rows[1] if z is not ZERO)
+        spread = (hi - lo) / 8
+        reach = band + spread if rational else 17 * det_radius / 8 + 9 * (hi - lo) / 8
+        assert abs(size - limit) <= reach + slack
