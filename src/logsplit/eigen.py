@@ -26,7 +26,10 @@ float, and its modulus pair scaled back exactly, so an exact real solve is
 never handed to the floating route.  The q-sum (``q_total``) adds exact
 q's as one unreduced int pair.  There is no Fraction arithmetic on the
 exact route; a Fraction is built only where a q or a q-sum is returned,
-as ``EigenPair.q`` and ``EigenData.q_sum``.
+as ``EigenPair.q`` and ``EigenData.q_sum``.  Nor is m0 m1 formed, at any
+dimension, when both members have the exact ZERO below the diagonal: its
+eigenvalues are read off the products of the diagonal entries, the
+values of its own diagonal.
 Everything else is a floating root solve of
 the characteristic polynomial.  A quadratic, the floating 2x2 of every
 three-puncture document, takes one pass, ``_from_quadratic``: the
@@ -98,7 +101,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import (
     FloatRangeError,
@@ -360,6 +363,13 @@ def product_eigenvalues(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL
     ``eigenvalues`` reads it.  A and B are the IntegerForms of m0 and m1:
     ``build`` hands over the ones it made, and a call of this function
     clears m0 and m1 itself.
+
+    Nor is the product formed for other m0 and m1 of one dimension whose
+    entries below the diagonal are all the exact ZERO: each diagonal entry
+    of m0 @ m1 is m0_ii m1_ii plus exact ZEROs, so the eigenvalues are
+    read off those products, with the values, errors and messages of
+    ``eigenvalues(m0 @ m1)``.  Any other pair, a lower triangular one or
+    one with a floating zero below the diagonal, forms m0 @ m1.
     """
     return _solve_product(m0, m1, tol, (integer_form(m0), integer_form(m1)))
 
@@ -371,6 +381,11 @@ def _solve_product(
     and m1."""
     x, y = forms
     if x is None or y is None:
+        if _upper_exactly(m0) and _upper_exactly(m1) and m0.n == m1.n:
+            # The product's diagonal entry is m0_ii m1_ii plus exact ZEROs,
+            # the value that its triangular read-off would take.
+            tol = checked_tolerance(tol, "tol", TOL_BOUND)
+            return _from_diagonal(tuple(map(mul, m0.diagonal(), m1.diagonal())), tol)
         # Not cleared: an exact real product of other exact factors reaches
         # the same exact quadratic through char_poly.
         return _solve(m0 @ m1, tol, None)
@@ -381,6 +396,18 @@ def _solve_product(
     if not (a * f + b * h and c * e + d * g):
         return _from_diagonal((real_scalar(p00, st), real_scalar(p11, st)), tol)
     return _from_trace_det(p00 + p11, (a * d - b * c) * (e * h - f * g), st, tol)
+
+
+def _upper_exactly(m: Matrix) -> bool:
+    """Whether every entry of ``m`` below its diagonal is the exact ZERO.  A
+    floating zero does not count: its product terms in m0 @ m1 can flip
+    the sign of a zero part of a diagonal entry."""
+    rows = m.rows
+    for i in range(1, len(rows)):
+        for e in rows[i][:i]:
+            if e is not ZERO:
+                return False
+    return True
 
 
 def reciprocal_eigenvalues(data: EigenData, tol: float = DEFAULT_CLUSTER_TOL) -> EigenData:

@@ -129,10 +129,11 @@ def build(rep: Representation, tol: float = DEFAULT_CLUSTER_TOL) -> PuncturedRep
     product: at two punctures the product is the generator itself, whose
     data is reused; at three it is ``m0 @ m1``, whose eigenvalues
     ``product_eigenvalues`` reads from the trace and determinant of the
-    integer forms of an exact real 2x2 pair, without forming it.  The
-    solves raise InputFormatError for a ``tol`` outside (0, TOL_BOUND),
-    and raise for a singular generator or product, which the message
-    names.
+    integer forms of an exact real 2x2 pair, or off the products of the
+    diagonal entries of a pair with the exact ZERO below both diagonals,
+    without forming it.  The solves raise InputFormatError for a ``tol``
+    outside (0, TOL_BOUND), and raise for a singular generator or product,
+    which the message names.
     """
     gens = rep.generators
     forms = tuple(map(integer_form, gens))

@@ -24,7 +24,10 @@ entries themselves can carry det C across the threshold;
 and by eigendirections for pairs whose C is zero, exactly or within
 rounding.  The first two give the same values on exact pairs, and every
 route compares exact moduli exactly when it picks and normalizes a kernel
-direction.
+direction.  A pair in Scalar arithmetic whose members both have the exact
+ZERO below the diagonal forms only c01 of C: c00, c10 and det C are
+ZERO, so a c01 that is not zero beyond its rounding radius makes e1 the
+line, and one within the radius falls through to the full C.
 
 Sub at -2 over a quotient at the origin is the (-2, 0) case.  Its answer
 is O(-1) + O(-1); it is not two-valued:
@@ -66,6 +69,7 @@ from .errors import (
     InternalInconsistency,
     OutOfBranch,
     UnsupportedCase,
+    ZeroEigenvalue,
 )
 from .matrix import Matrix, _is_zero, _ldexp
 from .representation import PuncturedRepresentation, Representation, build
@@ -211,6 +215,9 @@ _SCALE_TOP = 2.0 ** 200
 
 _AXES = ((ONE, ZERO), (ZERO, ONE))
 
+#: The message of the ZeroEigenvalue for an eigenvalue read as 0 on a line.
+_ZERO_ON_LINE = "a member's eigenvalue on an invariant line is 0 within rounding; monodromy not invertible"
+
 
 def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) -> InvariantLineReport:
     """Common eigendirections of an invertible 2x2 pair: none when it is
@@ -221,14 +228,18 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     most the line ker C.  C is worked out on integers when all eight
     entries are exact reals, else in Scalar arithmetic, with an entrywise
     rounding bound dC <= 8 eps (|m0| |m1| + |m1| |m0|) on a floating entry
-    and from it an enclosure of det C.  An exact det C decides alone.  A
-    floating pair keeps the line ker C when |det C| <= min(tol |det m0 det
-    m1|, top (tol top + R)), top = max|c_ij| and R the largest dC, else it
-    is irreducible.  The first bound is |tr(m0 m1 m0^-1 m1^-1) - 2| <=
-    tol, which no conjugation or scaling changes; under the second C is
-    within tol of rank one, or within its rounding of it, so that ker C is
-    the line (a pair near one with a scalar member has a det C small
-    against the pair but not against C, and no line).  A floating entry
+    and from it an enclosure of det C.  A pair whose members both have the
+    exact ZERO below the diagonal has c00 = c10 = det C = ZERO, so only
+    c01 is formed: one that is not ZERO, or that exceeds its radius dC,
+    gives the line e1 = (ONE, ZERO), and one within dC goes on to the full
+    C.  An exact det C decides alone.  A floating pair keeps the line ker
+    C when |det C| <= min(tol |det m0 det m1|, top (tol top + R)), top =
+    max|c_ij| and R the largest dC, else it is irreducible.  The first
+    bound is |tr(m0 m1 m0^-1 m1^-1) - 2| <= tol, which no conjugation or
+    scaling changes; under the second C is within tol of rank one, or
+    within its rounding of it, so that ker C is the line (a pair near one
+    with a scalar member has a det C small against the pair but not
+    against C, and no line).  A floating entry
     is known only to its own rounding; where that can carry det C across
     the threshold, the pair keeps the line with the warning
     ReducibilityUncertain (in ``warnings``).  The enclosure decides when
@@ -246,8 +257,10 @@ def invariant_lines(m0: Matrix, m1: Matrix, tol: float = DEFAULT_CLUSTER_TOL) ->
     max|m0| max|m1|.  A pair with max|entry| outside [2^-200, 2^200] is
     decided at a power-of-two scale.  Each line carries the eigenvalues of
     m0 and m1 on it, read at the slot of the direction that holds the
-    exact ONE, and the quotient det/lambda.  A ``tol`` outside (0,
-    TOL_BOUND) raises InputFormatError.
+    exact ONE, and the quotient det/lambda; an eigenvalue that reads 0
+    there, lost to the rounding of the row it is read from, raises
+    ZeroEigenvalue.  A ``tol`` outside (0, TOL_BOUND) raises
+    InputFormatError.
     """
     return _invariant_lines(m0, m1, checked_tolerance(tol, "tol", TOL_BOUND), None, None)
 
@@ -287,6 +300,10 @@ def _invariant_lines(
             moduli = _moduli(entries)
             sizes = (max(moduli[:4]), max(moduli[4:]))
             pair_dets = (pair[0].det(), pair[1].det())
+        if entries[2] is ZERO and entries[6] is ZERO and _clears_e1(entries, moduli):
+            # Both upper triangular: c00, c10 and det C are ZERO, and c01 != 0
+            # makes ker C the line e1.
+            return InvariantLineReport(_lines(m0, m1, _AXES[:1], dets), False)
         c, mods, radii, det_c, det_radius = _commutator(entries, moduli)
         (n00, n01, n10), (r00, r01, r10) = mods, radii
         # C is not zero when an entry exceeds its radius, or is an exact
@@ -337,10 +354,7 @@ def _commutator(entries, moduli: list[float]):
     det_c lies within its radius of the exact value of the same
     expression on the pair's entries, and an exact value has radius 0."""
     a, b, c, d, e, f, g, h = entries
-    ws = moduli
-    if Scalar in map(type, entries):
-        ws = list(map(_weight, entries, moduli))
-    wa, wb, wc, wd, we, wf, wg, wh = ws
+    wa, wb, wc, wd, we, wf, wg, wh = _weights(entries, moduli)
     a_d, e_h = a - d, e - h
     c00 = b * g - f * c
     c01 = f * a_d - b * e_h
@@ -365,6 +379,26 @@ def _commutator(entries, moduli: list[float]):
         det_radius = ((2 * n00 + r00) * r00 + n01 * r10 + (n10 + r10) * r01
                       + _ROUNDING * (v00 * v00 + v01 * v10) + _UNDERFLOW)
     return (c00, c01, c10), (n00, n01, n10), (r00, r01, r10), det_c, det_radius
+
+
+def _clears_e1(entries, moduli: list[float]) -> bool:
+    """Whether c01 of the commutator of an upper triangular pair, given as
+    ``_commutator`` takes it, is not zero: an exact c01 when it is not
+    ZERO, a floating one when it exceeds the radius that ``_commutator``
+    gives it."""
+    a, b, _, d, e, f, _, h = entries
+    c01 = f * (a - d) - b * (e - h)
+    if c01.__class__ is not complex:
+        return c01 is not ZERO
+    wa, wb, _, wd, we, wf, _, wh = _weights(entries, moduli)
+    return abs(c01) > _ROUNDING * (wf * (wa + wd) + wb * (we + wh)) + _UNDERFLOW
+
+
+def _weights(entries, moduli: list[float]) -> list[float]:
+    """The ``moduli`` of ``entries`` as the enclosure counts them."""
+    if Scalar in map(type, entries):
+        return list(map(_weight, entries, moduli))
+    return moduli
 
 
 def _weight(z: Scalar | complex, size: float) -> float:
@@ -557,10 +591,11 @@ def _integer_lines(
 
 
 def _real(n: int, d: int) -> Scalar:
-    """The exact real n / d as Scalar arithmetic yields it: ZERO for 0, and
-    ZeroDivisionError for d = 0, as a Scalar division by ZERO raises."""
+    """The exact real n / d as Scalar arithmetic yields it: ZERO for 0.  A
+    d = 0 is a quotient by a zero eigenvalue, ZeroEigenvalue as in
+    ``_lines``."""
     if not d:
-        raise ZeroDivisionError("reciprocal of exact zero")
+        raise ZeroEigenvalue(_ZERO_ON_LINE)
     return real_scalar(n, d) if d > 0 else real_scalar(-n, -d)
 
 
@@ -568,7 +603,10 @@ def _lines(m0: Matrix, m1: Matrix, directions, dets: Pair) -> tuple[InvariantLin
     """The invariant lines along the normalized ``directions``.  Each
     carries the eigenvalues of m0 and m1 on it, read at the slot of the
     direction that holds the exact ONE, and on the quotient det / lambda,
-    from ``dets``, the determinants of m0 and m1."""
+    from ``dets``, the determinants of m0 and m1.  An eigenvalue read as 0
+    has no quotient: the member is singular within the rounding of that
+    reading (an eigenvalue far below the member's entries loses all its
+    digits to it), and this raises ZeroEigenvalue."""
     if not directions:
         return ()
     det0, det1 = dets
@@ -576,7 +614,11 @@ def _lines(m0: Matrix, m1: Matrix, directions, dets: Pair) -> tuple[InvariantLin
     for v in directions:
         i = 0 if v[0] is ONE else 1
         lams = tuple(row[0] * v[0] + row[1] * v[1] for row in (m0.rows[i], m1.rows[i]))
-        lines.append(InvariantLine(v, lams, (quotient(det0, lams[0]), quotient(det1, lams[1]))))
+        try:
+            quotients = (quotient(det0, lams[0]), quotient(det1, lams[1]))
+        except ZeroDivisionError:
+            raise ZeroEigenvalue(_ZERO_ON_LINE) from None
+        lines.append(InvariantLine(v, lams, quotients))
     return tuple(lines)
 
 

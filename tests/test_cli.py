@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugated, matmul, rand_well_conditioned
-from logsplit import Matrix, cli
+from logsplit import Matrix, Representation, ZeroEigenvalue, cli
 from logsplit.cli import (
     EXIT_ERROR,
     EXIT_NONINTEGRAL,
@@ -658,6 +658,29 @@ class TestNumericRobustness:
             capsys.readouterr()
         assert max(kappas) > 5e5
         assert answered == []
+
+    def test_an_eigenvalue_read_as_zero_on_a_line_exits_one(self, tmp_path, capsys):
+        # m0's eigenvalue 3.5e-93 on its second eigendirection reads 0 from
+        # a row of entries near 1; c1 is answered from the diagonals.
+        doc = (
+            '{"punctures": 3, "dim": 2, "generators": [[[1, {"re": 1e-30, "im": 1}], '
+            '[0, 3.5078469343520753e-93]], [[-4, {"re": 1e-30, "im": -3}], [0, -1]]]}'
+        )
+        assert self._run(tmp_path, doc) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[ZeroEigenvalue]: a member's eigenvalue on an invariant line is 0 "
+            "within rounding; monodromy not invertible\n"
+        )
+        path = tmp_path / "doc.json"
+        assert main(["c1", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["c1"] == -2
+        # The library pair with m0's b at i exactly, a floating i, fails alike.
+        m0 = Matrix([[1, 1j], [0, 3.5078469343520753e-93]])
+        m1 = Matrix([[-4, -3j], [0, -1]])
+        with pytest.raises(ZeroEigenvalue):
+            classify(Representation(3, (m0, m1)))
 
     def test_overflowing_generator_product(self, tmp_path, capsys):
         # The product at three punctures overflows to inf + inf*i; its

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsplit import FloatRangeError, LogSplitError, Matrix, Representation, classify, eigenvalues
+from logsplit import FloatRangeError, LogSplitError, Matrix, Representation, ZeroEigenvalue
+from logsplit import classify, eigenvalues, invariant_lines
 from logsplit.cli import EXIT_ERROR, EXIT_OK, main
 
 magnitudes = st.one_of(
@@ -125,3 +126,37 @@ def test_tiny_exact_eigenvalue_is_a_float_range_error():
     # 10**-400 is invertible; only its float modulus underflows.
     with pytest.raises(FloatRangeError):
         eigenvalues(Matrix([[Fraction(1, 10**400)]]))
+
+
+#: m0 = [[1, b], [0, 3.5e-93]] with a floating b next to i, and m1 = [[-4,
+#: f], [0, -1]]: upper triangular, so the build reads both eigenvalues of
+#: m0 off its diagonal, and c01 lies within its rounding radius, so the
+#: pair falls through to the commuting branch.  m0's eigenvalue 3.5e-93 on
+#: its second eigendirection, read from a row of entries near 1, loses all
+#: its digits and reads 0.
+ZERO_ON_LINE = (
+    '{"punctures": 3, "dim": 2, "generators": [[[1, {"re": 1e-30, "im": 1}], '
+    '[0, 3.5078469343520753e-93]], [[-4, {"re": 1e-30, "im": -3}], [0, -1]]]}'
+)
+
+
+def test_an_eigenvalue_read_as_zero_on_a_line_is_a_zero_eigenvalue():
+    code, out, err = _classify(ZERO_ON_LINE)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error[ZeroEigenvalue]")
+    code, out, err = _classify(ZERO_ON_LINE, "c1")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["c1"] == -2
+
+
+def test_an_eigenvalue_read_as_zero_on_a_line_in_the_library():
+    tiny = 3.5078469343520753e-93
+    pairs = [
+        (Matrix([[1, 1j], [0, tiny]]), Matrix([[-4, -3j], [0, -1]])),
+        (Matrix([[1, 1e-30 + 1j], [0, tiny]]), Matrix([[-4, 1e-30 - 3j], [0, -1]])),
+    ]
+    for m0, m1 in pairs:
+        with pytest.raises(ZeroEigenvalue):
+            invariant_lines(m0, m1)
+        with pytest.raises(ZeroEigenvalue):
+            classify(Representation(3, (m0, m1)))

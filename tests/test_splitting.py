@@ -519,6 +519,82 @@ class TestOneSolvePerMonodromy:
         assert calls == [m0]  # commuting within rounding: m0's eigendirections
 
 
+class TestTriangularReadOff:
+    """A pair whose members both have the exact ZERO below the diagonal is
+    read off its diagonals: m0 @ m1 is not formed, and of the commutator
+    only c01 is.  Conjugated by the exact swap, the pair is lower
+    triangular, takes the general route and gets the same answer."""
+
+    SWAP = Matrix([[0, 1], [1, 0]])
+
+    @staticmethod
+    def _readme_pair() -> Representation:
+        lam = Scalar.polar(1, F(3, 5))
+        return Representation(3, (Matrix([[lam, 0], [0, 1]]), Matrix([[lam, 1], [0, 1]])))
+
+    @staticmethod
+    def _float_pairs() -> list[Representation]:
+        """Seeded upper triangular float pairs: non-commuting ones, and
+        m1 = s m0 + t I in floats, whose c01 lies within its radius."""
+        rng = random.Random(40)
+
+        def value():
+            return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+        reps = []
+        for _ in range(4):
+            m0 = Matrix([[value(), value()], [0, value()]])
+            reps.append(Representation(3, (m0, Matrix([[value(), value()], [0, value()]]))))
+            s, t = value(), value()
+            (a, b), (_, d) = m0.rows
+            reps.append(Representation(3, (m0, Matrix([[s * a + t, s * b], [0, s * d + t]]))))
+        return reps
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The m0 @ m1 products and the full commutators formed."""
+        from logsplit import splitting
+
+        products, commutators = [], []
+        matmul, commutator = Matrix.__matmul__, splitting._commutator
+
+        def counting_matmul(a, b):
+            products.append((a, b))
+            return matmul(a, b)
+
+        def counting_commutator(*args):
+            commutators.append(args)
+            return commutator(*args)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+        monkeypatch.setattr(splitting, "_commutator", counting_commutator)
+        return products, commutators
+
+    def test_the_readme_pair_forms_no_product_and_no_commutator(self, monkeypatch):
+        products, commutators = self._counted(monkeypatch)
+        report = classify(self._readme_pair())
+        assert report.kind is ClassificationKind.THREE_DIM2_REDUCIBLE_AMBIGUOUS
+        assert products == []
+        assert commutators == []
+
+    def test_a_c01_within_its_radius_falls_through_to_the_commutator(self, monkeypatch):
+        m0, m1 = self._float_pairs()[1].generators
+        _, commutators = self._counted(monkeypatch)
+        report = invariant_lines(m0, m1)
+        assert report.decomposable and len(report.lines) == 2
+        assert len(commutators) == 1
+
+    def test_the_swap_changes_no_answer(self):
+        for rep in [self._readme_pair()] + self._float_pairs():
+            swapped = conjugate(rep, self.SWAP)
+            assert all(m.is_lower_triangular() for m in swapped.generators)
+            assert not all(m[1, 0] is ZERO for m in swapped.generators)
+            before, after = classify(rep), classify(swapped)
+            assert after.kind is before.kind
+            assert (after.c1, after.candidates, after.warnings) == (
+                before.c1, before.candidates, before.warnings)
+
+
 class TestExactRealPairsMakeNoScalarArithmetic:
     """classify decides an exact real 3-puncture pair on cleared integers:
     it makes no Scalar sum, difference, product or negation.  Only exact
